@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import CriticalValueError, DomainError, ExprError
 from .expr import format_value, parse, value_to_json
-from .geometry import lie_density, lie_operator, lie_symbol, symbol_divergence
+from .geometry import SymbolField, lie_density, lie_operator, lie_symbol, symbol_divergence
 from .geometry import affine_quantize as _affine_quantize
 from .projective import (
     affine_defect,
@@ -45,6 +45,7 @@ from .quantizer import (
     VARIANT_PSL,
     VARIANT_SL,
     QuantizationConfig,
+    default_variant,
     quantize,
     symbol_map,
 )
@@ -197,10 +198,6 @@ def _variant(args):
     return _VARIANTS[args.variant] if args.variant else None
 
 
-def _algebra(args):
-    return args.variant  # projective helpers accept sl/psl directly
-
-
 def _config(args, sig) -> QuantizationConfig:
     return QuantizationConfig(sig, args.lam, args.delta, _variant(args), args.t)
 
@@ -210,6 +207,13 @@ def _require(args, name: str):
     if value is None:
         raise _UsageError(f"--{name} is required for this mode")
     return value
+
+
+def _single_degree_symbol(args, sig, text: str, command: str) -> SymbolField:
+    s = parse("symbol", text, sig, weight=args.delta)
+    if not isinstance(s, SymbolField):
+        raise _UsageError(f"{command} expects a single-degree symbol")
+    return s
 
 
 def _emit(args, text: str) -> None:
@@ -245,6 +249,11 @@ def _emit_report(args, report) -> int:
 
 
 def _dispatch(args) -> int:
+    # zero samples or a negative degree bound would run no identity at all
+    for name, low in (("samples", 1), ("kmax", 0), ("degree-max", 0)):
+        value = getattr(args, name.replace("-", "_"), None)
+        if value is not None and value < low:
+            raise _UsageError(f"--{name} must be at least {low}, got {value}")
     cmd = args.command
     if cmd == "quantize":
         sig = _signature(args)
@@ -267,9 +276,7 @@ def _dispatch(args) -> int:
             f = parse("poly", _require(args, "function"), sig)
             return _emit_value(args, lie_density(x, args.lam, f))
         if args.mode == "symbol":
-            s = parse("symbol", _require(args, "symbol"), sig, weight=args.delta)
-            if not hasattr(s, "degree"):
-                raise _UsageError("lie symbol expects a single-degree symbol")
+            s = _single_degree_symbol(args, sig, _require(args, "symbol"), "lie symbol")
             return _emit_value(args, lie_symbol(x, s))
         d = parse("operator", _require(args, "operator"), sig,
                   lam=args.lam, mu=args.lam + args.delta)
@@ -279,37 +286,29 @@ def _dispatch(args) -> int:
         if args.mode == "vfield":
             x = parse("vfield", _require(args, "field"), sig)
             return _emit_value(args, x.divergence())
-        s = parse("symbol", _require(args, "symbol"), sig, weight=args.delta)
-        if not hasattr(s, "degree"):
-            raise _UsageError("div symbol expects a single-degree symbol")
+        s = _single_degree_symbol(args, sig, _require(args, "symbol"), "div symbol")
         return _emit_value(args, symbol_divergence(s))
     if cmd == "gamma":
         sig = _signature(args)
         if not 1 <= args.index <= sig.n:
             raise _UsageError(f"--index must be in 1..{sig.n}")
         h = basis_eps(sig)[args.index - 1]
-        s = parse("symbol", args.symbol, sig, weight=args.delta)
-        if not hasattr(s, "degree"):
-            raise _UsageError("gamma expects a single-degree symbol")
+        s = _single_degree_symbol(args, sig, args.symbol, "gamma")
         return _emit_value(args, affine_defect(h, s, args.lam))
     if cmd == "casimir":
         sig = _signature(args)
-        s = parse("symbol", args.symbol, sig, weight=args.delta)
-        if not hasattr(s, "degree"):
-            raise _UsageError("casimir expects a single-degree symbol")
+        s = _single_degree_symbol(args, sig, args.symbol, "casimir")
         return _emit_value(
-            args, casimir_apply(s, args.lam, rep=args.rep, algebra=_algebra(args))
+            args, casimir_apply(s, args.lam, rep=args.rep, algebra=args.variant)
         )
     if cmd == "alpha":
         sig = _signature(args)
-        if (_variant(args) or
-                (VARIANT_PSL if sig.q == sig.p + 1 else VARIANT_SL)) == VARIANT_PSL:
+        if (_variant(args) or default_variant(sig)) == VARIANT_PSL:
             return _emit_rational(args, Fraction(psl_casimir_eigenvalue(args.k)))
         return _emit_rational(args, casimir_eigenvalue(args.k, args.delta, sig))
     if cmd == "coeff":
         sig = _signature(args)
-        if (_variant(args) or
-                (VARIANT_PSL if sig.q == sig.p + 1 else VARIANT_SL)) == VARIANT_PSL:
+        if (_variant(args) or default_variant(sig)) == VARIANT_PSL:
             return _emit_rational(args, psl_quantization_coefficient(args.k, args.r))
         return _emit_rational(
             args, quantization_coefficient(args.k, args.r, args.lam, args.delta, sig)
@@ -353,7 +352,7 @@ def _dispatch(args) -> int:
         )
     elif args.mode == "casimir":
         report = check_casimir(
-            sig, algebra=_algebra(args), lam=args.lam, delta=args.delta,
+            sig, algebra=args.variant, lam=args.lam, delta=args.delta,
             k_max=args.kmax, sample_count=args.samples, seed=args.seed,
         )
     elif args.mode == "homomorphism":

@@ -27,6 +27,7 @@ from .supercore import (
     Rational,
     Signature,
     SuperPolynomial,
+    _canonical_key,
     _check_same_signature,
     _ops,
     as_fraction,
@@ -51,22 +52,15 @@ def _acc(d: dict, key, poly: SuperPolynomial) -> None:
 
 
 def _validate_terms(signature: Signature, terms) -> dict:
-    p, q = signature.p, signature.q
-    limit = 1 << q
     canon: dict = {}
     for key, poly in terms.items():
-        evens, mask = key
-        evens = tuple(int(e) for e in evens)
-        if len(evens) != p or any(e < 0 for e in evens):
-            raise ValueError(f"bad even multi-index {evens} for signature {signature}")
-        if not 0 <= mask < limit:
-            raise ValueError(f"bad odd mask {mask} for signature {signature}")
+        key = _canonical_key(signature, key)
         if not isinstance(poly, SuperPolynomial):
             poly = SuperPolynomial.scalar(signature, poly)
         if poly.signature != signature:
             raise ValueError("coefficient signature mismatch")
         if poly:
-            _acc(canon, (evens, mask), poly)
+            _acc(canon, key, poly)
     return canon
 
 
@@ -75,11 +69,112 @@ def _key_degree(key) -> int:
     return sum(evens) + mask.bit_count()
 
 
+class _Graded:
+    """Parity read off the homogeneous parts listed by ``graded_parts``."""
+
+    __slots__ = ()
+
+    def parity(self) -> int | None:
+        parts = self.graded_parts()
+        if not parts:
+            return 0
+        if len(parts) == 1:
+            return parts[0][0]
+        return None
+
+
+class _TermMap:
+    """Linear core shared by symbols and operators.
+
+    Terms map ``(even_exponents, odd_mask)`` keys to nonzero polynomial
+    coefficients.  Beside the signature each map carries the two attributes
+    named in ``_fields``; the ones named in ``_weights`` must agree in a sum.
+    """
+
+    __slots__ = ("signature", "_terms")
+    _fields: tuple[str, str]
+    _weights: tuple[str, ...]
+
+    @classmethod
+    def _raw(cls, signature, first, second, terms):
+        self = cls.__new__(cls)
+        self.signature = signature
+        a, b = cls._fields
+        setattr(self, a, first)
+        setattr(self, b, second)
+        self._terms = terms
+        return self
+
+    def _with_terms(self, terms: dict):
+        a, b = self._fields
+        return self._raw(self.signature, getattr(self, a), getattr(self, b), terms)
+
+    def items(self):
+        return self._terms.items()
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def coefficient(self, evens: Iterable[int], odds: Iterable[int]) -> SuperPolynomial:
+        mask = 0
+        for t in odds:
+            mask |= 1 << (t - 1)
+        return self._terms.get(
+            (tuple(evens), mask), SuperPolynomial.zero(self.signature)
+        )
+
+    def _compatible(self, other) -> None:
+        _check_same_signature(self, other)
+        for name in self._weights:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine != theirs:
+                raise ValueError(f"{name} mismatch: {mine} vs {theirs}")
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._compatible(other)
+        terms = dict(self._terms)
+        for key, poly in other._terms.items():
+            _acc(terms, key, poly)
+        # a zero summand may carry any symbol degree: keep the other's
+        return (self if self._terms else other)._with_terms(terms)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._with_terms({k: -v for k, v in self._terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            c = as_fraction(other)
+            if not c:
+                return self._with_terms({})
+            return self._with_terms({k: v * c for k, v in self._terms.items()})
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        # equal nonzero symbol terms fix equal degrees; zero symbols of any
+        # degree are equal
+        return (
+            self.signature == other.signature
+            and all(getattr(self, n) == getattr(other, n) for n in self._weights)
+            and self._terms == other._terms
+        )
+
+    __hash__ = None
+
+
 # ---------------------------------------------------------------------------
 # vector fields
 
 
-class SuperVectorField:
+class SuperVectorField(_Graded):
     """Polynomial derivation X = sum_i X^i d/dy^i."""
 
     __slots__ = ("signature", "components")
@@ -127,11 +222,9 @@ class SuperVectorField:
         for i, comp in enumerate(self.components, start=1):
             if not comp:
                 continue
-            if sig.parity(i) == 0:
-                out = out + comp.partial(i)
-            else:
-                ce, co = comp.graded_parts()
-                out = out + ce.partial(i) - co.partial(i)
+            if sig.parity(i):
+                comp = comp.parity_twist()
+            out = out + comp.partial(i)
         return out
 
     def graded_parts(self) -> list[tuple[int, "SuperVectorField"]]:
@@ -151,14 +244,6 @@ class SuperVectorField:
             if any(buckets[par]):
                 out.append((par, SuperVectorField(sig, buckets[par])))
         return out
-
-    def parity(self) -> int | None:
-        parts = self.graded_parts()
-        if not parts:
-            return 0
-        if len(parts) == 1:
-            return parts[0][0]
-        return None
 
     def is_zero(self) -> bool:
         return not any(self.components)
@@ -233,7 +318,7 @@ def lie_density(x: SuperVectorField, lam: Rational, f: SuperPolynomial) -> Super
 # symbol fields
 
 
-class SymbolField:
+class SymbolField(_TermMap):
     """Homogeneous degree-k symbol with a density twist.
 
     Terms map ``(even_exponents, odd_selection)`` frame monomials to
@@ -241,7 +326,9 @@ class SymbolField:
     ``sum(even_exponents) + |odd_selection| == degree``.
     """
 
-    __slots__ = ("signature", "weight", "degree", "_terms")
+    __slots__ = ("weight", "degree")
+    _fields = ("weight", "degree")
+    _weights = ("weight",)
 
     def __init__(self, signature: Signature, weight: Rational, degree: int, terms=None):
         if degree < 0:
@@ -256,15 +343,6 @@ class SymbolField:
                     f"frame monomial {key} has degree {_key_degree(key)}, expected {degree}"
                 )
         self._terms = canon
-
-    @classmethod
-    def _raw(cls, signature, weight, degree, terms) -> "SymbolField":
-        self = cls.__new__(cls)
-        self.signature = signature
-        self.weight = weight
-        self.degree = degree
-        self._terms = terms
-        return self
 
     @classmethod
     def zero(cls, signature: Signature, weight: Rational, degree: int) -> "SymbolField":
@@ -293,20 +371,6 @@ class SymbolField:
             coeff = SuperPolynomial.scalar(signature, coeff)
         return cls(signature, weight, degree, {(evens, mask): coeff})
 
-    def items(self):
-        return self._terms.items()
-
-    def coefficient(self, evens: Iterable[int], odds: Iterable[int]) -> SuperPolynomial:
-        mask = 0
-        for t in odds:
-            mask |= 1 << (t - 1)
-        return self._terms.get(
-            (tuple(evens), mask), SuperPolynomial.zero(self.signature)
-        )
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def scalar_poly(self) -> SuperPolynomial:
         """The coefficient of a degree-0 symbol as a plain superfunction."""
         if self.degree != 0:
@@ -316,48 +380,9 @@ class SymbolField:
         )
 
     def _compatible(self, other: "SymbolField") -> None:
-        if self.signature != other.signature:
-            raise ValueError("signature mismatch")
-        if self.weight != other.weight:
-            raise ValueError(f"weight mismatch: {self.weight} vs {other.weight}")
+        super()._compatible(other)
         if self.degree != other.degree and not (self.is_zero() or other.is_zero()):
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-
-    def __add__(self, other):
-        if not isinstance(other, SymbolField):
-            return NotImplemented
-        self._compatible(other)
-        terms = dict(self._terms)
-        for key, poly in other._terms.items():
-            _acc(terms, key, poly)
-        deg = other.degree if self.is_zero() else self.degree
-        return SymbolField._raw(self.signature, self.weight, deg, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return SymbolField._raw(
-            self.signature,
-            self.weight,
-            self.degree,
-            {k: -v for k, v in self._terms.items()},
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            if not c:
-                return SymbolField.zero(self.signature, self.weight, self.degree)
-            return SymbolField._raw(
-                self.signature,
-                self.weight,
-                self.degree,
-                {k: v * c for k, v in self._terms.items()},
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def scale_poly(self, f: SuperPolynomial) -> "SymbolField":
         """Left multiplication of the coefficients by a superfunction."""
@@ -385,8 +410,7 @@ class SymbolField:
                         key = (b[:r] + (b[r] + 1,) + b[r + 1 :], m)
                         _acc(terms, key, g * c)
             elif odd_supp:
-                ge, go = g.graded_parts()
-                gs = ge - go
+                gs = g.parity_twist()
                 for t in range(1, sig.q + 1):
                     c = vec[sig.p + t - 1]
                     if not c:
@@ -400,17 +424,6 @@ class SymbolField:
 
     def as_mixed(self) -> "MixedSymbol":
         return MixedSymbol(self.signature, self.weight, {self.degree: self})
-
-    def __eq__(self, other):
-        if not isinstance(other, SymbolField):
-            return NotImplemented
-        if self.signature != other.signature or self.weight != other.weight:
-            return False
-        if self._terms != other._terms:
-            return False
-        return self.degree == other.degree or not self._terms
-
-    __hash__ = None
 
     def __repr__(self):
         return (
@@ -535,7 +548,7 @@ class MixedSymbol:
 # differential operators
 
 
-class DiffOperator:
+class DiffOperator(_TermMap, _Graded):
     """Normal-form differential operator between density modules.
 
     Terms map derivative multi-indices ``(even_powers, odd_subset)`` to
@@ -544,22 +557,14 @@ class DiffOperator:
     first.
     """
 
-    __slots__ = ("signature", "lam", "mu", "_terms")
+    __slots__ = ("lam", "mu")
+    _fields = _weights = ("lam", "mu")
 
     def __init__(self, signature: Signature, lam: Rational, mu: Rational, terms=None):
         self.signature = signature
         self.lam = as_fraction(lam)
         self.mu = as_fraction(mu)
         self._terms = _validate_terms(signature, terms or {})
-
-    @classmethod
-    def _raw(cls, signature, lam, mu, terms) -> "DiffOperator":
-        self = cls.__new__(cls)
-        self.signature = signature
-        self.lam = lam
-        self.mu = mu
-        self._terms = terms
-        return self
 
     @classmethod
     def zero(cls, signature: Signature, lam: Rational, mu: Rational) -> "DiffOperator":
@@ -572,25 +577,11 @@ class DiffOperator:
         sig = f.signature
         return cls(sig, lam, mu, {((0,) * sig.p, 0): f})
 
-    def items(self):
-        return self._terms.items()
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
     @property
     def order(self) -> int:
         if not self._terms:
             return 0
         return max(_key_degree(k) for k in self._terms)
-
-    def coefficient(self, evens: Iterable[int], odds: Iterable[int]) -> SuperPolynomial:
-        mask = 0
-        for t in odds:
-            mask |= 1 << (t - 1)
-        return self._terms.get(
-            (tuple(evens), mask), SuperPolynomial.zero(self.signature)
-        )
 
     def apply(self, f: SuperPolynomial) -> SuperPolynomial:
         """Evaluate on a superfunction."""
@@ -636,8 +627,7 @@ class DiffOperator:
                     _acc(new, (e, m), dh)
                 if m & bit:
                     continue  # repeated odd derivative annihilates
-                he, ho = h.graded_parts()
-                hs = he - ho
+                hs = h.parity_twist()
                 if hs:
                     sign = -1 if _odd_below(m, bit) & 1 else 1
                     _acc(new, (e, m | bit), sign * hs)
@@ -690,73 +680,7 @@ class DiffOperator:
                 buckets[dpar][(ae, am)] = ce
             if co:
                 buckets[dpar ^ 1][(ae, am)] = co
-        out = []
-        for par in (0, 1):
-            if buckets[par]:
-                out.append(
-                    (par, DiffOperator._raw(self.signature, self.lam, self.mu, buckets[par]))
-                )
-        return out
-
-    def parity(self) -> int | None:
-        parts = self.graded_parts()
-        if not parts:
-            return 0
-        if len(parts) == 1:
-            return parts[0][0]
-        return None
-
-    def _compatible(self, other: "DiffOperator") -> None:
-        _check_same_signature(self, other)
-        if self.lam != other.lam or self.mu != other.mu:
-            raise ValueError("operator weight mismatch")
-
-    def __add__(self, other):
-        if not isinstance(other, DiffOperator):
-            return NotImplemented
-        self._compatible(other)
-        terms = dict(self._terms)
-        for key, poly in other._terms.items():
-            _acc(terms, key, poly)
-        return DiffOperator._raw(self.signature, self.lam, self.mu, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return DiffOperator._raw(
-            self.signature,
-            self.lam,
-            self.mu,
-            {k: -v for k, v in self._terms.items()},
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            if not c:
-                return DiffOperator.zero(self.signature, self.lam, self.mu)
-            return DiffOperator._raw(
-                self.signature,
-                self.lam,
-                self.mu,
-                {k: v * c for k, v in self._terms.items()},
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOperator):
-            return NotImplemented
-        return (
-            self.signature == other.signature
-            and self.lam == other.lam
-            and self.mu == other.mu
-            and self._terms == other._terms
-        )
-
-    __hash__ = None
+        return [(par, self._with_terms(buckets[par])) for par in (0, 1) if buckets[par]]
 
     def __repr__(self):
         return (
@@ -901,8 +825,7 @@ def lie_symbol(x: SuperVectorField, s: SymbolField) -> SymbolField:
             tg = xp.apply(g)
             if tg:
                 _acc(acc, key, tg)
-            ge, go = g.graded_parts()
-            gs = ge + go if chi == 0 else ge - go
+            gs = g.parity_twist() if chi else g
             if not gs:
                 continue
             for i, j, jij in jac:
@@ -942,8 +865,7 @@ def interior(h: Sequence[Rational], s: SymbolField) -> SymbolField:
                     key = (b[:r] + (b[r] - 1,) + b[r + 1 :], m)
                     _acc(terms, key, g * (c * b[r]))
         elif odd_supp:
-            ge, go = g.graded_parts()
-            gs = ge - go
+            gs = g.parity_twist()
             if not gs:
                 continue
             for t in range(1, sig.q + 1):

@@ -70,10 +70,6 @@ def _mat(rows) -> tuple:
     return tuple(tuple(as_fraction(v) for v in row) for row in rows)
 
 
-def _zero_matrix(size: int) -> tuple:
-    return tuple((Fraction(0),) * size for _ in range(size))
-
-
 def _identity(size: int) -> tuple:
     return tuple(
         tuple(Fraction(1 if r == c else 0) for c in range(size)) for r in range(size)
@@ -127,32 +123,30 @@ def _supertrace_full(m, signature: Signature) -> Fraction:
     return total
 
 
-def _matrix_parity_part(m, signature: Signature, parity: int):
-    size = len(m)
-    return tuple(
-        tuple(
-            m[r][c]
-            if (_full_parity(signature, r) ^ _full_parity(signature, c)) == parity
-            else Fraction(0)
-            for c in range(size)
-        )
-        for r in range(size)
-    )
-
-
 def _super_commutator(m1, m2, signature: Signature):
-    """Bracket of raw full matrices, bilinear over the parity blocks."""
-    out = _zero_matrix(len(m1))
-    parts1 = [(s, _matrix_parity_part(m1, signature, s)) for s in (0, 1)]
-    parts2 = [(t, _matrix_parity_part(m2, signature, t)) for t in (0, 1)]
-    for s, a in parts1:
-        for t, b in parts2:
-            term = _mat_sub(
-                _mat_mul(a, b),
-                _mat_scale(Fraction(-1 if s and t else 1), _mat_mul(b, a)),
-            )
-            out = _mat_add(out, term)
-    return out
+    """Bracket of raw full matrices in one signed pass:
+    [a, b]_rc = sum_k a_rk b_kc - (-1)^{(pi_r + pi_k)(pi_k + pi_c)} b_rk a_kc."""
+    size = len(m1)
+    par = [_full_parity(signature, a) for a in range(size)]
+    out = [[Fraction(0)] * size for _ in range(size)]
+    for r in range(size):
+        acc = out[r]
+        for k in range(size):
+            a_rk = m1[r][k]
+            if a_rk:
+                for c, b_kc in enumerate(m2[k]):
+                    if b_kc:
+                        acc[c] += a_rk * b_kc
+            b_rk = m2[r][k]
+            if b_rk:
+                odd_rk = par[r] ^ par[k]
+                for c, a_kc in enumerate(m1[k]):
+                    if a_kc:
+                        if odd_rk and par[k] ^ par[c]:
+                            acc[c] += b_rk * a_kc
+                        else:
+                            acc[c] -= b_rk * a_kc
+    return tuple(tuple(row) for row in out)
 
 
 def _invert(matrix) -> tuple:
@@ -372,29 +366,40 @@ def _block_elementary(n: int, i: int, j: int, value=1):
     return [[value if (r, c) == (i - 1, j - 1) else 0 for c in range(n)] for r in range(n)]
 
 
-def g0_basis(signature: Signature, algebra: str | None = None) -> list[PglElement]:
-    """Basis of the linear part: all elementary blocks for ``sl``; for
-    ``psl`` the off-diagonal blocks plus supertraceless diagonal differences."""
-    algebra = normalize_algebra(signature, algebra)
+def _off_diagonal_and_difference_blocks(signature: Signature) -> list:
+    """Off-diagonal elementary blocks, then supertraceless differences of
+    neighbouring diagonal entries."""
     n = signature.n
-    out = []
-    if algebra == ALGEBRA_SL:
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                out.append(g0_element(signature, _block_elementary(n, i, j), algebra))
-        return out
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                out.append(g0_element(signature, _block_elementary(n, i, j), algebra))
+    blocks = [
+        _block_elementary(n, i, j)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if i != j
+    ]
     for i in range(1, n):
         si = -1 if signature.parity(i) else 1
         sj = -1 if signature.parity(i + 1) else 1
         block = [[0] * n for _ in range(n)]
         block[i - 1][i - 1] = si
         block[i][i] = -sj
-        out.append(g0_element(signature, block, algebra))
-    return out
+        blocks.append(block)
+    return blocks
+
+
+def g0_basis(signature: Signature, algebra: str | None = None) -> list[PglElement]:
+    """Basis of the linear part: all elementary blocks for ``sl``; for
+    ``psl`` the off-diagonal blocks plus supertraceless diagonal differences."""
+    algebra = normalize_algebra(signature, algebra)
+    n = signature.n
+    if algebra == ALGEBRA_SL:
+        blocks = [
+            _block_elementary(n, i, j)
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+        ]
+    else:
+        blocks = _off_diagonal_and_difference_blocks(signature)
+    return [g0_element(signature, block, algebra) for block in blocks]
 
 
 def g0_basis_euler_split(signature: Signature) -> list[PglElement]:
@@ -405,21 +410,9 @@ def g0_basis_euler_split(signature: Signature) -> list[PglElement]:
     if signature.p == signature.q:
         raise DomainError("the euler-split basis requires p != q")
     n = signature.n
-    out = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                out.append(g0_element(signature, _block_elementary(n, i, j)))
-    for i in range(1, n):
-        si = -1 if signature.parity(i) else 1
-        sj = -1 if signature.parity(i + 1) else 1
-        block = [[0] * n for _ in range(n)]
-        block[i - 1][i - 1] = si
-        block[i][i] = -sj
-        out.append(g0_element(signature, block))
     ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    out.append(g0_element(signature, ident))
-    return out
+    blocks = _off_diagonal_and_difference_blocks(signature) + [ident]
+    return [g0_element(signature, block) for block in blocks]
 
 
 def graded_basis(
@@ -745,25 +738,16 @@ def ensure_noncritical(signature: Signature, k: int, delta: Rational) -> None:
         )
 
 
-def quantization_coefficient(
-    k: int, r: int, lam: Rational, delta: Rational, signature: Signature
+def _closed_form_coefficient(
+    k: int, r: int, lam: Fraction, d: Fraction, signature: Signature
 ) -> Fraction:
-    """Closed-form coefficient of the r-fold divergence in degree-k
-    quantization."""
+    """C_{k,r} = prod_{j=1..r} ((m+1) lam + k - j) / (j (m + 2k - j - (m+1) d))
+    at superdimension m = p - q; at m = -1 both weights drop out."""
     pq = signature.p - signature.q
-    if pq + 1 == 0:
-        raise DomainError("the coefficient formula requires q != p+1")
-    if not 0 <= r <= k:
-        raise ValueError(f"step r={r} out of range 0..{k}")
-    if r == 0:
-        return Fraction(1)
-    lam = as_fraction(lam)
-    d = as_fraction(delta)
     num = Fraction(1)
-    for j in range(1, r + 1):
-        num *= (pq + 1) * lam + k - j
     den = Fraction(1)
     for j in range(1, r + 1):
+        num *= (pq + 1) * lam + k - j
         factor = pq + 2 * k - j - (pq + 1) * d
         if factor == 0:
             raise CriticalValueError(
@@ -772,10 +756,22 @@ def quantization_coefficient(
                 value=d,
                 pairs=[(k, k - j)],
             )
-        den *= factor
-    for j in range(1, r + 1):
-        den *= j
+        den *= factor * j
     return num / den
+
+
+def quantization_coefficient(
+    k: int, r: int, lam: Rational, delta: Rational, signature: Signature
+) -> Fraction:
+    """Closed-form coefficient of the r-fold divergence in degree-k
+    quantization."""
+    if signature.q == signature.p + 1:
+        raise DomainError("the coefficient formula requires q != p+1")
+    if not 0 <= r <= k:
+        raise ValueError(f"step r={r} out of range 0..{k}")
+    return _closed_form_coefficient(
+        k, r, as_fraction(lam), as_fraction(delta), signature
+    )
 
 
 def psl_quantization_coefficient(k: int, r: int) -> Fraction:
@@ -783,16 +779,9 @@ def psl_quantization_coefficient(k: int, r: int) -> Fraction:
     (there the one-parameter family replaces a fixed coefficient)."""
     if not 0 <= r <= k:
         raise ValueError(f"step r={r} out of range 0..{k}")
-    if r == 0:
-        return Fraction(1)
-    if k == 1:
+    if k == 1 and r:
         raise DomainError(
             "degree-1 coefficients are not determined in the q = p+1 variant"
         )
-    num = Fraction(1)
-    for j in range(1, r + 1):
-        num *= k - j
-    den = Fraction(1)
-    for j in range(1, r + 1):
-        den *= (2 * k - 1 - j) * j
-    return num / den
+    # the coefficients see the signature only through p - q = -1
+    return _closed_form_coefficient(k, r, Fraction(0), Fraction(0), Signature(0, 1))

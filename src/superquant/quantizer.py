@@ -1,9 +1,12 @@
 """Equivariant quantization maps.
 
 The closed-form quantization sums coefficient-weighted iterated divergences,
-the recursive path builds the same operator as a Casimir eigenvector, and
-the q = p+1 variant carries a genuine one-parameter family on degree-1
-symbols.  The inverse symbol map peels an operator top order first.
+Q(S) = sum_r C_{k,r} affine(div^r S), and the recursive path builds the same
+operator as a Casimir eigenvector.  Both variants share the series: at
+q = p+1 the coefficients are the closed form at p - q = -1, where the weights
+drop out, and only degree 1 differs, carrying the one-parameter family
+Q_t(S) = affine(S) + t affine(div S).  The inverse symbol map peels an
+operator top order first.
 """
 
 from __future__ import annotations
@@ -21,11 +24,10 @@ from .geometry import (
     symbol_divergence,
 )
 from .projective import (
+    _closed_form_coefficient,
     casimir_defect,
     casimir_eigenvalue,
     ensure_noncritical,
-    psl_quantization_coefficient,
-    quantization_coefficient,
 )
 from .supercore import Signature, as_fraction
 
@@ -86,22 +88,33 @@ def _check_symbol(s: SymbolField | MixedSymbol, cfg: QuantizationConfig) -> None
         )
 
 
-def quantize(s: SymbolField | MixedSymbol, cfg: QuantizationConfig) -> DiffOperator:
-    """Equivariant quantization of a symbol (mixed degrees summed per part)."""
-    _check_symbol(s, cfg)
-    if isinstance(s, MixedSymbol):
-        total = DiffOperator.zero(cfg.signature, cfg.lam, cfg.mu)
-        for part in s.parts():
-            total = total + quantize(part, cfg)
-        return total
-    if cfg.variant == VARIANT_PSL:
-        return quantize_psl(s, cfg)
+def _sum_over_degrees(
+    s: SymbolField | MixedSymbol, cfg: QuantizationConfig, quantize_part
+) -> DiffOperator:
+    """Apply ``quantize_part`` to each homogeneous part of ``s`` and add up.
+
+    The generic variant is obstructed at critical weights; criticality is
+    checked per present degree only.
+    """
+    total = DiffOperator.zero(cfg.signature, cfg.lam, cfg.mu)
+    for part in s.parts() if isinstance(s, MixedSymbol) else [s]:
+        if cfg.variant == VARIANT_SL:
+            ensure_noncritical(cfg.signature, part.degree, cfg.delta)
+        total = total + quantize_part(part, cfg)
+    return total
+
+
+def _divergence_series(s: SymbolField, cfg: QuantizationConfig) -> DiffOperator:
+    """Q(S) = sum_r C_{k,r} affine(div^r S) for a degree-k symbol."""
     k = s.degree
-    ensure_noncritical(cfg.signature, k, cfg.delta)
     total = DiffOperator.zero(cfg.signature, cfg.lam, cfg.mu)
     cur = s
     for r in range(k + 1):
-        c = quantization_coefficient(k, r, cfg.lam, cfg.delta, cfg.signature)
+        if k == r == 1 and cfg.variant == VARIANT_PSL:
+            # C_{1,1} is 0/0 at p - q = -1; the family parameter takes its place
+            c = cfg.t
+        else:
+            c = _closed_form_coefficient(k, r, cfg.lam, cfg.delta, cfg.signature)
         if c:
             total = total + c * affine_quantize(cur, cfg.lam)
         if r < k:
@@ -109,25 +122,14 @@ def quantize(s: SymbolField | MixedSymbol, cfg: QuantizationConfig) -> DiffOpera
     return total
 
 
-def quantize_recursive(
-    s: SymbolField | MixedSymbol, cfg: QuantizationConfig
-) -> DiffOperator:
-    """Quantization built degree-by-degree from the eigenvector recursion.
-
-    Independent of the closed form: the lower parts are produced by the
-    degree-lowering map divided by eigenvalue gaps, so that the total symbol
-    is a Casimir eigenvector under the quantized action.
-    """
+def quantize(s: SymbolField | MixedSymbol, cfg: QuantizationConfig) -> DiffOperator:
+    """Equivariant quantization of a symbol (mixed degrees summed per part)."""
     _check_symbol(s, cfg)
-    if cfg.variant != VARIANT_SL:
-        raise DomainError("the recursive path is defined for the generic variant")
-    if isinstance(s, MixedSymbol):
-        total = DiffOperator.zero(cfg.signature, cfg.lam, cfg.mu)
-        for part in s.parts():
-            total = total + quantize_recursive(part, cfg)
-        return total
+    return _sum_over_degrees(s, cfg, _divergence_series)
+
+
+def _recursive_part(s: SymbolField, cfg: QuantizationConfig) -> DiffOperator:
     k = s.degree
-    ensure_noncritical(cfg.signature, k, cfg.delta)
     top_eigen = casimir_eigenvalue(k, cfg.delta, cfg.signature)
     parts = [s]
     cur = s
@@ -143,42 +145,29 @@ def quantize_recursive(
     return affine_quantize(mixed, cfg.lam)
 
 
+def quantize_recursive(
+    s: SymbolField | MixedSymbol, cfg: QuantizationConfig
+) -> DiffOperator:
+    """Quantization built degree-by-degree from the eigenvector recursion.
+
+    Independent of the closed form: the lower parts are produced by the
+    degree-lowering map divided by eigenvalue gaps, so that the total symbol
+    is a Casimir eigenvector under the quantized action.
+    """
+    _check_symbol(s, cfg)
+    if cfg.variant != VARIANT_SL:
+        raise DomainError("the recursive path is defined for the generic variant")
+    return _sum_over_degrees(s, cfg, _recursive_part)
+
+
 def quantize_psl(
     s: SymbolField | MixedSymbol, cfg: QuantizationConfig
 ) -> DiffOperator:
-    """Quantization in the q = p+1 variant.
-
-    Degree 1 carries the one-parameter family: coefficient-wise quantization
-    plus t times multiplication by the symbol divergence.  Other degrees use
-    the closed form at superdimension -1, whose coefficients are independent
-    of both weights.
-    """
+    """``quantize`` restricted to configurations of the q = p+1 variant."""
     _check_symbol(s, cfg)
     if cfg.variant != VARIANT_PSL:
         raise DomainError("this path requires the q = p+1 variant")
-    if isinstance(s, MixedSymbol):
-        total = DiffOperator.zero(cfg.signature, cfg.lam, cfg.mu)
-        for part in s.parts():
-            total = total + quantize_psl(part, cfg)
-        return total
-    k = s.degree
-    if k == 1:
-        out = affine_quantize(s, cfg.lam)
-        if cfg.t:
-            div_poly = symbol_divergence(s).scalar_poly()
-            out = out + DiffOperator.multiplication(
-                cfg.t * div_poly, cfg.lam, cfg.mu
-            )
-        return out
-    total = DiffOperator.zero(cfg.signature, cfg.lam, cfg.mu)
-    cur = s
-    for r in range(k + 1):
-        c = psl_quantization_coefficient(k, r)
-        if c:
-            total = total + c * affine_quantize(cur, cfg.lam)
-        if r < k:
-            cur = symbol_divergence(cur)
-    return total
+    return _sum_over_degrees(s, cfg, _divergence_series)
 
 
 def symbol_map(d: DiffOperator, cfg: QuantizationConfig) -> MixedSymbol:
@@ -204,5 +193,5 @@ def symbol_map(d: DiffOperator, cfg: QuantizationConfig) -> MixedSymbol:
         parts.append(sk)
         cur = cur - quantize(sk, cfg)
     if not cur.is_zero():
-        raise AssertionError("peeling failed to terminate at zero")
+        raise DomainError("peeling failed to terminate at zero")
     return MixedSymbol.from_fields(cfg.signature, cfg.delta, parts)

@@ -66,6 +66,17 @@ class Signature:
         return f"{self.p}|{self.q}"
 
 
+def _canonical_key(signature: Signature, key) -> tuple:
+    """Validate an ``(even_exponents, odd_mask)`` key; evens become a tuple of ints."""
+    evens, mask = key
+    evens = tuple(int(e) for e in evens)
+    if len(evens) != signature.p or any(e < 0 for e in evens):
+        raise ValueError(f"bad even exponents {evens} for signature {signature}")
+    if not 0 <= mask < 1 << signature.q:
+        raise ValueError(f"bad odd mask {mask} for signature {signature}")
+    return evens, mask
+
+
 def _check_same_signature(a, b) -> None:
     if a.signature != b.signature:
         raise ValueError(f"signature mismatch: {a.signature} vs {b.signature}")
@@ -81,20 +92,12 @@ class SuperPolynomial:
         if terms is None:
             self._terms = {}
             return
-        p, q = signature.p, signature.q
-        limit = 1 << q
         canon = {}
         for key, coeff in terms.items():
-            evens, mask = key
-            evens = tuple(int(e) for e in evens)
-            if len(evens) != p or any(e < 0 for e in evens):
-                raise ValueError(f"bad even exponents {evens} for signature {signature}")
-            if not 0 <= mask < limit:
-                raise ValueError(f"bad odd mask {mask} for signature {signature}")
+            k = _canonical_key(signature, key)
             c = as_fraction(coeff)
             if not c:
                 continue
-            k = (evens, mask)
             acc = canon.get(k)
             if acc is None:
                 canon[k] = c
@@ -191,6 +194,13 @@ class SuperPolynomial:
         if len(seen) == 1:
             return seen.pop()
         return None if seen else 0
+
+    def parity_twist(self) -> "SuperPolynomial":
+        """The grading automorphism: odd terms negated, even terms kept."""
+        return self._raw(
+            self.signature,
+            {key: -c if key[1].bit_count() & 1 else c for key, c in self._terms.items()},
+        )
 
     def graded_parts(self) -> tuple["SuperPolynomial", "SuperPolynomial"]:
         """Split into (even part, odd part)."""

@@ -47,7 +47,8 @@ class CheckReport:
 
     ``failures`` is a list of ``{"input", "expected", "got"}`` entries with
     symbolic values printed in the surface syntax; the report passes exactly
-    when that list is empty, and is reproducible from ``seed``.
+    when at least one identity ran and that list is empty, and is
+    reproducible from ``seed``.
     """
 
     check_name: str
@@ -59,7 +60,7 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return self.samples_run > 0 and not self.failures
 
     def record(self, input_text: str, expected, got) -> None:
         self.failures.append(
@@ -98,7 +99,12 @@ class CheckReport:
         )
 
     def summary_text(self) -> str:
-        status = "PASS" if self.passed else f"FAIL ({len(self.failures)} failures)"
+        if self.passed:
+            status = "PASS"
+        elif self.failures:
+            status = f"FAIL ({len(self.failures)} failures)"
+        else:
+            status = "FAIL (no identities run)"
         params = ", ".join(f"{k}={v}" for k, v in self.parameters.items())
         lines = [
             f"{self.check_name} at ({self.signature}): {status} "

@@ -181,6 +181,25 @@ class TestExitCodes:
                      "--symbol", "ex1"]) == 2
         capsys.readouterr()
 
+    def test_zero_samples_is_one(self, capsys):
+        assert main(["check", "equivariance", "--p", "1", "--q", "1",
+                     "--samples", "0"]) == 1
+        capsys.readouterr()
+
+    def test_negative_check_kmax_is_one(self, capsys):
+        assert main(["check", "casimir", "--p", "1", "--q", "1",
+                     "--kmax", "-1"]) == 1
+        capsys.readouterr()
+
+    def test_negative_critical_kmax_is_one(self, capsys):
+        assert main(["critical", "--p", "2", "--q", "1", "--kmax", "-1"]) == 1
+        capsys.readouterr()
+
+    def test_negative_degree_max_is_one(self, capsys):
+        assert main(["check", "equivariance", "--p", "1", "--q", "1",
+                     "--degree-max", "-1"]) == 1
+        capsys.readouterr()
+
     def test_check_failure_is_three(self, tmp_path, capsys):
         # div symbol is not equivariant at degree 2; feed the casimir check a
         # wrong eigenvalue situation instead: use relcas at psl -> error 2.

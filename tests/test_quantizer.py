@@ -250,6 +250,17 @@ class TestNormalizationAndRoundTrip:
         with pytest.raises(DomainError):
             symbol_map(d, cfg)
 
+    def test_failed_peel_raises_domain_error(self, monkeypatch):
+        import superquant.quantizer as quantizer
+
+        cfg = cfg_sl(S21, Fraction(1, 3), Fraction(1, 5))
+        s = sym_mono(S21, cfg.delta, ((1, 0), 0), SuperPolynomial.one(S21))
+        d = quantize(s, cfg)
+        one = DiffOperator.multiplication(SuperPolynomial.one(S21), cfg.lam, cfg.mu)
+        monkeypatch.setattr(quantizer, "quantize", lambda sk, c: quantize(sk, c) + one)
+        with pytest.raises(DomainError):
+            symbol_map(d, cfg)
+
     def test_multiplication_maps_to_degree_zero(self):
         cfg = cfg_sl(S21, Fraction(1, 3), Fraction(1, 5))
         f = SuperPolynomial.coordinate(S21, 1)

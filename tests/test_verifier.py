@@ -175,6 +175,14 @@ class TestReports:
         b = check_equivariance(cfg, degree_max=1, sample_count=3, seed=5)
         assert a.to_json() == b.to_json()
 
+    def test_report_without_identities_does_not_pass(self):
+        report = CheckReport("check_equivariance", S11, {}, samples_run=0)
+        assert not report.passed
+        assert not report.to_json()["passed"]
+        assert "PASS" not in report.summary_text()
+        report.samples_run = 1
+        assert report.passed
+
     def test_summary_text(self):
         report = check_homomorphism(S11)
         text = report.summary_text()
