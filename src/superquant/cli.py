@@ -19,6 +19,7 @@ mathematical precondition (e.g. a critical weight), 3 check failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -175,14 +176,38 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a certification suite")
     p.add_argument("mode",
                    choices=("equivariance", "casimir", "homomorphism", "relcas"))
-    p.add_argument("--degree-max", type=int, default=2,
-                   help="largest symbol degree (equivariance)")
-    p.add_argument("--kmax", type=int, default=2,
-                   help="largest symbol degree (casimir, relcas)")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                   help="samples per cell")
+    p.add_argument("--degree-max", type=int,
+                   help="largest symbol degree (equivariance; default 2)")
+    p.add_argument("--kmax", type=int,
+                   help="largest symbol degree (casimir, relcas; default 2)")
+    p.add_argument("--samples", type=int,
+                   help=f"samples per cell (equivariance, casimir, relcas; "
+                        f"default {DEFAULT_SAMPLES})")
 
     return parser
+
+
+# size flags of each check mode, with their defaults; a mode rejects the rest
+_CHECK_SIZES = {
+    "equivariance": {"samples": DEFAULT_SAMPLES, "degree_max": 2},
+    "casimir": {"samples": DEFAULT_SAMPLES, "kmax": 2},
+    "relcas": {"samples": DEFAULT_SAMPLES, "kmax": 2},
+    "homomorphism": {},
+}
+
+
+def _check_sizes(args) -> None:
+    """Fill in the defaults of the size flags a check mode reads; a size
+    flag it would ignore is a usage error."""
+    used = _CHECK_SIZES[args.mode]
+    for name in ("samples", "kmax", "degree_max"):
+        value = getattr(args, name)
+        if name not in used:
+            if value is not None:
+                flag = "--" + name.replace("_", "-")
+                raise _UsageError(f"{flag} is not used by check {args.mode}")
+        elif value is None:
+            setattr(args, name, used[name])
 
 
 def _signature(args) -> Signature:
@@ -249,6 +274,8 @@ def _emit_report(args, report) -> int:
 
 
 def _dispatch(args) -> int:
+    if args.command == "check":
+        _check_sizes(args)
     # zero samples or a negative degree bound would run no identity at all
     for name, low in (("samples", 1), ("kmax", 0), ("degree-max", 0)):
         value = getattr(args, name.replace("-", "_"), None)
@@ -365,10 +392,15 @@ def _dispatch(args) -> int:
     return _emit_report(args, report)
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser unchanged, so one serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return _dispatch(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

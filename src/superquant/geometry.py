@@ -548,6 +548,40 @@ class MixedSymbol:
 # differential operators
 
 
+def _push_through(sig: Signature, ae, am, g: SuperPolynomial) -> dict:
+    """Normal-order (d^(ae,am)) o (g .) as sum_key M_h o d^key.
+
+    The entry at key (ae, am) itself is the top-order term tau^|am|(g), the
+    parity twist applied once per odd factor.
+    """
+    state = {((0,) * sig.p, 0): g}
+    # process derivative factors right-to-left: odd descending, then even
+    for t in range(sig.q, 0, -1):
+        bit = 1 << (t - 1)
+        if not am & bit:
+            continue
+        new: dict = {}
+        for (e, m), h in state.items():
+            dh = h.partial(sig.p + t)
+            if dh:
+                _acc(new, (e, m), dh)
+            if m & bit:
+                continue  # repeated odd derivative annihilates
+            # bits already in m lie above this one: no reordering sign
+            _acc(new, (e, m | bit), h.parity_twist())
+        state = new
+    for ix in range(sig.p):
+        for _ in range(ae[ix]):
+            new = {}
+            for (e, m), h in state.items():
+                dh = h.partial(ix + 1)
+                if dh:
+                    _acc(new, (e, m), dh)
+                _acc(new, (e[:ix] + (e[ix] + 1,) + e[ix + 1 :], m), h)
+            state = new
+    return state
+
+
 class DiffOperator(_TermMap, _Graded):
     """Normal-form differential operator between density modules.
 
@@ -611,38 +645,6 @@ class DiffOperator(_TermMap, _Graded):
 
     # -- composition -------------------------------------------------------
 
-    def _push_through(self, ae, am, g: SuperPolynomial) -> dict:
-        """Normal-order (d^(ae,am)) o (g .) as sum_key M_h o d^key."""
-        sig = self.signature
-        state = {((0,) * sig.p, 0): g}
-        # process derivative factors right-to-left: odd descending, then even
-        for t in range(sig.q, 0, -1):
-            bit = 1 << (t - 1)
-            if not am & bit:
-                continue
-            new: dict = {}
-            for (e, m), h in state.items():
-                dh = h.partial(sig.p + t)
-                if dh:
-                    _acc(new, (e, m), dh)
-                if m & bit:
-                    continue  # repeated odd derivative annihilates
-                hs = h.parity_twist()
-                if hs:
-                    sign = -1 if _odd_below(m, bit) & 1 else 1
-                    _acc(new, (e, m | bit), sign * hs)
-            state = new
-        for ix in range(sig.p):
-            for _ in range(ae[ix]):
-                new = {}
-                for (e, m), h in state.items():
-                    dh = h.partial(ix + 1)
-                    if dh:
-                        _acc(new, (e, m), dh)
-                    _acc(new, (e[:ix] + (e[ix] + 1,) + e[ix + 1 :], m), h)
-                state = new
-        return state
-
     def compose(self, other: "DiffOperator") -> "DiffOperator":
         """self o other (other acts first); weights must chain."""
         _check_same_signature(self, other)
@@ -654,7 +656,7 @@ class DiffOperator(_TermMap, _Graded):
         out: dict = {}
         for (ae, am), f in self._terms.items():
             for (be, bm), g in other._terms.items():
-                for (ce, cm), h in self._push_through(ae, am, g).items():
+                for (ce, cm), h in _push_through(sig, ae, am, g).items():
                     s = _odd_merge_sign(cm, bm)
                     if s == 0:
                         continue
@@ -739,18 +741,62 @@ def lie_operator(x: SuperVectorField, d: DiffOperator) -> DiffOperator:
     """Lie derivative of an operator between density modules.
 
     For homogeneous pieces this is L^mu_X o D - (-1)^{parity(X) parity(D)}
-    D o L^lam_X, extended additively.
+    D o L^lam_X, extended additively.  It is computed term by term in closed
+    form.  With X split into parts X_chi of parity chi, a normal-form term
+    f d^a with a = parity of the derivative d^a maps to
+
+        X(f) d^a + (mu - lam) div(X) f d^a
+          + sum_chi f~ (sum_i [d^a X_chi^i] d_i + lam [d^a div X_chi]),
+
+    where f~ = -(-1)^{chi a} tau^chi(f), tau is the parity twist, and
+    [d^a g] is d^a o g normal-ordered without its top-order term
+    tau^a(g) d^a.  The top-order terms X^i f d_i d^a of both compositions
+    and the lam-weight term of top order cancel, so they are never built.
     """
     _check_same_signature(x, d)
-    out = DiffOperator.zero(d.signature, d.lam, d.mu)
+    sig = d.signature
+    lam = d.lam
+    parts = []
+    div = SuperPolynomial.zero(sig)
     for chi, xp in x.graded_parts():
-        l_mu = density_operator(xp, d.mu)
-        l_lam = density_operator(xp, d.lam)
-        for dpar, dp in d.graded_parts():
-            out = out + l_mu.compose(dp)
-            tail = dp.compose(l_lam)
-            out = out + (tail if chi and dpar else -tail)
-    return out
+        div_chi = xp.divergence()
+        div = div + div_chi
+        parts.append((chi, xp.components, lam * div_chi))
+    weight_div = (d.mu - lam) * div
+    out: dict = {}
+    for alpha, f in d.items():
+        ae, am = alpha
+        _acc(out, alpha, x.apply(f))
+        if weight_div:
+            _acc(out, alpha, weight_div * f)
+        a = am.bit_count() & 1
+        for chi, comps, lam_div in parts:
+            ft = f.parity_twist() if chi else f
+            if not (chi and a):
+                ft = -ft
+            for i, comp in enumerate(comps):
+                if not comp:
+                    continue
+                for (ge, gm), h in _push_through(sig, ae, am, comp).items():
+                    if (ge, gm) == alpha:
+                        continue
+                    coeff = ft * h
+                    if i < sig.p:  # d^g d_i, with d_i even
+                        key = (ge[:i] + (ge[i] + 1,) + ge[i + 1 :], gm)
+                    else:
+                        bit = 1 << (i - sig.p)
+                        sign = _odd_merge_sign(gm, bit)
+                        if not sign:
+                            continue
+                        key = (ge, gm | bit)
+                        if sign < 0:
+                            coeff = -coeff
+                    _acc(out, key, coeff)
+            if lam_div:
+                for key, h in _push_through(sig, ae, am, lam_div).items():
+                    if key != alpha:
+                        _acc(out, key, ft * h)
+    return DiffOperator._raw(sig, lam, d.mu, out)
 
 
 # ---------------------------------------------------------------------------

@@ -515,8 +515,20 @@ class DualBasisPair:
     form: str
 
 
+_cache_lock = threading.Lock()
 _dual_cache: dict = {}
-_dual_lock = threading.Lock()
+_casimir_field_cache: dict = {}
+
+
+def _memo(cache: dict, key, build):
+    """``cache[key]``, made by ``build()`` on first use; safe across threads."""
+    with _cache_lock:
+        got = cache.get(key)
+    if got is None:
+        got = build()
+        with _cache_lock:
+            got = cache.setdefault(key, got)
+    return got
 
 
 def dual_basis_pair(
@@ -524,11 +536,14 @@ def dual_basis_pair(
 ) -> DualBasisPair:
     """Exact dual bases for the invariant form, via Gram-matrix inversion."""
     algebra = normalize_algebra(signature, algebra)
-    key = (signature, algebra, scheme)
-    with _dual_lock:
-        cached = _dual_cache.get(key)
-    if cached is not None:
-        return cached
+    return _memo(
+        _dual_cache,
+        (signature, algebra, scheme),
+        lambda: _build_dual_basis_pair(signature, algebra, scheme),
+    )
+
+
+def _build_dual_basis_pair(signature: Signature, algebra: str, scheme: str):
     basis = graded_basis(signature, algebra, scheme)
     form = killing_form if algebra == ALGEBRA_SL else kaplansky_form
     size = len(basis)
@@ -553,14 +568,22 @@ def dual_basis_pair(
             want = Fraction(1 if i == j else 0)
             if form(basis[i], dual[j]) != want:
                 raise AssertionError("dual basis verification failed")
-    pair = DualBasisPair(
+    return DualBasisPair(
         tuple(basis),
         tuple(dual),
         "Killing" if algebra == ALGEBRA_SL else "Kaplansky",
     )
-    with _dual_lock:
-        _dual_cache[key] = pair
-    return pair
+
+
+def _casimir_fields(signature: Signature, algebra: str, scheme: str) -> tuple:
+    """The (basis, dual) pairs of ``dual_basis_pair`` as vector fields,
+    realized once per ``(signature, algebra, scheme)``."""
+
+    def build():
+        pair = dual_basis_pair(signature, algebra, scheme)
+        return tuple((realize(u), realize(ud)) for u, ud in zip(pair.basis, pair.dual))
+
+    return _memo(_casimir_field_cache, (signature, algebra, scheme), build)
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +676,7 @@ def casimir_apply(
     sig = s.signature
     algebra = normalize_algebra(sig, algebra)
     lam = as_fraction(lam)
-    pair = dual_basis_pair(sig, algebra, scheme)
-    fields = [(realize(u), realize(ud)) for u, ud in zip(pair.basis, pair.dual)]
+    fields = _casimir_fields(sig, algebra, scheme)
     if rep == REP_SYMBOL:
         out = SymbolField.zero(sig, s.weight, s.degree)
         for xu, xud in fields:

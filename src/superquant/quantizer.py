@@ -115,7 +115,9 @@ def _divergence_series(s: SymbolField, cfg: QuantizationConfig) -> DiffOperator:
             c = cfg.t
         else:
             c = _closed_form_coefficient(k, r, cfg.lam, cfg.delta, cfg.signature)
-        if c:
+        if c == 1:
+            total = total + affine_quantize(cur, cfg.lam)
+        elif c:
             total = total + c * affine_quantize(cur, cfg.lam)
         if r < k:
             cur = symbol_divergence(cur)

@@ -240,6 +240,8 @@ class SuperPolynomial:
             _check_same_signature(self, other)
             return self._raw(self.signature, _ops.mul_terms(self._terms, other._terms))
         if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self  # polynomials are never mutated in place
             return self._raw(
                 self.signature, _ops.scale_terms(self._terms, as_fraction(other))
             )

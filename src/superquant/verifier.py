@@ -18,6 +18,7 @@ from .errors import DomainError
 from .expr import format_operator, format_symbol, format_value
 from .geometry import SymbolField, bracket, lie_operator, lie_symbol
 from .projective import (
+    _memo,
     basis_e,
     basis_eps,
     casimir_apply,
@@ -269,6 +270,19 @@ def equivariance_generators(sig: Signature, algebra: str | None = None):
     return out
 
 
+_realized_cache: dict = {}
+
+
+def _realized_generators(sig: Signature) -> tuple:
+    """``equivariance_generators(sig)`` with each element realized as a vector
+    field, once per signature."""
+    return _memo(
+        _realized_cache,
+        sig,
+        lambda: tuple((label, realize(h)) for label, h in equivariance_generators(sig)),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Checks
 
@@ -301,8 +315,7 @@ def check_equivariance(
         },
         seed=seed,
     )
-    generators = equivariance_generators(cfg.signature)
-    realized = [(label, realize(h)) for label, h in generators]
+    realized = _realized_generators(cfg.signature)
     for degree in range(degree_max + 1):
         samples = symbol_samples(
             cfg.signature, cfg.delta, degree, sample_count, rng

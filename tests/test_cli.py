@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from superquant import cli
 from superquant.cli import main
 from superquant.expr import value_from_json
 
@@ -200,6 +201,19 @@ class TestExitCodes:
                      "--degree-max", "-1"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("mode,flag", [
+        ("homomorphism", "--samples"),
+        ("homomorphism", "--kmax"),
+        ("homomorphism", "--degree-max"),
+        ("equivariance", "--kmax"),
+        ("casimir", "--degree-max"),
+        ("relcas", "--degree-max"),
+    ])
+    def test_ignored_size_flag_is_one(self, mode, flag, capsys):
+        assert main(["check", mode, "--p", "2", "--q", "1", flag, "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"{flag} is not used by check {mode}" in err
+
     def test_check_failure_is_three(self, tmp_path, capsys):
         # div symbol is not equivariant at degree 2; feed the casimir check a
         # wrong eigenvalue situation instead: use relcas at psl -> error 2.
@@ -237,6 +251,34 @@ class TestTextOutputs:
                      "--lambda=-2/3", "--field", "x1*dx1 + t1*dt1",
                      "--function", "x1*t1"]) == 0
         assert capsys.readouterr().out.strip() == "2*x1*t1"
+
+
+class TestParserReuse:
+    def test_one_parser_serves_consecutive_calls(self, monkeypatch, tmp_path,
+                                                  capsys):
+        built = []
+        build_parser = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._shared_parser.cache_clear()
+        try:
+            out = tmp_path / "first.json"
+            assert main(["critical", "--p", "2", "--q", "1", "--kmax", "3",
+                         "--out", str(out), "--format", "json"]) == 0
+            assert json.loads(out.read_text())["kind"] == "rationals"
+            assert capsys.readouterr().out == ""
+            # neither --out nor --format carries over
+            assert main(["critical", "--p", "2", "--q", "1", "--kmax", "3"]) == 0
+            assert capsys.readouterr().out.strip() == "1, 3/2, 2, 5/2, 3"
+            assert main(["quantize", "--p", "1", "--q", "0"]) == 1
+            assert "--symbol" in capsys.readouterr().err
+        finally:
+            cli._shared_parser.cache_clear()
+        assert len(built) == 1
 
 
 class TestJsonReload:

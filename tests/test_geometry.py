@@ -3,14 +3,19 @@
 The randomized checks pit independent formulations against each other:
 operator composition against nested evaluation, the degree-one symbol action
 against the vector-field bracket, the degree-zero action against the density
-Lie derivative, and the affine correspondence against an explicit product of
-first-order operators.
+Lie derivative, the affine correspondence against an explicit product of
+first-order operators, and the closed-form operator Lie derivative against
+its definition by two compositions.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superquant import geometry
 
 from superquant.supercore import (
     Signature,
@@ -398,6 +403,81 @@ def test_lie_operator_representation_property():
             yf, lie_operator(xf, d)
         )
         assert lhs == rhs
+
+
+def lie_operator_by_composition(x, d):
+    """The definition L^mu_X o D - (-1)^{|X||D|} D o L^lam_X on graded parts,
+    composed with the generic normal-ordering ``compose``."""
+    out = DiffOperator.zero(d.signature, d.lam, d.mu)
+    for chi, xp in x.graded_parts():
+        l_mu = density_operator(xp, d.mu)
+        l_lam = density_operator(xp, d.lam)
+        for dpar, dp in d.graded_parts():
+            out = out + l_mu.compose(dp)
+            tail = dp.compose(l_lam)
+            out = out + (tail if chi and dpar else -tail)
+    return out
+
+
+ORACLE_SIGNATURES = [
+    Signature(1, 0), Signature(2, 0), Signature(0, 1), Signature(0, 2),
+    S11, S21, S12, S22, Signature(3, 1), Signature(1, 3),
+]
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def polys(draw, sig, max_degree=3):
+    """Inhomogeneous polynomials with up to three terms of degree <= max_degree."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        evens = [0] * sig.p
+        for _ in range(draw(st.integers(0, max_degree))):
+            if sig.p:
+                evens[draw(st.integers(0, sig.p - 1))] += 1
+        mask = draw(st.integers(0, (1 << sig.q) - 1))
+        if sum(evens) + mask.bit_count() <= max_degree:
+            terms[(tuple(evens), mask)] = draw(RATIONALS)
+    return SuperPolynomial(sig, terms)
+
+
+@st.composite
+def fields_and_operators(draw):
+    sig = draw(st.sampled_from(ORACLE_SIGNATURES))
+    xf = SuperVectorField(sig, [draw(polys(sig, 2)) for _ in range(sig.n)])
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        evens = tuple(draw(st.integers(0, 2)) for _ in range(sig.p))
+        mask = draw(st.integers(0, (1 << sig.q) - 1))
+        terms[(evens, mask)] = draw(polys(sig))
+    d = DiffOperator(sig, draw(RATIONALS), draw(RATIONALS), terms)
+    return xf, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields_and_operators())
+def test_lie_operator_matches_composition(case):
+    xf, d = case
+    got = lie_operator(xf, d)
+    want = lie_operator_by_composition(xf, d)
+    assert (got.lam, got.mu) == (d.lam, d.mu)
+    assert got == want
+
+
+def test_lie_operator_does_not_compose(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lie_operator must not compose operators")
+
+    monkeypatch.setattr(DiffOperator, "compose", refuse)
+    monkeypatch.setattr(geometry, "density_operator", refuse)
+    rng = random.Random(47)
+    for sig in (S11, S21, S12):
+        xf = rand_field(rng, sig)
+        d = DiffOperator(sig, Fraction(1, 3), Fraction(1, 2), {
+            ((1,) * sig.p, (1 << sig.q) - 1): rand_poly(rng, sig),
+            ((0,) * sig.p, 1): rand_poly(rng, sig),
+        })
+        assert not lie_operator(xf, d).is_zero()
 
 
 def test_lie_operator_on_multiplication():

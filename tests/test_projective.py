@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from superquant import projective
 from superquant.errors import CriticalValueError, DomainError
 from superquant.supercore import Signature, SuperPolynomial
 from superquant.geometry import (
@@ -297,6 +298,34 @@ def test_dual_basis_exact_and_closed_forms():
 
 def test_dual_basis_pair_cached():
     assert dual_basis_pair(S11) is dual_basis_pair(S11)
+
+
+def test_casimir_fields_realized_once_per_signature(monkeypatch):
+    monkeypatch.setattr(projective, "_casimir_field_cache", {})
+    realized = []
+    real_realize = projective.realize
+
+    def counting_realize(h):
+        realized.append(h.signature)
+        return real_realize(h)
+
+    monkeypatch.setattr(projective, "realize", counting_realize)
+    rng = random.Random(61)
+    lam, delta = Fraction(1, 3), Fraction(1, 5)
+    s = rand_symbol(rng, S11, delta, 2)
+    first = casimir_apply(s, lam, rep="affine")
+    assert not first.is_zero()
+    size = len(dual_basis_pair(S11).basis)
+    assert realized == [S11] * (2 * size)
+    assert casimir_apply(s, lam, rep="affine") == first
+    assert casimir_apply(s, lam) == (casimir_eigenvalue(2, delta, S11) * s).as_mixed()
+    assert len(realized) == 2 * size
+
+    s21 = rand_symbol(rng, S21, delta, 2)
+    got = casimir_apply(s21, lam)
+    assert not got.is_zero()
+    assert realized[2 * size:] == [S21] * (2 * len(dual_basis_pair(S21).basis))
+    assert got == (casimir_eigenvalue(2, delta, S21) * s21).as_mixed()
 
 
 # ---------------------------------------------------------------------------

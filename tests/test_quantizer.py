@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from superquant import supercore
 from superquant import (
     CriticalValueError,
     DiffOperator,
@@ -430,3 +431,23 @@ class TestMixedInput:
         for part in parts:
             expected = expected + quantize(part, cfg)
         assert total == expected
+
+
+def test_quantize_never_scales_by_one(monkeypatch):
+    """C_{k,0} = 1 (and a family parameter t = 1) add the coefficient-wise
+    image as it is: the term kernel never scales by 1."""
+    factors = []
+    scale_terms = supercore._ops.scale_terms
+
+    def spy(terms, c):
+        factors.append(c)
+        return scale_terms(terms, c)
+
+    monkeypatch.setattr(supercore._ops, "scale_terms", spy)
+    rng = random.Random(89)
+    for cfg in (cfg_sl(S21, Fraction(1, 3), Fraction(1, 5)),
+                cfg_psl(S12, Fraction(1, 3), Fraction(1, 5), t=1)):
+        for k in (1, 2, 3):
+            quantize(rand_symbol(cfg.signature, cfg.delta, k, rng), cfg)
+    assert factors, "the series should scale some terms"
+    assert 1 not in factors

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from superquant import verifier
 from superquant import (
     CriticalValueError,
     DomainError,
@@ -205,3 +206,30 @@ class TestReports:
         assert entry["expected"] != entry["got"]
         text = report.summary_text()
         assert "FAIL" in text
+
+
+class TestRealizeOnce:
+    def test_generators_realized_once_per_signature(self, monkeypatch):
+        monkeypatch.setattr(verifier, "_realized_cache", {})
+        realized = []
+        realize = verifier.realize
+
+        def counting_realize(h):
+            realized.append(h.signature)
+            return realize(h)
+
+        monkeypatch.setattr(verifier, "realize", counting_realize)
+        cfg = QuantizationConfig(S11, Fraction(1, 3), Fraction(1, 5))
+        first = check_equivariance(cfg, degree_max=1, sample_count=2, seed=4)
+        assert realized == [S11] * len(equivariance_generators(S11))
+        again = check_equivariance(cfg, degree_max=1, sample_count=2, seed=4)
+        assert len(realized) == len(equivariance_generators(S11))
+        assert first.passed and again.to_json() == first.to_json()
+
+        other = QuantizationConfig(S21, Fraction(1, 3), Fraction(1, 5))
+        report = check_equivariance(other, degree_max=1, sample_count=2, seed=4)
+        assert realized[len(equivariance_generators(S11)):] == (
+            [S21] * len(equivariance_generators(S21))
+        )
+        assert report.passed
+        assert report.samples_run == len(equivariance_generators(S21)) * 2 * 2
