@@ -54,6 +54,8 @@ _SLOT_PREFIX = {
 }
 
 _NAME_RE = re.compile(r"(ex|et|dx|dt|x|t)([1-9][0-9]*)")
+# ASCII only: str.isdigit also accepts digits such as "³" that int() rejects
+_DIGITS = frozenset("0123456789")
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +71,13 @@ class _Token:
         self.pos = pos
 
 
+def _int(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # beyond the interpreter's digit limit
+        raise ExprError("integer literal too long", pos) from None
+
+
 def _lex(text: str) -> list[_Token]:
     tokens = []
     i, n = 0, len(text)
@@ -77,11 +86,11 @@ def _lex(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            tokens.append(_Token("INT", int(text[i:j]), i))
+            tokens.append(_Token("INT", _int(text[i:j], i), i))
             i = j
             continue
         if ch.isalpha():
@@ -92,7 +101,7 @@ def _lex(text: str) -> list[_Token]:
             m = _NAME_RE.fullmatch(name)
             if not m:
                 raise ExprError(f"unknown atom {name!r}", i)
-            tokens.append(_Token("ATOM", (m.group(1), int(m.group(2))), i))
+            tokens.append(_Token("ATOM", (m.group(1), _int(m.group(2), i)), i))
             i = j
             continue
         if ch in "+-*^/()":
@@ -232,13 +241,12 @@ class _Parser:
                 exp_tok = self.expect("INT")
                 if exp_tok.value < 1:
                     raise ExprError("exponent must be positive", exp_tok.pos)
-                base = value
-                for _ in range(exp_tok.value - 1):
-                    value = _mono_mul(value, base)
+                value = self._atom(tok, exp_tok.value)
             return value
         raise ExprError(f"unexpected token {tok.kind!r}", tok.pos)
 
-    def _atom(self, tok) -> dict:
+    def _atom(self, tok, power: int = 1) -> dict:
+        """The atom's monomial; ``power`` > 1 only for even atoms."""
         cls, idx = tok.value
         sig = self.sig
         slot = _SLOT_PREFIX[self.kind]
@@ -253,10 +261,10 @@ class _Parser:
                 raise ExprError(
                     f"even index {idx} out of range 1..{sig.p}", tok.pos
                 )
-            unit = tuple(1 if k == idx - 1 else 0 for k in range(sig.p))
+            exps = tuple(power if k == idx - 1 else 0 for k in range(sig.p))
             if cls == "x":
-                return {(unit, self._zero_x, 0): Fraction(1)}
-            return {(self._zero_x, unit, 0): Fraction(1)}
+                return {(exps, self._zero_x, 0): Fraction(1)}
+            return {(self._zero_x, exps, 0): Fraction(1)}
         if not 1 <= idx <= sig.q:
             raise ExprError(f"odd index {idx} out of range 1..{sig.q}", tok.pos)
         bit = 1 << (idx - 1) if cls == "t" else 1 << (sig.q + idx - 1)
@@ -285,7 +293,10 @@ def parse(
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     tokens = _lex(text)
-    value = _Parser(tokens, kind, signature).parse()
+    try:
+        value = _Parser(tokens, kind, signature).parse()
+    except RecursionError:
+        raise ExprError("expression nested too deeply", 0) from None
     q = signature.q
     if kind == KIND_POLY:
         terms = {}

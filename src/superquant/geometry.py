@@ -16,12 +16,16 @@ Conventions that fix every sign below: odd derivatives act from the left;
 an operator of odd parity passes a function coefficient g at the cost of
 (-1)^{parity(g)}; the divergence of X = sum X^i d/dy^i is
 sum_i (-1)^{parity(y^i) parity(X^i)} dX^i/dy^i.
+
+Values are never mutated in place.  A vector field relies on this: what
+``lie_symbol`` and ``lie_operator`` need of it alone (graded parts, their
+divergences and Jacobians) is computed on first use and kept with the field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .supercore import (
     Rational,
@@ -174,10 +178,70 @@ class _TermMap:
 # vector fields
 
 
-class SuperVectorField(_Graded):
-    """Polynomial derivation X = sum_i X^i d/dy^i."""
+class _GradedAction(NamedTuple):
+    """The action data of one graded part X_chi of a vector field.
 
-    __slots__ = ("signature", "components")
+    ``nonconstant`` lists ``(i, X_chi^i, -X_chi^i)`` for the components of
+    positive degree (0-based i), the only ones whose normal-ordered product
+    with a derivative has terms below the top order.  ``jacobian`` lists
+    ``(i, j, J_ij)`` with J_ij = s_i dX_chi^j/dy^i nonzero, where s_i = 1
+    when chi and y^i are both odd and -1 otherwise; ``trace`` is
+    sum_i -(-1)^{parity(y^i)} J_ii, so that a density twist of weight delta
+    contributes delta * trace.
+    """
+
+    parity: int
+    field: "SuperVectorField"
+    nonconstant: tuple
+    div: SuperPolynomial
+    jacobian: tuple
+    trace: SuperPolynomial
+
+
+class _FieldAction(NamedTuple):
+    """The graded parts of a field with their action data, and div X."""
+
+    parts: tuple[_GradedAction, ...]
+    div: SuperPolynomial
+
+
+def _field_action(x: "SuperVectorField") -> _FieldAction:
+    sig = x.signature
+    parts = []
+    div = SuperPolynomial.zero(sig)
+    for chi, xp in x.graded_parts():
+        div_chi = xp.divergence()
+        div = div + div_chi
+        jacobian = []
+        trace = SuperPolynomial.zero(sig)
+        for i in range(1, sig.n + 1):
+            ti = sig.parity(i)
+            sfac = 1 if (ti and chi) else -1
+            for j in range(1, sig.n + 1):
+                dcomp = xp.components[j - 1].partial(i)
+                if not dcomp:
+                    continue
+                jij = sfac * dcomp
+                jacobian.append((i, j, jij))
+                if i == j:
+                    trace = trace + jij if ti else trace - jij
+        nonconstant = tuple(
+            (i, c, -c) for i, c in enumerate(xp.components) if c.degree() > 0
+        )
+        parts.append(
+            _GradedAction(chi, xp, nonconstant, div_chi, tuple(jacobian), trace)
+        )
+    return _FieldAction(tuple(parts), div)
+
+
+class SuperVectorField(_Graded):
+    """Polynomial derivation X = sum_i X^i d/dy^i.
+
+    A field must not be mutated: the data its Lie derivatives need is
+    computed once, on first use, and kept in ``_action_data``.
+    """
+
+    __slots__ = ("signature", "components", "_action_data")
 
     def __init__(self, signature: Signature, components: Sequence):
         comps = []
@@ -192,6 +256,15 @@ class SuperVectorField(_Graded):
             )
         self.signature = signature
         self.components = tuple(comps)
+        self._action_data = None
+
+    def _action(self) -> _FieldAction:
+        """Graded parts, divergences and Jacobians, built on first use."""
+        data = self._action_data
+        if data is None:
+            # built whole, then stored in one assignment
+            data = self._action_data = _field_action(self)
+        return data
 
     @classmethod
     def zero(cls, signature: Signature) -> "SuperVectorField":
@@ -756,46 +829,47 @@ def lie_operator(x: SuperVectorField, d: DiffOperator) -> DiffOperator:
     _check_same_signature(x, d)
     sig = d.signature
     lam = d.lam
-    parts = []
-    div = SuperPolynomial.zero(sig)
-    for chi, xp in x.graded_parts():
-        div_chi = xp.divergence()
-        div = div + div_chi
-        parts.append((chi, xp.components, lam * div_chi))
-    weight_div = (d.mu - lam) * div
+    action = x._action()
+    weight_div = (d.mu - lam) * action.div
     out: dict = {}
     for alpha, f in d.items():
         ae, am = alpha
         _acc(out, alpha, x.apply(f))
         if weight_div:
             _acc(out, alpha, weight_div * f)
+        if not (am or any(ae)):
+            continue  # [d^0 g] is empty
         a = am.bit_count() & 1
-        for chi, comps, lam_div in parts:
+        for part in action.parts:
+            chi = part.parity
             ft = f.parity_twist() if chi else f
-            if not (chi and a):
-                ft = -ft
-            for i, comp in enumerate(comps):
-                if not comp:
-                    continue
-                for (ge, gm), h in _push_through(sig, ae, am, comp).items():
+            # f~ = sign * ft; sign * X_chi^i and sign * lam carry the sign
+            sign = 1 if chi and a else -1
+            # sum_i [d^a X_chi^i] d_i, folded per key before multiplying by ft
+            table: dict = {}
+            for i, comp, neg_comp in part.nonconstant:
+                g = comp if sign > 0 else neg_comp
+                for (ge, gm), h in _push_through(sig, ae, am, g).items():
                     if (ge, gm) == alpha:
                         continue
-                    coeff = ft * h
                     if i < sig.p:  # d^g d_i, with d_i even
                         key = (ge[:i] + (ge[i] + 1,) + ge[i + 1 :], gm)
                     else:
                         bit = 1 << (i - sig.p)
-                        sign = _odd_merge_sign(gm, bit)
-                        if not sign:
+                        merge = _odd_merge_sign(gm, bit)
+                        if not merge:
                             continue
                         key = (ge, gm | bit)
-                        if sign < 0:
-                            coeff = -coeff
-                    _acc(out, key, coeff)
-            if lam_div:
-                for key, h in _push_through(sig, ae, am, lam_div).items():
+                        if merge < 0:
+                            h = -h
+                    _acc(table, key, h)
+            for key, h in table.items():
+                _acc(out, key, ft * h)
+            if lam and part.div.degree() > 0:
+                lam_ft = (sign * lam) * ft
+                for key, h in _push_through(sig, ae, am, part.div).items():
                     if key != alpha:
-                        _acc(out, key, ft * h)
+                        _acc(out, key, lam_ft * h)
     return DiffOperator._raw(sig, lam, d.mu, out)
 
 
@@ -856,34 +930,26 @@ def lie_symbol(x: SuperVectorField, s: SymbolField) -> SymbolField:
         raise ValueError("signature mismatch")
     sig = s.signature
     delta = s.weight
-    n = sig.n
     acc: dict = {}
-    for chi, xp in x.graded_parts():
-        jac = []
-        for i in range(1, n + 1):
-            ti = sig.parity(i)
-            sfac = 1 if (ti and chi) else -1
-            for j in range(1, n + 1):
-                dcomp = xp.components[j - 1].partial(i)
-                if dcomp:
-                    jac.append((i, j, sfac * dcomp))
+    for part in x._action().parts:
+        xp = part.field
+        delta_trace = delta * part.trace if part.trace else None
         for key, g in s.items():
             tg = xp.apply(g)
             if tg:
                 _acc(acc, key, tg)
-            gs = g.parity_twist() if chi else g
+            gs = g.parity_twist() if part.parity else g
             if not gs:
                 continue
-            for i, j, jij in jac:
-                c = gs * jij
-                if not c:
-                    continue
+            # the rotated frame monomials, folded per key before multiplying by gs
+            row: dict = {}
+            if delta_trace:
+                row[key] = delta_trace
+            for i, j, jij in part.jacobian:
                 for mult, key2 in _rho_elementary(sig, j, i, key):
-                    _acc(acc, key2, mult * c)
-                if i == j:
-                    w = -delta if sig.parity(i) == 0 else delta
-                    if w:
-                        _acc(acc, key, w * c)
+                    _acc(row, key2, mult * jij)
+            for key2, r in row.items():
+                _acc(acc, key2, gs * r)
     return SymbolField._raw(sig, delta, s.degree, acc)
 
 

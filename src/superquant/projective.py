@@ -518,6 +518,7 @@ class DualBasisPair:
 _cache_lock = threading.Lock()
 _dual_cache: dict = {}
 _casimir_field_cache: dict = {}
+_lowering_field_cache: dict = {}
 
 
 def _memo(cache: dict, key, build):
@@ -637,6 +638,19 @@ def affine_defect_closed_form(h, s: SymbolField, lam: Rational) -> SymbolField:
     return factor * interior(row, s)
 
 
+def _lowering_fields(signature: Signature) -> tuple:
+    """The pairs (e_i, scaled eps_i) of ``casimir_defect`` as vector fields,
+    realized once per signature."""
+
+    def build():
+        return tuple(
+            (realize(e), realize(scaled_eps(signature, i)))
+            for i, e in enumerate(basis_e(signature), start=1)
+        )
+
+    return _memo(_lowering_field_cache, signature, build)
+
+
 def casimir_defect(s: SymbolField, lam: Rational) -> SymbolField:
     """The degree-lowering part of the quantized Casimir action."""
     sig = s.signature
@@ -644,10 +658,8 @@ def casimir_defect(s: SymbolField, lam: Rational) -> SymbolField:
         raise DomainError("the lowering map requires q != p+1")
     lam = as_fraction(lam)
     total = SymbolField.zero(sig, s.weight, max(s.degree - 1, 0))
-    es = basis_e(sig)
-    for i in range(1, sig.n + 1):
-        lowered = lie_symbol(realize(es[i - 1]), s)
-        defect = affine_defect(scaled_eps(sig, i), lowered, lam)
+    for x_e, x_eps in _lowering_fields(sig):
+        defect = affine_defect(x_eps, lie_symbol(x_e, s), lam)
         total = total + 2 * defect
     return total
 

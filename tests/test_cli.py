@@ -1,10 +1,18 @@
 """Tests for the command-line interface and its golden JSON outputs."""
 
+import contextlib
+import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import superquant
 from superquant import cli
 from superquant.cli import main
 from superquant.expr import value_from_json
@@ -301,3 +309,50 @@ class TestJsonReload:
         )
         assert code == 0
         value_from_json(data)  # decodes without error
+
+
+class TestLargeExponents:
+    def test_huge_exponent_quantizes_promptly(self):
+        # ``x1^N`` is one monomial; the parser never multiplies N factors
+        src = str(pathlib.Path(superquant.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-m", "superquant.cli", "quantize", "--p=2",
+             "--q=1", "--delta=1/5", "--symbol=x1^99999999999*ex1"],
+            capture_output=True, text=True, timeout=20, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "99999999999" in done.stdout
+
+
+# arbitrary unicode, and text over the grammar's own characters
+FUZZ_TEXT = st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet="xtedx0123456789^*/+-() ", max_size=40),
+)
+
+
+class TestExpressionFuzz:
+    """Any text given to an expression option exits 0 or 1, never raises.
+
+    ``quantize``, ``symbol-map`` and ``lie operator`` are not fuzzed: their
+    work grows with the degree they parse, which is not capped yet.
+    """
+
+    @pytest.mark.parametrize("argv,option", [
+        (["affine-quantize", "--p=2", "--q=1", "--lambda=1/3"], "--symbol"),
+        (["div", "vfield", "--p=2", "--q=1"], "--field"),
+        (["lie", "density", "--p=2", "--q=1", "--lambda=1/2",
+          "--field=x1*dx1 + t1*dt1"], "--function"),
+    ], ids=["affine-quantize", "div-vfield", "lie-density"])
+    @settings(max_examples=100, deadline=None)
+    @given(text=FUZZ_TEXT)
+    @example(text="x1^99999999999")
+    def test_exit_zero_or_one(self, argv, option, text):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + [f"{option}={text}"])
+        assert code in (0, 1), err.getvalue()
+        assert "Traceback" not in err.getvalue()

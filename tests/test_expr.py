@@ -331,7 +331,7 @@ class TestJson:
 # the text (or the JSON document) must reproduce the value exactly.
 # ---------------------------------------------------------------------------
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 _fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
@@ -440,3 +440,38 @@ class TestRoundTripProperties:
         sig, lam, mu, d = case
         assert parse("operator", format_operator(d), sig, lam=lam, mu=mu) == d
         assert value_from_json(value_to_json(d)) == d
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: arbitrary text parses to a value or raises ExprError, never
+# another exception.
+
+# arbitrary unicode, and text over the grammar's own characters
+FUZZ_TEXT = st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet="xtedx0123456789^*/+-() ", max_size=40),
+)
+
+
+class TestParseFuzz:
+    @pytest.mark.parametrize("kind", ["poly", "vfield", "symbol", "operator"])
+    @settings(max_examples=150, deadline=None)
+    @given(text=FUZZ_TEXT, sig=_signatures())
+    @example(text="x1^99999999999", sig=S21)
+    @example(text="\u00b3*x1", sig=S21)
+    @example(text="1" * 5000, sig=S21)
+    @example(text="(" * 5000 + "x1" + ")" * 5000, sig=S21)
+    def test_value_or_expr_error(self, kind, text, sig):
+        try:
+            value = parse(kind, text, sig)
+        except ExprError:
+            return
+        assert value is not None
+
+    def test_power_is_one_monomial(self):
+        f = poly(S21, "x1^99999999999*x2^3")
+        assert f == SuperPolynomial.monomial(S21, (99999999999, 3), ())
+        s = parse("symbol", "ex2^7", S21)
+        assert s.degree == 7
+        d = parse("operator", "dx1^12345678901", S21)
+        assert d.order == 12345678901

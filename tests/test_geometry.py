@@ -494,6 +494,153 @@ def test_lie_operator_on_multiplication():
 
 
 # ---------------------------------------------------------------------------
+# the per-field action data
+
+
+def lie_symbol_reference(x, s):
+    """``lie_symbol`` with everything that depends on the field alone (graded
+    parts, Jacobians, the weight term of each diagonal entry) recomputed on
+    every call."""
+    sig = s.signature
+    delta = s.weight
+    n = sig.n
+    acc = {}
+    for chi, xp in x.graded_parts():
+        jac = []
+        for i in range(1, n + 1):
+            ti = sig.parity(i)
+            sfac = 1 if (ti and chi) else -1
+            for j in range(1, n + 1):
+                dcomp = xp.components[j - 1].partial(i)
+                if dcomp:
+                    jac.append((i, j, sfac * dcomp))
+        for key, g in s.items():
+            tg = xp.apply(g)
+            if tg:
+                geometry._acc(acc, key, tg)
+            gs = g.parity_twist() if chi else g
+            if not gs:
+                continue
+            for i, j, jij in jac:
+                c = gs * jij
+                if not c:
+                    continue
+                for mult, key2 in geometry._rho_elementary(sig, j, i, key):
+                    geometry._acc(acc, key2, mult * c)
+                if i == j:
+                    w = -delta if sig.parity(i) == 0 else delta
+                    if w:
+                        geometry._acc(acc, key, w * c)
+    return SymbolField(sig, delta, s.degree, acc)
+
+
+@st.composite
+def symbols(draw, sig, weight, degree):
+    """Degree-``degree`` symbols with up to three terms."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        mask = draw(st.integers(0, (1 << sig.q) - 1))
+        rest = degree - mask.bit_count()
+        if rest < 0 or (rest and not sig.p):
+            continue
+        evens = [0] * sig.p
+        for _ in range(rest):
+            evens[draw(st.integers(0, sig.p - 1))] += 1
+        terms[(tuple(evens), mask)] = draw(polys(sig, 2))
+    return SymbolField(sig, weight, degree, terms)
+
+
+@st.composite
+def field_and_symbols(draw):
+    """One field and three symbols of distinct weights and degrees."""
+    sig = draw(st.sampled_from(ORACLE_SIGNATURES))
+    xf = SuperVectorField(sig, [draw(polys(sig, 2)) for _ in range(sig.n)])
+    weights = draw(st.lists(RATIONALS, min_size=3, max_size=3, unique=True))
+    degrees = draw(st.permutations(range(4)))[:3]
+    return xf, [draw(symbols(sig, w, k)) for w, k in zip(weights, degrees)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_and_symbols())
+def test_lie_symbol_matches_reference_for_one_field(case):
+    xf, syms = case
+    for s in syms:
+        got = lie_symbol(xf, s)
+        assert (got.weight, got.degree) == (s.weight, s.degree)
+        assert got == lie_symbol_reference(xf, s)
+
+
+@st.composite
+def field_and_operators_at_weights(draw):
+    """One field and operators at two or three distinct weights lam."""
+    sig = draw(st.sampled_from(ORACLE_SIGNATURES))
+    xf = SuperVectorField(sig, [draw(polys(sig, 2)) for _ in range(sig.n)])
+    ops = []
+    for lam in draw(st.lists(RATIONALS, min_size=2, max_size=3, unique=True)):
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            evens = tuple(draw(st.integers(0, 2)) for _ in range(sig.p))
+            mask = draw(st.integers(0, (1 << sig.q) - 1))
+            terms[(evens, mask)] = draw(polys(sig))
+        ops.append(DiffOperator(sig, lam, draw(RATIONALS), terms))
+    return xf, ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_and_operators_at_weights())
+def test_lie_operator_matches_composition_for_one_field(case):
+    xf, ops = case
+    for d in ops:
+        assert lie_operator(xf, d) == lie_operator_by_composition(xf, d)
+
+
+def test_field_action_built_once(monkeypatch):
+    sig = S21
+    x1, x2, t1 = (SuperPolynomial.coordinate(sig, i) for i in (1, 2, 3))
+    # even part x1^2 dx1 + x2 t1 dt1, odd part t1 dx2
+    xf = SuperVectorField(sig, [x1 * x1, t1, x2 * t1])
+    part_comps = [c for _, xp in xf.graded_parts() for c in xp.components]
+    s1 = SymbolField.monomial(sig, Fraction(1, 3), (1, 0), (), x2)
+    s2 = SymbolField.monomial(sig, Fraction(-2, 5), (1, 0), (1,), x1 + 1)
+    wants = [lie_symbol_reference(xf, s) for s in (s1, s2)]
+
+    graded_calls, receivers = [], []
+    graded_parts = SuperVectorField.graded_parts
+    partial = SuperPolynomial.partial
+
+    def counting_graded_parts(self):
+        graded_calls.append(self)
+        return graded_parts(self)
+
+    def recording_partial(self, i):
+        receivers.append(self)
+        return partial(self, i)
+
+    monkeypatch.setattr(SuperVectorField, "graded_parts", counting_graded_parts)
+    monkeypatch.setattr(SuperPolynomial, "partial", recording_partial)
+
+    def jacobian_partials():
+        return [f for f in receivers if any(f == c for c in part_comps)]
+
+    assert lie_symbol(xf, s1) == wants[0]
+    assert len(graded_calls) == 1
+    assert len(jacobian_partials()) >= 2 * sig.n * sig.n  # both parts' Jacobians
+    del graded_calls[:], receivers[:]
+    assert lie_symbol(xf, s2) == wants[1]
+    assert graded_calls == [] and jacobian_partials() == []
+    assert receivers  # the coefficients were still transported
+
+    twin = SuperVectorField(sig, xf.components)
+    d = DiffOperator(sig, Fraction(1, 3), Fraction(1, 2), {
+        ((1, 0), 1): x1 + t1, ((0, 0), 0): x2,
+    })
+    for s in (s1, s2):
+        assert lie_symbol(twin, s) == lie_symbol(xf, s)
+    assert lie_operator(twin, d) == lie_operator(xf, d)
+    assert lie_operator(xf, d) == lie_operator_by_composition(xf, d)
+
+
+# ---------------------------------------------------------------------------
 # interior product
 
 

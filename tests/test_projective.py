@@ -16,6 +16,7 @@ from superquant import projective
 from superquant.errors import CriticalValueError, DomainError
 from superquant.supercore import Signature, SuperPolynomial
 from superquant.geometry import (
+    SuperVectorField,
     SymbolField,
     bracket,
     interior,
@@ -450,6 +451,31 @@ def test_casimir_basis_independence():
     a = casimir_apply(s, Fraction(1, 2), rep="affine", scheme="elementary")
     b = casimir_apply(s, Fraction(1, 2), rep="affine", scheme="euler-split")
     assert a == b
+
+
+def test_lowering_fields_realized_once_per_signature(monkeypatch):
+    rng = random.Random(67)
+    lam = Fraction(1, 2)
+    s = rand_symbol(rng, S21, Fraction(1, 5), 2)
+    other = rand_symbol(rng, S21, Fraction(-1, 3), 1)
+    want = casimir_apply(other, lam, rep="affine") - casimir_apply(other, lam)
+    assert not want.is_zero()
+    monkeypatch.setattr(projective, "_lowering_field_cache", {})
+    realized = []
+    real_realize = projective.realize
+
+    def counting_realize(h):
+        if not isinstance(h, SuperVectorField):  # fields pass through
+            realized.append(h.signature)
+        return real_realize(h)
+
+    monkeypatch.setattr(projective, "realize", counting_realize)
+    first = casimir_defect(s, lam)
+    assert not first.is_zero()
+    assert realized == [S21] * (2 * S21.n)
+    assert casimir_defect(s, lam) == first
+    assert casimir_defect(other, lam).as_mixed() == want
+    assert len(realized) == 2 * S21.n
 
 
 def test_lowering_map_edges():

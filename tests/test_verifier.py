@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from superquant import verifier
+from superquant import geometry, verifier
 from superquant import (
     CriticalValueError,
     DomainError,
@@ -233,3 +233,20 @@ class TestRealizeOnce:
         )
         assert report.passed
         assert report.samples_run == len(equivariance_generators(S21)) * 2 * 2
+
+    def test_field_data_built_once_per_signature(self, monkeypatch):
+        monkeypatch.setattr(verifier, "_realized_cache", {})
+        built = []
+        field_action = geometry._field_action
+
+        def counting_field_action(x):
+            built.append(x)
+            return field_action(x)
+
+        monkeypatch.setattr(geometry, "_field_action", counting_field_action)
+        cfg = QuantizationConfig(S21, Fraction(1, 3), Fraction(1, 5))
+        first = check_equivariance(cfg, degree_max=1, sample_count=2, seed=5)
+        assert len(built) == len(equivariance_generators(S21))
+        again = check_equivariance(cfg, degree_max=1, sample_count=2, seed=5)
+        assert len(built) == len(equivariance_generators(S21))
+        assert first.passed and again.to_json() == first.to_json()
