@@ -1,15 +1,14 @@
-"""Term-map kernels for Grassmann-polynomial arithmetic (pure-Python backend).
+"""Term-map kernel for Grassmann-polynomial arithmetic.
 
 A term map is ``{(even_exponents, odd_mask): coefficient}`` where
 ``even_exponents`` is a tuple of non-negative ints (one per even coordinate)
 and ``odd_mask`` is a bitmask over the odd generators (bit i-1 <-> index i).
 Coefficients are exact rationals; zero coefficients are never stored.
 
-``_termops.pyx`` is the compiled twin with the identical contract; the
-import-time selector in ``supercore`` picks whichever is available.
+This is the package's only kernel; callers reach it as ``supercore._ops``.
+It is not named ``_termops`` so that a stale compiled ``_termops*.so`` left
+in an old install cannot shadow it.
 """
-
-BACKEND = "python"
 
 
 def odd_merge_sign(a, b):

@@ -24,7 +24,8 @@ JSON encoding: ``{signature, weights, kind, terms: [{key, coeff}]}`` with one
 entry per fully expanded monomial.  Keys are explicit multi-index strings such
 as ``x^(2,0);t{1};d x^(1,0);d t{}`` (operators and vector fields) or
 ``x^(2,0);t{1};e x^(1,0);e t{}`` (symbols); coefficients are exact rational
-strings.
+strings.  Decoding accepts exactly this layout and raises ExprError on any
+other document.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from fractions import Fraction
 
 from .errors import ExprError
 from .geometry import DiffOperator, MixedSymbol, SuperVectorField, SymbolField
-from .supercore import Signature, SuperPolynomial, _ops, as_fraction
+from .supercore import Signature, SuperPolynomial, _ops
 
 KIND_POLY = "poly"
 KIND_VFIELD = "vfield"
@@ -116,38 +117,17 @@ def _lex(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 # Parser / evaluator
 #
-# Intermediate values are free supercommutative monomial maps
-#     (even coordinate exponents, even slot exponents, odd mask) -> Fraction
-# where the odd mask packs coordinate odds in bits 0..q-1 and slot odds in
-# bits q..2q-1, so that the canonical ascending bit order is exactly the
-# canonical printed order and merge signs come from the shared kernel.
-
-
-def _mono_mul(a: dict, b: dict, scale: Fraction | None = None) -> dict:
-    out = {}
-    for (xe1, se1, m1), c1 in a.items():
-        for (xe2, se2, m2), c2 in b.items():
-            s = _ops.odd_merge_sign(m1, m2)
-            if not s:
-                continue
-            c = c1 * c2 * s
-            if scale is not None:
-                c = c * scale
-            key = (
-                tuple(u + v for u, v in zip(xe1, xe2)),
-                tuple(u + v for u, v in zip(se1, se2)),
-                m1 | m2,
-            )
-            acc = out.get(key)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-    return out
+# Intermediate values are free supercommutative monomial maps in the
+# kernel's term-map form ``(exponents, odd_mask) -> Fraction``: the first p
+# exponents are the coordinates', the last p the slot atoms', and the odd
+# mask packs coordinate odds in bits 0..q-1 and slot odds in bits q..2q-1,
+# so that the canonical ascending bit order is exactly the canonical printed
+# order and the kernel's product carries the merge signs.
 
 
 def _add_into(a: dict, b: dict, sign: int) -> None:
+    # in place: the kernel's add_terms copies ``a``, so a long sum would be
+    # quadratic
     for key, c in b.items():
         acc = a.get(key)
         acc = sign * c if acc is None else acc + sign * c
@@ -163,7 +143,7 @@ class _Parser:
         self.i = 0
         self.kind = kind
         self.sig = signature
-        self._zero_x = (0,) * signature.p
+        self._zero = (0,) * (2 * signature.p)
 
     def peek(self):
         return self.tokens[self.i]
@@ -179,11 +159,8 @@ class _Parser:
             raise ExprError(f"expected {kind!r}, found {tok.kind!r}", tok.pos)
         return tok
 
-    def _scalar(self, c) -> dict:
-        c = as_fraction(c)
-        if not c:
-            return {}
-        return {(self._zero_x, self._zero_x, 0): c}
+    def _scalar(self, c: Fraction) -> dict:
+        return {(self._zero, 0): c} if c else {}
 
     def parse(self) -> dict:
         value = self.parse_expr()
@@ -209,7 +186,7 @@ class _Parser:
         value = self.parse_factor()
         while self.peek().kind == "*":
             self.next()
-            value = _mono_mul(value, self.parse_factor())
+            value = _ops.mul_terms(value, self.parse_factor())
         return value
 
     def parse_factor(self) -> dict:
@@ -261,18 +238,13 @@ class _Parser:
                 raise ExprError(
                     f"even index {idx} out of range 1..{sig.p}", tok.pos
                 )
-            exps = tuple(power if k == idx - 1 else 0 for k in range(sig.p))
-            if cls == "x":
-                return {(exps, self._zero_x, 0): Fraction(1)}
-            return {(self._zero_x, exps, 0): Fraction(1)}
+            at = idx - 1 if cls == "x" else sig.p + idx - 1
+            exps = tuple(power if k == at else 0 for k in range(2 * sig.p))
+            return {(exps, 0): Fraction(1)}
         if not 1 <= idx <= sig.q:
             raise ExprError(f"odd index {idx} out of range 1..{sig.q}", tok.pos)
         bit = 1 << (idx - 1) if cls == "t" else 1 << (sig.q + idx - 1)
-        return {(self._zero_x, self._zero_x, bit): Fraction(1)}
-
-
-def _split_mask(mask: int, q: int) -> tuple[int, int]:
-    return mask & ((1 << q) - 1), mask >> q
+        return {(self._zero, bit): Fraction(1)}
 
 
 def parse(
@@ -297,163 +269,16 @@ def parse(
         value = _Parser(tokens, kind, signature).parse()
     except RecursionError:
         raise ExprError("expression nested too deeply", 0) from None
-    q = signature.q
-    if kind == KIND_POLY:
-        terms = {}
-        for (xe, _se, mask), c in value.items():
-            terms[(xe, mask)] = c
-        return SuperPolynomial(signature, terms)
-    if kind == KIND_VFIELD:
-        comps = [SuperPolynomial.zero(signature) for _ in range(signature.n)]
-        for (xe, se, mask), c in value.items():
-            tmask, dmask = _split_mask(mask, q)
-            slot_degree = sum(se) + dmask.bit_count()
-            if slot_degree != 1:
-                raise ExprError(
-                    "a vector field needs exactly one derivative atom per term",
-                    0,
-                )
-            if sum(se):
-                comp = se.index(1)
-            else:
-                comp = signature.p + dmask.bit_length() - 1
-            coeff = SuperPolynomial(signature, {(xe, tmask): c})
-            comps[comp] = comps[comp] + coeff
-        return SuperVectorField(signature, comps)
-    if kind == KIND_SYMBOL:
-        by_degree: dict[int, dict] = {}
-        for (xe, se, mask), c in value.items():
-            tmask, emask = _split_mask(mask, q)
-            degree = sum(se) + emask.bit_count()
-            terms = by_degree.setdefault(degree, {})
-            key = (se, emask)
-            poly = SuperPolynomial(signature, {(xe, tmask): c})
-            if key in terms:
-                terms[key] = terms[key] + poly
-            else:
-                terms[key] = poly
-        fields = [
-            SymbolField(signature, weight, degree, terms)
-            for degree, terms in sorted(by_degree.items())
-        ]
-        if not fields:
-            return SymbolField.zero(signature, weight, 0)
-        if len(fields) == 1:
-            return fields[0]
-        return MixedSymbol.from_fields(signature, weight, fields)
-    # operator
-    if mu is None:
-        mu = lam
-    terms = {}
-    for (xe, se, mask), c in value.items():
-        tmask, dmask = _split_mask(mask, q)
-        key = (se, dmask)
-        poly = SuperPolynomial(signature, {(xe, tmask): c})
-        if key in terms:
-            terms[key] = terms[key] + poly
-        else:
-            terms[key] = poly
-    return DiffOperator(signature, lam, mu, terms)
+    p, q = signature.p, signature.q
+    low = (1 << q) - 1
+    rows = [(e[:p], m & low, e[p:], m >> q, c) for (e, m), c in value.items()]
+    return _build(kind, signature, rows, weight, lam, lam if mu is None else mu)
 
 
 # ---------------------------------------------------------------------------
-# Formatting
-
-
-def _rat_str(c: Fraction) -> str:
-    return str(c)
-
-
-def _coeff_prefix(c: Fraction) -> tuple[bool, str]:
-    """Return (negative, prefix) where prefix ends with '*' unless empty."""
-    negative = c < 0
-    mag = -c if negative else c
-    if mag == 1:
-        return negative, ""
-    if mag.denominator == 1:
-        return negative, f"{mag}*"
-    return negative, f"({mag})*"
-
-
-def _mask_indices(mask: int) -> list[int]:
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
-
-
-def _atoms(xe, tmask, se, smask, slot: str | None) -> list[str]:
-    atoms = []
-    for i, e in enumerate(xe, start=1):
-        if e == 1:
-            atoms.append(f"x{i}")
-        elif e > 1:
-            atoms.append(f"x{i}^{e}")
-    for i in _mask_indices(tmask):
-        atoms.append(f"t{i}")
-    if slot is not None:
-        for i, e in enumerate(se, start=1):
-            if e == 1:
-                atoms.append(f"{slot}x{i}")
-            elif e > 1:
-                atoms.append(f"{slot}x{i}^{e}")
-        for i in _mask_indices(smask):
-            atoms.append(f"{slot}t{i}")
-    return atoms
-
-
-def _join_terms(entries: list[tuple[bool, str]]) -> str:
-    if not entries:
-        return "0"
-    pieces = []
-    for pos, (negative, body) in enumerate(entries):
-        if pos == 0:
-            pieces.append(("-" if negative else "") + body)
-        else:
-            pieces.append(("- " if negative else "+ ") + body)
-    return " ".join(pieces)
-
-
-def _term_entry(c: Fraction, atoms: list[str]) -> tuple[bool, str]:
-    negative, prefix = _coeff_prefix(c)
-    if atoms:
-        return negative, prefix + "*".join(atoms)
-    mag = -c if negative else c
-    if mag.denominator == 1:
-        return negative, str(mag)
-    return negative, f"({mag})"
-
-
-def _poly_sort_key(item):
-    (xe, mask), _ = item
-    return (sum(xe) + mask.bit_count(), xe, mask)
-
-
-def format_poly(f: SuperPolynomial) -> str:
-    entries = []
-    for (xe, mask), c in sorted(f.items(), key=_poly_sort_key):
-        entries.append(_term_entry(c, _atoms(xe, mask, None, None, None)))
-    return _join_terms(entries)
-
-
-def format_vfield(x: SuperVectorField) -> str:
-    sig = x.signature
-    entries = []
-    for comp in range(1, sig.n + 1):
-        poly = x.components[comp - 1]
-        if comp <= sig.p:
-            se = tuple(1 if k == comp - 1 else 0 for k in range(sig.p))
-            smask = 0
-        else:
-            se = (0,) * sig.p
-            smask = 1 << (comp - sig.p - 1)
-        for (xe, tmask), c in sorted(poly.items(), key=_poly_sort_key):
-            entries.append(_term_entry(c, _atoms(xe, tmask, se, smask, "d")))
-    return _join_terms(entries)
+# Rows: the one flat form of every kind.  A row ``(xe, tmask, se, smask,
+# coeff)`` is one monomial: coordinate exponents and odd mask, then the slot
+# exponents and odd mask (zero for polynomials).
 
 
 def _slot_sort_key(item):
@@ -461,231 +286,220 @@ def _slot_sort_key(item):
     return (-(sum(se) + smask.bit_count()), se, smask)
 
 
-def _tensor_entries(items, slot: str) -> list[tuple[bool, str]]:
-    entries = []
-    for (se, smask), poly in sorted(items, key=_slot_sort_key):
-        for (xe, tmask), c in sorted(poly.items(), key=_poly_sort_key):
-            entries.append(_term_entry(c, _atoms(xe, tmask, se, smask, slot)))
-    return entries
+def _poly_sort_key(item):
+    (xe, mask), _ = item
+    return (sum(xe) + mask.bit_count(), xe, mask)
 
 
-def format_symbol(s: SymbolField | MixedSymbol) -> str:
-    if isinstance(s, MixedSymbol):
-        items = [item for part in s.parts() for item in part.items()]
+def _rows(v):
+    """``(kind, slot letter, weights, rows)`` of a value, rows in printed order."""
+    if isinstance(v, SuperPolynomial):
+        head = (KIND_POLY, None, {})
+        slots = [(((0,) * v.signature.p, 0), v)]
+    elif isinstance(v, SuperVectorField):
+        sig = v.signature
+        head = (KIND_VFIELD, "d", {})
+        units = [(tuple(int(k == i) for k in range(sig.p)), 0) for i in range(sig.p)]
+        units += [((0,) * sig.p, 1 << j) for j in range(sig.q)]
+        slots = zip(units, v.components)
+    elif isinstance(v, (SymbolField, MixedSymbol)):
+        parts = v.parts() if isinstance(v, MixedSymbol) else [v]
+        head = (KIND_SYMBOL, "e", {"delta": v.weight})
+        items = [item for part in parts for item in part.items()]
+        slots = sorted(items, key=_slot_sort_key)
+    elif isinstance(v, DiffOperator):
+        head = (KIND_OPERATOR, "d", {"lambda": v.lam, "mu": v.mu})
+        slots = sorted(v.items(), key=_slot_sort_key)
     else:
-        items = list(s.items())
-    return _join_terms(_tensor_entries(items, "e"))
+        raise TypeError(f"cannot format {type(v).__name__}")
+    rows = [
+        (xe, tmask, se, smask, c)
+        for (se, smask), poly in slots
+        for (xe, tmask), c in sorted(poly.items(), key=_poly_sort_key)
+    ]
+    return (*head, rows)
 
 
-def format_operator(d: DiffOperator) -> str:
-    return _join_terms(_tensor_entries(list(d.items()), "d"))
+def _build(kind: str, sig: Signature, rows, weight, lam, mu):
+    """The value of ``kind`` whose terms are ``rows``; equal keys add up."""
+    slots: dict = {}
+    for xe, tmask, se, smask, c in rows:
+        terms = slots.setdefault((se, smask), {})
+        terms[(xe, tmask)] = terms.get((xe, tmask), 0) + c
+    polys = {key: SuperPolynomial(sig, terms) for key, terms in slots.items()}
+    if kind == KIND_POLY:
+        # a polynomial's rows all have the zero slot key
+        return polys.popitem()[1] if polys else SuperPolynomial.zero(sig)
+    if kind == KIND_VFIELD:
+        comps = [SuperPolynomial.zero(sig)] * sig.n
+        for (se, smask), poly in polys.items():
+            if sum(se) + smask.bit_count() != 1:
+                raise ExprError(
+                    "a vector field needs exactly one derivative atom per term", 0
+                )
+            comps[se.index(1) if sum(se) else sig.p + smask.bit_length() - 1] = poly
+        return SuperVectorField(sig, comps)
+    if kind == KIND_OPERATOR:
+        return DiffOperator(sig, lam, mu, polys)
+    by_degree: dict[int, dict] = {}
+    for (se, smask), poly in polys.items():
+        by_degree.setdefault(sum(se) + smask.bit_count(), {})[(se, smask)] = poly
+    fields = [
+        SymbolField(sig, weight, degree, terms)
+        for degree, terms in sorted(by_degree.items())
+    ]
+    if not fields:
+        return SymbolField.zero(sig, weight, 0)
+    if len(fields) == 1:
+        return fields[0]
+    return MixedSymbol.from_fields(sig, weight, fields)
+
+
+# ---------------------------------------------------------------------------
+# Formatting
+
+
+def _mask_indices(mask: int) -> list[int]:
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _atoms(xe, tmask, se, smask, slot: str | None) -> list[str]:
+    atoms = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(xe, 1) if e]
+    atoms += [f"t{i}" for i in _mask_indices(tmask)]
+    if slot is not None:
+        atoms += [
+            f"{slot}x{i}" if e == 1 else f"{slot}x{i}^{e}"
+            for i, e in enumerate(se, 1)
+            if e
+        ]
+        atoms += [f"{slot}t{i}" for i in _mask_indices(smask)]
+    return atoms
 
 
 def format_value(v) -> str:
-    if isinstance(v, SuperPolynomial):
-        return format_poly(v)
-    if isinstance(v, SuperVectorField):
-        return format_vfield(v)
-    if isinstance(v, (SymbolField, MixedSymbol)):
-        return format_symbol(v)
-    if isinstance(v, DiffOperator):
-        return format_operator(v)
-    raise TypeError(f"cannot format {type(v).__name__}")
+    """Expression text of a value, terms in canonical order; ``parse`` reads
+    it back."""
+    _kind, slot, _weights, rows = _rows(v)
+    pieces = []
+    for xe, tmask, se, smask, c in rows:
+        mag = abs(c)
+        number = str(mag) if mag.denominator == 1 else f"({mag})"
+        atoms = "*".join(_atoms(xe, tmask, se, smask, slot))
+        if not atoms:
+            body = number
+        elif mag == 1:
+            body = atoms
+        else:
+            body = f"{number}*{atoms}"
+        if pieces:
+            pieces.append(("- " if c < 0 else "+ ") + body)
+        else:
+            pieces.append(("-" if c < 0 else "") + body)
+    return " ".join(pieces) if pieces else "0"
+
+
+format_poly = format_vfield = format_symbol = format_operator = format_value
 
 
 # ---------------------------------------------------------------------------
 # JSON encoding
 
 
-def _exponent_string(xe) -> str:
-    return "(" + ",".join(str(e) for e in xe) + ")"
-
-
-def _set_string(mask: int) -> str:
-    return "{" + ",".join(str(i) for i in _mask_indices(mask)) + "}"
-
-
 def _key_string(xe, tmask, se, smask, slot: str | None) -> str:
-    parts = [f"x^{_exponent_string(xe)}", f"t{_set_string(tmask)}"]
-    if slot is not None:
-        parts.append(f"{slot} x^{_exponent_string(se)}")
-        parts.append(f"{slot} t{_set_string(smask)}")
-    return ";".join(parts)
+    def exps(e):
+        return "(" + ",".join(map(str, e)) + ")"
 
+    def odds(mask):
+        return "{" + ",".join(map(str, _mask_indices(mask))) + "}"
 
-_KEY_RE = re.compile(
-    r"x\^\(([0-9,]*)\);t\{([0-9,]*)\}"
-    r"(?:;([de]) x\^\(([0-9,]*)\);\3 t\{([0-9,]*)\})?$"
-)
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    if not text:
-        return ()
-    return tuple(int(t) for t in text.split(","))
-
-
-def _parse_key(key: str):
-    m = _KEY_RE.match(key)
-    if m is None:
-        raise ExprError(f"bad term key {key!r}", 0)
-    xe = _parse_ints(m.group(1))
-    tmask = 0
-    for i in _parse_ints(m.group(2)):
-        tmask |= 1 << (i - 1)
-    slot = m.group(3)
-    se = _parse_ints(m.group(4)) if slot else None
-    smask = 0
-    if slot:
-        for i in _parse_ints(m.group(5)):
-            smask |= 1 << (i - 1)
-    return xe, tmask, slot, se, smask
-
-
-def _signature_json(sig: Signature) -> dict:
-    return {"p": sig.p, "q": sig.q}
+    key = f"x^{exps(xe)};t{odds(tmask)}"
+    return key if slot is None else f"{key};{slot} x^{exps(se)};{slot} t{odds(smask)}"
 
 
 def value_to_json(v) -> dict:
     """Encode a domain value as the structured JSON document."""
-    if isinstance(v, SuperPolynomial):
-        sig = v.signature
-        terms = [
-            {"key": _key_string(xe, tmask, None, None, None), "coeff": _rat_str(c)}
-            for (xe, tmask), c in sorted(v.items(), key=_poly_sort_key)
-        ]
-        return {
-            "signature": _signature_json(sig),
-            "weights": {},
-            "kind": KIND_POLY,
-            "terms": terms,
-        }
-    if isinstance(v, SuperVectorField):
-        sig = v.signature
-        terms = []
-        for comp in range(1, sig.n + 1):
-            poly = v.components[comp - 1]
-            if comp <= sig.p:
-                se = tuple(1 if k == comp - 1 else 0 for k in range(sig.p))
-                smask = 0
-            else:
-                se = (0,) * sig.p
-                smask = 1 << (comp - sig.p - 1)
-            for (xe, tmask), c in sorted(poly.items(), key=_poly_sort_key):
-                terms.append(
-                    {
-                        "key": _key_string(xe, tmask, se, smask, "d"),
-                        "coeff": _rat_str(c),
-                    }
-                )
-        return {
-            "signature": _signature_json(sig),
-            "weights": {},
-            "kind": KIND_VFIELD,
-            "terms": terms,
-        }
-    if isinstance(v, (SymbolField, MixedSymbol)):
-        sig = v.signature
-        if isinstance(v, MixedSymbol):
-            items = [item for part in v.parts() for item in part.items()]
-        else:
-            items = list(v.items())
-        terms = []
-        for (se, smask), poly in sorted(items, key=_slot_sort_key):
-            for (xe, tmask), c in sorted(poly.items(), key=_poly_sort_key):
-                terms.append(
-                    {
-                        "key": _key_string(xe, tmask, se, smask, "e"),
-                        "coeff": _rat_str(c),
-                    }
-                )
-        return {
-            "signature": _signature_json(sig),
-            "weights": {"delta": _rat_str(as_fraction(v.weight))},
-            "kind": KIND_SYMBOL,
-            "terms": terms,
-        }
-    if isinstance(v, DiffOperator):
-        sig = v.signature
-        terms = []
-        for (se, smask), poly in sorted(v.items(), key=_slot_sort_key):
-            for (xe, tmask), c in sorted(poly.items(), key=_poly_sort_key):
-                terms.append(
-                    {
-                        "key": _key_string(xe, tmask, se, smask, "d"),
-                        "coeff": _rat_str(c),
-                    }
-                )
-        return {
-            "signature": _signature_json(sig),
-            "weights": {
-                "lambda": _rat_str(as_fraction(v.lam)),
-                "mu": _rat_str(as_fraction(v.mu)),
-            },
-            "kind": KIND_OPERATOR,
-            "terms": terms,
-        }
-    raise TypeError(f"cannot encode {type(v).__name__}")
+    kind, slot, weights, rows = _rows(v)
+    return {
+        "signature": {"p": v.signature.p, "q": v.signature.q},
+        "weights": {name: str(w) for name, w in weights.items()},
+        "kind": kind,
+        "terms": [
+            {"key": _key_string(xe, tmask, se, smask, slot), "coeff": str(c)}
+            for xe, tmask, se, smask, c in rows
+        ],
+    }
+
+
+_INTS = r"((?:[0-9]+(?:,[0-9]+)*)?)"
+_KEY_RE = re.compile(
+    rf"x\^\({_INTS}\);t\{{{_INTS}\}}(?:;([de]) x\^\({_INTS}\);\3 t\{{{_INTS}\}})?"
+)
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _rational(text) -> Fraction:
+    """A coefficient or weight in the form ``str(Fraction)`` writes."""
+    if isinstance(text, str) and _RATIONAL_RE.fullmatch(text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):  # over-long digits, n/0
+            pass
+    raise ExprError(f"bad rational {text!r}", 0)
+
+
+def _ints(text: str) -> list[int]:
+    return [_int(d, 0) for d in text.split(",")] if text else []
+
+
+def _exponents(text: str, sig: Signature) -> tuple[int, ...]:
+    exps = tuple(_ints(text))
+    if len(exps) != sig.p:
+        raise ExprError(f"key arity does not match signature {sig}", 0)
+    return exps
+
+
+def _odd_mask(text: str, sig: Signature) -> int:
+    mask = 0
+    for i in _ints(text):
+        if not 1 <= i <= sig.q or mask >> (i - 1) & 1:
+            raise ExprError(f"odd index {i} repeated or out of range 1..{sig.q}", 0)
+        mask |= 1 << (i - 1)
+    return mask
+
+
+def _parse_key(key, sig: Signature):
+    """``(xe, tmask, slot, se, smask)`` of a term key over ``sig``; a key
+    without slot atoms has slot None and the zero slot key."""
+    m = _KEY_RE.fullmatch(key) if isinstance(key, str) else None
+    if m is None:
+        raise ExprError(f"bad term key {key!r}", 0)
+    xe_text, t_text, slot, se_text, s_text = m.groups()
+    xe, tmask = _exponents(xe_text, sig), _odd_mask(t_text, sig)
+    if slot is None:
+        return xe, tmask, None, (0,) * sig.p, 0
+    return xe, tmask, slot, _exponents(se_text, sig), _odd_mask(s_text, sig)
 
 
 def value_from_json(data: dict):
-    """Decode a document produced by value_to_json."""
-    sig = Signature(int(data["signature"]["p"]), int(data["signature"]["q"]))
-    kind = data["kind"]
+    """Decode a document produced by value_to_json; any malformed document
+    raises ExprError."""
+    try:
+        sig = Signature(int(data["signature"]["p"]), int(data["signature"]["q"]))
+        kind = data["kind"]
+        weights = data.get("weights", {})
+        weights = [weights.get(name, "0") for name in ("delta", "lambda", "mu")]
+        terms = [(term["key"], term["coeff"]) for term in data["terms"]]
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ExprError(f"malformed document: {exc!r}", 0) from None
     if kind not in _KINDS:
         raise ExprError(f"unknown kind {kind!r}", 0)
     rows = []
-    for term in data["terms"]:
-        xe, tmask, slot, se, smask = _parse_key(term["key"])
-        if len(xe) != sig.p or (se is not None and len(se) != sig.p):
-            raise ExprError(f"key arity does not match signature {sig}", 0)
-        rows.append((xe, tmask, slot, se, smask, Fraction(term["coeff"])))
-    weights = data.get("weights", {})
-    if kind == KIND_POLY:
-        terms = {}
-        for xe, tmask, slot, _se, _smask, c in rows:
-            if slot is not None:
-                raise ExprError("polynomial terms cannot carry slot atoms", 0)
-            terms[(xe, tmask)] = terms.get((xe, tmask), Fraction(0)) + c
-        return SuperPolynomial(sig, terms)
-    if kind == KIND_VFIELD:
-        comps = [SuperPolynomial.zero(sig) for _ in range(sig.n)]
-        for xe, tmask, slot, se, smask, c in rows:
-            if slot != "d" or sum(se) + smask.bit_count() != 1:
-                raise ExprError("vector field terms need one derivative atom", 0)
-            comp = se.index(1) if sum(se) else sig.p + smask.bit_length() - 1
-            comps[comp] = comps[comp] + SuperPolynomial(sig, {(xe, tmask): c})
-        return SuperVectorField(sig, comps)
-    if kind == KIND_SYMBOL:
-        by_degree: dict[int, dict] = {}
-        for xe, tmask, slot, se, smask, c in rows:
-            if slot != "e":
-                raise ExprError("symbol terms need generator atoms", 0)
-            degree = sum(se) + smask.bit_count()
-            terms = by_degree.setdefault(degree, {})
-            poly = SuperPolynomial(sig, {(xe, tmask): c})
-            key = (se, smask)
-            terms[key] = terms[key] + poly if key in terms else poly
-        weight = Fraction(weights.get("delta", "0"))
-        fields = [
-            SymbolField(sig, weight, degree, terms)
-            for degree, terms in sorted(by_degree.items())
-        ]
-        if not fields:
-            return SymbolField.zero(sig, weight, 0)
-        if len(fields) == 1:
-            return fields[0]
-        return MixedSymbol.from_fields(sig, weight, fields)
-    lam = Fraction(weights.get("lambda", "0"))
-    mu = Fraction(weights.get("mu", "0"))
-    terms = {}
-    for xe, tmask, slot, se, smask, c in rows:
-        if slot != "d":
-            raise ExprError("operator terms need derivative atoms", 0)
-        poly = SuperPolynomial(sig, {(xe, tmask): c})
-        key = (se, smask)
-        terms[key] = terms[key] + poly if key in terms else poly
-    return DiffOperator(sig, lam, mu, terms)
+    for key, coeff in terms:
+        xe, tmask, slot, se, smask = _parse_key(key, sig)
+        if slot != _SLOT_PREFIX[kind]:
+            raise ExprError(f"term key {key!r} does not fit a {kind}", 0)
+        rows.append((xe, tmask, se, smask, _rational(coeff)))
+    return _build(kind, sig, rows, *map(_rational, weights))
 
 
 def value_to_json_text(v) -> str:

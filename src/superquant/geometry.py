@@ -1007,9 +1007,8 @@ def symbol_divergence(s: SymbolField) -> SymbolField:
             continue
         ds = SymbolField._raw(sig, s.weight, s.degree, dterms)
         row = [Fraction(0)] * sig.n
-        row[j - 1] = Fraction(1)
-        contracted = interior(row, ds)
-        out = out + (contracted if sig.parity(j) == 0 else -contracted)
+        row[j - 1] = Fraction(-1 if sig.parity(j) else 1)
+        out = out + interior(row, ds)
     return out
 
 

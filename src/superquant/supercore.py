@@ -10,26 +10,20 @@ factors implicitly in ascending index order.  All arithmetic is exact over
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-if os.environ.get("SUPERQUANT_PURE_PYTHON"):
-    from . import _termops_py as _ops
-else:
-    try:
-        from . import _termops as _ops  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _termops_py as _ops
+from . import _termops_py as _ops
 
-KERNEL_BACKEND: str = _ops.BACKEND
+# the one term-map kernel; benchmark and stats records name it
+KERNEL_BACKEND: str = "python"
 
 Rational = int | Fraction
 
 
 def kernel_backend() -> str:
-    """Which term-map kernel implementation was selected at import time."""
+    """Name of the term-map kernel: always the pure-Python ``_termops_py``."""
     return KERNEL_BACKEND
 
 

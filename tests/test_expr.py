@@ -175,6 +175,77 @@ class TestFormatting:
         assert str(x) == "x1*dx1"
 
 
+X1 = SuperPolynomial.coordinate(S21, 1)
+
+# the printed text of one value per kind, pinned: the CLI goldens pin only
+# JSON
+PINNED_TEXT = [
+    (
+        SuperPolynomial(
+            S21,
+            {
+                ((0, 0), 0): Fraction(-3, 4),
+                ((1, 0), 1): Fraction(2),
+                ((0, 2), 0): Fraction(-1),
+                ((2, 1), 1): Fraction(5, 3),
+                ((1, 0), 0): Fraction(1),
+            },
+        ),
+        "-(3/4) + x1 - x2^2 + 2*x1*t1 + (5/3)*x1^2*x2*t1",
+    ),
+    (
+        SuperVectorField(
+            S21,
+            [
+                X1 * Fraction(-1, 2),
+                SuperPolynomial.monomial(S21, (0, 1), [1], 3),
+                SuperPolynomial.monomial(S21, (1, 1), [], -1) + 1,
+            ],
+        ),
+        "-(1/2)*x1*dx1 + 3*x2*t1*dx2 + dt1 - x1*x2*dt1",
+    ),
+    (
+        MixedSymbol.from_fields(
+            S12,
+            Fraction(1, 5),
+            [
+                SymbolField.monomial(
+                    S12,
+                    Fraction(1, 5),
+                    (1,),
+                    [2],
+                    SuperPolynomial.monomial(S12, (1,), [1], Fraction(-2, 7)),
+                ),
+                SymbolField.monomial(S12, Fraction(1, 5), (0,), [1, 2], 4),
+                SymbolField.monomial(S12, Fraction(1, 5), (0,), [], Fraction(-3, 2)),
+            ],
+        ),
+        "4*et1*et2 - (2/7)*x1*t1*ex1*et2 - (3/2)",
+    ),
+    (
+        DiffOperator(
+            S11,
+            Fraction(1, 3),
+            Fraction(8, 15),
+            {
+                ((2,), 1): SuperPolynomial.monomial(S11, (1,), [1]),
+                ((0,), 0): Fraction(5, 12),
+                ((1,), 0): SuperPolynomial.monomial(S11, (0,), [], -1),
+                ((0,), 1): SuperPolynomial.monomial(S11, (3,), [], Fraction(7, 2)),
+            },
+        ),
+        "x1*t1*dx1^2*dt1 + (7/2)*x1^3*dt1 - dx1 + (5/12)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "value, text", PINNED_TEXT, ids=["poly", "vfield", "symbol", "operator"]
+)
+def test_format_value_text_is_pinned(value, text):
+    assert format_value(value) == text
+
+
 def rand_fraction(rng):
     return Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3]))
 
@@ -326,6 +397,43 @@ class TestJson:
             format_value(42)
 
 
+def _doc(kind="poly", key="x^(0);t{}", coeff="1", p=1, q=1, weights=None):
+    return {
+        "signature": {"p": p, "q": q},
+        "weights": weights or {},
+        "kind": kind,
+        "terms": [{"key": key, "coeff": coeff}],
+    }
+
+
+# each document is malformed: a repeated or out-of-range odd index, an
+# unreadable list or rational, a missing key, or a bad signature or shape
+MALFORMED_DOCS = {
+    "repeated odd index": _doc(key="x^(0);t{1,1}"),
+    "repeated odd slot index": _doc("symbol", "x^(0);t{};e x^(0);e t{1,1}"),
+    "odd index 0": _doc(key="x^(0);t{0}"),
+    "odd index beyond q": _doc(key="x^(0);t{2}"),
+    "odd slot index beyond q": _doc("vfield", "x^(0);t{};d x^(0);d t{3}"),
+    "empty list item": _doc(key="x^(1,,0);t{}", p=2),
+    "coefficient text": _doc(coeff="abc"),
+    "zero denominator": _doc(coeff="1/0"),
+    "coefficient number": _doc(coeff=None),
+    "weight text": _doc("operator", "x^(0);t{};d x^(1);d t{}", weights={"lambda": "x"}),
+    "missing terms": {"signature": {"p": 1, "q": 1}, "kind": "poly"},
+    "missing signature": {"kind": "poly", "terms": []},
+    "negative signature": _doc(p=-1, q=0),
+    "signature text": _doc(p="a"),
+    "weights not a map": dict(_doc(), weights=["delta"]),
+    "not a map": ["poly"],
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_DOCS.values(), ids=list(MALFORMED_DOCS))
+def test_malformed_json_raises_expr_error(doc):
+    with pytest.raises(ExprError):
+        value_from_json(doc)
+
+
 # ---------------------------------------------------------------------------
 # Property-based round trips: for every value the formatter can emit, parsing
 # the text (or the JSON document) must reproduce the value exactly.
@@ -475,3 +583,48 @@ class TestParseFuzz:
         assert s.degree == 7
         d = parse("operator", "dx1^12345678901", S21)
         assert d.order == 12345678901
+
+
+# term keys close to the encoder's layout: small indices, so that repeats,
+# index 0, indices beyond q and wrong arities all occur
+_INT_LISTS = st.lists(st.integers(0, 4), max_size=4).map(
+    lambda xs: ",".join(map(str, xs))
+)
+_NEAR_KEYS = st.builds(
+    lambda xe, t, slot, se, s: f"x^({xe});t{{{t}}}"
+    + (f";{slot} x^({se});{slot} t{{{s}}}" if slot else ""),
+    _INT_LISTS,
+    _INT_LISTS,
+    st.sampled_from(["", "d", "e"]),
+    _INT_LISTS,
+    _INT_LISTS,
+)
+KEY_TEXT = st.one_of(
+    st.text(max_size=30),
+    st.text(alphabet="xtde^(){};, 0123456789", max_size=30),
+    _NEAR_KEYS,
+)
+COEFF_TEXT = st.one_of(
+    st.text(max_size=12), st.text(alphabet="-/0123456789e. ", max_size=12)
+)
+
+
+class TestJsonFuzz:
+    @pytest.mark.parametrize("kind", ["poly", "vfield", "symbol", "operator"])
+    @settings(max_examples=150, deadline=None)
+    @given(key=KEY_TEXT, coeff=COEFF_TEXT, sig=_signatures())
+    @example(key="x^(0,0);t{1,1}", coeff="1", sig=S21)
+    @example(key="x^(0,0);t{}", coeff="1e999999999", sig=S21)
+    @example(key="x^(0,0);t{}", coeff="1" * 5000, sig=S21)
+    def test_value_or_expr_error(self, kind, key, coeff, sig):
+        doc = {
+            "signature": {"p": sig.p, "q": sig.q},
+            "weights": {"delta": coeff, "lambda": coeff},
+            "kind": kind,
+            "terms": [{"key": key, "coeff": coeff}],
+        }
+        try:
+            value = value_from_json(doc)
+        except ExprError:
+            return
+        assert value is not None

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superquant import Signature, SuperPolynomial, iter_monomials
+from superquant.supercore import _ops
 
 S11 = Signature(1, 1)
 S12 = Signature(1, 2)
@@ -156,6 +157,33 @@ def test_word_oracle_derivatives(seed):
         else:
             dsign, rest = res
             assert lhs == poly_from_word(sig, rest, dsign)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's sign helpers on every pair of 6-bit masks, against the oracle
+
+
+def mask_word(mask):
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def test_odd_merge_sign_all_small_masks():
+    for a in range(1 << 6):
+        for b in range(1 << 6):
+            canon = word_canon(mask_word(a) + mask_word(b))
+            want = 0 if canon is None else canon[0]
+            assert _ops.odd_merge_sign(a, b) == want, (a, b)
+
+
+def test_odd_below_all_small_masks():
+    for mask in range(1 << 6):
+        for pos in range(6):
+            below = [t for t in mask_word(mask) if t <= pos]
+            assert _ops.odd_below(mask, 1 << pos) == len(below), (mask, pos)
+            # sorting generator pos+1 into the rest passes exactly those below it
+            rest = mask_word(mask & ~(1 << pos))
+            sign, _ = word_canon((pos + 1,) + rest)
+            assert sign == (-1) ** len(below), (mask, pos)
 
 
 # ---------------------------------------------------------------------------
