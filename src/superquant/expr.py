@@ -35,7 +35,16 @@ import re
 from fractions import Fraction
 
 from .errors import ExprError
-from .geometry import DiffOperator, MixedSymbol, SuperVectorField, SymbolField
+from .geometry import (
+    DiffOperator,
+    MixedSymbol,
+    SuperVectorField,
+    SymbolField,
+    _doubled,
+    _join,
+    _slot_degrees,
+    _split,
+)
 from .supercore import Signature, SuperPolynomial, _ops
 
 KIND_POLY = "poly"
@@ -117,12 +126,12 @@ def _lex(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 # Parser / evaluator
 #
-# Intermediate values are free supercommutative monomial maps in the
-# kernel's term-map form ``(exponents, odd_mask) -> Fraction``: the first p
-# exponents are the coordinates', the last p the slot atoms', and the odd
-# mask packs coordinate odds in bits 0..q-1 and slot odds in bits q..2q-1,
-# so that the canonical ascending bit order is exactly the canonical printed
-# order and the kernel's product carries the merge signs.
+# Intermediate values are term maps over the doubled signature (2p|2q), the
+# layout of ``geometry``: the first p exponents are the coordinates', the
+# last p the slot atoms', and the odd mask packs coordinate odds in bits
+# 0..q-1 and slot odds in bits q..2q-1, so that the canonical ascending bit
+# order is exactly the canonical printed order and the kernel's product
+# carries the merge signs.
 
 
 def _add_into(a: dict, b: dict, sign: int) -> None:
@@ -269,16 +278,17 @@ def parse(
         value = _Parser(tokens, kind, signature).parse()
     except RecursionError:
         raise ExprError("expression nested too deeply", 0) from None
-    p, q = signature.p, signature.q
-    low = (1 << q) - 1
-    rows = [(e[:p], m & low, e[p:], m >> q, c) for (e, m), c in value.items()]
-    return _build(kind, signature, rows, weight, lam, lam if mu is None else mu)
+    # the parser's monomial maps are term maps over the doubled signature
+    poly = SuperPolynomial._raw(_doubled(signature), value)
+    return _build(kind, signature, poly, weight, lam, lam if mu is None else mu)
 
 
 # ---------------------------------------------------------------------------
-# Rows: the one flat form of every kind.  A row ``(xe, tmask, se, smask,
+# Rows: the one printed form of every kind.  A row ``(xe, tmask, se, smask,
 # coeff)`` is one monomial: coordinate exponents and odd mask, then the slot
-# exponents and odd mask (zero for polynomials).
+# exponents and odd mask (zero for polynomials).  Symbols and operators are
+# read through ``geometry._split`` and every kind is built through one term
+# map, made by ``geometry._join`` from decoded rows.
 
 
 def _slot_sort_key(item):
@@ -303,13 +313,14 @@ def _rows(v):
         units += [((0,) * sig.p, 1 << j) for j in range(sig.q)]
         slots = zip(units, v.components)
     elif isinstance(v, (SymbolField, MixedSymbol)):
+        sig = v.signature
         parts = v.parts() if isinstance(v, MixedSymbol) else [v]
         head = (KIND_SYMBOL, "e", {"delta": v.weight})
-        items = [item for part in parts for item in part.items()]
+        items = [item for part in parts for item in _split(sig, part._poly).items()]
         slots = sorted(items, key=_slot_sort_key)
     elif isinstance(v, DiffOperator):
         head = (KIND_OPERATOR, "d", {"lambda": v.lam, "mu": v.mu})
-        slots = sorted(v.items(), key=_slot_sort_key)
+        slots = sorted(_split(v.signature, v._poly).items(), key=_slot_sort_key)
     else:
         raise TypeError(f"cannot format {type(v).__name__}")
     rows = [
@@ -320,39 +331,32 @@ def _rows(v):
     return (*head, rows)
 
 
-def _build(kind: str, sig: Signature, rows, weight, lam, mu):
-    """The value of ``kind`` whose terms are ``rows``; equal keys add up."""
-    slots: dict = {}
-    for xe, tmask, se, smask, c in rows:
-        terms = slots.setdefault((se, smask), {})
-        terms[(xe, tmask)] = terms.get((xe, tmask), 0) + c
-    polys = {key: SuperPolynomial(sig, terms) for key, terms in slots.items()}
-    if kind == KIND_POLY:
-        # a polynomial's rows all have the zero slot key
-        return polys.popitem()[1] if polys else SuperPolynomial.zero(sig)
-    if kind == KIND_VFIELD:
-        comps = [SuperPolynomial.zero(sig)] * sig.n
-        for (se, smask), poly in polys.items():
-            if sum(se) + smask.bit_count() != 1:
-                raise ExprError(
-                    "a vector field needs exactly one derivative atom per term", 0
-                )
-            comps[se.index(1) if sum(se) else sig.p + smask.bit_length() - 1] = poly
-        return SuperVectorField(sig, comps)
+def _build(kind: str, sig: Signature, poly: SuperPolynomial, weight, lam, mu):
+    """The value of ``kind`` whose term map over the doubled signature is ``poly``."""
     if kind == KIND_OPERATOR:
-        return DiffOperator(sig, lam, mu, polys)
-    by_degree: dict[int, dict] = {}
-    for (se, smask), poly in polys.items():
-        by_degree.setdefault(sum(se) + smask.bit_count(), {})[(se, smask)] = poly
-    fields = [
-        SymbolField(sig, weight, degree, terms)
-        for degree, terms in sorted(by_degree.items())
-    ]
-    if not fields:
-        return SymbolField.zero(sig, weight, 0)
-    if len(fields) == 1:
-        return fields[0]
-    return MixedSymbol.from_fields(sig, weight, fields)
+        return DiffOperator.zero(sig, lam, mu)._with(poly)
+    if kind == KIND_SYMBOL:
+        fields = [
+            SymbolField.zero(sig, weight, degree)._with(part)
+            for degree, part in sorted(_slot_degrees(sig, poly).items())
+        ]
+        if not fields:
+            return SymbolField.zero(sig, weight, 0)
+        if len(fields) == 1:
+            return fields[0]
+        return MixedSymbol(sig, weight, {field.degree: field for field in fields})
+    polys = {key: SuperPolynomial._raw(sig, t) for key, t in _split(sig, poly).items()}
+    if kind == KIND_POLY:
+        # a polynomial's terms all have the zero slot key
+        return polys.popitem()[1] if polys else SuperPolynomial.zero(sig)
+    comps = [SuperPolynomial.zero(sig)] * sig.n
+    for (se, smask), comp in polys.items():
+        if sum(se) + smask.bit_count() != 1:
+            raise ExprError(
+                "a vector field needs exactly one derivative atom per term", 0
+            )
+        comps[se.index(1) if sum(se) else sig.p + smask.bit_length() - 1] = comp
+    return SuperVectorField(sig, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +503,7 @@ def value_from_json(data: dict):
         if slot != _SLOT_PREFIX[kind]:
             raise ExprError(f"term key {key!r} does not fit a {kind}", 0)
         rows.append((xe, tmask, se, smask, _rational(coeff)))
-    return _build(kind, sig, rows, *map(_rational, weights))
+    return _build(kind, sig, _join(sig, rows), *map(_rational, weights))
 
 
 def value_to_json_text(v) -> str:

@@ -4,13 +4,27 @@ Three graded modules live here, all with exact rational coefficients:
 
 * ``SuperVectorField`` — derivations X = sum X^i d/dy^i with polynomial
   components;
-* ``SymbolField`` — degree-k polynomial symbols: coefficients tensored with
-  symmetric monomials in the frame vectors e_1..e_{p+q} (odd frame vectors
-  anticommute and square to zero), twisted by a density weight;
+* ``SymbolField`` — degree-k polynomial symbols: polynomials in the
+  coordinates and the frame vectors e_1..e_{p+q}, homogeneous of degree k in
+  the frame vectors (odd frame vectors anticommute and square to zero),
+  twisted by a density weight;
 * ``DiffOperator`` — differential operators between density modules, kept in
   normal form: coefficients to the left of derivative monomials whose odd
   factors carry ascending indices, any sign having been folded into the
   coefficient.
+
+A symbol or an operator is one term map: a ``SuperPolynomial`` over the
+doubled signature (2p|2q) whose variables are the coordinates y and the slot
+atoms, the frame vectors e of a symbol or the derivatives d of an operator.
+A key is ``(xe + se, tmask | smask << q)``: the coordinate exponents, then the
+slot exponents; the odd coordinates in mask bits 0..q-1, below the odd slot
+atoms in bits q..2q-1.  Coordinate bits below slot bits put a coefficient to
+the left of its slot monomial, so the term map of g e^B is the product
+g * e^B and a key splits into a slot key and a coefficient key with no sign.
+Every construction is then a few kernel calls: an interior product is a slot
+derivative, a symmetric product a left product, the Lie derivative of a
+symbol a first-order operator on the doubled variables, and normal ordering
+moves one derivative factor at a time.
 
 Conventions that fix every sign below: odd derivatives act from the left;
 an operator of odd parity passes a function coefficient g at the cost of
@@ -18,13 +32,15 @@ an operator of odd parity passes a function coefficient g at the cost of
 sum_i (-1)^{parity(y^i) parity(X^i)} dX^i/dy^i.
 
 Values are never mutated in place.  A vector field relies on this: what
-``lie_symbol`` and ``lie_operator`` need of it alone (graded parts, their
-divergences and Jacobians) is computed on first use and kept with the field.
+``lie_symbol`` and ``lie_operator`` need of it alone (its lift to the doubled
+variables, graded parts and divergences) is computed on first use and kept
+with the field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .supercore import (
@@ -33,39 +49,95 @@ from .supercore import (
     SuperPolynomial,
     _canonical_key,
     _check_same_signature,
-    _ops,
     as_fraction,
     iter_monomials,
 )
 
-_odd_below = _ops.odd_below
-_odd_merge_sign = _ops.odd_merge_sign
+# ---------------------------------------------------------------------------
+# the term-map layout
 
 
-def _acc(d: dict, key, poly: SuperPolynomial) -> None:
-    cur = d.get(key)
-    if cur is None:
-        if poly:
-            d[key] = poly
-    else:
-        s = cur + poly
-        if s:
-            d[key] = s
-        else:
-            del d[key]
+@cache
+def _doubled(sig: Signature) -> Signature:
+    """The signature (2p|2q) of the term maps over ``sig``."""
+    return Signature(2 * sig.p, 2 * sig.q)
 
 
-def _validate_terms(signature: Signature, terms) -> dict:
-    canon: dict = {}
+def _coord(sig: Signature, i: int) -> int:
+    """Index of the coordinate y^i among the doubled variables."""
+    return i if i <= sig.p else sig.p + i
+
+
+def _slot(sig: Signature, i: int) -> int:
+    """Index of the slot atom paired with y^i among the doubled variables."""
+    return sig.p + i if i <= sig.p else sig.p + sig.q + i
+
+
+def _unit(sig: Signature, i: int) -> tuple:
+    """The slot key of the atom paired with y^i."""
+    if i <= sig.p:
+        return tuple(int(k == i - 1) for k in range(sig.p)), 0
+    return (0,) * sig.p, 1 << (i - sig.p - 1)
+
+
+def _lift(sig: Signature, f, slot=None) -> SuperPolynomial:
+    """The term map of a superfunction f (or of its terms) times the slot
+    monomial of the slot key ``slot``, by default none; no sign arises."""
+    se, smask = slot or ((0,) * sig.p, 0)
+    smask <<= sig.q
+    return SuperPolynomial._raw(
+        _doubled(sig), {(e + se, m | smask): c for (e, m), c in f.items()}
+    )
+
+
+def _slot_monomial(sig: Signature, key) -> SuperPolynomial:
+    se, smask = key
+    return SuperPolynomial._raw(
+        _doubled(sig), {((0,) * sig.p + se, smask << sig.q): Fraction(1)}
+    )
+
+
+def _split(sig: Signature, poly: SuperPolynomial) -> dict:
+    """A term map grouped by slot key: ``{(se, smask): {(xe, tmask): coeff}}``."""
+    p, q = sig.p, sig.q
+    low = (1 << q) - 1
+    slots: dict = {}
+    for (e, m), c in poly.items():
+        slots.setdefault((e[p:], m >> q), {})[(e[:p], m & low)] = c
+    return slots
+
+
+def _join(sig: Signature, rows) -> SuperPolynomial:
+    """The term map of rows ``(xe, tmask, se, smask, coeff)``; equal keys add up."""
+    q = sig.q
+    terms: dict = {}
+    for xe, tmask, se, smask, c in rows:
+        key = (xe + se, tmask | smask << q)
+        terms[key] = terms.get(key, 0) + c
+    return SuperPolynomial(_doubled(sig), terms)
+
+
+def _nested(sig: Signature, terms) -> SuperPolynomial:
+    """The term map of ``{slot key: coefficient}``; a coefficient is a
+    superfunction or a rational."""
+    rows = []
     for key, poly in terms.items():
-        key = _canonical_key(signature, key)
+        se, smask = _canonical_key(sig, key)
         if not isinstance(poly, SuperPolynomial):
-            poly = SuperPolynomial.scalar(signature, poly)
-        if poly.signature != signature:
+            poly = SuperPolynomial.scalar(sig, poly)
+        elif poly.signature != sig:
             raise ValueError("coefficient signature mismatch")
-        if poly:
-            _acc(canon, key, poly)
-    return canon
+        rows += [(xe, tmask, se, smask, c) for (xe, tmask), c in poly.items()]
+    return _join(sig, rows)
+
+
+def _slot_degrees(sig: Signature, poly: SuperPolynomial) -> dict:
+    """A term map split by slot degree: ``{degree: term map}``."""
+    p, q = sig.p, sig.q
+    by_degree: dict = {}
+    for (e, m), c in poly.items():
+        by_degree.setdefault(sum(e[p:]) + (m >> q).bit_count(), {})[(e, m)] = c
+    return {k: SuperPolynomial._raw(poly.signature, t) for k, t in by_degree.items()}
 
 
 def _key_degree(key) -> int:
@@ -90,42 +162,47 @@ class _Graded:
 class _TermMap:
     """Linear core shared by symbols and operators.
 
-    Terms map ``(even_exponents, odd_mask)`` keys to nonzero polynomial
-    coefficients.  Beside the signature each map carries the two attributes
-    named in ``_fields``; the ones named in ``_weights`` must agree in a sum.
+    ``_poly`` is the term map over the doubled signature.  Beside the
+    signature each map carries the two attributes named in ``_fields``; the
+    ones named in ``_weights`` must agree in a sum.
     """
 
-    __slots__ = ("signature", "_terms")
+    __slots__ = ("signature", "_poly")
     _fields: tuple[str, str]
     _weights: tuple[str, ...]
 
     @classmethod
-    def _raw(cls, signature, first, second, terms):
+    def _raw(cls, signature, first, second, poly: SuperPolynomial):
         self = cls.__new__(cls)
         self.signature = signature
         a, b = cls._fields
         setattr(self, a, first)
         setattr(self, b, second)
-        self._terms = terms
+        self._poly = poly
         return self
 
-    def _with_terms(self, terms: dict):
+    def _with(self, poly: SuperPolynomial):
         a, b = self._fields
-        return self._raw(self.signature, getattr(self, a), getattr(self, b), terms)
+        return self._raw(self.signature, getattr(self, a), getattr(self, b), poly)
 
     def items(self):
-        return self._terms.items()
+        """``(slot key, coefficient)`` pairs: each slot monomial
+        ``(even_exponents, odd_mask)`` with its superfunction coefficient."""
+        sig = self.signature
+        return [
+            (key, SuperPolynomial._raw(sig, terms))
+            for key, terms in _split(sig, self._poly).items()
+        ]
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._poly
 
     def coefficient(self, evens: Iterable[int], odds: Iterable[int]) -> SuperPolynomial:
         mask = 0
         for t in odds:
             mask |= 1 << (t - 1)
-        return self._terms.get(
-            (tuple(evens), mask), SuperPolynomial.zero(self.signature)
-        )
+        terms = _split(self.signature, self._poly).get((tuple(evens), mask), {})
+        return SuperPolynomial._raw(self.signature, terms)
 
     def _compatible(self, other) -> None:
         _check_same_signature(self, other)
@@ -138,24 +215,21 @@ class _TermMap:
         if not isinstance(other, type(self)):
             return NotImplemented
         self._compatible(other)
-        terms = dict(self._terms)
-        for key, poly in other._terms.items():
-            _acc(terms, key, poly)
         # a zero summand may carry any symbol degree: keep the other's
-        return (self if self._terms else other)._with_terms(terms)
+        return (self if self._poly else other)._with(self._poly + other._poly)
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._compatible(other)
+        return (self if self._poly else other)._with(self._poly - other._poly)
 
     def __neg__(self):
-        return self._with_terms({k: -v for k, v in self._terms.items()})
+        return self._with(-self._poly)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            if not c:
-                return self._with_terms({})
-            return self._with_terms({k: v * c for k, v in self._terms.items()})
+            return self._with(self._poly * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -168,7 +242,7 @@ class _TermMap:
         return (
             self.signature == other.signature
             and all(getattr(self, n) == getattr(other, n) for n in self._weights)
-            and self._terms == other._terms
+            and self._poly == other._poly
         )
 
     __hash__ = None
@@ -178,60 +252,63 @@ class _TermMap:
 # vector fields
 
 
-class _GradedAction(NamedTuple):
-    """The action data of one graded part X_chi of a vector field.
+class _FieldAction(NamedTuple):
+    """The action data of a field X over the doubled variables.
 
-    ``nonconstant`` lists ``(i, X_chi^i, -X_chi^i)`` for the components of
-    positive degree (0-based i), the only ones whose normal-ordered product
-    with a derivative has terms below the top order.  ``jacobian`` lists
-    ``(i, j, J_ij)`` with J_ij = s_i dX_chi^j/dy^i nonzero, where s_i = 1
-    when chi and y^i are both odd and -1 otherwise; ``trace`` is
+    ``transport`` is X itself, acting on the coordinates of a term map.
+    ``lift`` adds to it the rotation of the slot atoms, sum_ij J_ij e_j d/de_i
+    with J_ij = s_i dX_chi^j/dy^i summed over the graded parts X_chi, where
+    s_i = 1 when chi and y^i are both odd and -1 otherwise; ``trace`` is
     sum_i -(-1)^{parity(y^i)} J_ii, so that a density twist of weight delta
-    contributes delta * trace.
+    contributes delta * trace.  ``div`` is div X.  ``field`` is
+    sum_i X^i d_i and ``low_div`` is div X, both without their constant
+    terms, which add nothing below the top order when an operator is
+    normal-ordered past them.
     """
 
-    parity: int
-    field: "SuperVectorField"
-    nonconstant: tuple
-    div: SuperPolynomial
-    jacobian: tuple
+    lift: "SuperVectorField"
+    transport: "SuperVectorField"
     trace: SuperPolynomial
-
-
-class _FieldAction(NamedTuple):
-    """The graded parts of a field with their action data, and div X."""
-
-    parts: tuple[_GradedAction, ...]
     div: SuperPolynomial
+    field: SuperPolynomial
+    low_div: SuperPolynomial
 
 
 def _field_action(x: "SuperVectorField") -> _FieldAction:
     sig = x.signature
-    parts = []
-    div = SuperPolynomial.zero(sig)
+    dsig = _doubled(sig)
+    n = sig.n
+    rotation = [SuperPolynomial.zero(dsig)] * n
+    trace = SuperPolynomial.zero(sig)
     for chi, xp in x.graded_parts():
-        div_chi = xp.divergence()
-        div = div + div_chi
-        jacobian = []
-        trace = SuperPolynomial.zero(sig)
-        for i in range(1, sig.n + 1):
+        for i in range(1, n + 1):
             ti = sig.parity(i)
             sfac = 1 if (ti and chi) else -1
-            for j in range(1, sig.n + 1):
+            for j in range(1, n + 1):
                 dcomp = xp.components[j - 1].partial(i)
                 if not dcomp:
                     continue
                 jij = sfac * dcomp
-                jacobian.append((i, j, jij))
+                rotation[i - 1] += _lift(sig, jij, _unit(sig, j))
                 if i == j:
                     trace = trace + jij if ti else trace - jij
-        nonconstant = tuple(
-            (i, c, -c) for i, c in enumerate(xp.components) if c.degree() > 0
-        )
-        parts.append(
-            _GradedAction(chi, xp, nonconstant, div_chi, tuple(jacobian), trace)
-        )
-    return _FieldAction(tuple(parts), div)
+    transport = [SuperPolynomial.zero(dsig)] * (2 * n)
+    field = SuperPolynomial.zero(dsig)
+    for i, comp in enumerate(x.components, start=1):
+        transport[_coord(sig, i) - 1] = _lift(sig, comp)
+        field = field + _lift(sig, comp - comp.constant_term(), _unit(sig, i))
+    lift = list(transport)
+    for i, row in enumerate(rotation, start=1):
+        lift[_slot(sig, i) - 1] = row
+    div = x.divergence()
+    return _FieldAction(
+        SuperVectorField(dsig, lift),
+        SuperVectorField(dsig, transport),
+        _lift(sig, trace),
+        _lift(sig, div),
+        field,
+        _lift(sig, div - div.constant_term()),
+    )
 
 
 class SuperVectorField(_Graded):
@@ -394,8 +471,9 @@ def lie_density(x: SuperVectorField, lam: Rational, f: SuperPolynomial) -> Super
 class SymbolField(_TermMap):
     """Homogeneous degree-k symbol with a density twist.
 
-    Terms map ``(even_exponents, odd_selection)`` frame monomials to
-    polynomial coefficients; every key satisfies
+    The term map is homogeneous of degree ``degree`` in the frame vectors;
+    ``items()`` lists its frame monomials ``(even_exponents, odd_selection)``
+    with their polynomial coefficients, each key satisfying
     ``sum(even_exponents) + |odd_selection| == degree``.
     """
 
@@ -409,13 +487,12 @@ class SymbolField(_TermMap):
         self.signature = signature
         self.weight = as_fraction(weight)
         self.degree = degree
-        canon = _validate_terms(signature, terms or {})
-        for key in canon:
+        self._poly = _nested(signature, terms or {})
+        for key in _split(signature, self._poly):
             if _key_degree(key) != degree:
                 raise ValueError(
                     f"frame monomial {key} has degree {_key_degree(key)}, expected {degree}"
                 )
-        self._terms = canon
 
     @classmethod
     def zero(cls, signature: Signature, weight: Rational, degree: int) -> "SymbolField":
@@ -448,9 +525,7 @@ class SymbolField(_TermMap):
         """The coefficient of a degree-0 symbol as a plain superfunction."""
         if self.degree != 0:
             raise ValueError("scalar_poly requires a degree-0 symbol")
-        return self._terms.get(
-            ((0,) * self.signature.p, 0), SuperPolynomial.zero(self.signature)
-        )
+        return self.coefficient((0,) * self.signature.p, ())
 
     def _compatible(self, other: "SymbolField") -> None:
         super()._compatible(other)
@@ -459,10 +534,8 @@ class SymbolField(_TermMap):
 
     def scale_poly(self, f: SuperPolynomial) -> "SymbolField":
         """Left multiplication of the coefficients by a superfunction."""
-        terms: dict = {}
-        for key, poly in self._terms.items():
-            _acc(terms, key, f * poly)
-        return SymbolField._raw(self.signature, self.weight, self.degree, terms)
+        _check_same_signature(self, f)
+        return self._with(_lift(self.signature, f) * self._poly)
 
     def vee(self, v: Sequence[Rational]) -> "SymbolField":
         """Symmetric product with a homogeneous frame vector (column)."""
@@ -470,30 +543,13 @@ class SymbolField(_TermMap):
         vec = [as_fraction(c) for c in v]
         if len(vec) != sig.n:
             raise ValueError(f"expected {sig.n} vector components")
-        even_supp = any(vec[: sig.p])
-        odd_supp = any(vec[sig.p :])
-        if even_supp and odd_supp:
+        if any(vec[: sig.p]) and any(vec[sig.p :]):
             raise ValueError("frame vector must be parity homogeneous")
-        terms: dict = {}
-        for (b, m), g in self._terms.items():
-            if even_supp:
-                for r in range(sig.p):
-                    c = vec[r]
-                    if c:
-                        key = (b[:r] + (b[r] + 1,) + b[r + 1 :], m)
-                        _acc(terms, key, g * c)
-            elif odd_supp:
-                gs = g.parity_twist()
-                for t in range(1, sig.q + 1):
-                    c = vec[sig.p + t - 1]
-                    if not c:
-                        continue
-                    bit = 1 << (t - 1)
-                    if m & bit:
-                        continue
-                    sign = -1 if _odd_below(m, bit) & 1 else 1
-                    _acc(terms, (b, m | bit), gs * (c * sign))
-        return SymbolField._raw(sig, self.weight, self.degree + 1, terms)
+        frame = SuperPolynomial.zero(_doubled(sig))
+        for i, c in enumerate(vec, start=1):
+            if c:
+                frame = frame + c * _slot_monomial(sig, _unit(sig, i))
+        return SymbolField._raw(sig, self.weight, self.degree + 1, frame * self._poly)
 
     def as_mixed(self) -> "MixedSymbol":
         return MixedSymbol(self.signature, self.weight, {self.degree: self})
@@ -501,7 +557,7 @@ class SymbolField(_TermMap):
     def __repr__(self):
         return (
             f"SymbolField({self.signature}, weight={self.weight}, "
-            f"degree={self.degree}, {self._terms!r})"
+            f"degree={self.degree}, {dict(self.items())!r})"
         )
 
     def __str__(self):
@@ -621,47 +677,32 @@ class MixedSymbol:
 # differential operators
 
 
-def _push_through(sig: Signature, ae, am, g: SuperPolynomial) -> dict:
-    """Normal-order (d^(ae,am)) o (g .) as sum_key M_h o d^key.
+def _push_through(sig: Signature, alpha, m: SuperPolynomial) -> SuperPolynomial:
+    """Normal-order d^alpha o M for an operator M given as a term map.
 
-    The entry at key (ae, am) itself is the top-order term tau^|am|(g), the
-    parity twist applied once per odd factor.
+    Each derivative factor d/dy^i of d^alpha, right to left, maps M to
+    dM/dy^i + d_i * M: the factor differentiates the coefficients, or passes
+    them to stand at the left of the derivative monomials, with the sign of
+    the product.
     """
-    state = {((0,) * sig.p, 0): g}
-    # process derivative factors right-to-left: odd descending, then even
-    for t in range(sig.q, 0, -1):
-        bit = 1 << (t - 1)
-        if not am & bit:
-            continue
-        new: dict = {}
-        for (e, m), h in state.items():
-            dh = h.partial(sig.p + t)
-            if dh:
-                _acc(new, (e, m), dh)
-            if m & bit:
-                continue  # repeated odd derivative annihilates
-            # bits already in m lie above this one: no reordering sign
-            _acc(new, (e, m | bit), h.parity_twist())
-        state = new
-    for ix in range(sig.p):
-        for _ in range(ae[ix]):
-            new = {}
-            for (e, m), h in state.items():
-                dh = h.partial(ix + 1)
-                if dh:
-                    _acc(new, (e, m), dh)
-                _acc(new, (e[:ix] + (e[ix] + 1,) + e[ix + 1 :], m), h)
-            state = new
-    return state
+    se, smask = alpha
+    p = sig.p
+    for i in range(sig.n, 0, -1):
+        times = se[i - 1] if i <= p else smask >> (i - p - 1) & 1
+        if times:
+            atom = _slot_monomial(sig, _unit(sig, i))
+            for _ in range(times):
+                m = m.partial(_coord(sig, i)) + atom * m
+    return m
 
 
 class DiffOperator(_TermMap, _Graded):
     """Normal-form differential operator between density modules.
 
-    Terms map derivative multi-indices ``(even_powers, odd_subset)`` to
-    polynomial coefficients standing to the left; within a term the odd
-    derivative factors carry ascending indices and the rightmost factor acts
-    first.
+    ``items()`` lists derivative multi-indices ``(even_powers, odd_subset)``
+    with the polynomial coefficients standing to their left; within a term
+    the odd derivative factors carry ascending indices and the rightmost
+    factor acts first.
     """
 
     __slots__ = ("lam", "mu")
@@ -671,7 +712,7 @@ class DiffOperator(_TermMap, _Graded):
         self.signature = signature
         self.lam = as_fraction(lam)
         self.mu = as_fraction(mu)
-        self._terms = _validate_terms(signature, terms or {})
+        self._poly = _nested(signature, terms or {})
 
     @classmethod
     def zero(cls, signature: Signature, lam: Rational, mu: Rational) -> "DiffOperator":
@@ -686,16 +727,14 @@ class DiffOperator(_TermMap, _Graded):
 
     @property
     def order(self) -> int:
-        if not self._terms:
-            return 0
-        return max(_key_degree(k) for k in self._terms)
+        return max(_slot_degrees(self.signature, self._poly), default=0)
 
     def apply(self, f: SuperPolynomial) -> SuperPolynomial:
         """Evaluate on a superfunction."""
         _check_same_signature(self, f)
         sig = self.signature
         out = SuperPolynomial.zero(sig)
-        for (ae, am), coeff in self._terms.items():
+        for (ae, am), coeff in self.items():
             g = f
             # rightmost (largest-index) odd factor acts first
             for t in range(sig.q, 0, -1):
@@ -726,41 +765,22 @@ class DiffOperator(_TermMap, _Graded):
                 f"weight mismatch in composition: {self.lam} vs {other.mu}"
             )
         sig = self.signature
-        out: dict = {}
-        for (ae, am), f in self._terms.items():
-            for (be, bm), g in other._terms.items():
-                for (ce, cm), h in _push_through(sig, ae, am, g).items():
-                    s = _odd_merge_sign(cm, bm)
-                    if s == 0:
-                        continue
-                    key = (
-                        tuple(x + y for x, y in zip(ce, be)),
-                        cm | bm,
-                    )
-                    coeff = f * h
-                    if s < 0:
-                        coeff = -coeff
-                    _acc(out, key, coeff)
+        out = SuperPolynomial.zero(_doubled(sig))
+        for alpha, f in _split(sig, self._poly).items():
+            out = out + _lift(sig, f) * _push_through(sig, alpha, other._poly)
         return DiffOperator._raw(sig, other.lam, self.mu, out)
 
     # -- structure ---------------------------------------------------------
 
     def graded_parts(self) -> list[tuple[int, "DiffOperator"]]:
         """Split into homogeneous operators [(parity, operator)], zeros omitted."""
-        buckets: dict[int, dict] = {0: {}, 1: {}}
-        for (ae, am), coeff in self._terms.items():
-            dpar = am.bit_count() & 1
-            ce, co = coeff.graded_parts()
-            if ce:
-                buckets[dpar][(ae, am)] = ce
-            if co:
-                buckets[dpar ^ 1][(ae, am)] = co
-        return [(par, self._with_terms(buckets[par])) for par in (0, 1) if buckets[par]]
+        even, odd = self._poly.graded_parts()
+        return [(par, self._with(part)) for par, part in ((0, even), (1, odd)) if part]
 
     def __repr__(self):
         return (
             f"DiffOperator({self.signature}, lam={self.lam}, mu={self.mu}, "
-            f"{self._terms!r})"
+            f"{dict(self.items())!r})"
         )
 
     def __str__(self):
@@ -791,23 +811,10 @@ def density_operator(x: SuperVectorField, weight: Rational) -> DiffOperator:
     """The density Lie derivative along x as a first-order operator."""
     sig = x.signature
     w = as_fraction(weight)
-    terms: dict = {}
-    for i in range(1, sig.n + 1):
-        comp = x.components[i - 1]
-        if not comp:
-            continue
-        if sig.parity(i) == 0:
-            key = (
-                tuple(1 if k == i - 1 else 0 for k in range(sig.p)),
-                0,
-            )
-        else:
-            key = ((0,) * sig.p, 1 << (i - sig.p - 1))
-        _acc(terms, key, comp)
-    div = x.divergence()
-    if w and div:
-        _acc(terms, ((0,) * sig.p, 0), w * div)
-    return DiffOperator._raw(sig, w, w, terms)
+    poly = _lift(sig, w * x.divergence())
+    for i, comp in enumerate(x.components, start=1):
+        poly = poly + _lift(sig, comp, _unit(sig, i))
+    return DiffOperator._raw(sig, w, w, poly)
 
 
 def lie_operator(x: SuperVectorField, d: DiffOperator) -> DiffOperator:
@@ -815,142 +822,55 @@ def lie_operator(x: SuperVectorField, d: DiffOperator) -> DiffOperator:
 
     For homogeneous pieces this is L^mu_X o D - (-1)^{parity(X) parity(D)}
     D o L^lam_X, extended additively.  It is computed term by term in closed
-    form.  With X split into parts X_chi of parity chi, a normal-form term
-    f d^a with a = parity of the derivative d^a maps to
+    form on term maps.  Let W = sum_i X^i d_i + lam div X, and let [d^a W] be
+    d^a o W normal-ordered less its top-order part, the product d^a * W.  A
+    normal-form term f d^a, with a the parity of d^a, maps to
 
-        X(f) d^a + (mu - lam) div(X) f d^a
-          + sum_chi f~ (sum_i [d^a X_chi^i] d_i + lam [d^a div X_chi]),
+        X(f) d^a + (mu - lam) div(X) f d^a - (-tau)^a ([d^a W] * f),
 
-    where f~ = -(-1)^{chi a} tau^chi(f), tau is the parity twist, and
-    [d^a g] is d^a o g normal-ordered without its top-order term
-    tau^a(g) d^a.  The top-order terms X^i f d_i d^a of both compositions
-    and the lam-weight term of top order cancel, so they are never built.
+    tau being the parity twist.  The top-order terms of both compositions
+    cancel, so they are never kept.  Moving f to the right of [d^a W] makes
+    the super sign: for a graded part X_chi of X, [d^a W_chi] has parity
+    chi + a.
     """
     _check_same_signature(x, d)
     sig = d.signature
     lam = d.lam
     action = x._action()
-    weight_div = (d.mu - lam) * action.div
-    out: dict = {}
-    for alpha, f in d.items():
-        ae, am = alpha
-        _acc(out, alpha, x.apply(f))
-        if weight_div:
-            _acc(out, alpha, weight_div * f)
-        if not (am or any(ae)):
-            continue  # [d^0 g] is empty
-        a = am.bit_count() & 1
-        for part in action.parts:
-            chi = part.parity
-            ft = f.parity_twist() if chi else f
-            # f~ = sign * ft; sign * X_chi^i and sign * lam carry the sign
-            sign = 1 if chi and a else -1
-            # sum_i [d^a X_chi^i] d_i, folded per key before multiplying by ft
-            table: dict = {}
-            for i, comp, neg_comp in part.nonconstant:
-                g = comp if sign > 0 else neg_comp
-                for (ge, gm), h in _push_through(sig, ae, am, g).items():
-                    if (ge, gm) == alpha:
-                        continue
-                    if i < sig.p:  # d^g d_i, with d_i even
-                        key = (ge[:i] + (ge[i] + 1,) + ge[i + 1 :], gm)
-                    else:
-                        bit = 1 << (i - sig.p)
-                        merge = _odd_merge_sign(gm, bit)
-                        if not merge:
-                            continue
-                        key = (ge, gm | bit)
-                        if merge < 0:
-                            h = -h
-                    _acc(table, key, h)
-            for key, h in table.items():
-                _acc(out, key, ft * h)
-            if lam and part.div.degree() > 0:
-                lam_ft = (sign * lam) * ft
-                for key, h in _push_through(sig, ae, am, part.div).items():
-                    if key != alpha:
-                        _acc(out, key, lam_ft * h)
-    return DiffOperator._raw(sig, lam, d.mu, out)
+    poly = d._poly
+    out = action.transport.apply(poly)
+    if d.mu != lam and action.div:
+        out = out + ((d.mu - lam) * action.div) * poly
+    w = action.field + lam * action.low_div if lam else action.field
+    if not w:
+        return d._with(out)
+    for alpha, f in _split(sig, poly).items():
+        if not (alpha[1] or any(alpha[0])):
+            continue  # [d^0 W] is empty
+        below = _push_through(sig, alpha, w) - _slot_monomial(sig, alpha) * w
+        below = below * _lift(sig, f)
+        out = out + below.parity_twist() if alpha[1].bit_count() & 1 else out - below
+    return d._with(out)
 
 
 # ---------------------------------------------------------------------------
 # the tensor action on symbols
 
 
-def _rho_elementary(sig: Signature, j: int, i: int, key) -> list:
-    """Action on a frame monomial of the endomorphism taking e_i to e_j.
-
-    Returns ``[(integer coefficient, new_key), ...]`` for the derivation
-    action on the canonical monomial, signs included.
-    """
-    b, m = key
-    p = sig.p
-    ti, tj = sig.parity(i), sig.parity(j)
-    if ti == 0:
-        mult = b[i - 1]
-        if not mult:
-            return []
-        b2 = b[: i - 1] + (b[i - 1] - 1,) + b[i:]
-        if tj == 0:
-            b3 = b2[: j - 1] + (b2[j - 1] + 1,) + b2[j:]
-            return [(mult, (b3, m))]
-        bit = 1 << (j - p - 1)
-        if m & bit:
-            return []
-        sign = -1 if _odd_below(m, bit) & 1 else 1
-        return [(mult * sign, (b2, m | bit))]
-    bit_i = 1 << (i - p - 1)
-    if not m & bit_i:
-        return []
-    prefix = _odd_below(m, bit_i)
-    sign0 = -1 if ((ti ^ tj) and prefix & 1) else 1
-    if tj == 0:
-        b2 = b[: j - 1] + (b[j - 1] + 1,) + b[j:]
-        return [(sign0, (b2, m ^ bit_i))]
-    bit_j = 1 << (j - p - 1)
-    if bit_j == bit_i:
-        return [(sign0, (b, m))]
-    m2 = m ^ bit_i
-    if m2 & bit_j:
-        return []
-    lo, hi = (bit_i, bit_j) if bit_i < bit_j else (bit_j, bit_i)
-    between = m2 & (hi - 1) & ~((lo << 1) - 1)
-    sign = -sign0 if between.bit_count() & 1 else sign0
-    return [(sign, (b, m2 | bit_j))]
-
-
 def lie_symbol(x: SuperVectorField, s: SymbolField) -> SymbolField:
     """Lie derivative of a twisted symbol field along x.
 
-    Transports coefficients along x and rotates the frame monomials through
-    the Jacobian of x, including the density-twist contribution of weight
-    ``s.weight``.
+    Transports the coordinates along x and rotates the frame vectors through
+    the Jacobian of x, the lift of x to the doubled variables, and adds the
+    density-twist contribution of weight ``s.weight``.
     """
     if x.signature != s.signature:
         raise ValueError("signature mismatch")
-    sig = s.signature
-    delta = s.weight
-    acc: dict = {}
-    for part in x._action().parts:
-        xp = part.field
-        delta_trace = delta * part.trace if part.trace else None
-        for key, g in s.items():
-            tg = xp.apply(g)
-            if tg:
-                _acc(acc, key, tg)
-            gs = g.parity_twist() if part.parity else g
-            if not gs:
-                continue
-            # the rotated frame monomials, folded per key before multiplying by gs
-            row: dict = {}
-            if delta_trace:
-                row[key] = delta_trace
-            for i, j, jij in part.jacobian:
-                for mult, key2 in _rho_elementary(sig, j, i, key):
-                    _acc(row, key2, mult * jij)
-            for key2, r in row.items():
-                _acc(acc, key2, gs * r)
-    return SymbolField._raw(sig, delta, s.degree, acc)
+    action = x._action()
+    out = action.lift.apply(s._poly)
+    if s.weight and action.trace:
+        out = out + (s.weight * action.trace) * s._poly
+    return s._with(out)
 
 
 def interior(h: Sequence[Rational], s: SymbolField) -> SymbolField:
@@ -963,53 +883,27 @@ def interior(h: Sequence[Rational], s: SymbolField) -> SymbolField:
     row = [as_fraction(c) for c in h]
     if len(row) != sig.n:
         raise ValueError(f"expected {sig.n} covector components")
-    even_supp = any(row[: sig.p])
-    odd_supp = any(row[sig.p :])
-    if even_supp and odd_supp:
+    if any(row[: sig.p]) and any(row[sig.p :]):
         raise ValueError("covector must be parity homogeneous")
-    out_degree = max(s.degree - 1, 0)
-    terms: dict = {}
-    for (b, m), g in s.items():
-        if even_supp:
-            for r in range(sig.p):
-                c = row[r]
-                if c and b[r]:
-                    key = (b[:r] + (b[r] - 1,) + b[r + 1 :], m)
-                    _acc(terms, key, g * (c * b[r]))
-        elif odd_supp:
-            gs = g.parity_twist()
-            if not gs:
-                continue
-            for t in range(1, sig.q + 1):
-                c = row[sig.p + t - 1]
-                if not c:
-                    continue
-                bit = 1 << (t - 1)
-                if not m & bit:
-                    continue
-                sign = -1 if _odd_below(m, bit) & 1 else 1
-                _acc(terms, (b, m ^ bit), gs * (c * sign))
-    return SymbolField._raw(sig, s.weight, out_degree, terms)
+    out = SuperPolynomial.zero(_doubled(sig))
+    for i, c in enumerate(row, start=1):
+        if c:
+            out = out + c * s._poly.partial(_slot(sig, i))
+    return SymbolField._raw(sig, s.weight, max(s.degree - 1, 0), out)
 
 
 def symbol_divergence(s: SymbolField) -> SymbolField:
-    """Divergence of a symbol: contract each coordinate derivative with its
-    dual frame covector, with the coordinate-parity sign."""
+    """Divergence of a symbol: sum_j +-d/de_j d/dy^j, each coordinate
+    derivative contracted with its dual frame covector, with the sign - for
+    odd y^j."""
     sig = s.signature
-    out = SymbolField.zero(sig, s.weight, max(s.degree - 1, 0))
+    out = SuperPolynomial.zero(_doubled(sig))
     for j in range(1, sig.n + 1):
-        dterms: dict = {}
-        for key, g in s.items():
-            dg = g.partial(j)
-            if dg:
-                dterms[key] = dg
-        if not dterms:
-            continue
-        ds = SymbolField._raw(sig, s.weight, s.degree, dterms)
-        row = [Fraction(0)] * sig.n
-        row[j - 1] = Fraction(-1 if sig.parity(j) else 1)
-        out = out + interior(row, ds)
-    return out
+        dy = s._poly.partial(_coord(sig, j))
+        if dy:
+            contracted = dy.partial(_slot(sig, j))
+            out = out - contracted if sig.parity(j) else out + contracted
+    return SymbolField._raw(sig, s.weight, max(s.degree - 1, 0), out)
 
 
 # ---------------------------------------------------------------------------
@@ -1017,26 +911,21 @@ def symbol_divergence(s: SymbolField) -> SymbolField:
 
 
 def affine_quantize(s: SymbolField | MixedSymbol, lam: Rational) -> DiffOperator:
-    """Coefficient-wise quantization: frame monomials become derivatives."""
+    """Coefficient-wise quantization: frame vectors become derivatives."""
     lam = as_fraction(lam)
-    if isinstance(s, SymbolField):
-        s = s.as_mixed()
-    terms: dict = {}
-    for field in s.parts():
-        for key, poly in field.items():
-            _acc(terms, key, poly)
-    return DiffOperator._raw(s.signature, lam, lam + s.weight, terms)
+    poly = SuperPolynomial.zero(_doubled(s.signature))
+    for part in s.parts() if isinstance(s, MixedSymbol) else [s]:
+        poly = poly + part._poly
+    return DiffOperator._raw(s.signature, lam, lam + s.weight, poly)
 
 
 def affine_symbol(d: DiffOperator) -> MixedSymbol:
     """Total symbol of an operator, split by degree."""
     sig = d.signature
     delta = d.mu - d.lam
-    by_degree: dict[int, dict] = {}
-    for key, poly in d.items():
-        by_degree.setdefault(_key_degree(key), {})[key] = poly
     parts = {
-        k: SymbolField._raw(sig, delta, k, terms) for k, terms in by_degree.items()
+        k: SymbolField._raw(sig, delta, k, poly)
+        for k, poly in _slot_degrees(sig, d._poly).items()
     }
     return MixedSymbol(sig, delta, parts)
 
@@ -1046,5 +935,5 @@ def principal_symbol(k: int, d: DiffOperator) -> SymbolField:
     if d.order > k:
         raise ValueError(f"operator order {d.order} exceeds requested degree {k}")
     sig = d.signature
-    terms = {key: poly for key, poly in d.items() if _key_degree(key) == k}
-    return SymbolField._raw(sig, d.mu - d.lam, k, terms)
+    top = _slot_degrees(sig, d._poly).get(k, SuperPolynomial.zero(_doubled(sig)))
+    return SymbolField._raw(sig, d.mu - d.lam, k, top)

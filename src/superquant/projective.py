@@ -568,7 +568,7 @@ def _build_dual_basis_pair(signature: Signature, algebra: str, scheme: str):
         for j in range(size):
             want = Fraction(1 if i == j else 0)
             if form(basis[i], dual[j]) != want:
-                raise AssertionError("dual basis verification failed")
+                raise DomainError("dual basis verification failed")
     return DualBasisPair(
         tuple(basis),
         tuple(dual),

@@ -226,9 +226,12 @@ def symbol_samples(
 
     For q <= 3 the first samples each force one odd-coordinate subset into a
     coefficient, so the whole Grassmann lattice is exercised across a run.
+    A degree with no frame monomial (above q when p = 0) has no samples.
     """
     samples = []
     keys = _degree_keys(sig, degree)
+    if not keys:
+        return samples
     forced = list(range(1 << sig.q)) if sig.q <= 3 else []
     for i in range(count):
         if i < len(forced):

@@ -222,6 +222,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{flag} is not used by check {mode}" in err
 
+    @pytest.mark.parametrize("argv,identities", [
+        (["casimir", "--kmax", "3"], 6),
+        (["equivariance", "--degree-max", "3", "--delta", "1/7"], 48),
+        (["relcas", "--kmax", "3", "--delta", "1/7"], 6),
+    ])
+    def test_degree_without_frame_monomials_is_zero(self, argv, identities, capsys):
+        # at 0|2 no frame monomial has degree 3, so degrees 0..2 give the samples
+        assert main(["check", *argv, "--p", "0", "--q", "2", "--samples", "2"]) == 0
+        assert f"PASS [{identities} identities" in capsys.readouterr().out
+
     def test_check_failure_is_three(self, tmp_path, capsys):
         # div symbol is not equivariant at degree 2; feed the casimir check a
         # wrong eigenvalue situation instead: use relcas at psl -> error 2.

@@ -4,8 +4,9 @@ The randomized checks pit independent formulations against each other:
 operator composition against nested evaluation, the degree-one symbol action
 against the vector-field bracket, the degree-zero action against the density
 Lie derivative, the affine correspondence against an explicit product of
-first-order operators, and the closed-form operator Lie derivative against
-its definition by two compositions.
+first-order operators, the closed-form operator Lie derivative against
+its definition by two compositions, and the term-map symbol constructions
+against their nested per-frame-key references.
 """
 
 import random
@@ -20,6 +21,8 @@ from superquant import geometry
 from superquant.supercore import (
     Signature,
     SuperPolynomial,
+    _ops,
+    as_fraction,
     iter_monomials,
 )
 from superquant.geometry import (
@@ -495,6 +498,159 @@ def test_lie_operator_on_multiplication():
 
 # ---------------------------------------------------------------------------
 # the per-field action data
+#
+# The references below are the nested per-frame-key formulations the term-map
+# constructions replaced, kept as oracles: ``_acc`` and ``_rho_elementary``
+# verbatim, ``interior``, ``vee`` and ``symbol_divergence`` with only their
+# results built through the public constructor.
+
+_odd_below = _ops.odd_below
+
+
+def _acc(d: dict, key, poly: SuperPolynomial) -> None:
+    cur = d.get(key)
+    if cur is None:
+        if poly:
+            d[key] = poly
+    else:
+        s = cur + poly
+        if s:
+            d[key] = s
+        else:
+            del d[key]
+
+
+def _rho_elementary(sig: Signature, j: int, i: int, key) -> list:
+    """Action on a frame monomial of the endomorphism taking e_i to e_j.
+
+    Returns ``[(integer coefficient, new_key), ...]`` for the derivation
+    action on the canonical monomial, signs included.
+    """
+    b, m = key
+    p = sig.p
+    ti, tj = sig.parity(i), sig.parity(j)
+    if ti == 0:
+        mult = b[i - 1]
+        if not mult:
+            return []
+        b2 = b[: i - 1] + (b[i - 1] - 1,) + b[i:]
+        if tj == 0:
+            b3 = b2[: j - 1] + (b2[j - 1] + 1,) + b2[j:]
+            return [(mult, (b3, m))]
+        bit = 1 << (j - p - 1)
+        if m & bit:
+            return []
+        sign = -1 if _odd_below(m, bit) & 1 else 1
+        return [(mult * sign, (b2, m | bit))]
+    bit_i = 1 << (i - p - 1)
+    if not m & bit_i:
+        return []
+    prefix = _odd_below(m, bit_i)
+    sign0 = -1 if ((ti ^ tj) and prefix & 1) else 1
+    if tj == 0:
+        b2 = b[: j - 1] + (b[j - 1] + 1,) + b[j:]
+        return [(sign0, (b2, m ^ bit_i))]
+    bit_j = 1 << (j - p - 1)
+    if bit_j == bit_i:
+        return [(sign0, (b, m))]
+    m2 = m ^ bit_i
+    if m2 & bit_j:
+        return []
+    lo, hi = (bit_i, bit_j) if bit_i < bit_j else (bit_j, bit_i)
+    between = m2 & (hi - 1) & ~((lo << 1) - 1)
+    sign = -sign0 if between.bit_count() & 1 else sign0
+    return [(sign, (b, m2 | bit_j))]
+
+
+def vee_reference(s, v):
+    """Symmetric product with a homogeneous frame vector (column)."""
+    sig = s.signature
+    vec = [as_fraction(c) for c in v]
+    if len(vec) != sig.n:
+        raise ValueError(f"expected {sig.n} vector components")
+    even_supp = any(vec[: sig.p])
+    odd_supp = any(vec[sig.p :])
+    if even_supp and odd_supp:
+        raise ValueError("frame vector must be parity homogeneous")
+    terms: dict = {}
+    for (b, m), g in s.items():
+        if even_supp:
+            for r in range(sig.p):
+                c = vec[r]
+                if c:
+                    key = (b[:r] + (b[r] + 1,) + b[r + 1 :], m)
+                    _acc(terms, key, g * c)
+        elif odd_supp:
+            gs = g.parity_twist()
+            for t in range(1, sig.q + 1):
+                c = vec[sig.p + t - 1]
+                if not c:
+                    continue
+                bit = 1 << (t - 1)
+                if m & bit:
+                    continue
+                sign = -1 if _odd_below(m, bit) & 1 else 1
+                _acc(terms, (b, m | bit), gs * (c * sign))
+    return SymbolField(sig, s.weight, s.degree + 1, terms)
+
+
+def interior_reference(h, s):
+    """Contraction of a symbol with a homogeneous covector row.
+
+    Lowers the degree by one; as an operator of the covector's parity it
+    passes coefficient functions with the super sign.
+    """
+    sig = s.signature
+    row = [as_fraction(c) for c in h]
+    if len(row) != sig.n:
+        raise ValueError(f"expected {sig.n} covector components")
+    even_supp = any(row[: sig.p])
+    odd_supp = any(row[sig.p :])
+    if even_supp and odd_supp:
+        raise ValueError("covector must be parity homogeneous")
+    out_degree = max(s.degree - 1, 0)
+    terms: dict = {}
+    for (b, m), g in s.items():
+        if even_supp:
+            for r in range(sig.p):
+                c = row[r]
+                if c and b[r]:
+                    key = (b[:r] + (b[r] - 1,) + b[r + 1 :], m)
+                    _acc(terms, key, g * (c * b[r]))
+        elif odd_supp:
+            gs = g.parity_twist()
+            if not gs:
+                continue
+            for t in range(1, sig.q + 1):
+                c = row[sig.p + t - 1]
+                if not c:
+                    continue
+                bit = 1 << (t - 1)
+                if not m & bit:
+                    continue
+                sign = -1 if _odd_below(m, bit) & 1 else 1
+                _acc(terms, (b, m ^ bit), gs * (c * sign))
+    return SymbolField(sig, s.weight, out_degree, terms)
+
+
+def symbol_divergence_reference(s):
+    """Divergence of a symbol: contract each coordinate derivative with its
+    dual frame covector, with the coordinate-parity sign."""
+    sig = s.signature
+    out = SymbolField.zero(sig, s.weight, max(s.degree - 1, 0))
+    for j in range(1, sig.n + 1):
+        dterms: dict = {}
+        for key, g in s.items():
+            dg = g.partial(j)
+            if dg:
+                dterms[key] = dg
+        if not dterms:
+            continue
+        ds = SymbolField(sig, s.weight, s.degree, dterms)
+        row = [Fraction(0)] * sig.n
+        row[j - 1] = Fraction(-1 if sig.parity(j) else 1)
+        out = out + interior_reference(row, ds)
+    return out
 
 
 def lie_symbol_reference(x, s):
@@ -517,7 +673,7 @@ def lie_symbol_reference(x, s):
         for key, g in s.items():
             tg = xp.apply(g)
             if tg:
-                geometry._acc(acc, key, tg)
+                _acc(acc, key, tg)
             gs = g.parity_twist() if chi else g
             if not gs:
                 continue
@@ -525,12 +681,12 @@ def lie_symbol_reference(x, s):
                 c = gs * jij
                 if not c:
                     continue
-                for mult, key2 in geometry._rho_elementary(sig, j, i, key):
-                    geometry._acc(acc, key2, mult * c)
+                for mult, key2 in _rho_elementary(sig, j, i, key):
+                    _acc(acc, key2, mult * c)
                 if i == j:
                     w = -delta if sig.parity(i) == 0 else delta
                     if w:
-                        geometry._acc(acc, key, w * c)
+                        _acc(acc, key, w * c)
     return SymbolField(sig, delta, s.degree, acc)
 
 
@@ -558,6 +714,45 @@ def field_and_symbols(draw):
     weights = draw(st.lists(RATIONALS, min_size=3, max_size=3, unique=True))
     degrees = draw(st.permutations(range(4)))[:3]
     return xf, [draw(symbols(sig, w, k)) for w, k in zip(weights, degrees)]
+
+
+@st.composite
+def symbols_and_rows(draw):
+    """A symbol of degree <= 3 and a parity-homogeneous row of rationals."""
+    sig = draw(st.sampled_from(ORACLE_SIGNATURES))
+    s = draw(symbols(sig, draw(RATIONALS), draw(st.integers(0, 3))))
+    odd = draw(st.booleans())
+    row = [Fraction(0)] * sig.n
+    for i in range(sig.p, sig.n) if odd else range(sig.p):
+        row[i] = draw(RATIONALS)
+    return s, row
+
+
+@settings(max_examples=200, deadline=None)
+@given(symbols_and_rows())
+def test_interior_matches_reference(case):
+    s, row = case
+    got = interior(row, s)
+    assert (got.weight, got.degree) == (s.weight, max(s.degree - 1, 0))
+    assert got == interior_reference(row, s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symbols_and_rows())
+def test_vee_matches_reference(case):
+    s, vec = case
+    got = s.vee(vec)
+    assert (got.weight, got.degree) == (s.weight, s.degree + 1)
+    assert got == vee_reference(s, vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symbols_and_rows())
+def test_symbol_divergence_matches_reference(case):
+    s, _row = case
+    got = symbol_divergence(s)
+    assert (got.weight, got.degree) == (s.weight, max(s.degree - 1, 0))
+    assert got == symbol_divergence_reference(s)
 
 
 @settings(max_examples=200, deadline=None)

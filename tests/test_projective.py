@@ -301,6 +301,15 @@ def test_dual_basis_pair_cached():
     assert dual_basis_pair(S11) is dual_basis_pair(S11)
 
 
+def test_failed_dual_basis_check_raises_domain_error(monkeypatch):
+    killing_form = projective.killing_form
+    # not bilinear: the duals solved from its Gram matrix fail the check
+    monkeypatch.setattr(projective, "killing_form", lambda a, b: killing_form(a, b) + 1)
+    monkeypatch.setattr(projective, "_dual_cache", {})
+    with pytest.raises(DomainError, match="dual basis verification failed"):
+        dual_basis_pair(S21)
+
+
 def test_casimir_fields_realized_once_per_signature(monkeypatch):
     monkeypatch.setattr(projective, "_casimir_field_cache", {})
     realized = []
