@@ -24,7 +24,8 @@ g * e^B and a key splits into a slot key and a coefficient key with no sign.
 Every construction is then a few kernel calls: an interior product is a slot
 derivative, a symmetric product a left product, the Lie derivative of a
 symbol a first-order operator on the doubled variables, and normal ordering
-moves one derivative factor at a time.
+the Leibniz sum d^alpha o M = sum_beta eps C d^{alpha-beta} * d_y^beta M
+(``_Leibniz``).
 
 Conventions that fix every sign below: odd derivatives act from the left;
 an operator of odd parity passes a function coefficient g at the cost of
@@ -41,6 +42,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import product
+from math import comb, prod
+from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .supercore import (
@@ -49,6 +53,7 @@ from .supercore import (
     SuperPolynomial,
     _canonical_key,
     _check_same_signature,
+    _ops,
     as_fraction,
     iter_monomials,
 )
@@ -90,10 +95,10 @@ def _lift(sig: Signature, f, slot=None) -> SuperPolynomial:
     )
 
 
-def _slot_monomial(sig: Signature, key) -> SuperPolynomial:
+def _slot_monomial(sig: Signature, key, coeff: int = 1) -> SuperPolynomial:
     se, smask = key
     return SuperPolynomial._raw(
-        _doubled(sig), {((0,) * sig.p + se, smask << sig.q): Fraction(1)}
+        _doubled(sig), {((0,) * sig.p + se, smask << sig.q): Fraction(coeff)}
     )
 
 
@@ -321,17 +326,17 @@ class SuperVectorField(_Graded):
     __slots__ = ("signature", "components", "_action_data")
 
     def __init__(self, signature: Signature, components: Sequence):
+        self.signature = signature
         comps = []
         for c in components:
             if not isinstance(c, SuperPolynomial):
                 c = SuperPolynomial.scalar(signature, c)
-            _check_same_signature(c, SuperPolynomial.zero(signature))
+            _check_same_signature(c, self)
             comps.append(c)
         if len(comps) != signature.n:
             raise ValueError(
                 f"expected {signature.n} components, got {len(comps)}"
             )
-        self.signature = signature
         self.components = tuple(comps)
         self._action_data = None
 
@@ -677,23 +682,89 @@ class MixedSymbol:
 # differential operators
 
 
-def _push_through(sig: Signature, alpha, m: SuperPolynomial) -> SuperPolynomial:
-    """Normal-order d^alpha o M for an operator M given as a term map.
+class _Leibniz:
+    """Normal ordering of d^alpha o M for one term map M, by the Leibniz rule
 
-    Each derivative factor d/dy^i of d^alpha, right to left, maps M to
-    dM/dy^i + d_i * M: the factor differentiates the coefficients, or passes
-    them to stand at the left of the derivative monomials, with the sign of
-    the product.
+        d^alpha o M = sum_{beta <= alpha} eps C d^{alpha-beta} * d_y^beta M,
+
+    where C = prod_{even i} binom(alpha_i, beta_i), eps is the sign of
+    d^alpha = eps d^{alpha-beta} d^beta among the odd derivatives, and
+    d_y^beta differentiates the coordinates of M, its odd factors ascending
+    with the rightmost acting first.  Every factor of d^alpha either
+    differentiates the coefficients of M or passes them to stand at the left
+    of the derivative monomials; the term beta = 0 is the product d^alpha * M.
+    The sum stops at the coordinate degree of M.
+
+    Each derivative d_y^beta M is computed once and shared by the keys alpha
+    of one call of ``compose`` or ``lie_operator``, which make and drop the
+    object.
     """
-    se, smask = alpha
-    p = sig.p
-    for i in range(sig.n, 0, -1):
-        times = se[i - 1] if i <= p else smask >> (i - p - 1) & 1
-        if times:
-            atom = _slot_monomial(sig, _unit(sig, i))
-            for _ in range(times):
-                m = m.partial(_coord(sig, i)) + atom * m
-    return m
+
+    __slots__ = ("sig", "degree", "_derivs")
+
+    def __init__(self, sig: Signature, m: SuperPolynomial):
+        p, low = sig.p, (1 << sig.q) - 1
+        self.sig = sig
+        self.degree = max(
+            (sum(e[:p]) + (mask & low).bit_count() for (e, mask), _ in m.items()),
+            default=-1,
+        )
+        self._derivs = {((0,) * p, 0): m}
+
+    def derivative(self, beta) -> SuperPolynomial:
+        """d_y^beta M for a slot key beta."""
+        got = self._derivs.get(beta)
+        if got is None:
+            # peel the leftmost factor: the lowest even index, else the lowest odd one
+            evens, mask = beta
+            for ix, b in enumerate(evens):
+                if b:
+                    i, rest = ix + 1, (evens[:ix] + (b - 1,) + evens[ix + 1 :], mask)
+                    break
+            else:
+                bit = mask & -mask
+                i, rest = self.sig.p + bit.bit_length(), (evens, mask ^ bit)
+            inner = self.derivative(rest)
+            got = inner.partial(_coord(self.sig, i)) if inner else inner
+            self._derivs[beta] = got
+        return got
+
+    def __call__(self, alpha, lowest: int = 0) -> SuperPolynomial:
+        """d^alpha o M normal-ordered, less the terms with |beta| < ``lowest``."""
+        sig = self.sig
+        se, smask = alpha
+        out = SuperPolynomial.zero(_doubled(sig))
+        top = min(self.degree, sum(se) + smask.bit_count())
+        if lowest > top:
+            return out
+        for be in product(*[range(a + 1) for a in se]):
+            even_order = sum(be)
+            if even_order > top:
+                continue
+            rest = tuple(map(sub, se, be))
+            binom = prod(map(comb, se, be))
+            for bmask in _submasks(smask):
+                if not lowest <= even_order + bmask.bit_count() <= top:
+                    continue
+                dm = self.derivative((be, bmask))
+                if not dm:
+                    continue
+                rmask = smask ^ bmask
+                if rmask or any(rest):
+                    sign = _ops.odd_merge_sign(rmask, bmask)
+                    dm = _slot_monomial(sig, (rest, rmask), sign * binom) * dm
+                out = out + dm
+        return out
+
+
+def _submasks(mask: int):
+    """Every mask whose bits lie in ``mask``, ``mask`` first."""
+    part = mask
+    while True:
+        yield part
+        if not part:
+            return
+        part = (part - 1) & mask
 
 
 class DiffOperator(_TermMap, _Graded):
@@ -758,16 +829,22 @@ class DiffOperator(_TermMap, _Graded):
     # -- composition -------------------------------------------------------
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
-        """self o other (other acts first); weights must chain."""
+        """self o other (other acts first); weights must chain.
+
+        Each term f d^alpha of self contributes f * (d^alpha o other), the
+        normal ordering by the Leibniz sum of ``_Leibniz``, whose coordinate
+        derivatives of other are shared by all the terms.
+        """
         _check_same_signature(self, other)
         if self.lam != other.mu:
             raise ValueError(
                 f"weight mismatch in composition: {self.lam} vs {other.mu}"
             )
         sig = self.signature
+        push = _Leibniz(sig, other._poly)
         out = SuperPolynomial.zero(_doubled(sig))
         for alpha, f in _split(sig, self._poly).items():
-            out = out + _lift(sig, f) * _push_through(sig, alpha, other._poly)
+            out = out + _lift(sig, f) * push(alpha)
         return DiffOperator._raw(sig, other.lam, self.mu, out)
 
     # -- structure ---------------------------------------------------------
@@ -829,9 +906,11 @@ def lie_operator(x: SuperVectorField, d: DiffOperator) -> DiffOperator:
         X(f) d^a + (mu - lam) div(X) f d^a - (-tau)^a ([d^a W] * f),
 
     tau being the parity twist.  The top-order terms of both compositions
-    cancel, so they are never kept.  Moving f to the right of [d^a W] makes
-    the super sign: for a graded part X_chi of X, [d^a W_chi] has parity
-    chi + a.
+    cancel, so they are never built: [d^a W] is the Leibniz sum of
+    ``_Leibniz`` over 0 < beta <= a, sum eps C d^{a-beta} * d_y^beta W, up to
+    the coordinate degree of W, with each d_y^beta W computed once per call.
+    Moving f to the right of [d^a W] makes the super sign: for a graded part
+    X_chi of X, [d^a W_chi] has parity chi + a.
     """
     _check_same_signature(x, d)
     sig = d.signature
@@ -844,10 +923,11 @@ def lie_operator(x: SuperVectorField, d: DiffOperator) -> DiffOperator:
     w = action.field + lam * action.low_div if lam else action.field
     if not w:
         return d._with(out)
+    push = _Leibniz(sig, w)
     for alpha, f in _split(sig, poly).items():
-        if not (alpha[1] or any(alpha[0])):
-            continue  # [d^0 W] is empty
-        below = _push_through(sig, alpha, w) - _slot_monomial(sig, alpha) * w
+        below = push(alpha, lowest=1)
+        if not below:
+            continue  # [d^0 W] is empty, and so is [d^a W] if d^a kills W
         below = below * _lift(sig, f)
         out = out + below.parity_twist() if alpha[1].bit_count() & 1 else out - below
     return d._with(out)

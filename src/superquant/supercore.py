@@ -72,7 +72,8 @@ def _canonical_key(signature: Signature, key) -> tuple:
 
 
 def _check_same_signature(a, b) -> None:
-    if a.signature != b.signature:
+    # identity first: every term map holds the one cached doubled Signature
+    if a.signature is not b.signature and a.signature != b.signature:
         raise ValueError(f"signature mismatch: {a.signature} vs {b.signature}")
 
 

@@ -1,9 +1,11 @@
 """The traced benchmark names program functions by owner and attribute; each
-name must resolve, or a traced run would stop at install time."""
+name must resolve, or a traced run would stop at install time.  It wraps the
+kernel functions on the kernel module, so the program must reach them there."""
 
 import importlib
 import importlib.util
 import pathlib
+import pkgutil
 
 from superquant import supercore
 
@@ -36,3 +38,23 @@ def test_every_traced_layer_resolves():
         f"{owner} {attr}" for owner, attr in pairs if not callable(_resolve(owner, attr))
     ]
     assert missing == []
+
+
+def test_no_module_binds_a_kernel_function():
+    # a kernel function bound by name elsewhere would run past the tracer,
+    # and the traced supercore counts would miss its calls
+    kernel = importlib.import_module("superquant._termops_py")
+    package = importlib.import_module("superquant")
+    modules = [package] + [
+        importlib.import_module(f"superquant.{info.name}")
+        for info in pkgutil.iter_modules(package.__path__)
+    ]
+    assert kernel in modules
+    bound = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        if module is not kernel
+        for name, value in vars(module).items()
+        if getattr(value, "__module__", None) == kernel.__name__
+    ]
+    assert bound == []

@@ -408,7 +408,7 @@ def test_lie_operator_representation_property():
         assert lhs == rhs
 
 
-def lie_operator_by_composition(x, d):
+def lie_operator_by_composition(x, d, compose=DiffOperator.compose):
     """The definition L^mu_X o D - (-1)^{|X||D|} D o L^lam_X on graded parts,
     composed with the generic normal-ordering ``compose``."""
     out = DiffOperator.zero(d.signature, d.lam, d.mu)
@@ -416,8 +416,8 @@ def lie_operator_by_composition(x, d):
         l_mu = density_operator(xp, d.mu)
         l_lam = density_operator(xp, d.lam)
         for dpar, dp in d.graded_parts():
-            out = out + l_mu.compose(dp)
-            tail = dp.compose(l_lam)
+            out = out + compose(l_mu, dp)
+            tail = compose(dp, l_lam)
             out = out + (tail if chi and dpar else -tail)
     return out
 
@@ -465,6 +465,120 @@ def test_lie_operator_matches_composition(case):
     want = lie_operator_by_composition(xf, d)
     assert (got.lam, got.mu) == (d.lam, d.mu)
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# normal ordering
+#
+# ``push_through_reference`` is the per-factor normal ordering that the
+# Leibniz routine replaced, kept verbatim as an oracle, and
+# ``compose_reference`` composes with it.
+
+
+def push_through_reference(sig: Signature, alpha, m: SuperPolynomial):
+    """Normal-order d^alpha o M for an operator M given as a term map.
+
+    Each derivative factor d/dy^i of d^alpha, right to left, maps M to
+    dM/dy^i + d_i * M: the factor differentiates the coefficients, or passes
+    them to stand at the left of the derivative monomials, with the sign of
+    the product.
+    """
+    se, smask = alpha
+    p = sig.p
+    for i in range(sig.n, 0, -1):
+        times = se[i - 1] if i <= p else smask >> (i - p - 1) & 1
+        if times:
+            atom = geometry._slot_monomial(sig, geometry._unit(sig, i))
+            for _ in range(times):
+                m = m.partial(geometry._coord(sig, i)) + atom * m
+    return m
+
+
+def compose_reference(a: DiffOperator, b: DiffOperator) -> DiffOperator:
+    """a o b, each slot key of a pushed through b by ``push_through_reference``."""
+    sig = a.signature
+    out = SuperPolynomial.zero(geometry._doubled(sig))
+    for alpha, f in geometry._split(sig, a._poly).items():
+        pushed = push_through_reference(sig, alpha, b._poly)
+        out = out + geometry._lift(sig, f) * pushed
+    return DiffOperator._raw(sig, b.lam, a.mu, out)
+
+
+@st.composite
+def slot_keys(draw, sig, max_exponent=3):
+    """Derivative monomials with even exponents up to ``max_exponent``."""
+    evens = tuple(draw(st.integers(0, max_exponent)) for _ in range(sig.p))
+    return evens, draw(st.integers(0, (1 << sig.q) - 1))
+
+
+@st.composite
+def operators(draw, sig, lam, mu, max_exponent=3):
+    """Operators with up to three terms whose coefficients have degree <= 3."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        terms[draw(slot_keys(sig, max_exponent))] = draw(polys(sig))
+    return DiffOperator(sig, lam, mu, terms)
+
+
+@st.composite
+def slot_keys_and_operators(draw):
+    """Up to three slot keys, pushed in turn through one operator."""
+    sig = draw(st.sampled_from(ORACLE_SIGNATURES))
+    alphas = draw(st.lists(slot_keys(sig), min_size=1, max_size=3))
+    return sig, alphas, draw(operators(sig, 0, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_keys_and_operators())
+def test_leibniz_matches_push_through_reference(case):
+    sig, alphas, m = case
+    push = geometry._Leibniz(sig, m._poly)
+    for alpha in alphas:
+        want = push_through_reference(sig, alpha, m._poly)
+        assert push(alpha) == want
+        top = geometry._slot_monomial(sig, alpha) * m._poly
+        assert push(alpha, lowest=1) == want - top
+
+
+@st.composite
+def composable_operators(draw):
+    sig = draw(st.sampled_from(ORACLE_SIGNATURES))
+    lam, mu, nu = (draw(RATIONALS) for _ in range(3))
+    return draw(operators(sig, mu, nu)), draw(operators(sig, lam, mu))
+
+
+@settings(max_examples=100, deadline=None)
+@given(composable_operators())
+def test_compose_matches_apply_for_higher_exponents(case):
+    d1, d2 = case
+    comp = d1.compose(d2)
+    assert (comp.lam, comp.mu) == (d2.lam, d1.mu)
+    assert comp == compose_reference(d1, d2)
+    for mono in iter_monomials(d1.signature, min(d1.order + d2.order, 5)):
+        assert comp.apply(mono) == d1.apply(d2.apply(mono))
+
+
+@st.composite
+def cubic_fields_and_operators(draw):
+    """A field with a cubic term (where the signature has one) and an
+    operator with even slot exponents up to 3."""
+    sig = draw(st.sampled_from(ORACLE_SIGNATURES))
+    comps = [draw(polys(sig, 3)) for _ in range(sig.n)]
+    if sig.p or sig.q > 2:
+        cubic = draw(polys(sig, 3).filter(lambda f: f.degree() == 3))
+        comps[draw(st.integers(0, sig.n - 1))] += cubic
+    d = draw(operators(sig, draw(RATIONALS), draw(RATIONALS)))
+    return SuperVectorField(sig, comps), d
+
+
+@settings(max_examples=150, deadline=None)
+@given(cubic_fields_and_operators())
+def test_lie_operator_matches_composition_for_cubic_fields(case):
+    xf, d = case
+    got = lie_operator(xf, d)
+    assert (got.lam, got.mu) == (d.lam, d.mu)
+    assert got == lie_operator_by_composition(xf, d)
+    assert got == lie_operator_by_composition(xf, d, compose_reference)
 
 
 def test_lie_operator_does_not_compose(monkeypatch):
@@ -1003,6 +1117,16 @@ def test_symbol_validation():
     t = SymbolField.monomial(S11, Fraction(1, 2), (1,), ())
     with pytest.raises(ValueError):
         s + t
+
+
+def test_vector_field_validation():
+    with pytest.raises(ValueError, match=r"^signature mismatch: 1\|1 vs 2\|1$"):
+        SuperVectorField(S21, [x(S11), 0, 0])
+    with pytest.raises(ValueError, match="expected 3 components, got 2"):
+        SuperVectorField(S21, [x(S21), 1])
+    # an equal signature held by another object is accepted
+    xf = SuperVectorField(Signature(2, 1), [x(S21), 1, th(S21)])
+    assert xf == SuperVectorField(S21, [x(S21), 1, th(S21)])
 
 
 def test_mixed_symbol_parts():
