@@ -243,8 +243,12 @@ def _single_degree_symbol(args, sig, text: str, command: str) -> SymbolField:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            message = exc.strerror or exc
+            raise _UsageError(f"cannot write {args.out}: {message}") from None
     else:
         print(text)
 

@@ -42,7 +42,6 @@ from .geometry import (
     SymbolField,
     _doubled,
     _join,
-    _slot_degrees,
     _split,
 )
 from .supercore import Signature, SuperPolynomial, _ops
@@ -312,17 +311,14 @@ def _rows(v):
         units = [(tuple(int(k == i) for k in range(sig.p)), 0) for i in range(sig.p)]
         units += [((0,) * sig.p, 1 << j) for j in range(sig.q)]
         slots = zip(units, v.components)
-    elif isinstance(v, (SymbolField, MixedSymbol)):
-        sig = v.signature
-        parts = v.parts() if isinstance(v, MixedSymbol) else [v]
-        head = (KIND_SYMBOL, "e", {"delta": v.weight})
-        items = [item for part in parts for item in _split(sig, part._poly).items()]
-        slots = sorted(items, key=_slot_sort_key)
-    elif isinstance(v, DiffOperator):
-        head = (KIND_OPERATOR, "d", {"lambda": v.lam, "mu": v.mu})
-        slots = sorted(_split(v.signature, v._poly).items(), key=_slot_sort_key)
     else:
-        raise TypeError(f"cannot format {type(v).__name__}")
+        if isinstance(v, (SymbolField, MixedSymbol)):
+            head = (KIND_SYMBOL, "e", {"delta": v.weight})
+        elif isinstance(v, DiffOperator):
+            head = (KIND_OPERATOR, "d", {"lambda": v.lam, "mu": v.mu})
+        else:
+            raise TypeError(f"cannot format {type(v).__name__}")
+        slots = sorted(_split(v.signature, v._poly).items(), key=_slot_sort_key)
     rows = [
         (xe, tmask, se, smask, c)
         for (se, smask), poly in slots
@@ -336,15 +332,11 @@ def _build(kind: str, sig: Signature, poly: SuperPolynomial, weight, lam, mu):
     if kind == KIND_OPERATOR:
         return DiffOperator.zero(sig, lam, mu)._with(poly)
     if kind == KIND_SYMBOL:
-        fields = [
-            SymbolField.zero(sig, weight, degree)._with(part)
-            for degree, part in sorted(_slot_degrees(sig, poly).items())
-        ]
-        if not fields:
-            return SymbolField.zero(sig, weight, 0)
-        if len(fields) == 1:
-            return fields[0]
-        return MixedSymbol(sig, weight, {field.degree: field for field in fields})
+        mixed = MixedSymbol(sig, weight)._with(poly)
+        degrees = mixed.degrees()
+        if len(degrees) > 1:
+            return mixed
+        return SymbolField.zero(sig, weight, degrees[0] if degrees else 0)._with(poly)
     polys = {key: SuperPolynomial._raw(sig, t) for key, t in _split(sig, poly).items()}
     if kind == KIND_POLY:
         # a polynomial's terms all have the zero slot key

@@ -13,19 +13,27 @@ Three graded modules live here, all with exact rational coefficients:
   factors carry ascending indices, any sign having been folded into the
   coefficient.
 
-A symbol or an operator is one term map: a ``SuperPolynomial`` over the
-doubled signature (2p|2q) whose variables are the coordinates y and the slot
-atoms, the frame vectors e of a symbol or the derivatives d of an operator.
+A symbol, a mixed symbol (a sum of symbols of several degrees) or an
+operator is one term map: a ``SuperPolynomial`` over the doubled signature
+(2p|2q) whose variables are the coordinates y and the slot atoms, the frame
+vectors e of a symbol or the derivatives d of an operator.
 A key is ``(xe + se, tmask | smask << q)``: the coordinate exponents, then the
 slot exponents; the odd coordinates in mask bits 0..q-1, below the odd slot
 atoms in bits q..2q-1.  Coordinate bits below slot bits put a coefficient to
 the left of its slot monomial, so the term map of g e^B is the product
 g * e^B and a key splits into a slot key and a coefficient key with no sign.
 Every construction is then a few kernel calls: an interior product is a slot
-derivative, a symmetric product a left product, the Lie derivative of a
-symbol a first-order operator on the doubled variables, and normal ordering
-the Leibniz sum d^alpha o M = sum_beta eps C d^{alpha-beta} * d_y^beta M
-(``_Leibniz``).
+derivative, a symmetric product a left product, the affine correspondence a
+relabeling of the slot atoms, and normal ordering the Leibniz sum
+d^alpha o M = sum_beta eps C d^{alpha-beta} * d_y^beta M (``_Leibniz``).
+
+Both Lie derivatives share one first-order action on the doubled variables:
+the lift of the field (X on the coordinates, its Jacobian rotating the slot
+atoms) plus a weight times div X.  ``lie_symbol`` is that action at the
+symbol's weight.  ``lie_operator`` is that action at weight mu - lam plus a
+term of lower order, the Leibniz terms of |beta| >= 2 of sum_i X^i d_i and of
+|beta| >= 1 of lam div X; along an affine field that term is empty, so there
+the two actions agree and the affine correspondence intertwines them.
 
 Conventions that fix every sign below: odd derivatives act from the left;
 an operator of odd parity passes a function coefficient g at the cost of
@@ -34,8 +42,8 @@ sum_i (-1)^{parity(y^i) parity(X^i)} dX^i/dy^i.
 
 Values are never mutated in place.  A vector field relies on this: what
 ``lie_symbol`` and ``lie_operator`` need of it alone (its lift to the doubled
-variables, graded parts and divergences) is computed on first use and kept
-with the field.
+variables, its divergence and its first-order operator) is computed on first
+use and kept with the field.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ from .supercore import (
     SuperPolynomial,
     _canonical_key,
     _check_same_signature,
+    _monomial_key,
     _ops,
     as_fraction,
     iter_monomials,
@@ -165,30 +174,31 @@ class _Graded:
 
 
 class _TermMap:
-    """Linear core shared by symbols and operators.
+    """Linear core shared by symbols, mixed symbols and operators.
 
     ``_poly`` is the term map over the doubled signature.  Beside the
-    signature each map carries the two attributes named in ``_fields``; the
-    ones named in ``_weights`` must agree in a sum.
+    signature each map carries the attributes named in ``_fields``; the ones
+    named in ``_weights`` must agree in a sum.
     """
 
     __slots__ = ("signature", "_poly")
-    _fields: tuple[str, str]
+    _fields: tuple[str, ...]
     _weights: tuple[str, ...]
 
     @classmethod
-    def _raw(cls, signature, first, second, poly: SuperPolynomial):
+    def _raw(cls, signature, *args):
+        """The map with the values of ``_fields``, then the term map, in ``args``."""
         self = cls.__new__(cls)
         self.signature = signature
-        a, b = cls._fields
-        setattr(self, a, first)
-        setattr(self, b, second)
-        self._poly = poly
+        *values, self._poly = args
+        for name, value in zip(cls._fields, values):
+            setattr(self, name, value)
         return self
 
     def _with(self, poly: SuperPolynomial):
-        a, b = self._fields
-        return self._raw(self.signature, getattr(self, a), getattr(self, b), poly)
+        return self._raw(
+            self.signature, *[getattr(self, name) for name in self._fields], poly
+        )
 
     def items(self):
         """``(slot key, coefficient)`` pairs: each slot monomial
@@ -203,10 +213,8 @@ class _TermMap:
         return not self._poly
 
     def coefficient(self, evens: Iterable[int], odds: Iterable[int]) -> SuperPolynomial:
-        mask = 0
-        for t in odds:
-            mask |= 1 << (t - 1)
-        terms = _split(self.signature, self._poly).get((tuple(evens), mask), {})
+        key = _monomial_key(self.signature, evens, odds)
+        terms = _split(self.signature, self._poly).get(key, {})
         return SuperPolynomial._raw(self.signature, terms)
 
     def _compatible(self, other) -> None:
@@ -260,60 +268,47 @@ class _TermMap:
 class _FieldAction(NamedTuple):
     """The action data of a field X over the doubled variables.
 
-    ``transport`` is X itself, acting on the coordinates of a term map.
-    ``lift`` adds to it the rotation of the slot atoms, sum_ij J_ij e_j d/de_i
-    with J_ij = s_i dX_chi^j/dy^i summed over the graded parts X_chi, where
-    s_i = 1 when chi and y^i are both odd and -1 otherwise; ``trace`` is
-    sum_i -(-1)^{parity(y^i)} J_ii, so that a density twist of weight delta
-    contributes delta * trace.  ``div`` is div X.  ``field`` is
-    sum_i X^i d_i and ``low_div`` is div X, both without their constant
-    terms, which add nothing below the top order when an operator is
-    normal-ordered past them.
+    ``lift`` is X on the coordinates plus the rotation of the slot atoms,
+    sum_ij J_ij e_j d/de_i with J_ij = s_i dX_chi^j/dy^i summed over the
+    graded parts X_chi, where s_i = 1 when chi and y^i are both odd and -1
+    otherwise.  ``div`` is div X; term by term it is the weighted trace
+    sum_i -(-1)^{parity(y^i)} J_ii, so a density twist of weight w adds
+    w div X.  ``field`` is sum_i X^i d_i, the field as a first-order
+    operator.
     """
 
     lift: "SuperVectorField"
-    transport: "SuperVectorField"
-    trace: SuperPolynomial
     div: SuperPolynomial
     field: SuperPolynomial
-    low_div: SuperPolynomial
 
 
 def _field_action(x: "SuperVectorField") -> _FieldAction:
     sig = x.signature
     dsig = _doubled(sig)
     n = sig.n
-    rotation = [SuperPolynomial.zero(dsig)] * n
-    trace = SuperPolynomial.zero(sig)
+    lift = [SuperPolynomial.zero(dsig)] * (2 * n)
     for chi, xp in x.graded_parts():
         for i in range(1, n + 1):
-            ti = sig.parity(i)
-            sfac = 1 if (ti and chi) else -1
+            sfac = 1 if (chi and sig.parity(i)) else -1
             for j in range(1, n + 1):
                 dcomp = xp.components[j - 1].partial(i)
-                if not dcomp:
-                    continue
-                jij = sfac * dcomp
-                rotation[i - 1] += _lift(sig, jij, _unit(sig, j))
-                if i == j:
-                    trace = trace + jij if ti else trace - jij
-    transport = [SuperPolynomial.zero(dsig)] * (2 * n)
+                if dcomp:
+                    lift[_slot(sig, i) - 1] += _lift(sig, sfac * dcomp, _unit(sig, j))
     field = SuperPolynomial.zero(dsig)
     for i, comp in enumerate(x.components, start=1):
-        transport[_coord(sig, i) - 1] = _lift(sig, comp)
-        field = field + _lift(sig, comp - comp.constant_term(), _unit(sig, i))
-    lift = list(transport)
-    for i, row in enumerate(rotation, start=1):
-        lift[_slot(sig, i) - 1] = row
-    div = x.divergence()
-    return _FieldAction(
-        SuperVectorField(dsig, lift),
-        SuperVectorField(dsig, transport),
-        _lift(sig, trace),
-        _lift(sig, div),
-        field,
-        _lift(sig, div - div.constant_term()),
-    )
+        lift[_coord(sig, i) - 1] = _lift(sig, comp)
+        field = field + _lift(sig, comp, _unit(sig, i))
+    return _FieldAction(SuperVectorField(dsig, lift), _lift(sig, x.divergence()), field)
+
+
+def _first_order(action: _FieldAction, weight: Fraction, poly: SuperPolynomial):
+    """lift(X) P + weight div(X) P: the Lie derivative of a symbol of weight
+    ``weight``, and the first-order part of that of an operator whose
+    weights differ by ``weight``."""
+    out = action.lift.apply(poly)
+    if weight and action.div:
+        out = out + (weight * action.div) * poly
+    return out
 
 
 class SuperVectorField(_Graded):
@@ -512,15 +507,7 @@ class SymbolField(_TermMap):
         odds: Iterable[int],
         coeff=1,
     ) -> "SymbolField":
-        mask = 0
-        for t in odds:
-            if not 1 <= t <= signature.q:
-                raise ValueError(f"odd frame index {t} out of range 1..{signature.q}")
-            bit = 1 << (t - 1)
-            if mask & bit:
-                raise ValueError("repeated odd frame index")
-            mask |= bit
-        evens = tuple(evens)
+        evens, mask = _monomial_key(signature, evens, odds, "odd frame index")
         degree = sum(evens) + mask.bit_count()
         if not isinstance(coeff, SuperPolynomial):
             coeff = SuperPolynomial.scalar(signature, coeff)
@@ -557,7 +544,7 @@ class SymbolField(_TermMap):
         return SymbolField._raw(sig, self.weight, self.degree + 1, frame * self._poly)
 
     def as_mixed(self) -> "MixedSymbol":
-        return MixedSymbol(self.signature, self.weight, {self.degree: self})
+        return MixedSymbol._raw(self.signature, self.weight, self._poly)
 
     def __repr__(self):
         return (
@@ -571,15 +558,23 @@ class SymbolField(_TermMap):
         return expr.format_symbol(self)
 
 
-class MixedSymbol:
-    """A finite sum of symbols of distinct degrees at one weight."""
+class MixedSymbol(_TermMap):
+    """A finite sum of symbols of distinct degrees at one weight.
 
-    __slots__ = ("signature", "weight", "_parts")
+    One term map, like a ``SymbolField`` but of any frame degrees: the
+    total symbol of an operator is its term map with the derivatives read as
+    frame vectors.  ``parts()``, ``part(k)`` and ``degrees()`` view the map
+    split by frame degree; a sum, a difference or a scalar multiple is one
+    kernel call on the map.
+    """
+
+    __slots__ = ("weight",)
+    _fields = _weights = ("weight",)
 
     def __init__(self, signature: Signature, weight: Rational, parts=None):
         self.signature = signature
         self.weight = as_fraction(weight)
-        canon = {}
+        poly = SuperPolynomial.zero(_doubled(signature))
         for k, field in (parts or {}).items():
             if field.is_zero():
                 continue
@@ -587,8 +582,8 @@ class MixedSymbol:
                 raise ValueError("inconsistent part in mixed symbol")
             if field.degree != k:
                 raise ValueError("part stored under wrong degree")
-            canon[k] = field
-        self._parts = canon
+            poly = poly + field._poly
+        self._poly = poly
 
     @classmethod
     def from_fields(
@@ -599,78 +594,49 @@ class MixedSymbol:
             out = out + f.as_mixed()
         return out
 
+    def _by_degree(self) -> dict:
+        return _slot_degrees(self.signature, self._poly)
+
     def part(self, k: int) -> SymbolField:
-        got = self._parts.get(k)
-        if got is None:
+        poly = self._by_degree().get(k)
+        if poly is None:
             return SymbolField.zero(self.signature, self.weight, k)
-        return got
+        return SymbolField._raw(self.signature, self.weight, k, poly)
 
     def degrees(self) -> list[int]:
-        return sorted(self._parts)
+        return sorted(self._by_degree())
 
-    def parts(self):
-        return [self._parts[k] for k in sorted(self._parts)]
+    def parts(self) -> list[SymbolField]:
+        sig, w = self.signature, self.weight
+        return [
+            SymbolField._raw(sig, w, k, poly)
+            for k, poly in sorted(self._by_degree().items())
+        ]
 
-    def is_zero(self) -> bool:
-        return not self._parts
+    def _compatible(self, other: "MixedSymbol") -> None:
+        if self.signature != other.signature or self.weight != other.weight:
+            raise ValueError("signature or weight mismatch")
 
     def __add__(self, other):
         if isinstance(other, SymbolField):
             other = other.as_mixed()
-        if not isinstance(other, MixedSymbol):
-            return NotImplemented
-        if self.signature != other.signature or self.weight != other.weight:
-            raise ValueError("signature or weight mismatch")
-        parts = dict(self._parts)
-        for k, field in other._parts.items():
-            if k in parts:
-                s = parts[k] + field
-                if s.is_zero():
-                    del parts[k]
-                else:
-                    parts[k] = s
-            else:
-                parts[k] = field
-        return MixedSymbol(self.signature, self.weight, parts)
+        return super().__add__(other)
 
     def __sub__(self, other):
         if isinstance(other, SymbolField):
             other = other.as_mixed()
-        return self + (-other)
-
-    def __neg__(self):
-        return MixedSymbol(
-            self.signature, self.weight, {k: -v for k, v in self._parts.items()}
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MixedSymbol(
-                self.signature,
-                self.weight,
-                {k: v * other for k, v in self._parts.items()}
-                if as_fraction(other)
-                else {},
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
+        return super().__sub__(other)
 
     def __eq__(self, other):
         if isinstance(other, SymbolField):
             other = other.as_mixed()
-        if not isinstance(other, MixedSymbol):
-            return NotImplemented
-        return (
-            self.signature == other.signature
-            and self.weight == other.weight
-            and self._parts == other._parts
-        )
+        return super().__eq__(other)
 
     __hash__ = None
 
     def __repr__(self):
-        return f"MixedSymbol({self.signature}, weight={self.weight}, {self._parts!r})"
+        parts = {part.degree: part for part in self.parts()}
+        return f"MixedSymbol({self.signature}, weight={self.weight}, {parts!r})"
 
     def __str__(self):
         from . import expr
@@ -703,13 +669,9 @@ class _Leibniz:
     __slots__ = ("sig", "degree", "_derivs")
 
     def __init__(self, sig: Signature, m: SuperPolynomial):
-        p, low = sig.p, (1 << sig.q) - 1
         self.sig = sig
-        self.degree = max(
-            (sum(e[:p]) + (mask & low).bit_count() for (e, mask), _ in m.items()),
-            default=-1,
-        )
-        self._derivs = {((0,) * p, 0): m}
+        self.degree = _coordinate_degree(sig, m)
+        self._derivs = {((0,) * sig.p, 0): m}
 
     def derivative(self, beta) -> SuperPolynomial:
         """d_y^beta M for a slot key beta."""
@@ -755,6 +717,15 @@ class _Leibniz:
                     dm = _slot_monomial(sig, (rest, rmask), sign * binom) * dm
                 out = out + dm
         return out
+
+
+def _coordinate_degree(sig: Signature, m: SuperPolynomial) -> int:
+    """The largest coordinate degree of the terms of a term map; -1 for zero."""
+    p, low = sig.p, (1 << sig.q) - 1
+    return max(
+        (sum(e[:p]) + (mask & low).bit_count() for (e, mask), _ in m.items()),
+        default=-1,
+    )
 
 
 def _submasks(mask: int):
@@ -898,34 +869,40 @@ def lie_operator(x: SuperVectorField, d: DiffOperator) -> DiffOperator:
     """Lie derivative of an operator between density modules.
 
     For homogeneous pieces this is L^mu_X o D - (-1)^{parity(X) parity(D)}
-    D o L^lam_X, extended additively.  It is computed term by term in closed
-    form on term maps.  Let W = sum_i X^i d_i + lam div X, and let [d^a W] be
-    d^a o W normal-ordered less its top-order part, the product d^a * W.  A
-    normal-form term f d^a, with a the parity of d^a, maps to
+    D o L^lam_X, extended additively.  It is the first-order action that
+    ``lie_symbol`` applies, at weight mu - lam, plus a term of lower order.
+    Let W = sum_i X^i d_i + lam div X, and let [d^a W] be the terms of
+    order below |a| of d^a o W normal-ordered.  A normal-form term f d^a of
+    D, with a the parity of d^a, maps to
 
-        X(f) d^a + (mu - lam) div(X) f d^a - (-tau)^a ([d^a W] * f),
+        lift(X)(f d^a) + (mu - lam) div(X) f d^a - (-tau)^a ([d^a W] * f),
 
-    tau being the parity twist.  The top-order terms of both compositions
-    cancel, so they are never built: [d^a W] is the Leibniz sum of
-    ``_Leibniz`` over 0 < beta <= a, sum eps C d^{a-beta} * d_y^beta W, up to
-    the coordinate degree of W, with each d_y^beta W computed once per call.
+    tau being the parity twist.  The terms of order |a| + 1, d^a * W, cancel
+    between the two compositions; those of order |a| are the first-order
+    action: the rotation of the slot atoms in the lift (naturality of the
+    principal symbol) and lam div X, the twist of weight lam taken out of
+    mu.  So [d^a W] is the Leibniz sum of ``_Leibniz``,
+    sum eps C d^{a-beta} * d_y^beta W, over |beta| >= 2 for sum_i X^i d_i
+    and over |beta| >= 1 for lam div X, each stopping at the coordinate
+    degree of its map: along an affine field it is empty.
     Moving f to the right of [d^a W] makes the super sign: for a graded part
     X_chi of X, [d^a W_chi] has parity chi + a.
     """
     _check_same_signature(x, d)
     sig = d.signature
-    lam = d.lam
     action = x._action()
     poly = d._poly
-    out = action.transport.apply(poly)
-    if d.mu != lam and action.div:
-        out = out + ((d.mu - lam) * action.div) * poly
-    w = action.field + lam * action.low_div if lam else action.field
-    if not w:
+    out = _first_order(action, d.mu - d.lam, poly)
+    sums = []
+    if _coordinate_degree(sig, action.field) >= 2:
+        sums.append((_Leibniz(sig, action.field), 2))
+    if d.lam and _coordinate_degree(sig, action.div) >= 1:
+        sums.append((_Leibniz(sig, d.lam * action.div), 1))
+    if not sums:
         return d._with(out)
-    push = _Leibniz(sig, w)
     for alpha, f in _split(sig, poly).items():
-        below = push(alpha, lowest=1)
+        terms = [push(alpha, lowest) for push, lowest in sums]
+        below = sum(terms[1:], terms[0])
         if not below:
             continue  # [d^0 W] is empty, and so is [d^a W] if d^a kills W
         below = below * _lift(sig, f)
@@ -942,15 +919,11 @@ def lie_symbol(x: SuperVectorField, s: SymbolField) -> SymbolField:
 
     Transports the coordinates along x and rotates the frame vectors through
     the Jacobian of x, the lift of x to the doubled variables, and adds the
-    density-twist contribution of weight ``s.weight``.
+    density-twist contribution ``s.weight`` div X.
     """
     if x.signature != s.signature:
         raise ValueError("signature mismatch")
-    action = x._action()
-    out = action.lift.apply(s._poly)
-    if s.weight and action.trace:
-        out = out + (s.weight * action.trace) * s._poly
-    return s._with(out)
+    return s._with(_first_order(x._action(), s.weight, s._poly))
 
 
 def interior(h: Sequence[Rational], s: SymbolField) -> SymbolField:
@@ -991,23 +964,15 @@ def symbol_divergence(s: SymbolField) -> SymbolField:
 
 
 def affine_quantize(s: SymbolField | MixedSymbol, lam: Rational) -> DiffOperator:
-    """Coefficient-wise quantization: frame vectors become derivatives."""
+    """Coefficient-wise quantization: frame vectors become derivatives, the
+    one term map relabeled."""
     lam = as_fraction(lam)
-    poly = SuperPolynomial.zero(_doubled(s.signature))
-    for part in s.parts() if isinstance(s, MixedSymbol) else [s]:
-        poly = poly + part._poly
-    return DiffOperator._raw(s.signature, lam, lam + s.weight, poly)
+    return DiffOperator._raw(s.signature, lam, lam + s.weight, s._poly)
 
 
 def affine_symbol(d: DiffOperator) -> MixedSymbol:
-    """Total symbol of an operator, split by degree."""
-    sig = d.signature
-    delta = d.mu - d.lam
-    parts = {
-        k: SymbolField._raw(sig, delta, k, poly)
-        for k, poly in _slot_degrees(sig, d._poly).items()
-    }
-    return MixedSymbol(sig, delta, parts)
+    """Total symbol of an operator: derivatives become frame vectors."""
+    return MixedSymbol._raw(d.signature, d.mu - d.lam, d._poly)
 
 
 def principal_symbol(k: int, d: DiffOperator) -> SymbolField:

@@ -736,10 +736,17 @@ def critical_values_for_degree(signature: Signature, k: int) -> frozenset:
 
 
 def critical_values(signature: Signature, kmax: int) -> frozenset:
-    out: set = set()
-    for k in range(kmax + 1):
-        out |= critical_values_for_degree(signature, k)
-    return frozenset(out)
+    """The critical weights of every degree k <= kmax.
+
+    Degree k contributes (m + p - q)/(p - q + 1) for k <= m <= 2k - 1, so the
+    union is the one range 1 <= m <= 2 kmax - 1.
+    """
+    if kmax < 0:
+        return frozenset()
+    pq = signature.p - signature.q
+    if pq + 1 == 0:
+        raise DomainError("critical values are defined for q != p+1")
+    return frozenset(Fraction(m + pq, pq + 1) for m in range(1, 2 * kmax))
 
 
 def is_critical(delta: Rational, signature: Signature, kmax: int) -> bool:

@@ -71,6 +71,21 @@ def _canonical_key(signature: Signature, key) -> tuple:
     return evens, mask
 
 
+def _monomial_key(signature: Signature, evens, odds, name: str = "odd index") -> tuple:
+    """The key ``(even_exponents, odd_mask)`` of the monomial with even
+    exponents ``evens`` and odd indices ``odds`` (1-based); a key that names
+    no monomial, with an odd index out of range or repeated, raises."""
+    mask = 0
+    for t in odds:
+        if not 1 <= t <= signature.q:
+            raise ValueError(f"{name} {t} out of range 1..{signature.q}")
+        bit = 1 << (t - 1)
+        if mask & bit:
+            raise ValueError(f"repeated {name}")
+        mask |= bit
+    return _canonical_key(signature, (evens, mask))
+
+
 def _check_same_signature(a, b) -> None:
     # identity first: every term map holds the one cached doubled Signature
     if a.signature is not b.signature and a.signature != b.signature:
@@ -169,10 +184,7 @@ class SuperPolynomial:
         return bool(self._terms)
 
     def coefficient(self, evens: Iterable[int], odds: Iterable[int]) -> Fraction:
-        mask = 0
-        for t in odds:
-            mask |= 1 << (t - 1)
-        return self._terms.get((tuple(evens), mask), Fraction(0))
+        return self._terms.get(_monomial_key(self.signature, evens, odds), Fraction(0))
 
     def constant_term(self) -> Fraction:
         return self._terms.get(((0,) * self.signature.p, 0), Fraction(0))

@@ -1,0 +1,176 @@
+"""Differential corpus: every construction of the engine on fixed inputs.
+
+Prints one line per result, ``label: text`` followed by ``label json: {...}``,
+with the ``format_value`` and ``value_to_json`` encodings of the value, or
+``label: Type: message`` when the construction raises.  Inputs are drawn
+from string-seeded generators, so the output depends only on the code: two
+versions of the package are compared by running this script under each and
+diffing the outputs.
+
+    PYTHONPATH=src python tests/corpus.py > corpus.txt
+    PYTHONPATH=src python tests/corpus.py --signatures 1/1,2/1 --kmax 2
+
+The default covers the 12 signatures of ``SIGNATURES`` with symbol degrees
+k <= 3.  The name keeps pytest from collecting the file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import sys
+from fractions import Fraction
+
+from superquant import (
+    DiffOperator,
+    MixedSymbol,
+    QuantizationConfig,
+    Signature,
+    SuperVectorField,
+    affine_defect,
+    affine_quantize,
+    affine_symbol,
+    critical_values_for_degree,
+    density_operator,
+    interior,
+    lie_operator,
+    lie_symbol,
+    principal_symbol,
+    quantize,
+    quantize_recursive,
+    realize,
+    symbol_divergence,
+    symbol_map,
+)
+from superquant.errors import DomainError
+from superquant.expr import format_value, parse, value_to_json
+from superquant.verifier import (
+    equivariance_generators,
+    random_polynomial,
+    symbol_samples,
+)
+
+SIGNATURES = [
+    (1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3),
+    (1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (2, 3),
+]
+LAM = Fraction(1, 3)
+DELTA = Fraction(1, 5)
+T = Fraction(1, 2)
+
+
+def _emit(out, label: str, build) -> None:
+    try:
+        value = build()
+    except Exception as exc:  # the error itself is part of the corpus
+        out.write(f"{label}: {type(exc).__name__}: {exc}\n")
+        return
+    out.write(f"{label}: {format_value(value)}\n")
+    doc = json.dumps(value_to_json(value), sort_keys=True, separators=(",", ":"))
+    out.write(f"{label} json: {doc}\n")
+
+
+def _random_operator(sig, rng, lam, mu, max_exponent=3) -> DiffOperator:
+    """Up to three terms, even derivative exponents up to ``max_exponent``."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        evens = tuple(rng.randint(0, max_exponent) for _ in range(sig.p))
+        mask = rng.randrange(1 << sig.q)
+        terms[(evens, mask)] = random_polynomial(sig, rng, 2)
+    return DiffOperator(sig, lam, mu, terms)
+
+
+def _cubic_field(sig, rng) -> SuperVectorField:
+    return SuperVectorField(sig, [random_polynomial(sig, rng, 3) for _ in range(sig.n)])
+
+
+def run_signature(sig: Signature, kmax: int, out) -> None:
+    rng = random.Random(f"corpus {sig}")
+    psl = sig.q == sig.p + 1
+    cfg = QuantizationConfig(sig, LAM, DELTA, t=T if psl else Fraction(0))
+    fields = [(label, realize(h)) for label, h in equivariance_generators(sig)]
+    fields += [(f"cubic{i}", _cubic_field(sig, rng)) for i in range(1, 4)]
+    symbols = []
+    for k in range(kmax + 1):
+        samples = symbol_samples(sig, DELTA, k, 1, rng)
+        if not samples:
+            out.write(f"[{sig}] k={k}: no symbols\n")
+            continue
+        s = samples[0]
+        symbols.append(s)
+        tag = f"[{sig}] k={k}"
+        _emit(out, f"{tag} symbol", lambda: s)
+        _emit(out, f"{tag} reparse",
+              lambda: parse("symbol", format_value(s), sig, weight=DELTA))
+        _emit(out, f"{tag} quantize", lambda: quantize(s, cfg))
+        _emit(out, f"{tag} quantize_recursive", lambda: quantize_recursive(s, cfg))
+        _emit(out, f"{tag} symbol_map", lambda: symbol_map(quantize(s, cfg), cfg))
+        _emit(out, f"{tag} affine_quantize", lambda: affine_quantize(s, LAM))
+        _emit(out, f"{tag} affine_symbol", lambda: affine_symbol(quantize(s, cfg)))
+        _emit(out, f"{tag} principal_symbol",
+              lambda: principal_symbol(k, quantize(s, cfg)))
+        _emit(out, f"{tag} divergence", lambda: symbol_divergence(s))
+        # a parity-homogeneous covector: the even rows if there are any
+        row = [Fraction(i, 2) for i in range(1, sig.p + 1)] + [0] * sig.q
+        _emit(out, f"{tag} interior",
+              lambda: interior(row if sig.p else [1] * sig.q, s))
+        if k and not psl:
+            # the lowest critical weight of degree k obstructs the quantization
+            crit = QuantizationConfig(sig, LAM, min(critical_values_for_degree(sig, k)))
+            sc = symbol_samples(sig, crit.delta, k, 1, rng)[0]
+            _emit(out, f"{tag} quantize critical", lambda: quantize(sc, crit))
+        try:
+            d = quantize(s, cfg)
+        except DomainError:
+            d = None
+        a = affine_quantize(s, LAM)
+        for label, x in fields:
+            _emit(out, f"{tag} lie_symbol {label}", lambda: lie_symbol(x, s))
+            if d is not None:
+                _emit(out, f"{tag} lie_operator quantized {label}",
+                      lambda: lie_operator(x, d))
+            _emit(out, f"{tag} lie_operator affine {label}", lambda: lie_operator(x, a))
+            if label.startswith("eps"):
+                _emit(out, f"{tag} affine_defect {label}",
+                      lambda: affine_defect(x, s, LAM, full=True))
+    tag = f"[{sig}]"
+    mixed = MixedSymbol.from_fields(sig, DELTA, symbols)
+    _emit(out, f"{tag} mixed", lambda: mixed)
+    _emit(out, f"{tag} mixed difference", lambda: mixed - 2 * symbols[-1])
+    _emit(out, f"{tag} mixed quantize", lambda: quantize(mixed, cfg))
+    _emit(out, f"{tag} mixed symbol_map", lambda: symbol_map(quantize(mixed, cfg), cfg))
+    mu = LAM + DELTA
+    for i in range(3):
+        d1 = _random_operator(sig, rng, LAM, mu)
+        d2 = _random_operator(sig, rng, mu, 2 * mu)
+        x = fields[rng.randrange(len(fields))][1]
+        _emit(out, f"{tag} compose {i}", lambda: d2.compose(d1))
+        _emit(out, f"{tag} compose density left {i}",
+              lambda: density_operator(x, mu).compose(d1))
+        _emit(out, f"{tag} compose density right {i}",
+              lambda: d1.compose(density_operator(x, LAM)))
+
+
+def run(signatures, kmax: int, out=None) -> None:
+    out = out or sys.stdout
+    for p, q in signatures:
+        run_signature(Signature(p, q), kmax, out)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--signatures",
+        default=",".join(f"{p}/{q}" for p, q in SIGNATURES),
+        help="comma-separated p/q pairs (default: all 12)",
+    )
+    parser.add_argument("--kmax", type=int, default=3, help="largest symbol degree")
+    args = parser.parse_args(argv)
+    signatures = [tuple(map(int, pq.split("/"))) for pq in args.signatures.split(",")]
+    run(signatures, args.kmax)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -321,20 +321,37 @@ class TestJsonReload:
         value_from_json(data)  # decodes without error
 
 
+def run_cli(argv):
+    """Run the command in a fresh interpreter, as a user would."""
+    src = str(pathlib.Path(superquant.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "superquant.cli", *argv],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+
+
 class TestLargeExponents:
     def test_huge_exponent_quantizes_promptly(self):
         # ``x1^N`` is one monomial; the parser never multiplies N factors
-        src = str(pathlib.Path(superquant.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        done = subprocess.run(
-            [sys.executable, "-m", "superquant.cli", "quantize", "--p=2",
-             "--q=1", "--delta=1/5", "--symbol=x1^99999999999*ex1"],
-            capture_output=True, text=True, timeout=20, env=env,
-        )
+        done = run_cli(["quantize", "--p=2", "--q=1", "--delta=1/5",
+                        "--symbol=x1^99999999999*ex1"])
         assert done.returncode == 0, done.stderr
         assert "99999999999" in done.stdout
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("target", ["missing/x", "."], ids=["no-dir", "a-dir"])
+    def test_unwritable_out_is_one(self, target, tmp_path):
+        out = tmp_path / target
+        done = run_cli(["critical", "--p", "1", "--q", "1", "--kmax", "2",
+                        "--out", str(out)])
+        assert done.returncode == 1
+        assert done.stderr.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
 
 
 # arbitrary unicode, and text over the grammar's own characters

@@ -17,6 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superquant import geometry
+from superquant.expr import format_value
+from superquant.projective import euler_element, realize
+from superquant.verifier import equivariance_generators
 
 from superquant.supercore import (
     Signature,
@@ -949,6 +952,39 @@ def test_field_action_built_once(monkeypatch):
     assert lie_operator(xf, d) == lie_operator_by_composition(xf, d)
 
 
+@pytest.mark.parametrize("sig", ORACLE_SIGNATURES, ids=str)
+def test_lie_operator_along_affine_generators_runs_no_leibniz_sum(sig, monkeypatch):
+    """Along e_i, g0 and the Euler field the lower-order term is empty: the
+    first-order action alone is the Lie derivative."""
+    rng = random.Random(f"affine {sig}")
+    fields = [
+        realize(h) for label, h in equivariance_generators(sig)
+        if not label.startswith("eps")
+    ]
+    fields.append(realize(euler_element(sig)))
+    ops = []
+    for lam, mu in ((Fraction(1, 3), Fraction(3, 4)), (Fraction(-2, 5), Fraction(0))):
+        terms = {}
+        for _ in range(3):
+            evens = tuple(rng.randint(0, 3) for _ in range(sig.p))
+            terms[(evens, rng.randrange(1 << sig.q))] = rand_poly(rng, sig, 2, 3)
+        ops.append(DiffOperator(sig, lam, mu, terms))
+    wants = [[lie_operator_by_composition(xf, d) for d in ops] for xf in fields]
+
+    built = []
+
+    class CountingLeibniz(geometry._Leibniz):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(geometry, "_Leibniz", CountingLeibniz)
+    for xf, row in zip(fields, wants):
+        for d, want in zip(ops, row):
+            assert lie_operator(xf, d) == want
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # interior product
 
@@ -1140,6 +1176,223 @@ def test_mixed_symbol_parts():
     assert m.part(0) == c
     assert m.part(5).is_zero()
     assert (m - m).is_zero()
+
+
+class MixedSymbolReference:
+    """The per-degree ``MixedSymbol``: a dict of nonzero ``SymbolField``
+    parts keyed by degree, kept as the reference for the one term map."""
+
+    __slots__ = ("signature", "weight", "_parts")
+
+    def __init__(self, signature, weight, parts=None):
+        self.signature = signature
+        self.weight = as_fraction(weight)
+        canon = {}
+        for k, field in (parts or {}).items():
+            if field.is_zero():
+                continue
+            if field.signature != signature or field.weight != self.weight:
+                raise ValueError("inconsistent part in mixed symbol")
+            if field.degree != k:
+                raise ValueError("part stored under wrong degree")
+            canon[k] = field
+        self._parts = canon
+
+    @classmethod
+    def from_fields(cls, signature, weight, fields):
+        out = cls(signature, weight, {})
+        for f in fields:
+            out = out + reference_of(f)
+        return out
+
+    def part(self, k):
+        got = self._parts.get(k)
+        if got is None:
+            return SymbolField.zero(self.signature, self.weight, k)
+        return got
+
+    def degrees(self):
+        return sorted(self._parts)
+
+    def parts(self):
+        return [self._parts[k] for k in sorted(self._parts)]
+
+    def is_zero(self):
+        return not self._parts
+
+    def __add__(self, other):
+        if isinstance(other, SymbolField):
+            other = reference_of(other)
+        if not isinstance(other, MixedSymbolReference):
+            return NotImplemented
+        if self.signature != other.signature or self.weight != other.weight:
+            raise ValueError("signature or weight mismatch")
+        parts = dict(self._parts)
+        for k, field in other._parts.items():
+            if k in parts:
+                s = parts[k] + field
+                if s.is_zero():
+                    del parts[k]
+                else:
+                    parts[k] = s
+            else:
+                parts[k] = field
+        return MixedSymbolReference(self.signature, self.weight, parts)
+
+    def __sub__(self, other):
+        if isinstance(other, SymbolField):
+            other = reference_of(other)
+        return self + (-other)
+
+    def __neg__(self):
+        return MixedSymbolReference(
+            self.signature, self.weight, {k: -v for k, v in self._parts.items()}
+        )
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return MixedSymbolReference(
+                self.signature,
+                self.weight,
+                {k: v * other for k, v in self._parts.items()}
+                if as_fraction(other)
+                else {},
+            )
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if isinstance(other, SymbolField):
+            other = reference_of(other)
+        if not isinstance(other, MixedSymbolReference):
+            return NotImplemented
+        return (
+            self.signature == other.signature
+            and self.weight == other.weight
+            and self._parts == other._parts
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"MixedSymbol({self.signature}, weight={self.weight}, {self._parts!r})"
+
+    def format_value(self):
+        """The printed form: the parts' texts, highest degree first."""
+        out = ""
+        for part in reversed(self.parts()):
+            text = format_value(part)
+            if not out:
+                out = text
+            elif text.startswith("-"):
+                out += " - " + text[1:]
+            else:
+                out += " + " + text
+        return out or "0"
+
+
+def reference_of(field):
+    return MixedSymbolReference(field.signature, field.weight, {field.degree: field})
+
+
+MIXED_SIGNATURES = [Signature(2, 0), Signature(0, 2), S11, S21, S12]
+
+
+@st.composite
+def mixed_cases(draw):
+    """Two lists of symbols of degrees <= 3 at one weight, a symbol and a
+    scalar; a list may end with the negative of its first field, so parts
+    cancel."""
+    sig = draw(st.sampled_from(MIXED_SIGNATURES))
+    weight = draw(RATIONALS)
+
+    def field_list():
+        fields = [
+            draw(symbols(sig, weight, draw(st.integers(0, 3))))
+            for _ in range(draw(st.integers(0, 4)))
+        ]
+        if fields and draw(st.booleans()):
+            fields.append(-fields[0])
+        return fields
+
+    lone = draw(symbols(sig, weight, draw(st.integers(0, 3))))
+    return sig, weight, field_list(), field_list(), lone, draw(RATIONALS)
+
+
+def assert_mixed_agrees(got, want):
+    assert isinstance(got, MixedSymbol)
+    assert (got.signature, got.weight) == (want.signature, want.weight)
+    assert got.degrees() == want.degrees()
+    assert got.parts() == want.parts()
+    for k in range(5):
+        got_k, want_k = got.part(k), want.part(k)
+        assert (got_k.degree, got_k.weight) == (want_k.degree, want_k.weight)
+        assert got_k == want_k
+    assert got.is_zero() == want.is_zero()
+    assert format_value(got) == want.format_value()
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_cases())
+def test_mixed_symbol_matches_per_degree_reference(case):
+    sig, weight, fields_a, fields_b, lone, c = case
+    a = MixedSymbol.from_fields(sig, weight, fields_a)
+    b = MixedSymbol.from_fields(sig, weight, fields_b)
+    ra = MixedSymbolReference.from_fields(sig, weight, fields_a)
+    rb = MixedSymbolReference.from_fields(sig, weight, fields_b)
+    for got, want in (
+        (a, ra), (b, rb), (a + b, ra + rb), (a - b, ra - rb), (-a, -ra),
+        (c * a, c * ra), (a * c, ra * c), (a + lone, ra + lone),
+        (a - lone, ra - lone), (lone.as_mixed(), reference_of(lone)),
+    ):
+        assert_mixed_agrees(got, want)
+    assert (a == b) == (ra == rb)
+    assert (a == lone) == (ra == lone)
+    assert (lone == a) == (lone == ra)
+    if list(ra._parts) == ra.degrees():
+        assert repr(a) == repr(ra)
+
+
+def test_mixed_symbol_errors_match_reference():
+    sig = S11
+    one = SymbolField.monomial(sig, 1, (1,), ())
+    other_weight = SymbolField.monomial(sig, 2, (1,), ())
+    for cls in (MixedSymbol, MixedSymbolReference):
+        with pytest.raises(ValueError, match="^inconsistent part in mixed symbol$"):
+            cls(sig, 1, {1: other_weight})
+        with pytest.raises(ValueError, match="^part stored under wrong degree$"):
+            cls(sig, 1, {0: one})
+        with pytest.raises(ValueError, match="^signature or weight mismatch$"):
+            cls.from_fields(sig, 1, [one, other_weight])
+        with pytest.raises(ValueError, match="^signature or weight mismatch$"):
+            cls(sig, 1) + cls(Signature(2, 1), 1)
+        # a zero part is dropped before it is checked
+        assert cls(sig, 1, {3: SymbolField.zero(S21, 5, 0)}).is_zero()
+    with pytest.raises(TypeError):
+        one + MixedSymbol(sig, 1)
+    with pytest.raises(TypeError):
+        one - MixedSymbol(sig, 1)
+
+
+def test_coefficient_rejects_keys_of_no_monomial():
+    sig = S21
+    s = SymbolField.monomial(sig, 0, (1, 0), (1,), x(sig))
+    d = affine_quantize(s, 0)
+    for value in (s, d, s.as_mixed()):
+        assert value.coefficient((1, 0), (1,)) == x(sig)
+        assert value.coefficient((0, 1), ()) == SuperPolynomial.zero(sig)
+        with pytest.raises(ValueError, match="repeated odd index"):
+            value.coefficient((1, 0), (1, 1))
+        with pytest.raises(ValueError, match="out of range"):
+            value.coefficient((1, 0), (2,))
+        with pytest.raises(ValueError, match="bad even exponents"):
+            value.coefficient((1,), (1,))
+    # the constructor of a symbol monomial names its frame indices
+    with pytest.raises(ValueError, match="^repeated odd frame index$"):
+        SymbolField.monomial(sig, 0, (0, 0), (1, 1))
+    with pytest.raises(ValueError, match=r"^odd frame index 2 out of range 1\.\.1$"):
+        SymbolField.monomial(sig, 0, (0, 0), (2,))
 
 
 def test_operator_weight_mismatch_raises():

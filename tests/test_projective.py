@@ -8,6 +8,7 @@ and dual bases checked against the closed-form pairings.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -506,6 +507,30 @@ def test_critical_set_examples():
     assert critical_values_for_degree(S10, 1) == {Fraction(1)}
     assert Fraction(0) in critical_values(Signature(0, 2), 2)
     assert Fraction(0) not in critical_values(S10, 3)
+
+
+def critical_values_by_degree(signature, kmax):
+    """The union over k <= kmax of the per-degree critical sets."""
+    out: set = set()
+    for k in range(kmax + 1):
+        out |= critical_values_for_degree(signature, k)
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("sig", [
+    S10, Signature(2, 0), Signature(0, 1), Signature(0, 2), Signature(0, 3),
+    S11, S21, Signature(3, 1), Signature(2, 2), Signature(1, 3),
+    Signature(1, 2), Signature(2, 3),
+], ids=str)
+def test_critical_values_match_union_over_degrees(sig):
+    for kmax in range(-3, 13):
+        try:
+            want = critical_values_by_degree(sig, kmax)
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                critical_values(sig, kmax)
+        else:
+            assert critical_values(sig, kmax) == want, kmax
 
 
 def test_critical_matches_eigenvalue_collisions():

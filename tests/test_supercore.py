@@ -293,3 +293,24 @@ def test_canonical_form_drops_zeros():
     assert f.is_zero() and not f._terms
     g = SuperPolynomial(S11, {((1,), 0): Fraction(0)})
     assert g.is_zero()
+
+
+def test_coefficient_reads_canonical_keys():
+    f = SuperPolynomial.monomial(S11, (2,), (1,), Fraction(3, 4))
+    assert f.coefficient((2,), (1,)) == Fraction(3, 4)
+    assert f.coefficient((2,), ()) == 0
+
+
+def test_coefficient_rejects_keys_of_no_monomial():
+    t1 = SuperPolynomial.coordinate(S11, 2)
+    # t1 * t1 = 0, so the odd indices (1, 1) name no monomial
+    with pytest.raises(ValueError, match="repeated odd index"):
+        t1.coefficient((0,), (1, 1))
+    with pytest.raises(ValueError, match=r"odd index 2 out of range 1\.\.1"):
+        t1.coefficient((0,), (2,))
+    with pytest.raises(ValueError, match="odd index 0 out of range"):
+        t1.coefficient((0,), (0,))
+    with pytest.raises(ValueError, match="bad even exponents"):
+        t1.coefficient((0, 0), (1,))
+    with pytest.raises(ValueError, match="bad even exponents"):
+        t1.coefficient((-1,), ())
