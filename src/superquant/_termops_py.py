@@ -5,10 +5,23 @@ A term map is ``{(even_exponents, odd_mask): coefficient}`` where
 and ``odd_mask`` is a bitmask over the odd generators (bit i-1 <-> index i).
 Coefficients are exact rationals; zero coefficients are never stored.
 
+Two routines serve long sums.  ``add_into`` adds or subtracts a term map in
+a dict that the caller owns and has not yet handed out, so a sum of many
+pieces is built in place instead of copying the accumulator at every step.
+``derive_terms`` applies a derivation with a multiplier, sum_i C_i d_i A +
+W A, in one pass over the terms of A with every product written into one
+output dict: a vector field on a polynomial, and the first-order action of
+a field on a symbol or an operator term map.  The derivation comes in the
+form that ``derivation`` builds once per field, its coefficients 1 and -1
+marked, so that such a coefficient, like an exponent 1 brought down by an
+even derivative, costs no rational product.
+
 This is the package's only kernel; callers reach it as ``supercore._ops``.
 It is not named ``_termops`` so that a stale compiled ``_termops*.so`` left
 in an old install cannot shadow it.
 """
+
+from operator import add
 
 
 def odd_merge_sign(a, b):
@@ -50,34 +63,31 @@ def mul_terms(A, B):
     return out
 
 
-def add_terms(A, B):
-    out = dict(A)
-    for key, c in B.items():
-        prev = out.get(key)
+def add_into(acc, B, sign=1):
+    """Add B, or subtract it when ``sign`` is -1, to the term map ``acc`` in
+    place; ``acc`` must be a dict that the caller owns and has not handed
+    out."""
+    pairs = B.items() if sign > 0 else ((key, -v) for key, v in B.items())
+    get = acc.get
+    for key, v in pairs:
+        prev = get(key)
         if prev is None:
-            out[key] = c
+            acc[key] = v
         else:
-            tot = prev + c
+            tot = prev + v
             if tot:
-                out[key] = tot
+                acc[key] = tot
             else:
-                del out[key]
-    return out
+                del acc[key]
+    return acc
+
+
+def add_terms(A, B):
+    return add_into(dict(A), B)
 
 
 def sub_terms(A, B):
-    out = dict(A)
-    for key, c in B.items():
-        prev = out.get(key)
-        if prev is None:
-            out[key] = -c
-        else:
-            tot = prev - c
-            if tot:
-                out[key] = tot
-            else:
-                del out[key]
-    return out
+    return add_into(dict(A), B, -1)
 
 
 def neg_terms(A):
@@ -96,7 +106,7 @@ def partial_even_terms(A, ix):
     for (e, m), c in A.items():
         a = e[ix]
         if a:
-            out[(e[:ix] + (a - 1,) + e[ix + 1 :], m)] = a * c
+            out[(e[:ix] + (a - 1,) + e[ix + 1 :], m)] = c if a == 1 else c * a
     return out
 
 
@@ -106,4 +116,72 @@ def partial_odd_terms(A, bit):
     for (e, m), c in A.items():
         if m & bit:
             out[(e, m ^ bit)] = -c if odd_below(m, bit) & 1 else c
+    return out
+
+
+def _rows(C):
+    """The terms of C as ``(exponents or None when all zero, mask, coeff,
+    unit)``, unit being the coefficient when it is 1 or -1 and 0 otherwise."""
+    return [
+        (e if any(e) else None, m, c, 1 if c == 1 else -1 if c == -1 else 0)
+        for (e, m), c in C.items()
+    ]
+
+
+def derivation(p, comps):
+    """The form ``derive_terms`` takes of the derivation sum_i C_i d_i.
+
+    ``comps`` lists pairs ``(i, C_i)``: a 0-based coordinate position i, even
+    below ``p`` and odd from ``p`` on, with the term map C_i that multiplies
+    the left derivative along that coordinate from the left.  The form is
+    ``(evens, odds)``, the nonzero C_i as rows keyed by the even position or
+    by the odd bit; it holds no reference to the maps' dicts.
+    """
+    evens, odds = [], []
+    for i, C in comps:
+        if C:
+            if i < p:
+                evens.append((i, _rows(C)))
+            else:
+                odds.append((1 << (i - p), _rows(C)))
+    return evens, odds
+
+
+def derive_terms(A, D, W=None):
+    """sum_i C_i * d_i A + W * A for D = ``derivation(p, [(i, C_i), ...])``,
+    in one pass over the terms of A with every product written into one
+    output dict; ``W``, when given, multiplies A from the left.  Equal to
+    sum_i mul_terms(C_i, partial_*_terms(A, i)) + mul_terms(W, A).
+    """
+    evens, odds = D
+    wrows = _rows(W) if W else None
+    out = {}
+    get = out.get
+    for (e, m), c in A.items():
+        # the derivatives of this term, each with the rows that multiply it
+        pieces = []
+        for ix, rows in evens:
+            a = e[ix]
+            if a:
+                de = e[:ix] + (a - 1,) + e[ix + 1 :]
+                pieces.append((rows, de, m, c if a == 1 else c * a))
+        for bit, rows in odds:
+            if m & bit:
+                pieces.append((rows, e, m ^ bit, -c if odd_below(m, bit) & 1 else c))
+        if wrows:
+            pieces.append((wrows, e, m, c))
+        for rows, de, dm, dc in pieces:
+            for ce, cm, cc, unit in rows:
+                if cm & dm:
+                    continue
+                key = (de if ce is None else tuple(map(add, ce, de)), cm | dm)
+                s = odd_merge_sign(cm, dm) if cm and dm else 1
+                if unit:
+                    v = dc if unit == s else -dc
+                else:
+                    v = cc * dc if s > 0 else -(cc * dc)
+                prev = get(key)
+                out[key] = v if prev is None else prev + v
+    for key in [key for key, v in out.items() if not v]:
+        del out[key]
     return out

@@ -13,7 +13,12 @@ and lists as ``{"kind": "rationals", "values"}``; domain values use the
 schema with a ``failures`` list.
 
 Exit codes: 0 success/pass, 1 usage or expression error, 2 violated
-mathematical precondition (e.g. a critical weight), 3 check failures.
+mathematical precondition (e.g. a critical weight) or a size over its cap,
+3 check failures.
+
+``critical`` lists 2 kmax - 1 weights, so ``--kmax`` is capped at
+``CRITICAL_KMAX`` (10,000): above it the command prints nothing and exits 2
+with a domain error instead of running without bound.
 """
 
 from __future__ import annotations
@@ -60,6 +65,9 @@ from .verifier import (
 )
 
 _VARIANTS = {"sl": VARIANT_SL, "psl": VARIANT_PSL}
+
+# the largest --kmax of ``critical``; its output and memory grow linearly
+CRITICAL_KMAX = 10_000
 
 
 class _UsageError(Exception):
@@ -346,6 +354,8 @@ def _dispatch(args) -> int:
         )
     if cmd == "critical":
         sig = _signature(args)
+        if args.kmax > CRITICAL_KMAX:
+            raise DomainError(f"--kmax {args.kmax} exceeds the cap {CRITICAL_KMAX}")
         values = sorted(critical_values(sig, args.kmax))
         if args.fmt == "json":
             _emit(args, json.dumps(

@@ -133,18 +133,6 @@ def _lex(text: str) -> list[_Token]:
 # carries the merge signs.
 
 
-def _add_into(a: dict, b: dict, sign: int) -> None:
-    # in place: the kernel's add_terms copies ``a``, so a long sum would be
-    # quadratic
-    for key, c in b.items():
-        acc = a.get(key)
-        acc = sign * c if acc is None else acc + sign * c
-        if acc:
-            a[key] = acc
-        elif key in a:
-            del a[key]
-
-
 class _Parser:
     def __init__(self, tokens, kind, signature):
         self.tokens = tokens
@@ -183,11 +171,11 @@ class _Parser:
             self.next()
             sign = -1
         total: dict = {}
-        _add_into(total, self.parse_term(), sign)
+        _ops.add_into(total, self.parse_term(), sign)
         while self.peek().kind in ("+", "-"):
             op = self.next()
             sign = 1 if op.kind == "+" else -1
-            _add_into(total, self.parse_term(), sign)
+            _ops.add_into(total, self.parse_term(), sign)
         return total
 
     def parse_term(self) -> dict:

@@ -29,11 +29,14 @@ d^alpha o M = sum_beta eps C d^{alpha-beta} * d_y^beta M (``_Leibniz``).
 
 Both Lie derivatives share one first-order action on the doubled variables:
 the lift of the field (X on the coordinates, its Jacobian rotating the slot
-atoms) plus a weight times div X.  ``lie_symbol`` is that action at the
-symbol's weight.  ``lie_operator`` is that action at weight mu - lam plus a
-term of lower order, the Leibniz terms of |beta| >= 2 of sum_i X^i d_i and of
-|beta| >= 1 of lam div X; along an affine field that term is empty, so there
-the two actions agree and the affine correspondence intertwines them.
+atoms) plus a weight times div X.  It is one call of the kernel's
+``derive_terms``, sum_i C_i d_i P + W P in one pass over P, as are
+``SuperVectorField.apply`` and ``lie_density``.  ``lie_symbol`` is that
+action at the symbol's weight.  ``lie_operator`` is that action at weight
+mu - lam plus a term of lower order, the Leibniz terms of |beta| >= 2 of
+sum_i X^i d_i and of |beta| >= 1 of lam div X; along an affine field that
+term is empty, so there the two actions agree and the affine correspondence
+intertwines them.
 
 Conventions that fix every sign below: odd derivatives act from the left;
 an operator of odd parity passes a function coefficient g at the cost of
@@ -43,7 +46,9 @@ sum_i (-1)^{parity(y^i) parity(X^i)} dX^i/dy^i.
 Values are never mutated in place.  A vector field relies on this: what
 ``lie_symbol`` and ``lie_operator`` need of it alone (its lift to the doubled
 variables, its divergence and its first-order operator) is computed on first
-use and kept with the field.
+use and kept with the field.  A long sum is built in a private dict with the
+kernel's ``add_into`` and wrapped once at the end, so no value that a caller
+can see is ever changed.
 """
 
 from __future__ import annotations
@@ -271,54 +276,63 @@ class _FieldAction(NamedTuple):
     ``lift`` is X on the coordinates plus the rotation of the slot atoms,
     sum_ij J_ij e_j d/de_i with J_ij = s_i dX_chi^j/dy^i summed over the
     graded parts X_chi, where s_i = 1 when chi and y^i are both odd and -1
-    otherwise.  ``div`` is div X; term by term it is the weighted trace
-    sum_i -(-1)^{parity(y^i)} J_ii, so a density twist of weight w adds
-    w div X.  ``field`` is sum_i X^i d_i, the field as a first-order
-    operator.
+    otherwise.  It is kept in the form the kernel's ``derive_terms`` takes,
+    built by ``derivation`` from the components at their 0-based positions
+    among the doubled variables.  ``div`` is div X; term by term it is the
+    weighted trace sum_i -(-1)^{parity(y^i)} J_ii, so a density twist of
+    weight w adds w div X.  ``field`` is sum_i X^i d_i, the field as a
+    first-order operator.  All three are built once per field, by
+    ``_field_action``.
     """
 
-    lift: "SuperVectorField"
+    lift: tuple
     div: SuperPolynomial
     field: SuperPolynomial
 
 
 def _field_action(x: "SuperVectorField") -> _FieldAction:
     sig = x.signature
-    dsig = _doubled(sig)
     n = sig.n
-    lift = [SuperPolynomial.zero(dsig)] * (2 * n)
+    rotation = [{} for _ in range(n)]
     for chi, xp in x.graded_parts():
         for i in range(1, n + 1):
             sfac = 1 if (chi and sig.parity(i)) else -1
             for j in range(1, n + 1):
                 dcomp = xp.components[j - 1].partial(i)
                 if dcomp:
-                    lift[_slot(sig, i) - 1] += _lift(sig, sfac * dcomp, _unit(sig, j))
-    field = SuperPolynomial.zero(dsig)
+                    _ops.add_into(
+                        rotation[i - 1], _lift(sig, dcomp, _unit(sig, j))._terms, sfac
+                    )
+    lift, field = [], {}
     for i, comp in enumerate(x.components, start=1):
-        lift[_coord(sig, i) - 1] = _lift(sig, comp)
-        field = field + _lift(sig, comp, _unit(sig, i))
-    return _FieldAction(SuperVectorField(dsig, lift), _lift(sig, x.divergence()), field)
+        lift.append((_coord(sig, i) - 1, _lift(sig, comp)._terms))
+        _ops.add_into(field, _lift(sig, comp, _unit(sig, i))._terms)
+    lift += [(_slot(sig, i) - 1, t) for i, t in enumerate(rotation, start=1)]
+    return _FieldAction(
+        _ops.derivation(2 * sig.p, lift),
+        _lift(sig, x.divergence()),
+        SuperPolynomial._raw(_doubled(sig), field),
+    )
 
 
-def _first_order(action: _FieldAction, weight: Fraction, poly: SuperPolynomial):
-    """lift(X) P + weight div(X) P: the Lie derivative of a symbol of weight
-    ``weight``, and the first-order part of that of an operator whose
-    weights differ by ``weight``."""
-    out = action.lift.apply(poly)
-    if weight and action.div:
-        out = out + (weight * action.div) * poly
-    return out
+def _first_order(action: _FieldAction, weight: Fraction, poly: SuperPolynomial) -> dict:
+    """The terms of lift(X) P + weight div(X) P: the Lie derivative of a
+    symbol of weight ``weight``, and the first-order part of that of an
+    operator whose weights differ by ``weight``.  One ``derive_terms`` call
+    with weight div(X) as the multiplier; the dict is the caller's own."""
+    w = (weight * action.div)._terms if weight and action.div else None
+    return _ops.derive_terms(poly._terms, action.lift, w)
 
 
 class SuperVectorField(_Graded):
     """Polynomial derivation X = sum_i X^i d/dy^i.
 
     A field must not be mutated: the data its Lie derivatives need is
-    computed once, on first use, and kept in ``_action_data``.
+    computed once, on first use, and kept in ``_action_data``, and so is
+    the kernel's form of the field, which ``apply`` uses, in ``_form``.
     """
 
-    __slots__ = ("signature", "components", "_action_data")
+    __slots__ = ("signature", "components", "_action_data", "_form")
 
     def __init__(self, signature: Signature, components: Sequence):
         self.signature = signature
@@ -333,7 +347,7 @@ class SuperVectorField(_Graded):
                 f"expected {signature.n} components, got {len(comps)}"
             )
         self.components = tuple(comps)
-        self._action_data = None
+        self._action_data = self._form = None
 
     def _action(self) -> _FieldAction:
         """Graded parts, divergences and Jacobians, built on first use."""
@@ -357,14 +371,17 @@ class SuperVectorField(_Graded):
         )
 
     def apply(self, f: SuperPolynomial) -> SuperPolynomial:
+        return self._derive(f)
+
+    def _derive(self, f: SuperPolynomial, w: SuperPolynomial | None = None):
+        """X(f) + w f, one kernel pass over the terms of f."""
         _check_same_signature(self, f)
-        out = SuperPolynomial.zero(self.signature)
-        for i, comp in enumerate(self.components, start=1):
-            if comp:
-                df = f.partial(i)
-                if df:
-                    out = out + comp * df
-        return out
+        form = self._form
+        if form is None:
+            comps = [(i, comp._terms) for i, comp in enumerate(self.components)]
+            form = self._form = _ops.derivation(self.signature.p, comps)
+        terms = _ops.derive_terms(f._terms, form, w._terms if w else None)
+        return SuperPolynomial._raw(self.signature, terms)
 
     def divergence(self) -> SuperPolynomial:
         sig = self.signature
@@ -461,7 +478,7 @@ def bracket(x: SuperVectorField, y: SuperVectorField) -> SuperVectorField:
 
 def lie_density(x: SuperVectorField, lam: Rational, f: SuperPolynomial) -> SuperPolynomial:
     """Lie derivative of a density of weight lam along x."""
-    return x.apply(f) + (as_fraction(lam) * x.divergence()) * f
+    return x._derive(f, as_fraction(lam) * x.divergence())
 
 
 # ---------------------------------------------------------------------------
@@ -695,10 +712,10 @@ class _Leibniz:
         """d^alpha o M normal-ordered, less the terms with |beta| < ``lowest``."""
         sig = self.sig
         se, smask = alpha
-        out = SuperPolynomial.zero(_doubled(sig))
+        out: dict = {}
         top = min(self.degree, sum(se) + smask.bit_count())
         if lowest > top:
-            return out
+            return SuperPolynomial._raw(_doubled(sig), out)
         for be in product(*[range(a + 1) for a in se]):
             even_order = sum(be)
             if even_order > top:
@@ -715,8 +732,8 @@ class _Leibniz:
                 if rmask or any(rest):
                     sign = _ops.odd_merge_sign(rmask, bmask)
                     dm = _slot_monomial(sig, (rest, rmask), sign * binom) * dm
-                out = out + dm
-        return out
+                _ops.add_into(out, dm._terms)
+        return SuperPolynomial._raw(_doubled(sig), out)
 
 
 def _coordinate_degree(sig: Signature, m: SuperPolynomial) -> int:
@@ -813,10 +830,12 @@ class DiffOperator(_TermMap, _Graded):
             )
         sig = self.signature
         push = _Leibniz(sig, other._poly)
-        out = SuperPolynomial.zero(_doubled(sig))
+        out: dict = {}
         for alpha, f in _split(sig, self._poly).items():
-            out = out + _lift(sig, f) * push(alpha)
-        return DiffOperator._raw(sig, other.lam, self.mu, out)
+            _ops.add_into(out, (_lift(sig, f) * push(alpha))._terms)
+        return DiffOperator._raw(
+            sig, other.lam, self.mu, SuperPolynomial._raw(_doubled(sig), out)
+        )
 
     # -- structure ---------------------------------------------------------
 
@@ -899,15 +918,18 @@ def lie_operator(x: SuperVectorField, d: DiffOperator) -> DiffOperator:
     if d.lam and _coordinate_degree(sig, action.div) >= 1:
         sums.append((_Leibniz(sig, d.lam * action.div), 1))
     if not sums:
-        return d._with(out)
+        return d._with(SuperPolynomial._raw(poly.signature, out))
     for alpha, f in _split(sig, poly).items():
         terms = [push(alpha, lowest) for push, lowest in sums]
         below = sum(terms[1:], terms[0])
         if not below:
             continue  # [d^0 W] is empty, and so is [d^a W] if d^a kills W
         below = below * _lift(sig, f)
-        out = out + below.parity_twist() if alpha[1].bit_count() & 1 else out - below
-    return d._with(out)
+        if alpha[1].bit_count() & 1:
+            _ops.add_into(out, below.parity_twist()._terms)
+        else:
+            _ops.add_into(out, below._terms, -1)
+    return d._with(SuperPolynomial._raw(poly.signature, out))
 
 
 # ---------------------------------------------------------------------------
@@ -923,7 +945,8 @@ def lie_symbol(x: SuperVectorField, s: SymbolField) -> SymbolField:
     """
     if x.signature != s.signature:
         raise ValueError("signature mismatch")
-    return s._with(_first_order(x._action(), s.weight, s._poly))
+    terms = _first_order(x._action(), s.weight, s._poly)
+    return s._with(SuperPolynomial._raw(s._poly.signature, terms))
 
 
 def interior(h: Sequence[Rational], s: SymbolField) -> SymbolField:

@@ -29,7 +29,7 @@ from .projective import (
     casimir_eigenvalue,
     ensure_noncritical,
 )
-from .supercore import Signature, as_fraction
+from .supercore import Signature, SuperPolynomial, _ops, as_fraction
 
 VARIANT_SL = "generic-sl"
 VARIANT_PSL = "psl-family"
@@ -107,7 +107,7 @@ def _sum_over_degrees(
 def _divergence_series(s: SymbolField, cfg: QuantizationConfig) -> DiffOperator:
     """Q(S) = sum_r C_{k,r} affine(div^r S) for a degree-k symbol."""
     k = s.degree
-    total = DiffOperator.zero(cfg.signature, cfg.lam, cfg.mu)
+    total: dict = {}
     cur = s
     for r in range(k + 1):
         if k == r == 1 and cfg.variant == VARIANT_PSL:
@@ -115,13 +115,13 @@ def _divergence_series(s: SymbolField, cfg: QuantizationConfig) -> DiffOperator:
             c = cfg.t
         else:
             c = _closed_form_coefficient(k, r, cfg.lam, cfg.delta, cfg.signature)
-        if c == 1:
-            total = total + affine_quantize(cur, cfg.lam)
-        elif c:
-            total = total + c * affine_quantize(cur, cfg.lam)
+        # affine(div^r S) is the term map of div^r S relabeled
+        if c:
+            _ops.add_into(total, (c * cur._poly)._terms)
         if r < k:
             cur = symbol_divergence(cur)
-    return total
+    poly = SuperPolynomial._raw(s._poly.signature, total)
+    return DiffOperator._raw(cfg.signature, cfg.lam, cfg.mu, poly)
 
 
 def quantize(s: SymbolField | MixedSymbol, cfg: QuantizationConfig) -> DiffOperator:

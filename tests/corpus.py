@@ -11,7 +11,7 @@ diffing the outputs.
     PYTHONPATH=src python tests/corpus.py --signatures 1/1,2/1 --kmax 2
 
 The default covers the 12 signatures of ``SIGNATURES`` with symbol degrees
-k <= 3.  The name keeps pytest from collecting the file.
+k <= 3, and the Casimir at k <= 2.  The name keeps pytest from collecting the file.
 """
 
 from __future__ import annotations
@@ -31,9 +31,12 @@ from superquant import (
     affine_defect,
     affine_quantize,
     affine_symbol,
+    bracket,
+    casimir_apply,
     critical_values_for_degree,
     density_operator,
     interior,
+    lie_density,
     lie_operator,
     lie_symbol,
     principal_symbol,
@@ -150,6 +153,32 @@ def run_signature(sig: Signature, kmax: int, out) -> None:
               lambda: density_operator(x, mu).compose(d1))
         _emit(out, f"{tag} compose density right {i}",
               lambda: d1.compose(density_operator(x, LAM)))
+    run_derivations(sig, fields, symbols, out)
+
+
+def run_derivations(sig: Signature, fields, symbols, out) -> None:
+    """The field actions that do not go through a Lie derivative of a symbol
+    or an operator: ``apply``, ``lie_density``, ``bracket`` and the Casimir
+    in both representations.  Their inputs come from a generator of their
+    own, so the lines above do not depend on this section."""
+    rng = random.Random(f"corpus derivations {sig}")
+    tag = f"[{sig}]"
+    f = random_polynomial(sig, rng, 3)
+    for label, x in fields:
+        _emit(out, f"{tag} apply {label}", lambda: x.apply(f))
+        _emit(out, f"{tag} lie_density {label}", lambda: lie_density(x, LAM, f))
+    generators = [(label, x) for label, x in fields if not label.startswith("cubic")]
+    for (la, a), (lb, b) in zip(generators, generators[1:]):
+        _emit(out, f"{tag} bracket {la} {lb}", lambda: bracket(a, b))
+    c1, c2 = _cubic_field(sig, rng), _cubic_field(sig, rng)
+    la, a = generators[rng.randrange(len(generators))]
+    _emit(out, f"{tag} bracket random fields", lambda: bracket(c1, c2))
+    _emit(out, f"{tag} bracket random {la}", lambda: bracket(c1, a))
+    for s in symbols:
+        if s.degree <= 2:
+            for rep in ("L", "affine"):
+                _emit(out, f"{tag} k={s.degree} casimir {rep}",
+                      lambda: casimir_apply(s, LAM, rep=rep))
 
 
 def run(signatures, kmax: int, out=None) -> None:

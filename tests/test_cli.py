@@ -204,6 +204,19 @@ class TestExitCodes:
         assert main(["critical", "--p", "2", "--q", "1", "--kmax", "-1"]) == 1
         capsys.readouterr()
 
+    def test_critical_kmax_at_cap_runs(self, capsys):
+        argv = ["critical", "--p", "2", "--q", "1", "--kmax", str(cli.CRITICAL_KMAX)]
+        assert main(argv + ["--format", "json"]) == 0
+        values = json.loads(capsys.readouterr().out)["values"]
+        assert len(values) == 2 * cli.CRITICAL_KMAX - 1
+
+    def test_critical_kmax_over_cap_is_two(self, capsys):
+        argv = ["critical", "--p", "2", "--q", "1", "--kmax", str(cli.CRITICAL_KMAX + 1)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("domain error: ") and "--kmax" in err
+
     def test_negative_degree_max_is_one(self, capsys):
         assert main(["check", "equivariance", "--p", "1", "--q", "1",
                      "--degree-max", "-1"]) == 1

@@ -10,6 +10,7 @@ against their nested per-frame-key references.
 """
 
 import random
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
@@ -19,11 +20,13 @@ from hypothesis import strategies as st
 from superquant import geometry
 from superquant.expr import format_value
 from superquant.projective import euler_element, realize
+from superquant.quantizer import QuantizationConfig, quantize
 from superquant.verifier import equivariance_generators
 
 from superquant.supercore import (
     Signature,
     SuperPolynomial,
+    _check_same_signature,
     _ops,
     as_fraction,
     iter_monomials,
@@ -916,9 +919,10 @@ def test_field_action_built_once(monkeypatch):
     s2 = SymbolField.monomial(sig, Fraction(-2, 5), (1, 0), (1,), x1 + 1)
     wants = [lie_symbol_reference(xf, s) for s in (s1, s2)]
 
-    graded_calls, receivers = [], []
+    graded_calls, receivers, derived = [], [], []
     graded_parts = SuperVectorField.graded_parts
     partial = SuperPolynomial.partial
+    derive_terms = _ops.derive_terms
 
     def counting_graded_parts(self):
         graded_calls.append(self)
@@ -928,8 +932,13 @@ def test_field_action_built_once(monkeypatch):
         receivers.append(self)
         return partial(self, i)
 
+    def recording_derive_terms(terms, *args):
+        derived.append(terms)
+        return derive_terms(terms, *args)
+
     monkeypatch.setattr(SuperVectorField, "graded_parts", counting_graded_parts)
     monkeypatch.setattr(SuperPolynomial, "partial", recording_partial)
+    monkeypatch.setattr(_ops, "derive_terms", recording_derive_terms)
 
     def jacobian_partials():
         return [f for f in receivers if any(f == c for c in part_comps)]
@@ -937,10 +946,10 @@ def test_field_action_built_once(monkeypatch):
     assert lie_symbol(xf, s1) == wants[0]
     assert len(graded_calls) == 1
     assert len(jacobian_partials()) >= 2 * sig.n * sig.n  # both parts' Jacobians
-    del graded_calls[:], receivers[:]
+    del graded_calls[:], receivers[:], derived[:]
     assert lie_symbol(xf, s2) == wants[1]
     assert graded_calls == [] and jacobian_partials() == []
-    assert receivers  # the coefficients were still transported
+    assert derived  # the coefficients were still transported
 
     twin = SuperVectorField(sig, xf.components)
     d = DiffOperator(sig, Fraction(1, 3), Fraction(1, 2), {
@@ -983,6 +992,195 @@ def test_lie_operator_along_affine_generators_runs_no_leibniz_sum(sig, monkeypat
         for d, want in zip(ops, row):
             assert lie_operator(xf, d) == want
     assert built == []
+
+
+# ---------------------------------------------------------------------------
+# the one-pass derivation kernel
+#
+# ``apply_reference`` is the per-component ``SuperVectorField.apply`` that
+# the kernel's ``derive_terms`` replaced, and ``first_order_reference`` the
+# first-order action as ``lift.apply(P) + (w div X) P`` on the lifted field
+# that ``_field_action`` used to build; both verbatim.
+
+
+def apply_reference(self, f):
+    _check_same_signature(self, f)
+    out = SuperPolynomial.zero(self.signature)
+    for i, comp in enumerate(self.components, start=1):
+        if comp:
+            df = f.partial(i)
+            if df:
+                out = out + comp * df
+    return out
+
+
+def lift_reference(x):
+    sig = x.signature
+    dsig = geometry._doubled(sig)
+    n = sig.n
+    lift = [SuperPolynomial.zero(dsig)] * (2 * n)
+    for chi, xp in x.graded_parts():
+        for i in range(1, n + 1):
+            sfac = 1 if (chi and sig.parity(i)) else -1
+            for j in range(1, n + 1):
+                dcomp = xp.components[j - 1].partial(i)
+                if dcomp:
+                    lift[geometry._slot(sig, i) - 1] += geometry._lift(
+                        sig, sfac * dcomp, geometry._unit(sig, j))
+    for i, comp in enumerate(x.components, start=1):
+        lift[geometry._coord(sig, i) - 1] = geometry._lift(sig, comp)
+    return SuperVectorField(dsig, lift)
+
+
+def first_order_reference(x, weight, poly):
+    out = apply_reference(lift_reference(x), poly)
+    div = geometry._lift(x.signature, x.divergence())
+    if weight and div:
+        out = out + (weight * div) * poly
+    return out
+
+
+def bracket_reference(x, y):
+    sig = x.signature
+    comps = [SuperPolynomial.zero(sig) for _ in range(sig.n)]
+    for chi, xp in x.graded_parts():
+        for eta, yp in y.graded_parts():
+            sign = -1 if chi and eta else 1
+            for i in range(sig.n):
+                comps[i] = (
+                    comps[i]
+                    + apply_reference(xp, yp.components[i])
+                    - sign * apply_reference(yp, xp.components[i])
+                )
+    return SuperVectorField(sig, comps)
+
+
+UNITS_OR_RATIONALS = st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]), RATIONALS)
+
+
+@st.composite
+def graded_polys(draw, sig, parity):
+    """Up to three terms of degree <= 2, coefficients often +-1; every term
+    of the given parity (0 even, 1 odd) or, for None, of either."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        evens = [0] * sig.p
+        for _ in range(draw(st.integers(0, 2))):
+            if sig.p:
+                evens[draw(st.integers(0, sig.p - 1))] += 1
+        mask = draw(st.integers(0, (1 << sig.q) - 1))
+        if parity is not None and mask.bit_count() % 2 != parity:
+            if not sig.q:
+                continue
+            mask ^= 1
+        key = (tuple(evens), mask)
+        terms[key] = terms.get(key, Fraction(0)) + draw(UNITS_OR_RATIONALS)
+    return SuperPolynomial(sig, terms)
+
+
+@st.composite
+def oracle_fields(draw, sig):
+    """A field whose components are each zero, even, odd or of mixed parity."""
+    comps = []
+    for _ in range(sig.n):
+        kind = draw(st.sampled_from(["zero", "even", "odd", "mixed"]))
+        parity = {"even": 0, "odd": 1, "mixed": None}.get(kind)
+        comps.append(
+            SuperPolynomial.zero(sig) if kind == "zero" else draw(graded_polys(sig, parity))
+        )
+    return SuperVectorField(sig, comps)
+
+
+def cancelling_pair(sig):
+    """A field y^a d_a - y^b d_b and the monomial y^a y^b that it kills: the
+    two products of its action land on one key and cancel."""
+    a, b = 1, sig.n
+    comps = [SuperPolynomial.zero(sig)] * sig.n
+    comps[a - 1] = SuperPolynomial.coordinate(sig, a)
+    comps[b - 1] = -SuperPolynomial.coordinate(sig, b)
+    f = SuperPolynomial.coordinate(sig, a) * SuperPolynomial.coordinate(sig, b)
+    return SuperVectorField(sig, comps), f
+
+
+@st.composite
+def derivation_oracle_cases(draw):
+    sig = draw(st.sampled_from(ORACLE_SIGNATURES))
+    xf, yf = draw(oracle_fields(sig)), draw(oracle_fields(sig))
+    f = draw(graded_polys(sig, None))
+    if sig.n > 1 and draw(st.booleans()):
+        # part of the action cancels inside the one output dict
+        killer, killed = cancelling_pair(sig)
+        xf, f = xf + killer, f + killed
+    weight = draw(UNITS_OR_RATIONALS)
+    s = draw(symbols(sig, weight, draw(st.integers(0, 3))))
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        evens = tuple(draw(st.integers(0, 2)) for _ in range(sig.p))
+        mask = draw(st.integers(0, (1 << sig.q) - 1))
+        terms[(evens, mask)] = draw(graded_polys(sig, None))
+    d = DiffOperator(sig, draw(UNITS_OR_RATIONALS), draw(RATIONALS), terms)
+    return xf, yf, f, s, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(derivation_oracle_cases())
+def test_one_pass_derivation_matches_per_component_references(case):
+    xf, yf, f, s, d = case
+    assert xf.apply(f) == apply_reference(xf, f)
+    assert lie_density(xf, s.weight, f) == (
+        apply_reference(xf, f) + (s.weight * xf.divergence()) * f
+    )
+    got = lie_symbol(xf, s)
+    assert got._poly == first_order_reference(xf, s.weight, s._poly)
+    assert got == lie_symbol_reference(xf, s)
+    assert lie_operator(xf, d) == lie_operator_by_composition(xf, d)
+    assert bracket(xf, yf) == bracket_reference(xf, yf)
+
+
+@pytest.mark.parametrize("sig", [s for s in ORACLE_SIGNATURES if s.n > 1], ids=str)
+def test_cancelling_action_leaves_no_zero_terms(sig):
+    killer, killed = cancelling_pair(sig)
+    assert killer.apply(killed).is_zero() and not killer.apply(killed)._terms
+    assert apply_reference(killer, killed).is_zero()
+
+
+def test_lie_density_cancels_to_zero():
+    # (y d/dy)(y) + lam div(y d/dy) y = (1 + lam) y, zero at lam = -1
+    sig = Signature(1, 0)
+    y = SuperPolynomial.coordinate(sig, 1)
+    out = lie_density(SuperVectorField(sig, [y]), -1, y)
+    assert out.is_zero() and not out._terms
+
+
+def test_values_are_never_mutated():
+    """The private accumulators never reach a value a caller holds: every
+    input, and the field's cached action data, is unchanged by two runs of
+    each construction, and the two runs agree."""
+    sig = S21
+    rng = random.Random("no mutation")
+    xf, yf = rand_field(rng, sig, 2), rand_field(rng, sig, 2)
+    f = rand_poly(rng, sig, 3, 4)
+    s = rand_symbol(rng, sig, Fraction(1, 5), 2)
+    cfg = QuantizationConfig(sig, Fraction(1, 3), Fraction(1, 5))
+    d = quantize(s, cfg)
+    xf._action()
+    xf.apply(f)  # builds the field's kernel form too
+    polys_in = [f, s._poly, d._poly, *xf.components, *yf.components]
+    before = [deepcopy(p._terms) for p in polys_in]
+    cached = deepcopy((xf._action_data, xf._form))
+    runs = [
+        [
+            xf.apply(f),
+            lie_symbol(xf, s),
+            lie_operator(xf, d),
+            quantize(s, cfg),
+            bracket(xf, yf),
+        ]
+        for _ in range(2)
+    ]
+    assert [p._terms for p in polys_in] == before
+    assert (xf._action_data, xf._form) == cached
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------

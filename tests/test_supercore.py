@@ -314,3 +314,74 @@ def test_coefficient_rejects_keys_of_no_monomial():
         t1.coefficient((0, 0), (1,))
     with pytest.raises(ValueError, match="bad even exponents"):
         t1.coefficient((-1,), ())
+
+
+# ---------------------------------------------------------------------------
+# the one-pass derivation kernel against separate products
+
+KERNEL_SIGS = SIGS + [Signature(2, 0), Signature(0, 2), Signature(1, 0), Signature(0, 1)]
+UNITS_OR_RATIONALS = st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]), rationals)
+
+
+@st.composite
+def unit_heavy_polys(draw, sig):
+    """Up to four terms of degree <= 2 per variable, coefficients often +-1."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        key = (tuple(draw(st.integers(0, 2)) for _ in range(sig.p)),
+               draw(st.integers(0, (1 << sig.q) - 1)))
+        terms[key] = terms.get(key, Fraction(0)) + draw(UNITS_OR_RATIONALS)
+    return SuperPolynomial(sig, terms)
+
+
+@st.composite
+def derivation_cases(draw):
+    sig = draw(st.sampled_from(KERNEL_SIGS))
+    a = draw(unit_heavy_polys(sig))
+    comps = [draw(unit_heavy_polys(sig)) for _ in range(sig.n)]
+    w = draw(st.one_of(st.none(), unit_heavy_polys(sig)))
+    return sig, a, comps, w
+
+
+def derive_by_products(sig, a, comps, w):
+    """sum_i mul_terms(C_i, partial_*_terms(A, i)) + mul_terms(W, A)."""
+    out = {}
+    for i, c in enumerate(comps):
+        if i < sig.p:
+            d = _ops.partial_even_terms(a._terms, i)
+        else:
+            d = _ops.partial_odd_terms(a._terms, 1 << (i - sig.p))
+        out = _ops.add_terms(out, _ops.mul_terms(c._terms, d))
+    if w is not None:
+        out = _ops.add_terms(out, _ops.mul_terms(w._terms, a._terms))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(derivation_cases())
+def test_derive_terms_matches_separate_products(case):
+    sig, a, comps, w = case
+    form = _ops.derivation(sig.p, [(i, c._terms) for i, c in enumerate(comps)])
+    got = _ops.derive_terms(a._terms, form, None if w is None else w._terms)
+    assert got == derive_by_products(sig, a, comps, w)
+    assert all(got.values())  # canonical: no zero coefficient is stored
+
+
+def test_derive_terms_drops_cancelled_terms():
+    # (x d/dx - t d/dt)(x t) = x t - x t and (y d/dy)(y) - 1 * y cancel
+    sig = S11
+    form = _ops.derivation(1, [(0, x(sig, 1)._terms), (1, (-th(sig, 1))._terms)])
+    assert _ops.derive_terms((x(sig, 1) * th(sig, 1))._terms, form) == {}
+    sig = Signature(1, 0)
+    form = _ops.derivation(1, [(0, x(sig, 1)._terms)])
+    minus_one = SuperPolynomial.scalar(sig, -1)._terms
+    assert _ops.derive_terms(x(sig, 1)._terms, form, minus_one) == {}
+
+
+def test_add_into_sums_in_place():
+    acc = (x(S11, 1) + th(S11, 1))._terms.copy()
+    piece = (x(S11, 1) - 2 * th(S11, 1))._terms
+    before = dict(piece)
+    assert _ops.add_into(acc, piece, -1) is acc
+    assert acc == (3 * th(S11, 1))._terms  # the x terms cancelled and left
+    assert piece == before
