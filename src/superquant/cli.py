@@ -18,7 +18,9 @@ mathematical precondition (e.g. a critical weight) or a size over its cap,
 
 ``critical`` lists 2 kmax - 1 weights, so ``--kmax`` is capped at
 ``CRITICAL_KMAX`` (10,000): above it the command prints nothing and exits 2
-with a domain error instead of running without bound.
+with a domain error instead of running without bound.  ``check
+homomorphism`` compares every pair of basis brackets, work that grows like
+(p+q)^6, so p + q is capped at ``HOMOMORPHISM_NMAX`` (8) in the same way.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ _VARIANTS = {"sl": VARIANT_SL, "psl": VARIANT_PSL}
 
 # the largest --kmax of ``critical``; its output and memory grow linearly
 CRITICAL_KMAX = 10_000
+# the largest p + q of ``check homomorphism``; its work grows like (p+q)^6
+HOMOMORPHISM_NMAX = 8
 
 
 class _UsageError(Exception):
@@ -397,6 +401,10 @@ def _dispatch(args) -> int:
             k_max=args.kmax, sample_count=args.samples, seed=args.seed,
         )
     elif args.mode == "homomorphism":
+        if sig.n > HOMOMORPHISM_NMAX:
+            raise DomainError(
+                f"check homomorphism at p + q = {sig.n} exceeds the cap {HOMOMORPHISM_NMAX}"
+            )
         report = check_homomorphism(sig)
     else:
         report = check_relcas(

@@ -45,8 +45,9 @@ sum_i (-1)^{parity(y^i) parity(X^i)} dX^i/dy^i.
 
 Values are never mutated in place.  A vector field relies on this: what
 ``lie_symbol`` and ``lie_operator`` need of it alone (its lift to the doubled
-variables, its divergence and its first-order operator) is computed on first
-use and kept with the field.  A long sum is built in a private dict with the
+variables, its divergence and its first-order operator), and what ``apply``
+and ``bracket`` need (its kernel form and its odd part), is computed on
+first use and kept with the field.  A long sum is built in a private dict with the
 kernel's ``add_into`` and wrapped once at the end, so no value that a caller
 can see is ever changed.
 """
@@ -328,11 +329,12 @@ class SuperVectorField(_Graded):
     """Polynomial derivation X = sum_i X^i d/dy^i.
 
     A field must not be mutated: the data its Lie derivatives need is
-    computed once, on first use, and kept in ``_action_data``, and so is
-    the kernel's form of the field, which ``apply`` uses, in ``_form``.
+    computed once, on first use, and kept in ``_action_data``, and so are
+    the kernel's form of the field, which ``apply`` uses, in ``_form``, and
+    its odd graded part, which ``bracket`` uses, in ``_odd``.
     """
 
-    __slots__ = ("signature", "components", "_action_data", "_form")
+    __slots__ = ("signature", "components", "_action_data", "_form", "_odd")
 
     def __init__(self, signature: Signature, components: Sequence):
         self.signature = signature
@@ -347,7 +349,7 @@ class SuperVectorField(_Graded):
                 f"expected {signature.n} components, got {len(comps)}"
             )
         self.components = tuple(comps)
-        self._action_data = self._form = None
+        self._action_data = self._form = self._odd = None
 
     def _action(self) -> _FieldAction:
         """Graded parts, divergences and Jacobians, built on first use."""
@@ -376,12 +378,32 @@ class SuperVectorField(_Graded):
     def _derive(self, f: SuperPolynomial, w: SuperPolynomial | None = None):
         """X(f) + w f, one kernel pass over the terms of f."""
         _check_same_signature(self, f)
+        terms = _ops.derive_terms(f._terms, self._derivation(), w._terms if w else None)
+        return SuperPolynomial._raw(self.signature, terms)
+
+    def _derivation(self) -> tuple:
+        """The kernel's form of the field, built on first use."""
         form = self._form
         if form is None:
             comps = [(i, comp._terms) for i, comp in enumerate(self.components)]
             form = self._form = _ops.derivation(self.signature.p, comps)
-        terms = _ops.derive_terms(f._terms, form, w._terms if w else None)
-        return SuperPolynomial._raw(self.signature, terms)
+        return form
+
+    def _odd_part(self) -> "SuperVectorField":
+        """The odd graded part of the field, zero if it has none; split on
+        first use.  Its component i is the part of X^i of parity opposite
+        to y^i."""
+        odd = self._odd
+        if odd is None:
+            sig = self.signature
+            odd = self._odd = SuperVectorField(
+                sig,
+                [
+                    comp.graded_parts()[1 - sig.parity(i)]
+                    for i, comp in enumerate(self.components, start=1)
+                ],
+            )
+        return odd
 
     def divergence(self) -> SuperPolynomial:
         sig = self.signature
@@ -460,19 +482,31 @@ class SuperVectorField(_Graded):
 
 
 def bracket(x: SuperVectorField, y: SuperVectorField) -> SuperVectorField:
-    """Super commutator of vector fields."""
+    """Super commutator of vector fields.
+
+    Over the graded parts, [X, Y] = sum X_chi Y_eta - (-1)^{chi eta} Y_eta
+    X_chi: only two odd parts anticommute, so
+
+        [X, Y]^i = X(Y^i) - Y(X^i) + 2 Y_1(X_1^i),
+
+    with X_1, Y_1 the odd parts.  Each component is these three kernel
+    passes into one dict, or the first two when X or Y has no odd part;
+    each field's kernel form and odd part are built once and kept with it.
+    """
     _check_same_signature(x, y)
     sig = x.signature
-    comps = [SuperPolynomial.zero(sig) for _ in range(sig.n)]
-    for chi, xp in x.graded_parts():
-        for eta, yp in y.graded_parts():
-            sign = -1 if chi and eta else 1
-            for i in range(sig.n):
-                comps[i] = (
-                    comps[i]
-                    + xp.apply(yp.components[i])
-                    - sign * yp.apply(xp.components[i])
-                )
+    dx, dy = x._derivation(), y._derivation()
+    xo, yo = x._odd_part(), y._odd_part()
+    dyo = None if xo.is_zero() or yo.is_zero() else yo._derivation()
+    comps = []
+    for i in range(sig.n):
+        acc = _ops.derive_terms(y.components[i]._terms, dx)
+        _ops.add_into(acc, _ops.derive_terms(x.components[i]._terms, dy), -1)
+        if dyo is not None:
+            odd = _ops.derive_terms(xo.components[i]._terms, dyo)
+            _ops.add_into(acc, odd)
+            _ops.add_into(acc, odd)
+        comps.append(SuperPolynomial._raw(sig, acc))
     return SuperVectorField(sig, comps)
 
 

@@ -17,14 +17,15 @@ projective algebra).
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import CriticalValueError, DomainError
 from .geometry import (
-    DiffOperator,
     MixedSymbol,
     SuperVectorField,
     SymbolField,
@@ -34,7 +35,7 @@ from .geometry import (
     lie_operator,
     lie_symbol,
 )
-from .supercore import Rational, Signature, SuperPolynomial, as_fraction
+from .supercore import Rational, Signature, SuperPolynomial, _ops, as_fraction
 
 ALGEBRA_SL = "sl"
 ALGEBRA_PSL = "psl"
@@ -70,18 +71,8 @@ def _mat(rows) -> tuple:
     return tuple(tuple(as_fraction(v) for v in row) for row in rows)
 
 
-def _identity(size: int) -> tuple:
-    return tuple(
-        tuple(Fraction(1 if r == c else 0) for c in range(size)) for r in range(size)
-    )
-
-
 def _mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def _mat_scale(c, a):
@@ -172,6 +163,20 @@ def _invert(matrix) -> tuple:
 # elements
 
 
+def _representative(signature: Signature, m: tuple, algebra: str) -> tuple:
+    """The canonical representative of m modulo the identity: supertraceless
+    for ``sl``, zero corner entry for ``psl``.  The multiple of the identity
+    is subtracted on the diagonal only."""
+    if algebra == ALGEBRA_SL:
+        s = _supertrace_full(m, signature)
+        c = s / (signature.p + 1 - signature.q) if s else 0
+    else:
+        c = m[0][0]
+    if not c:
+        return m
+    return tuple(row[:r] + (row[r] - c,) + row[r + 1 :] for r, row in enumerate(m))
+
+
 class PglElement:
     """An element of the projective superalgebra, stored as a canonical
     representative: supertraceless for ``sl``, zero corner entry for ``psl``."""
@@ -184,18 +189,20 @@ class PglElement:
         m = _mat(matrix)
         if len(m) != size or any(len(row) != size for row in m):
             raise ValueError(f"expected a {size}x{size} matrix for {signature}")
-        if algebra == ALGEBRA_SL:
-            s = _supertrace_full(m, signature)
-            if s:
-                scale = s / (signature.p + 1 - signature.q)
-                m = _mat_sub(m, _mat_scale(scale, _identity(size)))
-        else:
-            c = m[0][0]
-            if c:
-                m = _mat_sub(m, _mat_scale(c, _identity(size)))
         self.signature = signature
-        self.matrix = m
+        self.matrix = _representative(signature, m, algebra)
         self.algebra = algebra
+
+    @classmethod
+    def _raw(cls, signature: Signature, matrix: tuple, algebra: str) -> "PglElement":
+        # a square tuple of Fraction rows of the right size and a normalized
+        # algebra name, as the bracket makes them: only the representative
+        # is chosen
+        self = cls.__new__(cls)
+        self.signature = signature
+        self.matrix = _representative(signature, matrix, algebra)
+        self.algebra = algebra
+        return self
 
     def supertrace(self) -> Fraction:
         return _supertrace_full(self.matrix, self.signature)
@@ -308,7 +315,7 @@ def pgl_to_graded(x: PglElement) -> GradedElement:
 def pgl_bracket(a: PglElement, b: PglElement) -> PglElement:
     if a.signature != b.signature:
         raise ValueError("signature mismatch")
-    return PglElement(
+    return PglElement._raw(
         a.signature, _super_commutator(a.matrix, b.matrix, a.signature), a.algebra
     )
 
@@ -433,46 +440,72 @@ def graded_basis(
 # the vector-field realization
 
 
+@functools.cache
+def _realization_keys(sig: Signature) -> tuple:
+    """Term keys of a realized field at ``sig``: the constant key, the key of
+    each coordinate y^j (index j, 1-based), and for each pair (j, i) the key
+    of y^j y^i with the sign that orders its odd factors (0 when y^j = y^i
+    is odd, so the product vanishes)."""
+    coords = [((0,) * sig.p, 0)]
+    coords += [
+        next(iter(SuperPolynomial.coordinate(sig, j)._terms)) for j in range(1, sig.n + 1)
+    ]
+    products = [
+        [
+            ((tuple(map(add, ej, ei)), mj | mi), _ops.odd_merge_sign(mj, mi))
+            for ei, mi in coords
+        ]
+        for ej, mj in coords
+    ]
+    return coords, products
+
+
 def realize(h) -> SuperVectorField:
     """The vector field attached to an algebra element.
 
     Constants act by negated coordinate derivatives, linear blocks by negated
     signed linear fields, and quadratic directions by a coordinate function
-    times the Euler field.
+    times the Euler field.  An element's matrix is read directly: h_- is
+    column 0, h_+ is row 0 and h_0 the block below and right of the corner,
+    less the corner entry on its diagonal.  Component i is one term dict:
+    -h_-^i, then -(+-) h_0^ij y^j (sign - when y^j is odd and y^i even), then
+    f y^i with f = sum_j (-1)^{parity(y^j)} h_+^j y^j.
     """
     if isinstance(h, SuperVectorField):
         return h
     if isinstance(h, PglElement):
-        h = pgl_to_graded(h)
-    if not isinstance(h, GradedElement):
+        m = h.matrix
+        corner = m[0][0]
+        h_minus = [row[0] for row in m[1:]]
+        h_zero = [row[1:] for row in m[1:]]
+        h_plus = m[0][1:]
+    elif isinstance(h, GradedElement):
+        corner = 0
+        h_minus, h_zero, h_plus = h.h_minus, h.h_zero, h.h_plus
+    else:
         raise TypeError(f"cannot realize {type(h).__name__}")
     sig = h.signature
-    n = sig.n
-    comps = [SuperPolynomial.zero(sig) for _ in range(n)]
-    for i in range(n):
-        v = h.h_minus[i]
+    coords, products = _realization_keys(sig)
+    parity = [0] + [sig.parity(j) for j in range(1, sig.n + 1)]
+    f = [(j, -v if parity[j] else v) for j, v in enumerate(h_plus, start=1) if v]
+    comps = []
+    for i in range(1, sig.n + 1):
+        terms = {}
+        v = h_minus[i - 1]
         if v:
-            comps[i] = comps[i] - SuperPolynomial.scalar(sig, v)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            a = h.h_zero[i - 1][j - 1]
-            if not a:
-                continue
-            tj = sig.parity(j)
-            ti = sig.parity(i)
-            sign = -1 if (tj and (ti ^ tj)) else 1
-            comps[i - 1] = comps[i - 1] - (sign * a) * SuperPolynomial.coordinate(
-                sig, j
-            )
-    if any(h.h_plus):
-        f = SuperPolynomial.zero(sig)
-        for j in range(1, n + 1):
-            xi = h.h_plus[j - 1]
-            if xi:
-                sign = -1 if sig.parity(j) else 1
-                f = f + (sign * xi) * SuperPolynomial.coordinate(sig, j)
-        for i in range(1, n + 1):
-            comps[i - 1] = comps[i - 1] + f * SuperPolynomial.coordinate(sig, i)
+            terms[coords[0]] = -v
+        row = h_zero[i - 1]
+        for j in range(1, sig.n + 1):
+            a = row[j - 1]
+            if i == j and corner:
+                a -= corner
+            if a:
+                terms[coords[j]] = a if parity[j] and not parity[i] else -a
+        for j, c in f:
+            key, sign = products[j][i]
+            if sign:
+                terms[key] = c if sign > 0 else -c
+        comps.append(SuperPolynomial._raw(sig, terms))
     return SuperVectorField(sig, comps)
 
 
@@ -683,23 +716,25 @@ def casimir_apply(
 
     With ``rep="L"`` the generators act by the symbol Lie derivative; with
     ``rep="affine"`` they act by the operator Lie derivative conjugated
-    through coefficient-wise quantization at weight lam.
+    through coefficient-wise quantization at weight lam.  Either way the
+    sum over the basis pairs is built in one private dict with the kernel's
+    ``add_into`` and wrapped once, with the weights (and degree) of the
+    input.
     """
     sig = s.signature
     algebra = normalize_algebra(sig, algebra)
     lam = as_fraction(lam)
     fields = _casimir_fields(sig, algebra, scheme)
+    acc = {}
     if rep == REP_SYMBOL:
-        out = SymbolField.zero(sig, s.weight, s.degree)
         for xu, xud in fields:
-            out = out + lie_symbol(xud, lie_symbol(xu, s))
-        return out.as_mixed()
+            _ops.add_into(acc, lie_symbol(xud, lie_symbol(xu, s))._poly._terms)
+        return s._with(SuperPolynomial._raw(s._poly.signature, acc)).as_mixed()
     if rep == REP_AFFINE:
         op = affine_quantize(s, lam)
-        total = DiffOperator.zero(sig, op.lam, op.mu)
         for xu, xud in fields:
-            total = total + lie_operator(xud, lie_operator(xu, op))
-        return affine_symbol(total)
+            _ops.add_into(acc, lie_operator(xud, lie_operator(xu, op))._poly._terms)
+        return affine_symbol(op._with(SuperPolynomial._raw(op._poly.signature, acc)))
     raise ValueError(f"unknown representation {rep!r}")
 
 

@@ -11,7 +11,8 @@ diffing the outputs.
     PYTHONPATH=src python tests/corpus.py --signatures 1/1,2/1 --kmax 2
 
 The default covers the 12 signatures of ``SIGNATURES`` with symbol degrees
-k <= 3, and the Casimir at k <= 2.  The name keeps pytest from collecting the file.
+k <= 3, the Casimir at k <= 2, and the realization and bracket of random
+algebra elements.  The name keeps pytest from collecting the file.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from fractions import Fraction
 
 from superquant import (
     DiffOperator,
+    GradedElement,
     MixedSymbol,
+    PglElement,
     QuantizationConfig,
     Signature,
     SuperVectorField,
@@ -39,6 +42,7 @@ from superquant import (
     lie_density,
     lie_operator,
     lie_symbol,
+    pgl_bracket,
     principal_symbol,
     quantize,
     quantize_recursive,
@@ -154,6 +158,7 @@ def run_signature(sig: Signature, kmax: int, out) -> None:
         _emit(out, f"{tag} compose density right {i}",
               lambda: d1.compose(density_operator(x, LAM)))
     run_derivations(sig, fields, symbols, out)
+    run_realize(sig, out)
 
 
 def run_derivations(sig: Signature, fields, symbols, out) -> None:
@@ -179,6 +184,57 @@ def run_derivations(sig: Signature, fields, symbols, out) -> None:
             for rep in ("L", "affine"):
                 _emit(out, f"{tag} k={s.degree} casimir {rep}",
                       lambda: casimir_apply(s, LAM, rep=rep))
+
+
+def _random_matrix(sig, rng) -> list:
+    """A (1+n)-square matrix, about half its entries zero, with h_-, h_0 and
+    h_+ nonzero at index 1 and n (an even and an odd coordinate when the
+    signature has both)."""
+    size = 1 + sig.n
+
+    def entry(nonzero=False):
+        if not nonzero and rng.random() < 0.5:
+            return Fraction(0)
+        return Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 3))
+
+    m = [[entry() for _ in range(size)] for _ in range(size)]
+    for i in sorted({1, sig.n}):
+        m[i][0] = entry(True)
+        m[0][i] = entry(True)
+        for j in sorted({1, sig.n}):
+            m[i][j] = entry(True)
+    return m
+
+
+def _emit_matrix(out, label: str, build) -> None:
+    """``_emit`` for an algebra element: its algebra and matrix rows."""
+    try:
+        h = build()
+    except Exception as exc:
+        out.write(f"{label}: {type(exc).__name__}: {exc}\n")
+        return
+    rows = [[str(v) for v in row] for row in h.matrix]
+    out.write(f"{label}: {h.algebra} [{'; '.join(','.join(row) for row in rows)}]\n")
+    doc = json.dumps({"algebra": h.algebra, "matrix": rows}, separators=(",", ":"))
+    out.write(f"{label} json: {doc}\n")
+
+
+def run_realize(sig: Signature, out) -> None:
+    """``realize`` of random algebra elements, given as matrices and as
+    graded data, and ``pgl_bracket`` of random pairs with the realization of
+    each bracket.  The inputs come from a generator of their own."""
+    rng = random.Random(f"corpus realize {sig}")
+    tag = f"[{sig}]"
+    elements = [PglElement(sig, _random_matrix(sig, rng)) for _ in range(4)]
+    for i, h in enumerate(elements):
+        _emit_matrix(out, f"{tag} pgl {i}", lambda: h)
+        _emit(out, f"{tag} realize pgl {i}", lambda: realize(h))
+        m = _random_matrix(sig, rng)
+        g = GradedElement(sig, [r[0] for r in m[1:]], [r[1:] for r in m[1:]], m[0][1:])
+        _emit(out, f"{tag} realize graded {i}", lambda: realize(g))
+    for i, (a, b) in enumerate(zip(elements, elements[1:] + elements[:1])):
+        _emit_matrix(out, f"{tag} pgl_bracket {i}", lambda: pgl_bracket(a, b))
+        _emit(out, f"{tag} realize pgl_bracket {i}", lambda: realize(pgl_bracket(a, b)))
 
 
 def run(signatures, kmax: int, out=None) -> None:

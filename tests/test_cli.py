@@ -217,6 +217,23 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("domain error: ") and "--kmax" in err
 
+    def test_homomorphism_at_cap_runs(self, capsys):
+        assert cli.HOMOMORPHISM_NMAX == 8
+        argv = ["check", "homomorphism", "--p", "4", "--q", "4", "--format", "json"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] and not report["failures"]
+        # (n+1)^4 bracket pairs and (n+1)^2 other identities at n = 8
+        assert report["samples_run"] == 9**4 + 9**2
+
+    @pytest.mark.parametrize("p,q", [(5, 4), (4, 5), (9, 0)])
+    def test_homomorphism_over_cap_is_two(self, capsys, p, q):
+        argv = ["check", "homomorphism", "--p", str(p), "--q", str(q)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("domain error: ") and "p + q = 9" in err
+
     def test_negative_degree_max_is_one(self, capsys):
         assert main(["check", "equivariance", "--p", "1", "--q", "1",
                      "--degree-max", "-1"]) == 1

@@ -9,6 +9,7 @@ its definition by two compositions, and the term-map symbol constructions
 against their nested per-frame-key references.
 """
 
+import json
 import random
 from copy import deepcopy
 from fractions import Fraction
@@ -1152,6 +1153,71 @@ def test_lie_density_cancels_to_zero():
     assert out.is_zero() and not out._terms
 
 
+@st.composite
+def inhomogeneous_field_pairs(draw):
+    """Two fields, each with a nonzero even and a nonzero odd part, so the
+    odd-odd term 2 Y_1(X_1^i) of the bracket runs; signatures with an odd
+    coordinate only."""
+    sig = draw(st.sampled_from([s for s in ORACLE_SIGNATURES if s.q]))
+
+    def field():
+        # component i of the part of parity chi has parity chi + parity(y^i)
+        even = [draw(graded_polys(sig, sig.parity(i))) for i in range(1, sig.n + 1)]
+        odd = [draw(graded_polys(sig, 1 - sig.parity(i))) for i in range(1, sig.n + 1)]
+        if not any(even):
+            even[0] = SuperPolynomial.coordinate(sig, 1)  # y^1 d_1
+        if not any(odd):
+            odd[sig.p] = SuperPolynomial.one(sig)  # d/dt_1
+        return SuperVectorField(sig, [a + b for a, b in zip(even, odd)])
+
+    return field(), field()
+
+
+@settings(max_examples=200, deadline=None)
+@given(inhomogeneous_field_pairs())
+def test_bracket_of_inhomogeneous_fields_matches_reference(case):
+    xf, yf = case
+    for field in (xf, yf):
+        parts = dict(field.graded_parts())
+        assert sorted(parts) == [0, 1]
+        assert field._odd_part() == parts[1]
+    assert bracket(xf, yf) == bracket_reference(xf, yf)
+    assert bracket(yf, xf) == bracket_reference(yf, xf)
+    assert bracket(xf, xf) == bracket_reference(xf, xf)
+
+
+def test_check_homomorphism_sees_a_wrong_realization(monkeypatch, capsys):
+    """The comparison is not vacuous: with the sign of one quadratic term of
+    each realized field flipped, ``check homomorphism`` fails at an sl and
+    at a psl signature."""
+    from superquant import cli, verifier
+
+    honest = verifier.realize
+
+    def flipped(h):
+        field = honest(h)
+        comps = list(field.components)
+        for i, comp in enumerate(comps):
+            quadratic = [key for key in comp._terms if geometry._key_degree(key) == 2]
+            if quadratic:
+                terms = dict(comp._terms)
+                terms[quadratic[0]] = -terms[quadratic[0]]
+                comps[i] = SuperPolynomial(field.signature, terms)
+                break
+        return SuperVectorField(field.signature, comps)
+
+    for p, q in ((2, 1), (1, 2)):
+        argv = ["check", "homomorphism", "--p", str(p), "--q", str(q)]
+        assert cli.main(argv + ["--format", "json"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(verifier, "realize", flipped)
+        assert cli.main(argv + ["--format", "json"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert not report["passed"] and report["failures"]
+        assert all(f["input"].startswith("bracket pair") for f in report["failures"])
+        monkeypatch.setattr(verifier, "realize", honest)
+
+
 def test_values_are_never_mutated():
     """The private accumulators never reach a value a caller holds: every
     input, and the field's cached action data, is unchanged by two runs of
@@ -1165,9 +1231,15 @@ def test_values_are_never_mutated():
     d = quantize(s, cfg)
     xf._action()
     xf.apply(f)  # builds the field's kernel form too
+    bracket(xf, yf)  # and both fields' odd parts with their kernel forms
+    assert not (xf._odd_part().is_zero() or yf._odd_part().is_zero())
     polys_in = [f, s._poly, d._poly, *xf.components, *yf.components]
     before = [deepcopy(p._terms) for p in polys_in]
-    cached = deepcopy((xf._action_data, xf._form))
+
+    def cache_of(field):
+        return field._form, field._odd, field._odd._form
+
+    cached = deepcopy((xf._action_data, cache_of(xf), cache_of(yf)))
     runs = [
         [
             xf.apply(f),
@@ -1179,7 +1251,7 @@ def test_values_are_never_mutated():
         for _ in range(2)
     ]
     assert [p._terms for p in polys_in] == before
-    assert (xf._action_data, xf._form) == cached
+    assert (xf._action_data, cache_of(xf), cache_of(yf)) == cached
     assert runs[0] == runs[1]
 
 

@@ -12,6 +12,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superquant import projective
 from superquant.errors import CriticalValueError, DomainError
@@ -57,6 +59,7 @@ from superquant.projective import (
     realize,
     scaled_eps,
 )
+from test_geometry import ORACLE_SIGNATURES
 
 S10 = Signature(1, 0)
 S11 = Signature(1, 1)
@@ -229,6 +232,171 @@ def test_realize_homomorphism(sig):
             lhs = realize(pgl_bracket(a, b))
             rhs = bracket(fields[i], fields[j])
             assert lhs == rhs, f"homomorphism fails on pair ({i},{j})"
+
+
+# ---------------------------------------------------------------------------
+# the matrix reading of realize, against the graded path it replaced
+#
+# ``realize_reference`` and ``pgl_to_graded_reference`` are ``realize`` and
+# ``pgl_to_graded`` as they were when ``realize`` went through a
+# ``GradedElement``, and ``representative_reference`` is the normalisation
+# of the ``PglElement`` constructor with the dense helpers it used; all
+# verbatim but for their names.
+
+
+def _identity(size: int) -> tuple:
+    return tuple(
+        tuple(Fraction(1 if r == c else 0) for c in range(size)) for r in range(size)
+    )
+
+
+def _mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _mat_scale(c, a):
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def representative_reference(signature, m, algebra):
+    size = 1 + signature.n
+    if algebra == ALGEBRA_SL:
+        s = _supertrace_full(m, signature)
+        if s:
+            scale = s / (signature.p + 1 - signature.q)
+            m = _mat_sub(m, _mat_scale(scale, _identity(size)))
+    else:
+        c = m[0][0]
+        if c:
+            m = _mat_sub(m, _mat_scale(c, _identity(size)))
+    return m
+
+
+def pgl_to_graded_reference(x: PglElement) -> GradedElement:
+    n = x.signature.n
+    m = x.matrix
+    a = m[0][0]
+    h_minus = tuple(m[i][0] for i in range(1, n + 1))
+    h_plus = tuple(m[0][j] for j in range(1, n + 1))
+    h_zero = tuple(
+        tuple(m[i][j] - (a if i == j else 0) for j in range(1, n + 1))
+        for i in range(1, n + 1)
+    )
+    return GradedElement(x.signature, h_minus, h_zero, h_plus)
+
+
+def realize_reference(h) -> SuperVectorField:
+    if isinstance(h, SuperVectorField):
+        return h
+    if isinstance(h, PglElement):
+        h = pgl_to_graded_reference(h)
+    if not isinstance(h, GradedElement):
+        raise TypeError(f"cannot realize {type(h).__name__}")
+    sig = h.signature
+    n = sig.n
+    comps = [SuperPolynomial.zero(sig) for _ in range(n)]
+    for i in range(n):
+        v = h.h_minus[i]
+        if v:
+            comps[i] = comps[i] - SuperPolynomial.scalar(sig, v)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            a = h.h_zero[i - 1][j - 1]
+            if not a:
+                continue
+            tj = sig.parity(j)
+            ti = sig.parity(i)
+            sign = -1 if (tj and (ti ^ tj)) else 1
+            comps[i - 1] = comps[i - 1] - (sign * a) * SuperPolynomial.coordinate(
+                sig, j
+            )
+    if any(h.h_plus):
+        f = SuperPolynomial.zero(sig)
+        for j in range(1, n + 1):
+            xi = h.h_plus[j - 1]
+            if xi:
+                sign = -1 if sig.parity(j) else 1
+                f = f + (sign * xi) * SuperPolynomial.coordinate(sig, j)
+        for i in range(1, n + 1):
+            comps[i - 1] = comps[i - 1] + f * SuperPolynomial.coordinate(sig, i)
+    return SuperVectorField(sig, comps)
+
+
+NONZERO = st.builds(
+    Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3)
+)
+
+
+@st.composite
+def full_matrices(draw, sig):
+    """A sparse (1+n)-square matrix whose h_-, h_0 and h_+ are nonzero at
+    index 1 and n: an even and an odd coordinate when the signature has
+    both, so the realized field has mixed parity.  The corner and up to n
+    other entries are drawn too."""
+    size = 1 + sig.n
+    m = [[Fraction(0)] * size for _ in range(size)]
+    index = st.integers(0, size - 1)
+    for r, c, v in draw(st.lists(st.tuples(index, index, NONZERO), max_size=size)):
+        m[r][c] = v
+    for i in {1, sig.n}:
+        m[i][0] = draw(NONZERO)
+        m[0][i] = draw(NONZERO)
+        for j in {1, sig.n}:
+            m[i][j] = draw(NONZERO)
+    return tuple(tuple(row) for row in m)
+
+
+@st.composite
+def elements_and_graded(draw):
+    sig = draw(st.sampled_from(ORACLE_SIGNATURES))
+    x = PglElement(sig, draw(full_matrices(sig)))
+    y = PglElement(sig, draw(full_matrices(sig)))
+    m = draw(full_matrices(sig))
+    # the graded data of a third matrix, its corner ignored
+    g = GradedElement(
+        sig,
+        [row[0] for row in m[1:]],
+        [row[1:] for row in m[1:]],
+        m[0][1:],
+    )
+    return sig, m, x, y, g
+
+
+def assert_canonical(field):
+    for comp in field.components:
+        assert comp._terms == SuperPolynomial(comp.signature, comp._terms)._terms
+        assert all(type(c) is Fraction and c for c in comp._terms.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements_and_graded())
+def test_realize_matches_graded_reference(case):
+    sig, m, x, y, g = case
+    algebra = default_algebra(sig)
+    assert PglElement(sig, m).matrix == representative_reference(sig, m, algebra)
+    assert pgl_to_graded(x) == pgl_to_graded_reference(x)
+    for h in (x, y, g, g.to_pgl()):
+        got = realize(h)
+        assert got == realize_reference(h)
+        assert_canonical(got)
+    # the field of a bracket, read from the bracket's matrix
+    assert realize(pgl_bracket(x, y)) == realize_reference(pgl_bracket(x, y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements_and_graded())
+def test_pgl_bracket_matches_validating_constructor(case):
+    sig, _m, x, y, _g = case
+    raw = _super_commutator(x.matrix, y.matrix, sig)
+    got = pgl_bracket(x, y)
+    want = PglElement(sig, raw, x.algebra)
+    assert got == want and got.algebra == want.algebra == x.algebra
+    assert got.matrix == representative_reference(sig, raw, x.algebra)
+    assert all(type(v) is Fraction for row in got.matrix for v in row)
+    if x.algebra == ALGEBRA_SL:
+        assert got.supertrace() == 0
+    else:
+        assert got.matrix[0][0] == 0
 
 
 # ---------------------------------------------------------------------------
