@@ -6,8 +6,10 @@ Subcommands wrap every library operation: ``quantize``, ``symbol-map``,
 ``realize``, and ``check`` (equivariance|casimir|homomorphism|relcas).
 
 Global flags: ``--p --q --lambda --delta --t --variant {sl,psl} --seed
---format {text,json} --out FILE``.  Expressions use the surface grammar of
-the expr module.  Scalar results encode as ``{"kind": "rational", "value"}``
+--format {text,json} --out FILE``.  ``--variant`` may only name the
+signature's own variant (``psl`` exactly when q = p+1); any other exits 2
+on every subcommand.  Expressions use the surface grammar of the expr
+module.  Scalar results encode as ``{"kind": "rational", "value"}``
 and lists as ``{"kind": "rationals", "values"}``; domain values use the
 ``{signature, weights, kind, terms}`` schema; check reports use their own
 schema with a ``failures`` list.
@@ -36,6 +38,7 @@ from .expr import format_value, parse, value_to_json
 from .geometry import SymbolField, lie_density, lie_operator, lie_symbol, symbol_divergence
 from .geometry import affine_quantize as _affine_quantize
 from .projective import (
+    _is_psl,
     affine_defect,
     basis_e,
     basis_eps,
@@ -44,19 +47,13 @@ from .projective import (
     critical_values,
     euler_element,
     g0_element,
+    normalize_algebra,
     psl_casimir_eigenvalue,
     psl_quantization_coefficient,
     quantization_coefficient,
     realize,
 )
-from .quantizer import (
-    VARIANT_PSL,
-    VARIANT_SL,
-    QuantizationConfig,
-    default_variant,
-    quantize,
-    symbol_map,
-)
+from .quantizer import QuantizationConfig, quantize, symbol_map
 from .supercore import Signature
 from .verifier import (
     DEFAULT_SAMPLES,
@@ -65,8 +62,6 @@ from .verifier import (
     check_homomorphism,
     check_relcas,
 )
-
-_VARIANTS = {"sl": VARIANT_SL, "psl": VARIANT_PSL}
 
 # the largest --kmax of ``critical``; its output and memory grow linearly
 CRITICAL_KMAX = 10_000
@@ -107,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="family parameter for the q = p+1 variant",
     )
     common.add_argument(
-        "--variant", choices=sorted(_VARIANTS),
-        help="algebra variant (default inferred from the signature)",
+        "--variant", choices=("psl", "sl"),
+        help="algebra variant: only the signature's own, which is the default",
     )
     common.add_argument("--seed", type=int, default=0, help="sample seed")
     common.add_argument(
@@ -223,20 +218,20 @@ def _check_sizes(args) -> None:
 
 
 def _signature(args) -> Signature:
+    """The signature of --p and --q; a --variant that is not its own is a
+    domain error."""
     if args.p is None or args.q is None:
         raise _UsageError("--p and --q are required for this command")
     try:
-        return Signature(args.p, args.q)
+        sig = Signature(args.p, args.q)
     except ValueError as exc:
         raise _UsageError(str(exc))
-
-
-def _variant(args):
-    return _VARIANTS[args.variant] if args.variant else None
+    normalize_algebra(sig, args.variant)
+    return sig
 
 
 def _config(args, sig) -> QuantizationConfig:
-    return QuantizationConfig(sig, args.lam, args.delta, _variant(args), args.t)
+    return QuantizationConfig(sig, args.lam, args.delta, t=args.t)
 
 
 def _require(args, name: str):
@@ -341,17 +336,15 @@ def _dispatch(args) -> int:
     if cmd == "casimir":
         sig = _signature(args)
         s = _single_degree_symbol(args, sig, args.symbol, "casimir")
-        return _emit_value(
-            args, casimir_apply(s, args.lam, rep=args.rep, algebra=args.variant)
-        )
+        return _emit_value(args, casimir_apply(s, args.lam, rep=args.rep))
     if cmd == "alpha":
         sig = _signature(args)
-        if (_variant(args) or default_variant(sig)) == VARIANT_PSL:
-            return _emit_rational(args, Fraction(psl_casimir_eigenvalue(args.k)))
+        if _is_psl(sig):
+            return _emit_rational(args, psl_casimir_eigenvalue(args.k))
         return _emit_rational(args, casimir_eigenvalue(args.k, args.delta, sig))
     if cmd == "coeff":
         sig = _signature(args)
-        if (_variant(args) or default_variant(sig)) == VARIANT_PSL:
+        if _is_psl(sig):
             return _emit_rational(args, psl_quantization_coefficient(args.k, args.r))
         return _emit_rational(
             args, quantization_coefficient(args.k, args.r, args.lam, args.delta, sig)
@@ -397,7 +390,7 @@ def _dispatch(args) -> int:
         )
     elif args.mode == "casimir":
         report = check_casimir(
-            sig, algebra=args.variant, lam=args.lam, delta=args.delta,
+            sig, lam=args.lam, delta=args.delta,
             k_max=args.kmax, sample_count=args.samples, seed=args.seed,
         )
     elif args.mode == "homomorphism":

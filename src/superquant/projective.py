@@ -8,11 +8,11 @@ bilinear forms with exact dual bases, the quantization defect maps, Casimir
 application, and every scalar constant of the theory (eigenvalues, critical
 values, quantization coefficients).
 
-Two algebra variants exist per signature: ``sl`` for q != p+1 (elements are
-normalized to supertraceless representatives) and ``psl`` for q = p+1
-(representatives are normalized to a zero corner entry; supertraceless
-elements form the simple part, while the Euler class extends it to the full
-projective algebra).
+The signature fixes the algebra variant (``_is_psl``): ``sl`` for q != p+1
+(elements are normalized to supertraceless representatives) and ``psl`` for
+q = p+1 (representatives are normalized to a zero corner entry;
+supertraceless elements form the simple part, while the Euler class extends
+it to the full projective algebra).
 """
 
 from __future__ import annotations
@@ -41,24 +41,31 @@ ALGEBRA_SL = "sl"
 ALGEBRA_PSL = "psl"
 
 
+def _is_psl(signature: Signature) -> bool:
+    """Whether q = p+1, where the projective algebra is not simple: the one
+    place the variant of a signature is decided."""
+    return signature.q == signature.p + 1
+
+
 def default_algebra(signature: Signature) -> str:
-    return ALGEBRA_PSL if signature.q == signature.p + 1 else ALGEBRA_SL
+    return ALGEBRA_PSL if _is_psl(signature) else ALGEBRA_SL
+
+
+_ALGEBRA_NAMES = {
+    "sl": ALGEBRA_SL, "gl": ALGEBRA_SL, "psl": ALGEBRA_PSL, "pgl": ALGEBRA_PSL
+}
 
 
 def normalize_algebra(signature: Signature, algebra: str | None) -> str:
+    own = default_algebra(signature)
     if algebra is None:
-        return default_algebra(signature)
-    name = algebra.lower()
-    if name in ("sl", "gl"):
-        name = ALGEBRA_SL
-    elif name in ("psl", "pgl"):
-        name = ALGEBRA_PSL
-    else:
+        return own
+    name = _ALGEBRA_NAMES.get(algebra.lower())
+    if name is None:
         raise DomainError(f"unknown algebra variant {algebra!r}")
-    if name != default_algebra(signature):
+    if name != own:
         raise DomainError(
-            f"algebra {name!r} is not valid for signature {signature}: "
-            f"use {default_algebra(signature)!r}"
+            f"algebra {name!r} is not valid for signature {signature}: use {own!r}"
         )
     return name
 
@@ -163,15 +170,15 @@ def _invert(matrix) -> tuple:
 # elements
 
 
-def _representative(signature: Signature, m: tuple, algebra: str) -> tuple:
+def _representative(signature: Signature, m: tuple) -> tuple:
     """The canonical representative of m modulo the identity: supertraceless
     for ``sl``, zero corner entry for ``psl``.  The multiple of the identity
     is subtracted on the diagonal only."""
-    if algebra == ALGEBRA_SL:
+    if _is_psl(signature):
+        c = m[0][0]
+    else:
         s = _supertrace_full(m, signature)
         c = s / (signature.p + 1 - signature.q) if s else 0
-    else:
-        c = m[0][0]
     if not c:
         return m
     return tuple(row[:r] + (row[r] - c,) + row[r + 1 :] for r, row in enumerate(m))
@@ -181,28 +188,29 @@ class PglElement:
     """An element of the projective superalgebra, stored as a canonical
     representative: supertraceless for ``sl``, zero corner entry for ``psl``."""
 
-    __slots__ = ("signature", "matrix", "algebra")
+    __slots__ = ("signature", "matrix")
 
     def __init__(self, signature: Signature, matrix, algebra: str | None = None):
-        algebra = normalize_algebra(signature, algebra)
+        normalize_algebra(signature, algebra)
         size = 1 + signature.n
         m = _mat(matrix)
         if len(m) != size or any(len(row) != size for row in m):
             raise ValueError(f"expected a {size}x{size} matrix for {signature}")
         self.signature = signature
-        self.matrix = _representative(signature, m, algebra)
-        self.algebra = algebra
+        self.matrix = _representative(signature, m)
 
     @classmethod
-    def _raw(cls, signature: Signature, matrix: tuple, algebra: str) -> "PglElement":
-        # a square tuple of Fraction rows of the right size and a normalized
-        # algebra name, as the bracket makes them: only the representative
-        # is chosen
+    def _raw(cls, signature: Signature, matrix: tuple) -> "PglElement":
+        # a square tuple of Fraction rows of the right size, as the bracket
+        # and the arithmetic make them: only the representative is chosen
         self = cls.__new__(cls)
         self.signature = signature
-        self.matrix = _representative(signature, matrix, algebra)
-        self.algebra = algebra
+        self.matrix = _representative(signature, matrix)
         return self
+
+    @property
+    def algebra(self) -> str:
+        return default_algebra(self.signature)
 
     def supertrace(self) -> Fraction:
         return _supertrace_full(self.matrix, self.signature)
@@ -215,9 +223,7 @@ class PglElement:
             return NotImplemented
         if self.signature != other.signature:
             raise ValueError("signature mismatch")
-        return PglElement(
-            self.signature, _mat_add(self.matrix, other.matrix), self.algebra
-        )
+        return PglElement._raw(self.signature, _mat_add(self.matrix, other.matrix))
 
     def __sub__(self, other):
         if not isinstance(other, PglElement):
@@ -225,16 +231,12 @@ class PglElement:
         return self + (-other)
 
     def __neg__(self):
-        return PglElement(
-            self.signature, _mat_scale(Fraction(-1), self.matrix), self.algebra
-        )
+        return PglElement._raw(self.signature, _mat_scale(Fraction(-1), self.matrix))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return PglElement(
-                self.signature,
-                _mat_scale(as_fraction(other), self.matrix),
-                self.algebra,
+            return PglElement._raw(
+                self.signature, _mat_scale(as_fraction(other), self.matrix)
             )
         return NotImplemented
 
@@ -315,9 +317,8 @@ def pgl_to_graded(x: PglElement) -> GradedElement:
 def pgl_bracket(a: PglElement, b: PglElement) -> PglElement:
     if a.signature != b.signature:
         raise ValueError("signature mismatch")
-    return PglElement._raw(
-        a.signature, _super_commutator(a.matrix, b.matrix, a.signature), a.algebra
-    )
+    sig = a.signature
+    return PglElement._raw(sig, _super_commutator(a.matrix, b.matrix, sig))
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +351,11 @@ def basis_eps(signature: Signature, algebra: str | None = None) -> list[PglEleme
 
 def scaled_eps(signature: Signature, i: int) -> PglElement:
     """The normalized quadratic direction used in the lowering map."""
-    if signature.q == signature.p + 1:
+    if _is_psl(signature):
         raise DomainError("scaled quadratic directions require q != p+1")
     sign = -1 if signature.parity(i) else 1
     scale = Fraction(sign, 2 * (signature.p - signature.q + 1))
-    return PglElement(
-        signature, _elementary_full(signature, 0, i, scale), ALGEBRA_SL
-    )
+    return PglElement(signature, _elementary_full(signature, 0, i, scale))
 
 
 def g0_element(signature: Signature, block, algebra: str | None = None) -> PglElement:
@@ -396,23 +395,23 @@ def _off_diagonal_and_difference_blocks(signature: Signature) -> list:
 def g0_basis(signature: Signature, algebra: str | None = None) -> list[PglElement]:
     """Basis of the linear part: all elementary blocks for ``sl``; for
     ``psl`` the off-diagonal blocks plus supertraceless diagonal differences."""
-    algebra = normalize_algebra(signature, algebra)
+    normalize_algebra(signature, algebra)
     n = signature.n
-    if algebra == ALGEBRA_SL:
+    if _is_psl(signature):
+        blocks = _off_diagonal_and_difference_blocks(signature)
+    else:
         blocks = [
             _block_elementary(n, i, j)
             for i in range(1, n + 1)
             for j in range(1, n + 1)
         ]
-    else:
-        blocks = _off_diagonal_and_difference_blocks(signature)
-    return [g0_element(signature, block, algebra) for block in blocks]
+    return [g0_element(signature, block) for block in blocks]
 
 
 def g0_basis_euler_split(signature: Signature) -> list[PglElement]:
     """Alternative linear-part basis: off-diagonals, supertraceless diagonal
     differences, and the identity block; valid when p != q (sl only)."""
-    if normalize_algebra(signature, None) != ALGEBRA_SL:
+    if _is_psl(signature):
         raise DomainError("the euler-split basis is an sl-variant basis")
     if signature.p == signature.q:
         raise DomainError("the euler-split basis requires p != q")
@@ -426,14 +425,14 @@ def graded_basis(
     signature: Signature, algebra: str | None = None, scheme: str = "elementary"
 ) -> list[PglElement]:
     """Full basis ordered as constants, linear part, quadratic directions."""
-    algebra = normalize_algebra(signature, algebra)
+    normalize_algebra(signature, algebra)
     if scheme == "elementary":
-        middle = g0_basis(signature, algebra)
+        middle = g0_basis(signature)
     elif scheme == "euler-split":
         middle = g0_basis_euler_split(signature)
     else:
         raise ValueError(f"unknown basis scheme {scheme!r}")
-    return basis_e(signature, algebra) + middle + basis_eps(signature, algebra)
+    return basis_e(signature) + middle + basis_eps(signature)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +518,7 @@ def killing_form(a: PglElement, b: PglElement) -> Fraction:
     sig = a.signature
     if sig != b.signature:
         raise ValueError("signature mismatch")
-    if sig.q == sig.p + 1:
+    if _is_psl(sig):
         raise DomainError("the Killing form degenerates when q = p+1")
     return 2 * (sig.p + 1 - sig.q) * _supertrace_full(
         _mat_mul(a.matrix, b.matrix), sig
@@ -532,7 +531,7 @@ def kaplansky_form(a: PglElement, b: PglElement) -> Fraction:
     sig = a.signature
     if sig != b.signature:
         raise ValueError("signature mismatch")
-    if sig.q != sig.p + 1:
+    if not _is_psl(sig):
         raise DomainError("this form is specific to q = p+1")
     if a.supertrace() or b.supertrace():
         raise DomainError(
@@ -569,17 +568,18 @@ def dual_basis_pair(
     signature: Signature, algebra: str | None = None, scheme: str = "elementary"
 ) -> DualBasisPair:
     """Exact dual bases for the invariant form, via Gram-matrix inversion."""
-    algebra = normalize_algebra(signature, algebra)
+    normalize_algebra(signature, algebra)
     return _memo(
         _dual_cache,
-        (signature, algebra, scheme),
-        lambda: _build_dual_basis_pair(signature, algebra, scheme),
+        (signature, scheme),
+        lambda: _build_dual_basis_pair(signature, scheme),
     )
 
 
-def _build_dual_basis_pair(signature: Signature, algebra: str, scheme: str):
-    basis = graded_basis(signature, algebra, scheme)
-    form = killing_form if algebra == ALGEBRA_SL else kaplansky_form
+def _build_dual_basis_pair(signature: Signature, scheme: str):
+    basis = graded_basis(signature, scheme=scheme)
+    psl = _is_psl(signature)
+    form = kaplansky_form if psl else killing_form
     size = len(basis)
     gram = tuple(
         tuple(form(basis[i], basis[j]) for j in range(size)) for i in range(size)
@@ -602,22 +602,18 @@ def _build_dual_basis_pair(signature: Signature, algebra: str, scheme: str):
             want = Fraction(1 if i == j else 0)
             if form(basis[i], dual[j]) != want:
                 raise DomainError("dual basis verification failed")
-    return DualBasisPair(
-        tuple(basis),
-        tuple(dual),
-        "Killing" if algebra == ALGEBRA_SL else "Kaplansky",
-    )
+    return DualBasisPair(tuple(basis), tuple(dual), "Kaplansky" if psl else "Killing")
 
 
-def _casimir_fields(signature: Signature, algebra: str, scheme: str) -> tuple:
+def _casimir_fields(signature: Signature, scheme: str) -> tuple:
     """The (basis, dual) pairs of ``dual_basis_pair`` as vector fields,
-    realized once per ``(signature, algebra, scheme)``."""
+    realized once per ``(signature, scheme)``."""
 
     def build():
-        pair = dual_basis_pair(signature, algebra, scheme)
+        pair = dual_basis_pair(signature, scheme=scheme)
         return tuple((realize(u), realize(ud)) for u, ud in zip(pair.basis, pair.dual))
 
-    return _memo(_casimir_field_cache, (signature, algebra, scheme), build)
+    return _memo(_casimir_field_cache, (signature, scheme), build)
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +683,7 @@ def _lowering_fields(signature: Signature) -> tuple:
 def casimir_defect(s: SymbolField, lam: Rational) -> SymbolField:
     """The degree-lowering part of the quantized Casimir action."""
     sig = s.signature
-    if sig.q == sig.p + 1:
+    if _is_psl(sig):
         raise DomainError("the lowering map requires q != p+1")
     lam = as_fraction(lam)
     total = SymbolField.zero(sig, s.weight, max(s.degree - 1, 0))
@@ -722,9 +718,9 @@ def casimir_apply(
     input.
     """
     sig = s.signature
-    algebra = normalize_algebra(sig, algebra)
+    normalize_algebra(sig, algebra)
     lam = as_fraction(lam)
-    fields = _casimir_fields(sig, algebra, scheme)
+    fields = _casimir_fields(sig, scheme)
     acc = {}
     if rep == REP_SYMBOL:
         for xu, xud in fields:
@@ -740,9 +736,9 @@ def casimir_apply(
 
 def casimir_eigenvalue(k: int, delta: Rational, signature: Signature) -> Fraction:
     """Casimir eigenvalue on degree-k symbols of weight delta (generic variant)."""
-    pq = signature.p - signature.q
-    if pq + 1 == 0:
+    if _is_psl(signature):
         raise DomainError("the eigenvalue formula requires q != p+1")
+    pq = signature.p - signature.q
     if k < 0:
         raise ValueError("degree must be non-negative")
     d = as_fraction(delta)
@@ -761,10 +757,10 @@ def psl_casimir_eigenvalue(k: int) -> Fraction:
 
 
 def critical_values_for_degree(signature: Signature, k: int) -> frozenset:
-    """Weights at which degree-k quantization is obstructed."""
-    pq = signature.p - signature.q
-    if pq + 1 == 0:
+    """The critical weights of degree k, which ``quantize`` refuses."""
+    if _is_psl(signature):
         raise DomainError("critical values are defined for q != p+1")
+    pq = signature.p - signature.q
     if k < 0:
         raise ValueError("degree must be non-negative")
     return frozenset(Fraction(2 * k - l + pq, pq + 1) for l in range(1, k + 1))
@@ -778,9 +774,9 @@ def critical_values(signature: Signature, kmax: int) -> frozenset:
     """
     if kmax < 0:
         return frozenset()
-    pq = signature.p - signature.q
-    if pq + 1 == 0:
+    if _is_psl(signature):
         raise DomainError("critical values are defined for q != p+1")
+    pq = signature.p - signature.q
     return frozenset(Fraction(m + pq, pq + 1) for m in range(1, 2 * kmax))
 
 
@@ -841,7 +837,7 @@ def quantization_coefficient(
 ) -> Fraction:
     """Closed-form coefficient of the r-fold divergence in degree-k
     quantization."""
-    if signature.q == signature.p + 1:
+    if _is_psl(signature):
         raise DomainError("the coefficient formula requires q != p+1")
     if not 0 <= r <= k:
         raise ValueError(f"step r={r} out of range 0..{k}")

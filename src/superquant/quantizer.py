@@ -25,6 +25,7 @@ from .geometry import (
 )
 from .projective import (
     _closed_form_coefficient,
+    _is_psl,
     casimir_defect,
     casimir_eigenvalue,
     ensure_noncritical,
@@ -36,7 +37,7 @@ VARIANT_PSL = "psl-family"
 
 
 def default_variant(signature: Signature) -> str:
-    return VARIANT_PSL if signature.q == signature.p + 1 else VARIANT_SL
+    return VARIANT_PSL if _is_psl(signature) else VARIANT_SL
 
 
 @dataclass(frozen=True)
@@ -61,14 +62,10 @@ class QuantizationConfig:
         variant = self.variant or default_variant(self.signature)
         if variant not in (VARIANT_SL, VARIANT_PSL):
             raise DomainError(f"unknown variant {variant!r}")
-        psl_signature = self.signature.q == self.signature.p + 1
-        if variant == VARIANT_SL and psl_signature:
+        if variant != default_variant(self.signature):
+            rule = "=" if variant == VARIANT_PSL else "!="
             raise DomainError(
-                f"variant {VARIANT_SL!r} requires q != p+1, got {self.signature}"
-            )
-        if variant == VARIANT_PSL and not psl_signature:
-            raise DomainError(
-                f"variant {VARIANT_PSL!r} requires q = p+1, got {self.signature}"
+                f"variant {variant!r} requires q {rule} p+1, got {self.signature}"
             )
         object.__setattr__(self, "variant", variant)
 
@@ -98,7 +95,7 @@ def _sum_over_degrees(
     """
     total = DiffOperator.zero(cfg.signature, cfg.lam, cfg.mu)
     for part in s.parts() if isinstance(s, MixedSymbol) else [s]:
-        if cfg.variant == VARIANT_SL:
+        if not _is_psl(cfg.signature):
             ensure_noncritical(cfg.signature, part.degree, cfg.delta)
         total = total + quantize_part(part, cfg)
     return total
@@ -110,7 +107,7 @@ def _divergence_series(s: SymbolField, cfg: QuantizationConfig) -> DiffOperator:
     total: dict = {}
     cur = s
     for r in range(k + 1):
-        if k == r == 1 and cfg.variant == VARIANT_PSL:
+        if k == r == 1 and _is_psl(cfg.signature):
             # C_{1,1} is 0/0 at p - q = -1; the family parameter takes its place
             c = cfg.t
         else:
@@ -157,7 +154,7 @@ def quantize_recursive(
     is a Casimir eigenvector under the quantized action.
     """
     _check_symbol(s, cfg)
-    if cfg.variant != VARIANT_SL:
+    if _is_psl(cfg.signature):
         raise DomainError("the recursive path is defined for the generic variant")
     return _sum_over_degrees(s, cfg, _recursive_part)
 
@@ -167,7 +164,7 @@ def quantize_psl(
 ) -> DiffOperator:
     """``quantize`` restricted to configurations of the q = p+1 variant."""
     _check_symbol(s, cfg)
-    if cfg.variant != VARIANT_PSL:
+    if not _is_psl(cfg.signature):
         raise DomainError("this path requires the q = p+1 variant")
     return _sum_over_degrees(s, cfg, _divergence_series)
 

@@ -18,6 +18,7 @@ from .errors import DomainError
 from .expr import format_operator, format_symbol, format_value
 from .geometry import SymbolField, bracket, lie_operator, lie_symbol
 from .projective import (
+    _is_psl,
     _memo,
     basis_e,
     basis_eps,
@@ -27,6 +28,7 @@ from .projective import (
     default_algebra,
     euler_element,
     g0_basis,
+    normalize_algebra,
     pgl_bracket,
     psl_casimir_eigenvalue,
     realize,
@@ -192,6 +194,8 @@ def random_symbol(
     weight = as_fraction(weight)
     terms = {}
     keys = _degree_keys(sig, degree)
+    if not keys:
+        raise DomainError(f"no degree-{degree} symbol exists at signature {sig}")
     chosen = [key for key in keys if rng.random() < 0.7] or [rng.choice(keys)]
     for key in chosen:
         poly = random_polynomial(sig, rng, max_coeff_degree)
@@ -260,15 +264,15 @@ def symbol_samples(
 
 def equivariance_generators(sig: Signature, algebra: str | None = None):
     """Labeled finite generator set whose equivariance implies the full algebra."""
-    algebra = algebra or default_algebra(sig)
+    normalize_algebra(sig, algebra)
     out = []
     for r, h in enumerate(basis_e(sig), start=1):
         out.append((f"e{r}", h))
-    for idx, h in enumerate(g0_basis(sig, algebra)):
+    for idx, h in enumerate(g0_basis(sig)):
         out.append((f"g0[{idx}]", h))
     for r, h in enumerate(basis_eps(sig), start=1):
         out.append((f"eps{r}", h))
-    if algebra == "psl":
+    if _is_psl(sig):
         out.append(("euler", euler_element(sig)))
     return out
 
@@ -348,7 +352,6 @@ def check_casimir(
     seed: int = 0,
 ) -> CheckReport:
     """Certify that the Casimir acts as the expected scalar on each degree."""
-    algebra = algebra or default_algebra(sig)
     lam = as_fraction(lam)
     delta = as_fraction(delta)
     rng = random.Random(seed)
@@ -356,7 +359,7 @@ def check_casimir(
         check_name="check_casimir",
         signature=sig,
         parameters={
-            "algebra": algebra,
+            "algebra": normalize_algebra(sig, algebra),
             "lambda": str(lam),
             "delta": str(delta),
             "k_max": str(k_max),
@@ -364,12 +367,12 @@ def check_casimir(
         seed=seed,
     )
     for k in range(k_max + 1):
-        if algebra == "psl":
+        if _is_psl(sig):
             eig = psl_casimir_eigenvalue(k)
         else:
             eig = casimir_eigenvalue(k, delta, sig)
         for s in symbol_samples(sig, delta, k, sample_count, rng):
-            acted = casimir_apply(s, lam, rep="L", algebra=algebra)
+            acted = casimir_apply(s, lam, rep="L")
             expected = (eig * s).as_mixed()
             report.samples_run += 1
             if acted != expected:
@@ -388,14 +391,16 @@ def _pgl_text(h) -> str:
 def check_homomorphism(sig: Signature) -> CheckReport:
     """Certify realize on all graded basis brackets, grading, and the
     Euler-class identity for the weighted dual pairs."""
-    algebra = default_algebra(sig)
+    psl = _is_psl(sig)
     report = CheckReport(
         check_name="check_homomorphism",
         signature=sig,
-        parameters={"algebra": algebra},
+        parameters={"algebra": default_algebra(sig)},
     )
-    elems = list(equivariance_generators(sig, algebra))
-    if algebra != "psl":
+    # constants e1.., the linear part g0[..], quadratic directions eps1..,
+    # and last the Euler class
+    elems = equivariance_generators(sig)
+    if not psl:
         elems.append(("euler", euler_element(sig)))
     realized = [realize(h) for _label, h in elems]
     for i, (la, a) in enumerate(elems):
@@ -406,28 +411,23 @@ def check_homomorphism(sig: Signature) -> CheckReport:
             if lhs != rhs:
                 report.record(f"bracket pair ({la}, {lb})", rhs, lhs)
     # grading: ad of the Euler class is -1, 0, +1 on the three layers
-    euler = euler_element(sig)
-    for r, h in enumerate(basis_e(sig), start=1):
+    n = sig.n
+    euler = elems[-1][1]
+    weights = [-1] * n + [0] * (len(elems) - 1 - 2 * n) + [1] * n
+    for (label, h), weight in zip(elems, weights):
+        want = weight * h
         report.samples_run += 1
         got = pgl_bracket(euler, h)
-        if got != -1 * h:
-            report.record(f"grading e{r}", _pgl_text(-1 * h), _pgl_text(got))
-    for idx, h in enumerate(g0_basis(sig, algebra)):
-        report.samples_run += 1
-        got = pgl_bracket(euler, h)
-        if not got.is_zero():
-            report.record(f"grading g0[{idx}]", "0", _pgl_text(got))
-    for r, h in enumerate(basis_eps(sig), start=1):
-        report.samples_run += 1
-        got = pgl_bracket(euler, h)
-        if got != h:
-            report.record(f"grading eps{r}", _pgl_text(h), _pgl_text(got))
-    if algebra != "psl":
+        if got != want:
+            report.record(
+                f"grading {label}", _pgl_text(want) if weight else "0", _pgl_text(got)
+            )
+    if not psl:
         # sum over the weighted duals of the lowering directions
         total = None
-        for r in range(1, sig.n + 1):
+        for r in range(1, n + 1):
             sign = -1 if sig.parity(r) else 1
-            term = sign * pgl_bracket(basis_e(sig)[r - 1], scaled_eps(sig, r))
+            term = sign * pgl_bracket(elems[r - 1][1], scaled_eps(sig, r))
             total = term if total is None else total + term
         report.samples_run += 1
         expected = Fraction(-1, 2) * euler
@@ -448,7 +448,7 @@ def check_relcas(
 ) -> CheckReport:
     """Certify that the quantized-action Casimir splits as the symbol-action
     Casimir plus the degree-lowering map."""
-    if sig.q == sig.p + 1:
+    if _is_psl(sig):
         raise DomainError("the splitting requires q != p+1")
     lam = as_fraction(lam)
     delta = as_fraction(delta)

@@ -12,7 +12,9 @@ diffing the outputs.
 
 The default covers the 12 signatures of ``SIGNATURES`` with symbol degrees
 k <= 3, the Casimir at k <= 2, and the realization and bracket of random
-algebra elements.  The name keeps pytest from collecting the file.
+algebra elements; a last section prints the variant names each signature
+gives, by default and under each algebra alias it accepts.  The name keeps
+pytest from collecting the file.
 """
 
 from __future__ import annotations
@@ -37,7 +39,10 @@ from superquant import (
     bracket,
     casimir_apply,
     critical_values_for_degree,
+    default_variant,
     density_operator,
+    dual_basis_pair,
+    graded_basis,
     interior,
     lie_density,
     lie_operator,
@@ -52,6 +57,7 @@ from superquant import (
 )
 from superquant.errors import DomainError
 from superquant.expr import format_value, parse, value_to_json
+from superquant.projective import normalize_algebra
 from superquant.verifier import (
     equivariance_generators,
     random_polynomial,
@@ -65,6 +71,7 @@ SIGNATURES = [
 LAM = Fraction(1, 3)
 DELTA = Fraction(1, 5)
 T = Fraction(1, 2)
+ALIASES = ("sl", "gl", "psl", "pgl", "SL", "GL", "PSL", "PGL")
 
 
 def _emit(out, label: str, build) -> None:
@@ -237,10 +244,44 @@ def run_realize(sig: Signature, out) -> None:
         _emit(out, f"{tag} realize pgl_bracket {i}", lambda: realize(pgl_bracket(a, b)))
 
 
+def _emit_names(out, label: str, names) -> None:
+    """``_emit`` for a list of names: space-separated, then as JSON."""
+    out.write(f"{label}: {' '.join(names)}\n")
+    out.write(f"{label} json: {json.dumps(list(names))}\n")
+
+
+def _accepts(sig: Signature, alias: str) -> bool:
+    try:
+        normalize_algebra(sig, alias)
+    except DomainError:
+        return False
+    return True
+
+
+def run_variants(sig: Signature, out) -> None:
+    """The variant of ``sig`` by every public route: for the default and each
+    alias it accepts, the normalized name, the algebra of each basis element,
+    the invariant form and the generator labels."""
+    tag = f"[{sig}] variants"
+    _emit_names(out, f"{tag} default_variant", [default_variant(sig)])
+    _emit_names(out, f"{tag} config", [QuantizationConfig(sig).variant])
+    for alias in (None, *(a for a in ALIASES if _accepts(sig, a))):
+        label = f"{tag} {alias}"
+        _emit_names(out, f"{label} normalize_algebra", [normalize_algebra(sig, alias)])
+        basis = graded_basis(sig, alias)
+        _emit_names(out, f"{label} basis algebra", [h.algebra for h in basis])
+        _emit_names(out, f"{label} form", [dual_basis_pair(sig, alias).form])
+        gens = equivariance_generators(sig, alias)
+        _emit_names(out, f"{label} generators", [name for name, _ in gens])
+
+
 def run(signatures, kmax: int, out=None) -> None:
     out = out or sys.stdout
-    for p, q in signatures:
-        run_signature(Signature(p, q), kmax, out)
+    signatures = [Signature(p, q) for p, q in signatures]
+    for sig in signatures:
+        run_signature(sig, kmax, out)
+    for sig in signatures:
+        run_variants(sig, out)
 
 
 def main(argv=None) -> int:

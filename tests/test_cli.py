@@ -141,6 +141,32 @@ GOLDEN_CASES = [
 ]
 
 
+# every subcommand that takes --p/--q, with arguments valid at 2|1 and at 1|2
+SIGNATURE_COMMANDS = [
+    ("quantize", ["quantize", "--symbol", "x1*ex1"]),
+    ("symbol-map", ["symbol-map", "--operator", "x1*dx1"]),
+    ("affine-quantize", ["affine-quantize", "--symbol", "x1*ex1"]),
+    ("lie-density", ["lie", "density", "--field", "x1*dx1", "--function", "x1"]),
+    ("lie-symbol", ["lie", "symbol", "--field", "x1*dx1", "--symbol", "ex1"]),
+    ("lie-operator", ["lie", "operator", "--field", "x1*dx1", "--operator", "dx1"]),
+    ("div-vfield", ["div", "vfield", "--field", "x1*dx1"]),
+    ("div-symbol", ["div", "symbol", "--symbol", "x1*ex1"]),
+    ("gamma", ["gamma", "--index", "1", "--symbol", "x1*ex1"]),
+    ("casimir", ["casimir", "--symbol", "ex1"]),
+    ("alpha", ["alpha", "--k", "2", "--delta", "1/3"]),
+    ("coeff", ["coeff", "--k", "2", "--r", "1"]),
+    ("critical", ["critical", "--kmax", "2"]),
+    ("realize", ["realize", "--euler"]),
+    ("check-equivariance",
+     ["check", "equivariance", "--samples", "1", "--degree-max", "0"]),
+    ("check-casimir", ["check", "casimir", "--samples", "1", "--kmax", "0"]),
+    ("check-homomorphism", ["check", "homomorphism"]),
+    ("check-relcas", ["check", "relcas", "--samples", "1", "--kmax", "0"]),
+]
+# (p, q, the other variant, the signature's own variant)
+VARIANT_SIGNATURES = [("2", "1", "psl", "sl"), ("1", "2", "sl", "psl")]
+
+
 def run_json(argv, tmp_path, name="out.json"):
     out = tmp_path / name
     code = main(argv + ["--format", "json", "--out", str(out)])
@@ -189,6 +215,26 @@ class TestExitCodes:
         assert main(["quantize", "--p", "2", "--q", "1", "--variant", "psl",
                      "--symbol", "ex1"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("p,q,other,_own", VARIANT_SIGNATURES,
+                             ids=[f"{v[2]}@{v[0]}|{v[1]}" for v in VARIANT_SIGNATURES])
+    @pytest.mark.parametrize("argv", [c[1] for c in SIGNATURE_COMMANDS],
+                             ids=[c[0] for c in SIGNATURE_COMMANDS])
+    def test_other_variant_is_two_everywhere(self, argv, p, q, other, _own, capsys):
+        # among them coeff and alpha at 2|1, which answered with the psl formulas
+        assert main(argv + ["--p", p, "--q", q, "--variant", other]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("domain error:")
+
+    @pytest.mark.parametrize("p,q,_other,own", VARIANT_SIGNATURES,
+                             ids=[f"{v[3]}@{v[0]}|{v[1]}" for v in VARIANT_SIGNATURES])
+    @pytest.mark.parametrize("argv", [c[1] for c in SIGNATURE_COMMANDS],
+                             ids=[c[0] for c in SIGNATURE_COMMANDS])
+    def test_own_variant_changes_nothing(self, argv, p, q, _other, own, capsys):
+        code = main(argv + ["--p", p, "--q", q])
+        printed = capsys.readouterr()
+        assert main(argv + ["--p", p, "--q", q, "--variant", own]) == code
+        assert capsys.readouterr() == printed
 
     def test_zero_samples_is_one(self, capsys):
         assert main(["check", "equivariance", "--p", "1", "--q", "1",

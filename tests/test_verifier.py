@@ -63,6 +63,13 @@ class TestSampling:
                 for (xe, _m), _c in poly.items():
                     assert sum(xe) <= 3
 
+    @pytest.mark.parametrize("sig,degree", [(Signature(0, 1), 2), (Signature(0, 2), 3)],
+                             ids=["0|1-2", "0|2-3"])
+    def test_degree_without_frame_monomials_is_a_domain_error(self, sig, degree):
+        with pytest.raises(DomainError) as info:
+            random_symbol(sig, 0, degree, random.Random(1))
+        assert f"degree-{degree}" in str(info.value) and str(sig) in str(info.value)
+
     def test_determinism_from_seed(self):
         a = symbol_samples(S21, Fraction(1, 5), 2, 6, random.Random(42))
         b = symbol_samples(S21, Fraction(1, 5), 2, 6, random.Random(42))
@@ -84,6 +91,14 @@ class TestGenerators:
     def test_psl_includes_euler(self):
         gens = equivariance_generators(S12)
         assert gens[-1][0] == "euler"
+
+    def test_aliases_give_the_default_generators(self):
+        def labels(algebra):
+            return [label for label, _ in equivariance_generators(S12, algebra)]
+
+        assert labels(None)[-1] == "euler"
+        for algebra in ("psl", "pgl", "PSL"):
+            assert labels(algebra) == labels(None)
 
 
 class TestEquivariance:
@@ -128,6 +143,13 @@ class TestCasimir:
     def test_psl_eigenvalues(self):
         report = check_casimir(S12, "psl", k_max=2, sample_count=2, seed=1)
         assert report.passed
+
+    def test_alias_takes_the_q_equals_p_plus_one_eigenvalues(self):
+        assert check_casimir(S12, algebra="pgl", k_max=2, sample_count=2).passed
+
+    def test_report_names_the_normalized_algebra(self):
+        report = check_casimir(S11, algebra="gl", k_max=1, sample_count=1)
+        assert report.parameters["algebra"] == "sl"
 
 
 class TestHomomorphism:
