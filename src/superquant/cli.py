@@ -292,23 +292,20 @@ def _dispatch(args) -> int:
         value = getattr(args, name.replace("-", "_"), None)
         if value is not None and value < low:
             raise _UsageError(f"--{name} must be at least {low}, got {value}")
+    sig = _signature(args)
     cmd = args.command
     if cmd == "quantize":
-        sig = _signature(args)
         cfg = _config(args, sig)
         s = parse("symbol", args.symbol, sig, weight=args.delta)
         return _emit_value(args, quantize(s, cfg))
     if cmd == "symbol-map":
-        sig = _signature(args)
         cfg = _config(args, sig)
         d = parse("operator", args.operator, sig, lam=cfg.lam, mu=cfg.mu)
         return _emit_value(args, symbol_map(d, cfg))
     if cmd == "affine-quantize":
-        sig = _signature(args)
         s = parse("symbol", args.symbol, sig, weight=args.delta)
         return _emit_value(args, _affine_quantize(s, args.lam))
     if cmd == "lie":
-        sig = _signature(args)
         x = parse("vfield", args.field, sig)
         if args.mode == "density":
             f = parse("poly", _require(args, "function"), sig)
@@ -320,37 +317,31 @@ def _dispatch(args) -> int:
                   lam=args.lam, mu=args.lam + args.delta)
         return _emit_value(args, lie_operator(x, d))
     if cmd == "div":
-        sig = _signature(args)
         if args.mode == "vfield":
             x = parse("vfield", _require(args, "field"), sig)
             return _emit_value(args, x.divergence())
         s = _single_degree_symbol(args, sig, _require(args, "symbol"), "div symbol")
         return _emit_value(args, symbol_divergence(s))
     if cmd == "gamma":
-        sig = _signature(args)
         if not 1 <= args.index <= sig.n:
             raise _UsageError(f"--index must be in 1..{sig.n}")
         h = basis_eps(sig)[args.index - 1]
         s = _single_degree_symbol(args, sig, args.symbol, "gamma")
         return _emit_value(args, affine_defect(h, s, args.lam))
     if cmd == "casimir":
-        sig = _signature(args)
         s = _single_degree_symbol(args, sig, args.symbol, "casimir")
         return _emit_value(args, casimir_apply(s, args.lam, rep=args.rep))
     if cmd == "alpha":
-        sig = _signature(args)
         if _is_psl(sig):
             return _emit_rational(args, psl_casimir_eigenvalue(args.k))
         return _emit_rational(args, casimir_eigenvalue(args.k, args.delta, sig))
     if cmd == "coeff":
-        sig = _signature(args)
         if _is_psl(sig):
             return _emit_rational(args, psl_quantization_coefficient(args.k, args.r))
         return _emit_rational(
             args, quantization_coefficient(args.k, args.r, args.lam, args.delta, sig)
         )
     if cmd == "critical":
-        sig = _signature(args)
         if args.kmax > CRITICAL_KMAX:
             raise DomainError(f"--kmax {args.kmax} exceeds the cap {CRITICAL_KMAX}")
         values = sorted(critical_values(sig, args.kmax))
@@ -361,7 +352,6 @@ def _dispatch(args) -> int:
             _emit(args, ", ".join(str(v) for v in values) if values else "(none)")
         return 0
     if cmd == "realize":
-        sig = _signature(args)
         if args.e is not None:
             if not 1 <= args.e <= sig.n:
                 raise _UsageError(f"--e must be in 1..{sig.n}")
@@ -381,7 +371,6 @@ def _dispatch(args) -> int:
             h = euler_element(sig)
         return _emit_value(args, realize(h))
     # check
-    sig = _signature(args)
     if args.mode == "equivariance":
         cfg = _config(args, sig)
         report = check_equivariance(

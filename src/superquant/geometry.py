@@ -391,19 +391,11 @@ class SuperVectorField(_Graded):
 
     def _odd_part(self) -> "SuperVectorField":
         """The odd graded part of the field, zero if it has none; split on
-        first use.  Its component i is the part of X^i of parity opposite
-        to y^i."""
-        odd = self._odd
-        if odd is None:
-            sig = self.signature
-            odd = self._odd = SuperVectorField(
-                sig,
-                [
-                    comp.graded_parts()[1 - sig.parity(i)]
-                    for i, comp in enumerate(self.components, start=1)
-                ],
-            )
-        return odd
+        first use."""
+        if self._odd is None:
+            parts = dict(self.graded_parts())
+            self._odd = parts.get(1) or SuperVectorField.zero(self.signature)
+        return self._odd
 
     def divergence(self) -> SuperPolynomial:
         sig = self.signature
@@ -823,30 +815,18 @@ class DiffOperator(_TermMap, _Graded):
         return max(_slot_degrees(self.signature, self._poly), default=0)
 
     def apply(self, f: SuperPolynomial) -> SuperPolynomial:
-        """Evaluate on a superfunction."""
+        """Evaluate on a superfunction: each term f_a d^a adds f_a times the
+        coordinate derivative d^a f of ``_Leibniz``."""
         _check_same_signature(self, f)
         sig = self.signature
-        out = SuperPolynomial.zero(sig)
-        for (ae, am), coeff in self.items():
-            g = f
-            # rightmost (largest-index) odd factor acts first
-            for t in range(sig.q, 0, -1):
-                if am & (1 << (t - 1)):
-                    g = g.partial(sig.p + t)
-                    if not g:
-                        break
-            if not g:
-                continue
-            for ix in range(sig.p):
-                for _ in range(ae[ix]):
-                    g = g.partial(ix + 1)
-                    if not g:
-                        break
-                if not g:
-                    break
+        derivs = _Leibniz(sig, _lift(sig, f))
+        out: dict = {}
+        for alpha, coeff in _split(sig, self._poly).items():
+            g = derivs.derivative(alpha)
             if g:
-                out = out + coeff * g
-        return out
+                _ops.add_into(out, (_lift(sig, coeff) * g)._terms)
+        # no slot atom is left: drop the slot exponents
+        return SuperPolynomial._raw(sig, {(e[: sig.p], m): c for (e, m), c in out.items()})
 
     # -- composition -------------------------------------------------------
 

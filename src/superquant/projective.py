@@ -13,12 +13,16 @@ The signature fixes the algebra variant (``_is_psl``): ``sl`` for q != p+1
 q = p+1 (representatives are normalized to a zero corner entry;
 supertraceless elements form the simple part, while the Euler class extends
 it to the full projective algebra).
+
+Per-signature constants are built on first use and kept by ``functools.cache``
+for the life of the process: the dual bases, the graded basis realized as
+vector fields, which the Casimir, the lowering map and the verifier share, and
+the realized duals.  Cached values are never mutated, so threads share them.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -86,26 +90,6 @@ def _mat_scale(c, a):
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def _mat_mul(a, b):
-    # Basis matrices are sparse; skipping zero entries keeps the bracket
-    # tables cheap even with exact rational entries.
-    size = len(a)
-    out = [[Fraction(0)] * size for _ in range(size)]
-    for r in range(size):
-        row = a[r]
-        acc = out[r]
-        for k in range(size):
-            ark = row[k]
-            if not ark:
-                continue
-            brow = b[k]
-            for c in range(size):
-                bkc = brow[c]
-                if bkc:
-                    acc[c] += ark * bkc
-    return tuple(tuple(row) for row in out)
-
-
 def _full_parity(signature: Signature, a: int) -> int:
     """Parity of full-matrix index a in 0..p+q (index 0 is even)."""
     return 0 if a <= signature.p else 1
@@ -118,6 +102,23 @@ def _supertrace_full(m, signature: Signature) -> Fraction:
             total -= m[a][a]
         else:
             total += m[a][a]
+    return total
+
+
+def _supertrace_product(a, b, signature: Signature) -> Fraction:
+    """str(ab) = sum_{r,k} (-1)^{pi_r} a_rk b_kr without forming ab; basis
+    matrices are sparse, so zero entries are skipped on both sides."""
+    total = Fraction(0)
+    for r, row in enumerate(a):
+        odd = _full_parity(signature, r)
+        for k, a_rk in enumerate(row):
+            if a_rk:
+                b_kr = b[k][r]
+                if b_kr:
+                    if odd:
+                        total -= a_rk * b_kr
+                    else:
+                        total += a_rk * b_kr
     return total
 
 
@@ -520,9 +521,7 @@ def killing_form(a: PglElement, b: PglElement) -> Fraction:
         raise ValueError("signature mismatch")
     if _is_psl(sig):
         raise DomainError("the Killing form degenerates when q = p+1")
-    return 2 * (sig.p + 1 - sig.q) * _supertrace_full(
-        _mat_mul(a.matrix, b.matrix), sig
-    )
+    return 2 * (sig.p + 1 - sig.q) * _supertrace_product(a.matrix, b.matrix, sig)
 
 
 def kaplansky_form(a: PglElement, b: PglElement) -> Fraction:
@@ -537,7 +536,7 @@ def kaplansky_form(a: PglElement, b: PglElement) -> Fraction:
         raise DomainError(
             "the form requires supertraceless representatives on both sides"
         )
-    return _supertrace_full(_mat_mul(a.matrix, b.matrix), sig)
+    return _supertrace_product(a.matrix, b.matrix, sig)
 
 
 @dataclass(frozen=True)
@@ -547,36 +546,16 @@ class DualBasisPair:
     form: str
 
 
-_cache_lock = threading.Lock()
-_dual_cache: dict = {}
-_casimir_field_cache: dict = {}
-_lowering_field_cache: dict = {}
-
-
-def _memo(cache: dict, key, build):
-    """``cache[key]``, made by ``build()`` on first use; safe across threads."""
-    with _cache_lock:
-        got = cache.get(key)
-    if got is None:
-        got = build()
-        with _cache_lock:
-            got = cache.setdefault(key, got)
-    return got
-
-
 def dual_basis_pair(
     signature: Signature, algebra: str | None = None, scheme: str = "elementary"
 ) -> DualBasisPair:
     """Exact dual bases for the invariant form, via Gram-matrix inversion."""
     normalize_algebra(signature, algebra)
-    return _memo(
-        _dual_cache,
-        (signature, scheme),
-        lambda: _build_dual_basis_pair(signature, scheme),
-    )
+    return _build_dual_basis_pair(signature, scheme)
 
 
-def _build_dual_basis_pair(signature: Signature, scheme: str):
+@functools.cache
+def _build_dual_basis_pair(signature: Signature, scheme: str) -> DualBasisPair:
     basis = graded_basis(signature, scheme=scheme)
     psl = _is_psl(signature)
     form = kaplansky_form if psl else killing_form
@@ -605,15 +584,19 @@ def _build_dual_basis_pair(signature: Signature, scheme: str):
     return DualBasisPair(tuple(basis), tuple(dual), "Kaplansky" if psl else "Killing")
 
 
+@functools.cache
+def _realized_basis(signature: Signature, scheme: str) -> tuple:
+    """``graded_basis`` as vector fields, e_i first and eps_i last; callers
+    pass ``scheme`` positionally, so each basis has one cache entry."""
+    return tuple(map(realize, graded_basis(signature, scheme=scheme)))
+
+
+@functools.cache
 def _casimir_fields(signature: Signature, scheme: str) -> tuple:
-    """The (basis, dual) pairs of ``dual_basis_pair`` as vector fields,
-    realized once per ``(signature, scheme)``."""
-
-    def build():
-        pair = dual_basis_pair(signature, scheme=scheme)
-        return tuple((realize(u), realize(ud)) for u, ud in zip(pair.basis, pair.dual))
-
-    return _memo(_casimir_field_cache, (signature, scheme), build)
+    """The (basis, dual) pairs of ``dual_basis_pair`` as vector fields: the
+    realized basis with the realized duals."""
+    pair = _build_dual_basis_pair(signature, scheme)
+    return tuple(zip(_realized_basis(signature, scheme), map(realize, pair.dual)))
 
 
 # ---------------------------------------------------------------------------
@@ -667,29 +650,21 @@ def affine_defect_closed_form(h, s: SymbolField, lam: Rational) -> SymbolField:
     return factor * interior(row, s)
 
 
-def _lowering_fields(signature: Signature) -> tuple:
-    """The pairs (e_i, scaled eps_i) of ``casimir_defect`` as vector fields,
-    realized once per signature."""
-
-    def build():
-        return tuple(
-            (realize(e), realize(scaled_eps(signature, i)))
-            for i, e in enumerate(basis_e(signature), start=1)
-        )
-
-    return _memo(_lowering_field_cache, signature, build)
-
-
 def casimir_defect(s: SymbolField, lam: Rational) -> SymbolField:
-    """The degree-lowering part of the quantized Casimir action."""
+    """The degree-lowering part of the quantized Casimir action: the sum of
+    2 affine_defect(dual of e_i, L_{e_i} S), the dual being +-eps_i / (2(m+1))
+    at m = p - q (- for odd y^i).  The defect is linear in the field, so the
+    realized eps_i serve, scaled, and no dual basis is built."""
     sig = s.signature
     if _is_psl(sig):
         raise DomainError("the lowering map requires q != p+1")
     lam = as_fraction(lam)
+    fields = _realized_basis(sig, "elementary")
+    n, scale = sig.n, Fraction(1, sig.p - sig.q + 1)
     total = SymbolField.zero(sig, s.weight, max(s.degree - 1, 0))
-    for x_e, x_eps in _lowering_fields(sig):
+    for i, x_e, x_eps in zip(range(1, n + 1), fields[:n], fields[-n:]):
         defect = affine_defect(x_eps, lie_symbol(x_e, s), lam)
-        total = total + 2 * defect
+        total = total + (-scale if sig.parity(i) else scale) * defect
     return total
 
 

@@ -5,10 +5,13 @@ returns a CheckReport whose failure list carries fully printed symbolic
 values.  Exact arithmetic makes every failure decisive, so sample budgets
 govern coverage rather than statistical confidence.  Checks are pure
 functions of their parameters and seed, and may safely run concurrently.
+The realized generators are kept per signature by ``functools.cache``; they
+reuse the graded basis fields of ``projective._realized_basis``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass, field
@@ -19,7 +22,7 @@ from .expr import format_operator, format_symbol, format_value
 from .geometry import SymbolField, bracket, lie_operator, lie_symbol
 from .projective import (
     _is_psl,
-    _memo,
+    _realized_basis,
     basis_e,
     basis_eps,
     casimir_apply,
@@ -277,17 +280,15 @@ def equivariance_generators(sig: Signature, algebra: str | None = None):
     return out
 
 
-_realized_cache: dict = {}
-
-
+@functools.cache
 def _realized_generators(sig: Signature) -> tuple:
     """``equivariance_generators(sig)`` with each element realized as a vector
-    field, once per signature."""
-    return _memo(
-        _realized_cache,
-        sig,
-        lambda: tuple((label, realize(h)) for label, h in equivariance_generators(sig)),
-    )
+    field: the shared realized graded basis, and the Euler field at q = p+1."""
+    gens = equivariance_generators(sig)
+    fields = _realized_basis(sig, "elementary")
+    if _is_psl(sig):
+        fields += (realize(gens[-1][1]),)
+    return tuple((label, x) for (label, _h), x in zip(gens, fields, strict=True))
 
 
 # ---------------------------------------------------------------------------

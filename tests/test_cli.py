@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import superquant
-from superquant import cli
+from superquant import cli, verifier
+from superquant.geometry import affine_quantize
 from superquant.cli import main
 from superquant.expr import value_from_json
 
@@ -308,11 +309,22 @@ class TestExitCodes:
         assert main(["check", *argv, "--p", "0", "--q", "2", "--samples", "2"]) == 0
         assert f"PASS [{identities} identities" in capsys.readouterr().out
 
-    def test_check_failure_is_three(self, tmp_path, capsys):
-        # div symbol is not equivariant at degree 2; feed the casimir check a
-        # wrong eigenvalue situation instead: use relcas at psl -> error 2.
+    def test_relcas_at_q_equals_p_plus_one_is_two(self, tmp_path, capsys):
+        # the splitting is defined for q != p+1 only: a domain error
         assert main(["check", "relcas", "--p", "1", "--q", "2"]) == 2
         capsys.readouterr()
+
+    def test_failed_check_is_three(self, monkeypatch, capsys):
+        # the affine map is not equivariant under the quadratic directions
+        monkeypatch.setattr(
+            verifier, "quantize", lambda s, cfg: affine_quantize(s, cfg.lam)
+        )
+        assert main(["check", "equivariance", "--p", "2", "--q", "1",
+                     "--samples", "1", "--format", "json"]) == 3
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert report["passed"] is False and report["failures"]
+        assert err == ""
 
 
 class TestTextOutputs:

@@ -24,6 +24,7 @@ from superquant.geometry import (
     bracket,
     interior,
     lie_symbol,
+    symbol_divergence,
 )
 from superquant.projective import (
     ALGEBRA_PSL,
@@ -470,17 +471,18 @@ def test_dual_basis_pair_cached():
     assert dual_basis_pair(S11) is dual_basis_pair(S11)
 
 
-def test_failed_dual_basis_check_raises_domain_error(monkeypatch):
+def test_failed_dual_basis_check_raises_domain_error(monkeypatch, fresh_cache):
     killing_form = projective.killing_form
     # not bilinear: the duals solved from its Gram matrix fail the check
     monkeypatch.setattr(projective, "killing_form", lambda a, b: killing_form(a, b) + 1)
-    monkeypatch.setattr(projective, "_dual_cache", {})
+    fresh_cache("_build_dual_basis_pair", projective)
     with pytest.raises(DomainError, match="dual basis verification failed"):
         dual_basis_pair(S21)
 
 
-def test_casimir_fields_realized_once_per_signature(monkeypatch):
-    monkeypatch.setattr(projective, "_casimir_field_cache", {})
+def test_casimir_fields_realized_once_per_signature(monkeypatch, fresh_cache):
+    fresh_cache("_casimir_fields", projective)
+    fresh_cache("_realized_basis", projective)
     realized = []
     real_realize = projective.realize
 
@@ -631,14 +633,14 @@ def test_casimir_basis_independence():
     assert a == b
 
 
-def test_lowering_fields_realized_once_per_signature(monkeypatch):
+def test_lowering_fields_realized_once_per_signature(monkeypatch, fresh_cache):
     rng = random.Random(67)
     lam = Fraction(1, 2)
     s = rand_symbol(rng, S21, Fraction(1, 5), 2)
     other = rand_symbol(rng, S21, Fraction(-1, 3), 1)
     want = casimir_apply(other, lam, rep="affine") - casimir_apply(other, lam)
     assert not want.is_zero()
-    monkeypatch.setattr(projective, "_lowering_field_cache", {})
+    fresh_cache("_realized_basis", projective)
     realized = []
     real_realize = projective.realize
 
@@ -650,10 +652,10 @@ def test_lowering_fields_realized_once_per_signature(monkeypatch):
     monkeypatch.setattr(projective, "realize", counting_realize)
     first = casimir_defect(s, lam)
     assert not first.is_zero()
-    assert realized == [S21] * (2 * S21.n)
+    assert realized == [S21] * len(graded_basis(S21))
     assert casimir_defect(s, lam) == first
     assert casimir_defect(other, lam).as_mixed() == want
-    assert len(realized) == 2 * S21.n
+    assert len(realized) == len(graded_basis(S21))
 
 
 def test_lowering_map_edges():
@@ -665,6 +667,45 @@ def test_lowering_map_edges():
     assert casimir_defect(s1, Fraction(0)).is_zero()
     with pytest.raises(DomainError):
         casimir_defect(rand_symbol(rng, S12, 0, 1), 0)
+
+
+@pytest.mark.parametrize(
+    "sig",
+    [S10, S11, S21, Signature(3, 1), S22, Signature(0, 2), Signature(1, 3)],
+    ids=str,
+)
+def test_lowering_map_closed_form(sig):
+    # casimir_defect(S, lam) = ((m+1) lam + k - 1)/(m+1) div S at m = p - q
+    rng = random.Random(f"lowering:{sig}")
+    m1 = sig.p - sig.q + 1
+    for k in range(4 if sig.p else min(3, sig.q) + 1):
+        # a symbol with a nonzero divergence from degree 1 on
+        for _ in range(20):
+            s = rand_symbol(rng, sig, Fraction(1, 5), k)
+            div = symbol_divergence(s)
+            if k == 0 or not div.is_zero():
+                break
+        assert k == 0 or not div.is_zero()
+        for lam in (Fraction(0), Fraction(1, 3), Fraction(-1, 2)):
+            assert casimir_defect(s, lam) == (m1 * lam + k - 1) / m1 * div
+
+
+def test_lowering_map_builds_no_dual_basis(monkeypatch, fresh_cache):
+    rng = random.Random(71)
+    lam = Fraction(1, 3)
+    x1x2 = SuperPolynomial.monomial(S21, [1, 1], [], 1)
+    s = rand_symbol(rng, S21, Fraction(1, 5), 2) + SymbolField.monomial(
+        S21, Fraction(1, 5), [1, 1], [], x1x2
+    )
+    before = casimir_defect(s, lam)
+    assert not before.is_zero()
+    fresh_cache("_realized_basis", projective)
+
+    def no_dual_basis(*args):
+        raise AssertionError("the lowering map built a dual basis")
+
+    monkeypatch.setattr(projective, "_build_dual_basis_pair", no_dual_basis)
+    assert casimir_defect(s, lam) == before
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,23 @@
 """Tests for the certification suites."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from superquant import geometry, verifier
+from superquant import geometry, projective, verifier
 from superquant import (
     CriticalValueError,
     DomainError,
     Signature,
+    SuperVectorField,
     affine_quantize,
+    casimir_apply,
+    casimir_defect,
+    dual_basis_pair,
+    graded_basis,
 )
 from superquant.quantizer import (
     VARIANT_PSL,
@@ -231,8 +238,9 @@ class TestReports:
 
 
 class TestRealizeOnce:
-    def test_generators_realized_once_per_signature(self, monkeypatch):
-        monkeypatch.setattr(verifier, "_realized_cache", {})
+    def test_generators_realized_once_per_signature(self, monkeypatch, fresh_cache):
+        fresh_cache("_realized_generators", verifier)
+        fresh_cache("_realized_basis", projective, verifier)
         realized = []
         realize = verifier.realize
 
@@ -241,6 +249,7 @@ class TestRealizeOnce:
             return realize(h)
 
         monkeypatch.setattr(verifier, "realize", counting_realize)
+        monkeypatch.setattr(projective, "realize", counting_realize)
         cfg = QuantizationConfig(S11, Fraction(1, 3), Fraction(1, 5))
         first = check_equivariance(cfg, degree_max=1, sample_count=2, seed=4)
         assert realized == [S11] * len(equivariance_generators(S11))
@@ -256,8 +265,9 @@ class TestRealizeOnce:
         assert report.passed
         assert report.samples_run == len(equivariance_generators(S21)) * 2 * 2
 
-    def test_field_data_built_once_per_signature(self, monkeypatch):
-        monkeypatch.setattr(verifier, "_realized_cache", {})
+    def test_field_data_built_once_per_signature(self, monkeypatch, fresh_cache):
+        fresh_cache("_realized_generators", verifier)
+        fresh_cache("_realized_basis", projective, verifier)
         built = []
         field_action = geometry._field_action
 
@@ -272,3 +282,65 @@ class TestRealizeOnce:
         again = check_equivariance(cfg, degree_max=1, sample_count=2, seed=5)
         assert len(built) == len(equivariance_generators(S21))
         assert first.passed and again.to_json() == first.to_json()
+
+    def test_one_realized_basis_for_every_user(self, monkeypatch, fresh_cache):
+        # at 2|1 the lowering map, the Casimir and the equivariance check
+        # share one realization of each graded basis element, and the
+        # lowering map builds no dual basis
+        fresh_cache("_casimir_fields", projective)
+        fresh_cache("_build_dual_basis_pair", projective)
+        fresh_cache("_realized_basis", projective, verifier)
+        fresh_cache("_realized_generators", verifier)
+        realized, built = [], []
+        realize, build = projective.realize, projective._build_dual_basis_pair
+
+        def counting_realize(h):
+            if not isinstance(h, SuperVectorField):  # fields pass through
+                realized.append(h)
+            return realize(h)
+
+        def counting_build(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(projective, "realize", counting_realize)
+        monkeypatch.setattr(verifier, "realize", counting_realize)
+        monkeypatch.setattr(projective, "_build_dual_basis_pair", counting_build)
+        basis = graded_basis(S21)
+        lam, delta = Fraction(1, 3), Fraction(1, 5)
+        s = random_symbol(S21, delta, 2, random.Random(73))
+        assert not casimir_defect(s, lam).is_zero()
+        assert realized == basis and built == []
+        assert not casimir_apply(s, lam).is_zero()
+        assert len(built) == 1
+        assert realized == basis + list(dual_basis_pair(S21).dual)
+        cfg = QuantizationConfig(S21, lam, delta)
+        assert check_equivariance(cfg, degree_max=1, sample_count=2, seed=7).passed
+        assert not casimir_defect(s, lam).is_zero()
+        assert len(realized) == 2 * len(basis)
+
+    def test_concurrent_checks_agree(self, fresh_cache):
+        # four threads realize the generators on empty caches at once
+        fresh_cache("_realized_basis", projective, verifier)
+        fresh_cache("_realized_generators", verifier)
+        cfg = QuantizationConfig(S21, Fraction(1, 3), Fraction(1, 5))
+        start = threading.Barrier(4, timeout=60)
+        reports = [None] * 4
+
+        def run(i):
+            start.wait()
+            reports[i] = check_equivariance(cfg, degree_max=1, sample_count=2, seed=6)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(r is not None and r.passed for r in reports)
+        assert all(r.to_json() == reports[0].to_json() for r in reports)
