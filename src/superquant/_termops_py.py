@@ -14,7 +14,9 @@ output dict: a vector field on a polynomial, and the first-order action of
 a field on a symbol or an operator term map.  The derivation comes in the
 form that ``derivation`` builds once per field, its coefficients 1 and -1
 marked, so that such a coefficient, like an exponent 1 brought down by an
-even derivative, costs no rational product.
+even derivative, costs no rational product.  ``divergence_terms`` contracts
+each coordinate derivative of a symbol's term map with the derivative along
+its frame vector, sum_j +-d/de_j d/dy^j, in one pass over the terms.
 
 This is the package's only kernel; callers reach it as ``supercore._ops``.
 It is not named ``_termops`` so that a stale compiled ``_termops*.so`` left
@@ -182,6 +184,42 @@ def derive_terms(A, D, W=None):
                     v = cc * dc if s > 0 else -(cc * dc)
                 prev = get(key)
                 out[key] = v if prev is None else prev + v
+    for key in [key for key, v in out.items() if not v]:
+        del out[key]
+    return out
+
+
+def divergence_terms(A, p, q):
+    """sum_j +-(d/de_j)(d/dy^j) A, the sign - for odd y^j, for a term map A
+    over the doubled variables of the signature p|q: the even exponents hold
+    the p coordinates, then the p frame vectors; the mask holds the q odd
+    coordinates in its low bits, then the q odd frame vectors.  One pass over
+    the terms of A, equal to sum_j +-partial(partial(A, y^j), e_j).
+    """
+    out = {}
+    get = out.get
+    for (e, m), c in A.items():
+        for ix in range(p):
+            a = e[ix]
+            if a:
+                b = e[p + ix]
+                if b:
+                    key = (e[:ix] + (a - 1,) + e[ix + 1 : p + ix] + (b - 1,)
+                           + e[p + ix + 1 :], m)
+                    v = c if a == b == 1 else c * (a * b)
+                    prev = get(key)
+                    out[key] = v if prev is None else prev + v
+        # odd j: y^j at bit t, e_j at bit q + t; the two left derivatives and
+        # the - of an odd y^j leave -1 to the number of bits between them
+        pairs = m & (m >> q)
+        while pairs:
+            low = pairs & -pairs
+            pairs ^= low
+            high = low << q
+            key = (e, m ^ low ^ high)
+            v = c if (m & (high - (low << 1))).bit_count() & 1 else -c
+            prev = get(key)
+            out[key] = v if prev is None else prev + v
     for key in [key for key, v in out.items() if not v]:
         del out[key]
     return out

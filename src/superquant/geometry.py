@@ -985,15 +985,12 @@ def interior(h: Sequence[Rational], s: SymbolField) -> SymbolField:
 def symbol_divergence(s: SymbolField) -> SymbolField:
     """Divergence of a symbol: sum_j +-d/de_j d/dy^j, each coordinate
     derivative contracted with its dual frame covector, with the sign - for
-    odd y^j."""
+    odd y^j; one pass of the kernel's ``divergence_terms``."""
     sig = s.signature
-    out = SuperPolynomial.zero(_doubled(sig))
-    for j in range(1, sig.n + 1):
-        dy = s._poly.partial(_coord(sig, j))
-        if dy:
-            contracted = dy.partial(_slot(sig, j))
-            out = out - contracted if sig.parity(j) else out + contracted
-    return SymbolField._raw(sig, s.weight, max(s.degree - 1, 0), out)
+    out = _ops.divergence_terms(s._poly._terms, sig.p, sig.q)
+    return SymbolField._raw(
+        sig, s.weight, max(s.degree - 1, 0), SuperPolynomial._raw(s._poly.signature, out)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -558,7 +558,15 @@ def dual_basis_pair(
 def _build_dual_basis_pair(signature: Signature, scheme: str) -> DualBasisPair:
     basis = graded_basis(signature, scheme=scheme)
     psl = _is_psl(signature)
-    form = kaplansky_form if psl else killing_form
+    if psl and any(h.supertrace() for h in basis):
+        raise DomainError("the Kaplansky form needs a supertraceless basis")
+    # at q = p+1, kaplansky_form without its supertrace check on every pair:
+    # the basis is supertraceless, and so is every combination of it
+    form = (
+        (lambda a, b: _supertrace_product(a.matrix, b.matrix, signature))
+        if psl
+        else killing_form
+    )
     size = len(basis)
     gram = tuple(
         tuple(form(basis[i], basis[j]) for j in range(size)) for i in range(size)
@@ -785,16 +793,17 @@ def ensure_noncritical(signature: Signature, k: int, delta: Rational) -> None:
         )
 
 
-def _closed_form_coefficient(
+def _coefficients(
     k: int, r: int, lam: Fraction, d: Fraction, signature: Signature
-) -> Fraction:
-    """C_{k,r} = prod_{j=1..r} ((m+1) lam + k - j) / (j (m + 2k - j - (m+1) d))
-    at superdimension m = p - q; at m = -1 both weights drop out."""
+) -> list[Fraction]:
+    """C_{k,0..r}, where C_{k,r} = prod_{j=1..r} ((m+1) lam + k - j) /
+    (j (m + 2k - j - (m+1) d)) at superdimension m = p - q, as the running
+    product C_{k,j} = C_{k,j-1} ((m+1) lam + k - j) / (j (m + 2k - j - (m+1) d));
+    at m = -1 both weights drop out."""
     pq = signature.p - signature.q
-    num = Fraction(1)
-    den = Fraction(1)
+    coeff = Fraction(1)
+    out = [coeff]
     for j in range(1, r + 1):
-        num *= (pq + 1) * lam + k - j
         factor = pq + 2 * k - j - (pq + 1) * d
         if factor == 0:
             raise CriticalValueError(
@@ -803,8 +812,9 @@ def _closed_form_coefficient(
                 value=d,
                 pairs=[(k, k - j)],
             )
-        den *= factor * j
-    return num / den
+        coeff *= ((pq + 1) * lam + k - j) / (j * factor)
+        out.append(coeff)
+    return out
 
 
 def quantization_coefficient(
@@ -816,9 +826,7 @@ def quantization_coefficient(
         raise DomainError("the coefficient formula requires q != p+1")
     if not 0 <= r <= k:
         raise ValueError(f"step r={r} out of range 0..{k}")
-    return _closed_form_coefficient(
-        k, r, as_fraction(lam), as_fraction(delta), signature
-    )
+    return _coefficients(k, r, as_fraction(lam), as_fraction(delta), signature)[r]
 
 
 def psl_quantization_coefficient(k: int, r: int) -> Fraction:
@@ -831,4 +839,4 @@ def psl_quantization_coefficient(k: int, r: int) -> Fraction:
             "degree-1 coefficients are not determined in the q = p+1 variant"
         )
     # the coefficients see the signature only through p - q = -1
-    return _closed_form_coefficient(k, r, Fraction(0), Fraction(0), Signature(0, 1))
+    return _coefficients(k, r, Fraction(0), Fraction(0), Signature(0, 1))[r]

@@ -7,6 +7,11 @@ q = p+1 the coefficients are the closed form at p - q = -1, where the weights
 drop out, and only degree 1 differs, carrying the one-parameter family
 Q_t(S) = affine(S) + t affine(div S).  The inverse symbol map peels an
 operator top order first.
+
+The series is built in one private dict: each divergence is one pass of the
+kernel's ``divergence_terms``, and the passes stop at the last nonzero
+coefficient.  The coefficients C_{k,0..k} are one running product
+(``projective._coefficients``), computed afresh for each quantized part.
 """
 
 from __future__ import annotations
@@ -19,12 +24,11 @@ from .geometry import (
     DiffOperator,
     MixedSymbol,
     SymbolField,
+    _slot_degrees,
     affine_quantize,
-    principal_symbol,
-    symbol_divergence,
 )
 from .projective import (
-    _closed_form_coefficient,
+    _coefficients,
     _is_psl,
     casimir_defect,
     casimir_eigenvalue,
@@ -88,37 +92,56 @@ def _check_symbol(s: SymbolField | MixedSymbol, cfg: QuantizationConfig) -> None
 def _sum_over_degrees(
     s: SymbolField | MixedSymbol, cfg: QuantizationConfig, quantize_part
 ) -> DiffOperator:
-    """Apply ``quantize_part`` to each homogeneous part of ``s`` and add up.
+    """Apply ``quantize_part`` to each homogeneous part of ``s`` and add up,
+    in one private dict; one part is returned as it is.
 
     The generic variant is obstructed at critical weights; criticality is
     checked per present degree only.
     """
-    total = DiffOperator.zero(cfg.signature, cfg.lam, cfg.mu)
+    ops = []
     for part in s.parts() if isinstance(s, MixedSymbol) else [s]:
         if not _is_psl(cfg.signature):
             ensure_noncritical(cfg.signature, part.degree, cfg.delta)
-        total = total + quantize_part(part, cfg)
-    return total
+        ops.append(quantize_part(part, cfg))
+    if len(ops) == 1:
+        return ops[0]
+    total: dict = {}
+    for op in ops:
+        _ops.add_into(total, op._poly._terms)
+    return DiffOperator._raw(
+        cfg.signature, cfg.lam, cfg.mu, SuperPolynomial._raw(s._poly.signature, total)
+    )
+
+
+def _series_coefficients(cfg: QuantizationConfig, k: int) -> list[Fraction]:
+    """C_{k,0..r} of the degree-k divergence series up to its last nonzero
+    coefficient; the caller has passed ``ensure_noncritical`` for the degree.
+    Every entry is nonzero: once a running-product step is zero, so is every
+    later one, and the trailing zeros are dropped."""
+    if k == 1 and _is_psl(cfg.signature):
+        # C_{1,1} is 0/0 at p - q = -1; the family parameter takes its place
+        table = [Fraction(1), cfg.t]
+    else:
+        table = _coefficients(k, k, cfg.lam, cfg.delta, cfg.signature)
+    while not table[-1]:
+        table.pop()
+    return table
 
 
 def _divergence_series(s: SymbolField, cfg: QuantizationConfig) -> DiffOperator:
-    """Q(S) = sum_r C_{k,r} affine(div^r S) for a degree-k symbol."""
-    k = s.degree
+    """Q(S) = sum_r C_{k,r} affine(div^r S) for a degree-k symbol: one
+    ``divergence_terms`` pass per step, every step added into one private
+    dict, and no pass after the last nonzero coefficient."""
+    sig = cfg.signature
+    terms = s._poly._terms
     total: dict = {}
-    cur = s
-    for r in range(k + 1):
-        if k == r == 1 and _is_psl(cfg.signature):
-            # C_{1,1} is 0/0 at p - q = -1; the family parameter takes its place
-            c = cfg.t
-        else:
-            c = _closed_form_coefficient(k, r, cfg.lam, cfg.delta, cfg.signature)
+    for r, c in enumerate(_series_coefficients(cfg, s.degree)):
+        if r:
+            terms = _ops.divergence_terms(terms, sig.p, sig.q)
         # affine(div^r S) is the term map of div^r S relabeled
-        if c:
-            _ops.add_into(total, (c * cur._poly)._terms)
-        if r < k:
-            cur = symbol_divergence(cur)
+        _ops.add_into(total, terms if c == 1 else _ops.scale_terms(terms, c))
     poly = SuperPolynomial._raw(s._poly.signature, total)
-    return DiffOperator._raw(cfg.signature, cfg.lam, cfg.mu, poly)
+    return DiffOperator._raw(sig, cfg.lam, cfg.mu, poly)
 
 
 def quantize(s: SymbolField | MixedSymbol, cfg: QuantizationConfig) -> DiffOperator:
@@ -183,14 +206,21 @@ def symbol_map(d: DiffOperator, cfg: QuantizationConfig) -> MixedSymbol:
             f"operator weights ({d.lam}, {d.mu}) do not match config "
             f"({cfg.lam}, {cfg.mu})"
         )
-    parts: list[SymbolField] = []
-    cur = d
-    for k in range(d.order, -1, -1):
-        sk = principal_symbol(k, cur)
-        if sk.is_zero():
+    doubled = d._poly.signature
+    # the remainder and the peeled symbol, in private dicts; the remainder
+    # split by slot degree, so each principal symbol is one lookup
+    rest = {k: p._terms for k, p in _slot_degrees(d.signature, d._poly).items()}
+    peeled: dict = {}
+    for k in range(max(rest, default=0), -1, -1):
+        top = rest.get(k)
+        if not top:
             continue
-        parts.append(sk)
-        cur = cur - quantize(sk, cfg)
-    if not cur.is_zero():
+        peeled.update(top)
+        sk = SymbolField._raw(
+            cfg.signature, cfg.delta, k, SuperPolynomial._raw(doubled, dict(top))
+        )
+        for j, piece in _slot_degrees(d.signature, quantize(sk, cfg)._poly).items():
+            _ops.add_into(rest.setdefault(j, {}), piece._terms, -1)
+    if any(rest.values()):
         raise DomainError("peeling failed to terminate at zero")
-    return MixedSymbol.from_fields(cfg.signature, cfg.delta, parts)
+    return MixedSymbol._raw(cfg.signature, cfg.delta, SuperPolynomial._raw(doubled, peeled))

@@ -480,6 +480,34 @@ def test_failed_dual_basis_check_raises_domain_error(monkeypatch, fresh_cache):
         dual_basis_pair(S21)
 
 
+def test_psl_dual_basis_takes_one_supertrace_per_element(monkeypatch, fresh_cache):
+    fresh_cache("_build_dual_basis_pair", projective)
+    calls = []
+    supertrace = PglElement.supertrace
+
+    def counting(self):
+        calls.append(self)
+        return supertrace(self)
+
+    monkeypatch.setattr(PglElement, "supertrace", counting)
+    pair = dual_basis_pair(S12)
+    assert calls == list(pair.basis)
+    for i, h in enumerate(pair.basis):
+        for j, g in enumerate(pair.dual):
+            assert kaplansky_form(h, g) == (1 if i == j else 0)
+
+
+def test_psl_dual_basis_refuses_a_basis_with_supertrace(monkeypatch, fresh_cache):
+    fresh_cache("_build_dual_basis_pair", projective)
+    graded = projective.graded_basis
+    monkeypatch.setattr(
+        projective, "graded_basis",
+        lambda sig, scheme: graded(sig, scheme=scheme)[:-1] + [euler_element(sig)],
+    )
+    with pytest.raises(DomainError, match="supertraceless"):
+        dual_basis_pair(S12)
+
+
 def test_casimir_fields_realized_once_per_signature(monkeypatch, fresh_cache):
     fresh_cache("_casimir_fields", projective)
     fresh_cache("_realized_basis", projective)
