@@ -23,6 +23,9 @@ mathematical precondition (e.g. a critical weight) or a size over its cap,
 with a domain error instead of running without bound.  ``check
 homomorphism`` compares every pair of basis brackets, work that grows like
 (p+q)^6, so p + q is capped at ``HOMOMORPHISM_NMAX`` (8) in the same way.
+``quantize`` and ``symbol-map`` take one divergence pass per degree of the
+symbol or order of the operator they parse, so that degree is capped at
+``DEGREE_MAX`` (64) in the same way, before any of the series is computed.
 """
 
 from __future__ import annotations
@@ -35,7 +38,14 @@ from fractions import Fraction
 
 from .errors import CriticalValueError, DomainError, ExprError
 from .expr import format_value, parse, value_to_json
-from .geometry import SymbolField, lie_density, lie_operator, lie_symbol, symbol_divergence
+from .geometry import (
+    SymbolField,
+    _slot_degrees,
+    lie_density,
+    lie_operator,
+    lie_symbol,
+    symbol_divergence,
+)
 from .geometry import affine_quantize as _affine_quantize
 from .projective import (
     _is_psl,
@@ -67,6 +77,9 @@ from .verifier import (
 CRITICAL_KMAX = 10_000
 # the largest p + q of ``check homomorphism``; its work grows like (p+q)^6
 HOMOMORPHISM_NMAX = 8
+# the largest symbol degree of ``quantize`` and operator order of
+# ``symbol-map``; the divergence series takes one pass per degree
+DEGREE_MAX = 64
 
 
 class _UsageError(Exception):
@@ -248,6 +261,15 @@ def _single_degree_symbol(args, sig, text: str, command: str) -> SymbolField:
     return s
 
 
+def _capped(value, what: str):
+    """``value``, a symbol or an operator, unless its degree in the slot
+    atoms exceeds ``DEGREE_MAX``; one pass over its terms."""
+    top = max(_slot_degrees(value.signature, value._poly), default=0)
+    if top > DEGREE_MAX:
+        raise DomainError(f"{what} {top} exceeds the cap {DEGREE_MAX}")
+    return value
+
+
 def _emit(args, text: str) -> None:
     if args.out:
         try:
@@ -297,11 +319,11 @@ def _dispatch(args) -> int:
     if cmd == "quantize":
         cfg = _config(args, sig)
         s = parse("symbol", args.symbol, sig, weight=args.delta)
-        return _emit_value(args, quantize(s, cfg))
+        return _emit_value(args, quantize(_capped(s, "symbol degree"), cfg))
     if cmd == "symbol-map":
         cfg = _config(args, sig)
         d = parse("operator", args.operator, sig, lam=cfg.lam, mu=cfg.mu)
-        return _emit_value(args, symbol_map(d, cfg))
+        return _emit_value(args, symbol_map(_capped(d, "operator order"), cfg))
     if cmd == "affine-quantize":
         s = parse("symbol", args.symbol, sig, weight=args.delta)
         return _emit_value(args, _affine_quantize(s, args.lam))

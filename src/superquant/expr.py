@@ -40,8 +40,10 @@ from .geometry import (
     MixedSymbol,
     SuperVectorField,
     SymbolField,
+    _component,
     _doubled,
     _join,
+    _slot_degrees,
     _split,
 )
 from .supercore import Signature, SuperPolynomial, _ops
@@ -273,9 +275,9 @@ def parse(
 # ---------------------------------------------------------------------------
 # Rows: the one printed form of every kind.  A row ``(xe, tmask, se, smask,
 # coeff)`` is one monomial: coordinate exponents and odd mask, then the slot
-# exponents and odd mask (zero for polynomials).  Symbols and operators are
-# read through ``geometry._split`` and every kind is built through one term
-# map, made by ``geometry._join`` from decoded rows.
+# exponents and odd mask (zero for polynomials).  Fields, symbols and
+# operators are read through ``geometry._split`` and every kind is built
+# through one term map, made by ``geometry._join`` from decoded rows.
 
 
 def _slot_sort_key(item):
@@ -293,20 +295,19 @@ def _rows(v):
     if isinstance(v, SuperPolynomial):
         head = (KIND_POLY, None, {})
         slots = [(((0,) * v.signature.p, 0), v)]
-    elif isinstance(v, SuperVectorField):
-        sig = v.signature
-        head = (KIND_VFIELD, "d", {})
-        units = [(tuple(int(k == i) for k in range(sig.p)), 0) for i in range(sig.p)]
-        units += [((0,) * sig.p, 1 << j) for j in range(sig.q)]
-        slots = zip(units, v.components)
     else:
-        if isinstance(v, (SymbolField, MixedSymbol)):
+        order = _slot_sort_key
+        if isinstance(v, SuperVectorField):
+            head = (KIND_VFIELD, "d", {})
+            # by component: x1..xp, then t1..tq
+            order = lambda item: _component(v.signature, item[0])
+        elif isinstance(v, (SymbolField, MixedSymbol)):
             head = (KIND_SYMBOL, "e", {"delta": v.weight})
         elif isinstance(v, DiffOperator):
             head = (KIND_OPERATOR, "d", {"lambda": v.lam, "mu": v.mu})
         else:
             raise TypeError(f"cannot format {type(v).__name__}")
-        slots = sorted(_split(v.signature, v._poly).items(), key=_slot_sort_key)
+        slots = sorted(_split(v.signature, v._poly).items(), key=order)
     rows = [
         (xe, tmask, se, smask, c)
         for (se, smask), poly in slots
@@ -325,18 +326,15 @@ def _build(kind: str, sig: Signature, poly: SuperPolynomial, weight, lam, mu):
         if len(degrees) > 1:
             return mixed
         return SymbolField.zero(sig, weight, degrees[0] if degrees else 0)._with(poly)
-    polys = {key: SuperPolynomial._raw(sig, t) for key, t in _split(sig, poly).items()}
-    if kind == KIND_POLY:
-        # a polynomial's terms all have the zero slot key
-        return polys.popitem()[1] if polys else SuperPolynomial.zero(sig)
-    comps = [SuperPolynomial.zero(sig)] * sig.n
-    for (se, smask), comp in polys.items():
-        if sum(se) + smask.bit_count() != 1:
+    if kind == KIND_VFIELD:
+        if set(_slot_degrees(sig, poly)) - {1}:
             raise ExprError(
                 "a vector field needs exactly one derivative atom per term", 0
             )
-        comps[se.index(1) if sum(se) else sig.p + smask.bit_length() - 1] = comp
-    return SuperVectorField(sig, comps)
+        return SuperVectorField._raw(sig, poly)
+    # a polynomial's terms all have the zero slot key
+    terms = _split(sig, poly)
+    return SuperPolynomial._raw(sig, terms.popitem()[1] if terms else {})
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ Three graded modules live here, all with exact rational coefficients:
   factors carry ascending indices, any sign having been folded into the
   coefficient.
 
-A symbol, a mixed symbol (a sum of symbols of several degrees) or an
-operator is one term map: a ``SuperPolynomial`` over the doubled signature
-(2p|2q) whose variables are the coordinates y and the slot atoms, the frame
-vectors e of a symbol or the derivatives d of an operator.
+A vector field, a symbol, a mixed symbol (a sum of symbols of several
+degrees) or an operator is one term map: a ``SuperPolynomial`` over the
+doubled signature (2p|2q) whose variables are the coordinates y and the slot
+atoms, the frame vectors e of a symbol or the derivatives d of a field or an
+operator; a field is the first-order operator sum_i X^i d_i.
 A key is ``(xe + se, tmask | smask << q)``: the coordinate exponents, then the
 slot exponents; the odd coordinates in mask bits 0..q-1, below the odd slot
 atoms in bits q..2q-1.  Coordinate bits below slot bits put a coefficient to
@@ -26,14 +27,20 @@ Every construction is then a few kernel calls: an interior product is a slot
 derivative, a symmetric product a left product, the affine correspondence a
 relabeling of the slot atoms, and normal ordering the Leibniz sum
 d^alpha o M = sum_beta eps C d^{alpha-beta} * d_y^beta M (``_Leibniz``).
+A term's parity is that of its odd mask, so one ``graded_parts`` serves
+fields and operators, and a field's divergence is the symbol divergence of
+its map, d read as e.
 
 Both Lie derivatives share one first-order action on the doubled variables:
 the lift of the field (X on the coordinates, its Jacobian rotating the slot
 atoms) plus a weight times div X.  It is one call of the kernel's
-``derive_terms``, sum_i C_i d_i P + W P in one pass over P, as are
-``SuperVectorField.apply`` and ``lie_density``.  ``lie_symbol`` is that
-action at the symbol's weight.  ``lie_operator`` is that action at weight
-mu - lam plus a term of lower order, the Leibniz terms of |beta| >= 2 of
+``derive_terms``, sum_i C_i d_i P + W P in one pass over P.  The field's
+coordinate derivation sum_i X^i d/dy^i is the part of the lift that acts
+on the coordinates; ``SuperVectorField.apply`` and ``lie_density`` are
+that derivation on a lifted function, and ``bracket`` is it on the maps of
+two fields.  ``lie_symbol`` is the first-order action at the symbol's
+weight.  ``lie_operator`` is that action at weight mu - lam plus a term of
+lower order, the Leibniz terms of |beta| >= 2 of
 sum_i X^i d_i and of |beta| >= 1 of lam div X; along an affine field that
 term is empty, so there the two actions agree and the affine correspondence
 intertwines them.
@@ -45,9 +52,9 @@ sum_i (-1)^{parity(y^i) parity(X^i)} dX^i/dy^i.
 
 Values are never mutated in place.  A vector field relies on this: what
 ``lie_symbol`` and ``lie_operator`` need of it alone (its lift to the doubled
-variables, its divergence and its first-order operator), and what ``apply``
-and ``bracket`` need (its kernel form and its odd part), is computed on
-first use and kept with the field.  A long sum is built in a private dict with the
+variables and its divergence), and what ``apply`` and ``bracket`` need (its
+coordinate derivation and its odd part), is computed on first use and kept
+with the field.  A long sum is built in a private dict with the
 kernel's ``add_into`` and wrapped once at the end, so no value that a caller
 can see is ever changed.
 """
@@ -110,6 +117,12 @@ def _lift(sig: Signature, f, slot=None) -> SuperPolynomial:
     )
 
 
+def _unlift(sig: Signature, terms: dict) -> SuperPolynomial:
+    """The superfunction of the terms of a term map with no slot atom."""
+    p = sig.p
+    return SuperPolynomial._raw(sig, {(e[:p], m): c for (e, m), c in terms.items()})
+
+
 def _slot_monomial(sig: Signature, key, coeff: int = 1) -> SuperPolynomial:
     se, smask = key
     return SuperPolynomial._raw(
@@ -166,9 +179,16 @@ def _key_degree(key) -> int:
 
 
 class _Graded:
-    """Parity read off the homogeneous parts listed by ``graded_parts``."""
+    """The graded parts of a term map whose terms have the parity of their
+    odd masks, as of an operator or a vector field, and the parity read off
+    them."""
 
     __slots__ = ()
+
+    def graded_parts(self) -> list:
+        """Split into homogeneous values [(parity, value)], zeros omitted."""
+        even, odd = self._poly.graded_parts()
+        return [(par, self._with(part)) for par, part in ((0, even), (1, odd)) if part]
 
     def parity(self) -> int | None:
         parts = self.graded_parts()
@@ -180,7 +200,8 @@ class _Graded:
 
 
 class _TermMap:
-    """Linear core shared by symbols, mixed symbols and operators.
+    """Linear core shared by vector fields, symbols, mixed symbols and
+    operators.
 
     ``_poly`` is the term map over the doubled signature.  Beside the
     signature each map carries the attributes named in ``_fields``; the ones
@@ -277,43 +298,30 @@ class _FieldAction(NamedTuple):
     ``lift`` is X on the coordinates plus the rotation of the slot atoms,
     sum_ij J_ij e_j d/de_i with J_ij = s_i dX_chi^j/dy^i summed over the
     graded parts X_chi, where s_i = 1 when chi and y^i are both odd and -1
-    otherwise.  It is kept in the form the kernel's ``derive_terms`` takes,
-    built by ``derivation`` from the components at their 0-based positions
-    among the doubled variables.  ``div`` is div X; term by term it is the
-    weighted trace sum_i -(-1)^{parity(y^i)} J_ii, so a density twist of
-    weight w adds w div X.  ``field`` is sum_i X^i d_i, the field as a
-    first-order operator.  All three are built once per field, by
-    ``_field_action``.
+    otherwise.  So row i of the rotation is -d/dy^i of the field's term map,
+    parity-twisted first when y^i is odd: a term's parity is chi.  It is
+    kept in the form the kernel's ``derive_terms`` takes, the field's
+    coordinate derivation followed by these rows.  ``div`` is div X; term by
+    term it is the weighted trace sum_i -(-1)^{parity(y^i)} J_ii, so a
+    density twist of weight w adds w div X.  Both are built once per field,
+    by ``_field_action``.
     """
 
     lift: tuple
     div: SuperPolynomial
-    field: SuperPolynomial
 
 
 def _field_action(x: "SuperVectorField") -> _FieldAction:
     sig = x.signature
-    n = sig.n
-    rotation = [{} for _ in range(n)]
-    for chi, xp in x.graded_parts():
-        for i in range(1, n + 1):
-            sfac = 1 if (chi and sig.parity(i)) else -1
-            for j in range(1, n + 1):
-                dcomp = xp.components[j - 1].partial(i)
-                if dcomp:
-                    _ops.add_into(
-                        rotation[i - 1], _lift(sig, dcomp, _unit(sig, j))._terms, sfac
-                    )
-    lift, field = [], {}
-    for i, comp in enumerate(x.components, start=1):
-        lift.append((_coord(sig, i) - 1, _lift(sig, comp)._terms))
-        _ops.add_into(field, _lift(sig, comp, _unit(sig, i))._terms)
-    lift += [(_slot(sig, i) - 1, t) for i, t in enumerate(rotation, start=1)]
-    return _FieldAction(
-        _ops.derivation(2 * sig.p, lift),
-        _lift(sig, x.divergence()),
-        SuperPolynomial._raw(_doubled(sig), field),
-    )
+    minus = -x._poly
+    twisted = minus.parity_twist()
+    rows = []
+    for i in range(1, sig.n + 1):
+        row = (twisted if sig.parity(i) else minus).partial(_coord(sig, i))
+        rows.append((_slot(sig, i) - 1, row._terms))
+    evens, odds = x._derivation()
+    rotation_evens, rotation_odds = _ops.derivation(2 * sig.p, rows)
+    return _FieldAction((evens + rotation_evens, odds + rotation_odds), x._div())
 
 
 def _first_order(action: _FieldAction, weight: Fraction, poly: SuperPolynomial) -> dict:
@@ -325,16 +333,26 @@ def _first_order(action: _FieldAction, weight: Fraction, poly: SuperPolynomial) 
     return _ops.derive_terms(poly._terms, action.lift, w)
 
 
-class SuperVectorField(_Graded):
+def _component(sig: Signature, key) -> int:
+    """The index i (1-based) of the derivative d_i whose slot key, of
+    degree one, is ``key``."""
+    se, smask = key
+    return sig.p + smask.bit_length() if smask else se.index(1) + 1
+
+
+class SuperVectorField(_TermMap, _Graded):
     """Polynomial derivation X = sum_i X^i d/dy^i.
 
-    A field must not be mutated: the data its Lie derivatives need is
-    computed once, on first use, and kept in ``_action_data``, and so are
-    the kernel's form of the field, which ``apply`` uses, in ``_form``, and
+    The term map is sum_i X^i d_i, of degree one in the derivatives d, and
+    ``components`` reads the X^i off it.  A field must not be mutated: the
+    data its Lie derivatives need is computed once, on first use, and kept
+    in ``_action_data``, and so are its coordinate derivation in the
+    kernel's form, which ``apply`` and ``bracket`` use, in ``_form``, and
     its odd graded part, which ``bracket`` uses, in ``_odd``.
     """
 
-    __slots__ = ("signature", "components", "_action_data", "_form", "_odd")
+    __slots__ = ("_action_data", "_form", "_odd")
+    _fields = _weights = ()
 
     def __init__(self, signature: Signature, components: Sequence):
         self.signature = signature
@@ -348,21 +366,63 @@ class SuperVectorField(_Graded):
             raise ValueError(
                 f"expected {signature.n} components, got {len(comps)}"
             )
-        self.components = tuple(comps)
+        units = [_unit(signature, i) for i in range(1, signature.n + 1)]
+        self._poly = _nested(signature, dict(zip(units, comps)))
         self._action_data = self._form = self._odd = None
 
+    @classmethod
+    def _raw(cls, signature: Signature, poly: SuperPolynomial) -> "SuperVectorField":
+        self = super()._raw(signature, poly)
+        self._action_data = self._form = self._odd = None
+        return self
+
+    @property
+    def components(self) -> tuple:
+        """The components X^1..X^n, read off the term map."""
+        sig = self.signature
+        comps = [SuperPolynomial.zero(sig)] * sig.n
+        for key, terms in _split(sig, self._poly).items():
+            comps[_component(sig, key) - 1] = SuperPolynomial._raw(sig, terms)
+        return tuple(comps)
+
     def _action(self) -> _FieldAction:
-        """Graded parts, divergences and Jacobians, built on first use."""
+        """The lift and the divergence, built on first use."""
         data = self._action_data
         if data is None:
             # built whole, then stored in one assignment
             data = self._action_data = _field_action(self)
         return data
 
+    def _derivation(self) -> tuple:
+        """The kernel's form of the coordinate derivation sum_i X^i d/dy^i
+        over the doubled variables, built on first use."""
+        form = self._form
+        if form is None:
+            sig = self.signature
+            rows = [
+                (_coord(sig, i) - 1, _lift(sig, comp)._terms)
+                for i, comp in enumerate(self.components, start=1)
+            ]
+            form = self._form = _ops.derivation(2 * sig.p, rows)
+        return form
+
+    def _odd_part(self) -> "SuperVectorField":
+        """The odd graded part of the field, zero if it has none; split on
+        first use."""
+        if self._odd is None:
+            self._odd = self._with(self._poly.graded_parts()[1])
+        return self._odd
+
+    def _div(self) -> SuperPolynomial:
+        """div X over the doubled variables: ``symbol_divergence`` of the
+        term map with d read as e, one ``divergence_terms`` pass."""
+        sig, poly = self.signature, self._poly
+        terms = _ops.divergence_terms(poly._terms, sig.p, sig.q)
+        return SuperPolynomial._raw(poly.signature, terms)
+
     @classmethod
     def zero(cls, signature: Signature) -> "SuperVectorField":
-        z = SuperPolynomial.zero(signature)
-        return cls(signature, [z] * signature.n)
+        return cls._raw(signature, SuperPolynomial.zero(_doubled(signature)))
 
     @classmethod
     def euler(cls, signature: Signature) -> "SuperVectorField":
@@ -376,93 +436,17 @@ class SuperVectorField(_Graded):
         return self._derive(f)
 
     def _derive(self, f: SuperPolynomial, w: SuperPolynomial | None = None):
-        """X(f) + w f, one kernel pass over the terms of f."""
+        """X(f) + w f, w over the doubled variables: one kernel pass over the
+        lift of f."""
         _check_same_signature(self, f)
-        terms = _ops.derive_terms(f._terms, self._derivation(), w._terms if w else None)
-        return SuperPolynomial._raw(self.signature, terms)
-
-    def _derivation(self) -> tuple:
-        """The kernel's form of the field, built on first use."""
-        form = self._form
-        if form is None:
-            comps = [(i, comp._terms) for i, comp in enumerate(self.components)]
-            form = self._form = _ops.derivation(self.signature.p, comps)
-        return form
-
-    def _odd_part(self) -> "SuperVectorField":
-        """The odd graded part of the field, zero if it has none; split on
-        first use."""
-        if self._odd is None:
-            parts = dict(self.graded_parts())
-            self._odd = parts.get(1) or SuperVectorField.zero(self.signature)
-        return self._odd
+        sig = self.signature
+        terms = _ops.derive_terms(
+            _lift(sig, f)._terms, self._derivation(), w._terms if w else None
+        )
+        return _unlift(sig, terms)
 
     def divergence(self) -> SuperPolynomial:
-        sig = self.signature
-        out = SuperPolynomial.zero(sig)
-        for i, comp in enumerate(self.components, start=1):
-            if not comp:
-                continue
-            if sig.parity(i):
-                comp = comp.parity_twist()
-            out = out + comp.partial(i)
-        return out
-
-    def graded_parts(self) -> list[tuple[int, "SuperVectorField"]]:
-        """Split into homogeneous fields [(parity, field)], zeros omitted."""
-        sig = self.signature
-        buckets = {0: [], 1: []}
-        for i, comp in enumerate(self.components, start=1):
-            ce, co = comp.graded_parts()
-            if sig.parity(i) == 0:
-                buckets[0].append(ce)
-                buckets[1].append(co)
-            else:
-                buckets[0].append(co)
-                buckets[1].append(ce)
-        out = []
-        for par in (0, 1):
-            if any(buckets[par]):
-                out.append((par, SuperVectorField(sig, buckets[par])))
-        return out
-
-    def is_zero(self) -> bool:
-        return not any(self.components)
-
-    def __add__(self, other):
-        if not isinstance(other, SuperVectorField):
-            return NotImplemented
-        _check_same_signature(self, other)
-        return SuperVectorField(
-            self.signature,
-            [a + b for a, b in zip(self.components, other.components)],
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, SuperVectorField):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return SuperVectorField(self.signature, [-c for c in self.components])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SuperVectorField(
-                self.signature, [c * other for c in self.components]
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, SuperVectorField):
-            return NotImplemented
-        return (
-            self.signature == other.signature and self.components == other.components
-        )
-
-    __hash__ = None
+        return _unlift(self.signature, self._div()._terms)
 
     def __repr__(self):
         return f"SuperVectorField({self.signature}, {list(self.components)!r})"
@@ -479,32 +463,27 @@ def bracket(x: SuperVectorField, y: SuperVectorField) -> SuperVectorField:
     Over the graded parts, [X, Y] = sum X_chi Y_eta - (-1)^{chi eta} Y_eta
     X_chi: only two odd parts anticommute, so
 
-        [X, Y]^i = X(Y^i) - Y(X^i) + 2 Y_1(X_1^i),
+        [X, Y] = X(Y) - Y(X) + 2 Y_1(X_1),
 
-    with X_1, Y_1 the odd parts.  Each component is these three kernel
-    passes into one dict, or the first two when X or Y has no odd part;
-    each field's kernel form and odd part are built once and kept with it.
+    with X_1, Y_1 the odd parts, and X(Y) = sum_i X(Y^i) d_i the coordinate
+    derivation of X on the term map of Y.  These are three kernel passes
+    into one dict, or the first two when X or Y has no odd part; each
+    field's kernel form and odd part are built once and kept with it.
     """
     _check_same_signature(x, y)
-    sig = x.signature
-    dx, dy = x._derivation(), y._derivation()
+    acc = _ops.derive_terms(y._poly._terms, x._derivation())
+    _ops.add_into(acc, _ops.derive_terms(x._poly._terms, y._derivation()), -1)
     xo, yo = x._odd_part(), y._odd_part()
-    dyo = None if xo.is_zero() or yo.is_zero() else yo._derivation()
-    comps = []
-    for i in range(sig.n):
-        acc = _ops.derive_terms(y.components[i]._terms, dx)
-        _ops.add_into(acc, _ops.derive_terms(x.components[i]._terms, dy), -1)
-        if dyo is not None:
-            odd = _ops.derive_terms(xo.components[i]._terms, dyo)
-            _ops.add_into(acc, odd)
-            _ops.add_into(acc, odd)
-        comps.append(SuperPolynomial._raw(sig, acc))
-    return SuperVectorField(sig, comps)
+    if xo._poly and yo._poly:
+        odd = _ops.derive_terms(xo._poly._terms, yo._derivation())
+        _ops.add_into(acc, odd)
+        _ops.add_into(acc, odd)
+    return x._with(SuperPolynomial._raw(x._poly.signature, acc))
 
 
 def lie_density(x: SuperVectorField, lam: Rational, f: SuperPolynomial) -> SuperPolynomial:
     """Lie derivative of a density of weight lam along x."""
-    return x._derive(f, as_fraction(lam) * x.divergence())
+    return x._derive(f, as_fraction(lam) * x._div())
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +721,7 @@ class _Leibniz:
         top = min(self.degree, sum(se) + smask.bit_count())
         if lowest > top:
             return SuperPolynomial._raw(_doubled(sig), out)
-        for be in product(*[range(a + 1) for a in se]):
+        for be in product(*[range(min(a, top) + 1) for a in se]):
             even_order = sum(be)
             if even_order > top:
                 continue
@@ -825,8 +804,7 @@ class DiffOperator(_TermMap, _Graded):
             g = derivs.derivative(alpha)
             if g:
                 _ops.add_into(out, (_lift(sig, coeff) * g)._terms)
-        # no slot atom is left: drop the slot exponents
-        return SuperPolynomial._raw(sig, {(e[: sig.p], m): c for (e, m), c in out.items()})
+        return _unlift(sig, out)
 
     # -- composition -------------------------------------------------------
 
@@ -850,13 +828,6 @@ class DiffOperator(_TermMap, _Graded):
         return DiffOperator._raw(
             sig, other.lam, self.mu, SuperPolynomial._raw(_doubled(sig), out)
         )
-
-    # -- structure ---------------------------------------------------------
-
-    def graded_parts(self) -> list[tuple[int, "DiffOperator"]]:
-        """Split into homogeneous operators [(parity, operator)], zeros omitted."""
-        even, odd = self._poly.graded_parts()
-        return [(par, self._with(part)) for par, part in ((0, even), (1, odd)) if part]
 
     def __repr__(self):
         return (
@@ -890,12 +861,8 @@ def operators_agree(
 
 def density_operator(x: SuperVectorField, weight: Rational) -> DiffOperator:
     """The density Lie derivative along x as a first-order operator."""
-    sig = x.signature
     w = as_fraction(weight)
-    poly = _lift(sig, w * x.divergence())
-    for i, comp in enumerate(x.components, start=1):
-        poly = poly + _lift(sig, comp, _unit(sig, i))
-    return DiffOperator._raw(sig, w, w, poly)
+    return DiffOperator._raw(x.signature, w, w, w * x._div() + x._poly)
 
 
 def lie_operator(x: SuperVectorField, d: DiffOperator) -> DiffOperator:
@@ -927,8 +894,8 @@ def lie_operator(x: SuperVectorField, d: DiffOperator) -> DiffOperator:
     poly = d._poly
     out = _first_order(action, d.mu - d.lam, poly)
     sums = []
-    if _coordinate_degree(sig, action.field) >= 2:
-        sums.append((_Leibniz(sig, action.field), 2))
+    if _coordinate_degree(sig, x._poly) >= 2:
+        sums.append((_Leibniz(sig, x._poly), 2))
     if d.lam and _coordinate_degree(sig, action.div) >= 1:
         sums.append((_Leibniz(sig, d.lam * action.div), 1))
     if not sums:

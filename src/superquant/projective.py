@@ -36,6 +36,8 @@ from .geometry import (
     affine_quantize,
     affine_symbol,
     interior,
+    _doubled,
+    _unit,
     lie_operator,
     lie_symbol,
 )
@@ -442,22 +444,26 @@ def graded_basis(
 
 @functools.cache
 def _realization_keys(sig: Signature) -> tuple:
-    """Term keys of a realized field at ``sig``: the constant key, the key of
-    each coordinate y^j (index j, 1-based), and for each pair (j, i) the key
-    of y^j y^i with the sign that orders its odd factors (0 when y^j = y^i
-    is odd, so the product vanishes)."""
+    """Term keys of a realized field at ``sig``, over the doubled variables:
+    for each component i, the key of d_i, of y^j d_i for each coordinate y^j
+    (index j, 1-based), and of y^j y^i d_i for each j with the sign that
+    orders its odd factors (0 when y^j = y^i is odd, so the term vanishes)."""
     coords = [((0,) * sig.p, 0)]
     coords += [
         next(iter(SuperPolynomial.coordinate(sig, j)._terms)) for j in range(1, sig.n + 1)
     ]
-    products = [
-        [
-            ((tuple(map(add, ej, ei)), mj | mi), _ops.odd_merge_sign(mj, mi))
-            for ei, mi in coords
+    keys = []
+    for i in range(1, sig.n + 1):
+        se, smask = _unit(sig, i)
+        smask <<= sig.q
+        ei, mi = coords[i]
+        linear = [(e + se, m | smask) for e, m in coords]
+        quadratic = [
+            ((tuple(map(add, ej, ei)) + se, mj | mi | smask), _ops.odd_merge_sign(mj, mi))
+            for ej, mj in coords
         ]
-        for ej, mj in coords
-    ]
-    return coords, products
+        keys.append((linear, quadratic))
+    return tuple(keys)
 
 
 def realize(h) -> SuperVectorField:
@@ -467,9 +473,10 @@ def realize(h) -> SuperVectorField:
     signed linear fields, and quadratic directions by a coordinate function
     times the Euler field.  An element's matrix is read directly: h_- is
     column 0, h_+ is row 0 and h_0 the block below and right of the corner,
-    less the corner entry on its diagonal.  Component i is one term dict:
-    -h_-^i, then -(+-) h_0^ij y^j (sign - when y^j is odd and y^i even), then
-    f y^i with f = sum_j (-1)^{parity(y^j)} h_+^j y^j.
+    less the corner entry on its diagonal.  The field is one term dict over
+    the doubled variables; component i adds -h_-^i, then -(+-) h_0^ij y^j
+    (sign - when y^j is odd and y^i even), then f y^i with
+    f = sum_j (-1)^{parity(y^j)} h_+^j y^j, each times d_i.
     """
     if isinstance(h, SuperVectorField):
         return h
@@ -485,28 +492,25 @@ def realize(h) -> SuperVectorField:
     else:
         raise TypeError(f"cannot realize {type(h).__name__}")
     sig = h.signature
-    coords, products = _realization_keys(sig)
     parity = [0] + [sig.parity(j) for j in range(1, sig.n + 1)]
     f = [(j, -v if parity[j] else v) for j, v in enumerate(h_plus, start=1) if v]
-    comps = []
-    for i in range(1, sig.n + 1):
-        terms = {}
+    terms = {}
+    for i, (linear, quadratic) in enumerate(_realization_keys(sig), start=1):
         v = h_minus[i - 1]
         if v:
-            terms[coords[0]] = -v
+            terms[linear[0]] = -v
         row = h_zero[i - 1]
         for j in range(1, sig.n + 1):
             a = row[j - 1]
             if i == j and corner:
                 a -= corner
             if a:
-                terms[coords[j]] = a if parity[j] and not parity[i] else -a
+                terms[linear[j]] = a if parity[j] and not parity[i] else -a
         for j, c in f:
-            key, sign = products[j][i]
+            key, sign = quadratic[j]
             if sign:
                 terms[key] = c if sign > 0 else -c
-        comps.append(SuperPolynomial._raw(sig, terms))
-    return SuperVectorField(sig, comps)
+    return SuperVectorField._raw(sig, SuperPolynomial._raw(_doubled(sig), terms))
 
 
 # ---------------------------------------------------------------------------
@@ -611,12 +615,6 @@ def _casimir_fields(signature: Signature, scheme: str) -> tuple:
 # quantization defect maps
 
 
-def _as_field(h) -> SuperVectorField:
-    if isinstance(h, (PglElement, GradedElement, SuperVectorField)):
-        return realize(h)
-    raise TypeError(f"expected an algebra element or field, got {type(h).__name__}")
-
-
 def affine_defect(h, s: SymbolField, lam: Rational, *, full: bool = False):
     """Difference between the operator-level and symbol-level actions.
 
@@ -627,7 +625,7 @@ def affine_defect(h, s: SymbolField, lam: Rational, *, full: bool = False):
     returned; otherwise concentration in degree k-1 is checked and that part
     returned.
     """
-    x = _as_field(h)
+    x = realize(h)
     lam = as_fraction(lam)
     op = affine_quantize(s, lam)
     mixed = affine_symbol(lie_operator(x, op)) - lie_symbol(x, s).as_mixed()

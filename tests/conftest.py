@@ -1,8 +1,11 @@
 """Shared fixtures."""
 
 import functools
+from collections import Counter
 
 import pytest
+
+from superquant import supercore
 
 
 @pytest.fixture
@@ -17,3 +20,19 @@ def fresh_cache(monkeypatch):
             monkeypatch.setattr(module, name, new)
 
     return fresh
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of the calls to the term kernel's derivative routines."""
+    calls = Counter()
+    for name in ("derive_terms", "divergence_terms", "partial_even_terms",
+                 "partial_odd_terms"):
+        original = getattr(supercore._ops, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(supercore._ops, name, counted)
+    return calls

@@ -281,6 +281,31 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("domain error: ") and "p + q = 9" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["quantize", "--symbol", "x1^32*x2^32*ex1^32*ex2^32"],
+        ["symbol-map", "--operator", "x1*x2*dx1^32*dx2^32"],
+    ], ids=["quantize", "symbol-map"])
+    def test_degree_at_cap_runs(self, argv, capsys):
+        assert cli.DEGREE_MAX == 64
+        assert main(argv + ["--p", "2", "--q", "0", "--delta", "1/7"]) == 0
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["quantize", "--p", "1", "--q", "0", "--symbol", "x1*ex1^12345678901"],
+         "symbol degree 12345678901"),
+        (["symbol-map", "--p", "1", "--q", "0", "--operator", "x1*dx1^12345678901"],
+         "operator order 12345678901"),
+        (["quantize", "--p", "2", "--q", "1", "--symbol", "ex1 + x2*ex1^33*ex2^31*et1"],
+         "symbol degree 65"),
+        (["symbol-map", "--p", "2", "--q", "1", "--operator", "dx2^64*dt1"],
+         "operator order 65"),
+    ], ids=["quantize-huge", "symbol-map-huge", "quantize-mixed", "symbol-map-odd"])
+    def test_degree_over_cap_is_two(self, argv, message, capsys):
+        assert main(argv + ["--delta", "1/7"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"domain error: {message} exceeds the cap 64\n"
+
     def test_negative_degree_max_is_one(self, capsys):
         assert main(["check", "equivariance", "--p", "1", "--q", "1",
                      "--degree-max", "-1"]) == 1
@@ -429,6 +454,14 @@ class TestLargeExponents:
         assert done.returncode == 0, done.stderr
         assert "99999999999" in done.stdout
 
+    def test_huge_operator_order_lie_operator_promptly(self):
+        # the Leibniz sum stops at the field's coordinate degree, 2
+        done = run_cli(["lie", "operator", "--p", "1", "--q", "0",
+                        "--field", "x1^2*dx1", "--operator", "dx1^12345678901"])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == ("-24691357802*x1*dx1^12345678901"
+                               " - 152415787514250888900*dx1^12345678900\n")
+
 
 class TestUnwritableOut:
     @pytest.mark.parametrize("target", ["missing/x", "."], ids=["no-dir", "a-dir"])
@@ -450,24 +483,43 @@ FUZZ_TEXT = st.one_of(
 
 
 class TestExpressionFuzz:
-    """Any text given to an expression option exits 0 or 1, never raises.
-
-    ``quantize``, ``symbol-map`` and ``lie operator`` are not fuzzed: their
-    work grows with the degree they parse, which is not capped yet.
-    """
+    """Any text given to an expression option exits 0 or 1, or 2 with a
+    domain error where a degree cap applies; it never raises."""
 
     @pytest.mark.parametrize("argv,option", [
         (["affine-quantize", "--p=2", "--q=1", "--lambda=1/3"], "--symbol"),
         (["div", "vfield", "--p=2", "--q=1"], "--field"),
         (["lie", "density", "--p=2", "--q=1", "--lambda=1/2",
           "--field=x1*dx1 + t1*dt1"], "--function"),
-    ], ids=["affine-quantize", "div-vfield", "lie-density"])
+        (["lie", "operator", "--p=2", "--q=1", "--lambda=1/3", "--delta=1/5",
+          "--field=x1^2*dx1 + t1*dx2 + x2*t1*dt1"], "--operator"),
+    ], ids=["affine-quantize", "div-vfield", "lie-density", "lie-operator"])
     @settings(max_examples=100, deadline=None)
     @given(text=FUZZ_TEXT)
     @example(text="x1^99999999999")
+    @example(text="dx1^12345678901")
     def test_exit_zero_or_one(self, argv, option, text):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv + [f"{option}={text}"])
         assert code in (0, 1), err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("argv,option", [
+        (["quantize", "--p=2", "--q=1", "--lambda=1/3", "--delta=1/5"], "--symbol"),
+        (["symbol-map", "--p=2", "--q=1", "--lambda=1/3", "--delta=1/5"], "--operator"),
+    ], ids=["quantize", "symbol-map"])
+    @settings(max_examples=100, deadline=None)
+    @given(text=FUZZ_TEXT)
+    @example(text="x1^99999999999")
+    @example(text="ex1^12345678901")
+    @example(text="dx1^12345678901")
+    def test_capped_exit_zero_one_or_two(self, argv, option, text):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + [f"{option}={text}"])
+        assert code in (0, 1, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("domain error: ")

@@ -11,6 +11,7 @@ against their nested per-frame-key references.
 
 import json
 import random
+from collections import Counter
 from copy import deepcopy
 from fractions import Fraction
 
@@ -915,19 +916,18 @@ def test_field_action_built_once(monkeypatch):
     x1, x2, t1 = (SuperPolynomial.coordinate(sig, i) for i in (1, 2, 3))
     # even part x1^2 dx1 + x2 t1 dt1, odd part t1 dx2
     xf = SuperVectorField(sig, [x1 * x1, t1, x2 * t1])
-    part_comps = [c for _, xp in xf.graded_parts() for c in xp.components]
     s1 = SymbolField.monomial(sig, Fraction(1, 3), (1, 0), (), x2)
     s2 = SymbolField.monomial(sig, Fraction(-2, 5), (1, 0), (1,), x1 + 1)
     wants = [lie_symbol_reference(xf, s) for s in (s1, s2)]
 
-    graded_calls, receivers, derived = [], [], []
-    graded_parts = SuperVectorField.graded_parts
+    built, receivers, derived = [], [], []
+    field_action = geometry._field_action
     partial = SuperPolynomial.partial
     derive_terms = _ops.derive_terms
 
-    def counting_graded_parts(self):
-        graded_calls.append(self)
-        return graded_parts(self)
+    def counting_field_action(x):
+        built.append(x)
+        return field_action(x)
 
     def recording_partial(self, i):
         receivers.append(self)
@@ -937,19 +937,18 @@ def test_field_action_built_once(monkeypatch):
         derived.append(terms)
         return derive_terms(terms, *args)
 
-    monkeypatch.setattr(SuperVectorField, "graded_parts", counting_graded_parts)
+    monkeypatch.setattr(geometry, "_field_action", counting_field_action)
     monkeypatch.setattr(SuperPolynomial, "partial", recording_partial)
     monkeypatch.setattr(_ops, "derive_terms", recording_derive_terms)
 
-    def jacobian_partials():
-        return [f for f in receivers if any(f == c for c in part_comps)]
-
     assert lie_symbol(xf, s1) == wants[0]
-    assert len(graded_calls) == 1
-    assert len(jacobian_partials()) >= 2 * sig.n * sig.n  # both parts' Jacobians
-    del graded_calls[:], receivers[:], derived[:]
+    assert len(built) == 1 and built[0] is xf
+    # one rotation row per coordinate, each one partial of the term map
+    assert len(receivers) == sig.n
+    assert all(f.signature == geometry._doubled(sig) for f in receivers)
+    del built[:], receivers[:], derived[:]
     assert lie_symbol(xf, s2) == wants[1]
-    assert graded_calls == [] and jacobian_partials() == []
+    assert built == [] and receivers == []
     assert derived  # the coefficients were still transported
 
     twin = SuperVectorField(sig, xf.components)
@@ -1186,6 +1185,23 @@ def test_bracket_of_inhomogeneous_fields_matches_reference(case):
     assert bracket(xf, xf) == bracket_reference(xf, xf)
 
 
+@pytest.mark.parametrize("sig", [S22, Signature(2, 3)], ids=str)
+def test_bracket_and_divergence_pass_over_the_whole_map(sig, kernel_calls):
+    """A bracket is three ``derive_terms`` passes in all, not three per
+    component, and a divergence one ``divergence_terms`` pass."""
+    rng = random.Random(f"whole map {sig}")
+    odd = SuperVectorField(sig, [0] * sig.p + [1] + [0] * (sig.q - 1))  # d/dt_1
+    xf, yf = rand_field(rng, sig) + odd, rand_field(rng, sig) + odd
+    want = bracket_reference(xf, yf)
+    assert not (xf._odd_part().is_zero() or yf._odd_part().is_zero())
+    kernel_calls.clear()
+    assert bracket(xf, yf) == want
+    assert kernel_calls == Counter(derive_terms=3)
+    kernel_calls.clear()
+    xf.divergence()
+    assert kernel_calls == Counter(divergence_terms=1)
+
+
 def test_check_homomorphism_sees_a_wrong_realization(monkeypatch, capsys):
     """The comparison is not vacuous: with the sign of one quadratic term of
     each realized field flipped, ``check homomorphism`` fails at an sl and
@@ -1233,7 +1249,7 @@ def test_values_are_never_mutated():
     xf.apply(f)  # builds the field's kernel form too
     bracket(xf, yf)  # and both fields' odd parts with their kernel forms
     assert not (xf._odd_part().is_zero() or yf._odd_part().is_zero())
-    polys_in = [f, s._poly, d._poly, *xf.components, *yf.components]
+    polys_in = [f, s._poly, d._poly, xf._poly, yf._poly]
     before = [deepcopy(p._terms) for p in polys_in]
 
     def cache_of(field):

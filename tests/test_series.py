@@ -238,21 +238,6 @@ def test_mixed_symbol_with_one_critical_lower_part_raises():
 # the kernel calls of one quantization
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """Counts of the calls to the term kernel's derivative routines."""
-    calls = Counter()
-    for name in ("divergence_terms", "partial_even_terms", "partial_odd_terms"):
-        original = getattr(supercore._ops, name)
-
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(supercore._ops, name, counted)
-    return calls
-
-
 def test_one_divergence_pass_per_step(kernel_calls):
     rng = random.Random("passes")
     for sig in (Signature(1, 1), Signature(2, 1), Signature(2, 2), Signature(1, 3)):
