@@ -90,6 +90,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def _get_values(self, action, arg_strings):
+        # the value of ``--symbol=--`` is the text "--"; argparse in
+        # Python 3.11 drops it as if it ended the options
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
 
 def _fraction(text: str) -> Fraction:
     try:

@@ -20,6 +20,12 @@ monomial is coordinates first (odd indices ascending), then generator or
 derivative atoms (odd indices ascending); formatting always emits that order,
 and ``parse(format(v))`` returns a value equal to ``v``.
 
+Reading is one regular-expression scan into ``(kind, value, pos)`` tokens and
+one recursive-descent pass.  Each product folds into one running monomial:
+exponents, odd mask, and an integer numerator and denominator, a literal or a
+one-term group multiplying them in place.  Only a group of several terms goes
+through the kernel's product.
+
 JSON encoding: ``{signature, weights, kind, terms: [{key, coeff}]}`` with one
 entry per fully expanded monomial.  Keys are explicit multi-index strings such
 as ``x^(2,0);t{1};d x^(1,0);d t{}`` (operators and vector fields) or
@@ -64,22 +70,21 @@ _SLOT_PREFIX = {
     KIND_OPERATOR: "d",
 }
 
-_NAME_RE = re.compile(r"(ex|et|dx|dt|x|t)([1-9][0-9]*)")
-# ASCII only: str.isdigit also accepts digits such as "³" that int() rejects
-_DIGITS = frozenset("0123456789")
+_OPERATORS = frozenset("+-*^/()")
+_EVEN = frozenset(("x", "ex", "dx"))
 
 
 # ---------------------------------------------------------------------------
 # Lexer
-
-
-class _Token:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind, value, pos):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
+#
+# One match per token: whitespace, an ASCII integer, an atom whose name ends
+# there, any other name (an unknown atom, or a stray digit such as "³"), or
+# one character.  The groups cover the text, so positions are running
+# lengths.  ``\s`` is exactly ``str.isspace`` and ``[^\W_]`` ``str.isalnum``.
+_TOKEN_RE = re.compile(
+    r"(\s+)|([0-9]+)|(ex|et|dx|dt|x|t)([1-9][0-9]*)(?![^\W_])|([^\W_]+)|(.)",
+    re.S,
+)
 
 
 def _int(digits: str, pos: int) -> int:
@@ -89,50 +94,38 @@ def _int(digits: str, pos: int) -> int:
         raise ExprError("integer literal too long", pos) from None
 
 
-def _lex(text: str) -> list[_Token]:
+def _lex(text: str) -> list[tuple]:
+    """``(kind, value, pos)`` tokens of ``text``, the last one ``END``."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("INT", _int(text[i:j], i), i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum()):
-                j += 1
-            name = text[i:j]
-            m = _NAME_RE.fullmatch(name)
-            if not m:
-                raise ExprError(f"unknown atom {name!r}", i)
-            tokens.append(_Token("ATOM", (m.group(1), _int(m.group(2), i)), i))
-            i = j
-            continue
-        if ch in "+-*^/()":
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ExprError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("END", None, n))
+    pos = 0
+    for space, digits, cls, idx, name, char in _TOKEN_RE.findall(text):
+        if cls:
+            tokens.append(("ATOM", (cls, _int(idx, pos)), pos))
+            pos += len(cls) + len(idx)
+        elif char in _OPERATORS:
+            tokens.append((char, char, pos))
+            pos += 1
+        elif space:
+            pos += len(space)
+        elif digits:
+            tokens.append(("INT", _int(digits, pos), pos))
+            pos += len(digits)
+        elif name[:1].isalpha():
+            raise ExprError(f"unknown atom {name!r}", pos)
+        else:
+            raise ExprError(f"unexpected character {(name or char)[0]!r}", pos)
+    tokens.append(("END", None, pos))
     return tokens
 
 
 # ---------------------------------------------------------------------------
 # Parser / evaluator
 #
-# Intermediate values are term maps over the doubled signature (2p|2q), the
-# layout of ``geometry``: the first p exponents are the coordinates', the
-# last p the slot atoms', and the odd mask packs coordinate odds in bits
-# 0..q-1 and slot odds in bits q..2q-1, so that the canonical ascending bit
-# order is exactly the canonical printed order and the kernel's product
-# carries the merge signs.
+# Values are term maps over the doubled signature (2p|2q), the layout of
+# ``geometry``: coordinate exponents, then slot exponents; coordinate odds in
+# mask bits 0..q-1 below slot odds in bits q..2q-1.  So ascending bit order
+# is the printed order, and an odd factor folded into a product flips its
+# sign once per mask bit above its own (the kernel's merge sign).
 
 
 class _Parser:
@@ -141,119 +134,125 @@ class _Parser:
         self.i = 0
         self.kind = kind
         self.sig = signature
-        self._zero = (0,) * (2 * signature.p)
+        self.slot = _SLOT_PREFIX[kind]
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
+    def expect(self, kind) -> tuple:
         tok = self.tokens[self.i]
         self.i += 1
+        if tok[0] != kind:
+            raise ExprError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
         return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok.kind != kind:
-            raise ExprError(f"expected {kind!r}, found {tok.kind!r}", tok.pos)
-        return tok
-
-    def _scalar(self, c: Fraction) -> dict:
-        return {(self._zero, 0): c} if c else {}
 
     def parse(self) -> dict:
         value = self.parse_expr()
-        tok = self.peek()
-        if tok.kind != "END":
-            raise ExprError(f"unexpected trailing {tok.kind!r}", tok.pos)
+        kind, _, pos = self.tokens[self.i]
+        if kind != "END":
+            raise ExprError(f"unexpected trailing {kind!r}", pos)
         return value
 
     def parse_expr(self) -> dict:
+        tokens = self.tokens
         sign = 1
-        if self.peek().kind == "-":
-            self.next()
+        if tokens[self.i][0] == "-":
+            self.i += 1
             sign = -1
         total: dict = {}
-        _ops.add_into(total, self.parse_term(), sign)
-        while self.peek().kind in ("+", "-"):
-            op = self.next()
-            sign = 1 if op.kind == "+" else -1
+        while True:
             _ops.add_into(total, self.parse_term(), sign)
-        return total
+            op = tokens[self.i][0]
+            if op != "+" and op != "-":
+                return total
+            self.i += 1
+            sign = 1 if op == "+" else -1
 
     def parse_term(self) -> dict:
-        value = self.parse_factor()
-        while self.peek().kind == "*":
-            self.next()
-            value = _ops.mul_terms(value, self.parse_factor())
+        """One product: atoms, literals and one-term groups fold into one
+        monomial; a group of several terms meets the kernel, in written order."""
+        tokens = self.tokens
+        width = 2 * self.sig.p
+        exps, mask, num, den = [0] * width, 0, 1, 1
+        value = None  # the product up to the last group of several terms
+        while True:
+            kind, val, pos = tokens[self.i]
+            self.i += 1
+            if kind == "ATOM":
+                cls, idx = val
+                at = self._atom(cls, idx, pos)
+                caret = tokens[self.i]
+                if cls in _EVEN:
+                    if caret[0] == "^":
+                        self.i += 1
+                        _, power, exp_pos = self.expect("INT")
+                        if power < 1:
+                            raise ExprError("exponent must be positive", exp_pos)
+                        exps[at] += power
+                    else:
+                        exps[at] += 1
+                elif caret[0] == "^":
+                    raise ExprError("'^' applies to even atoms only", caret[2])
+                else:
+                    num *= _ops.odd_merge_sign(mask, at)
+                    mask |= at
+            elif kind == "INT":
+                num *= val
+                if tokens[self.i][0] == "/":
+                    self.i += 1
+                    _, d, den_pos = self.expect("INT")
+                    if d == 0:
+                        raise ExprError("zero denominator", den_pos)
+                    den *= d
+            elif kind == "(":
+                group = self.parse_group()
+                if len(group) == 1:
+                    ((gexps, gmask), c), = group.items()
+                    exps = [a + b for a, b in zip(exps, gexps)]
+                    num *= _ops.odd_merge_sign(mask, gmask) * c.numerator
+                    den *= c.denominator
+                    mask |= gmask
+                else:
+                    value = self._times(value, exps, mask, num, den)
+                    value = group if value is None else _ops.mul_terms(value, group)
+                    exps, mask, num, den = [0] * width, 0, 1, 1
+            else:
+                raise ExprError(f"unexpected token {kind!r}", pos)
+            if tokens[self.i][0] != "*":
+                break
+            self.i += 1
+        if value is None:
+            return {(tuple(exps), mask): Fraction(num, den)} if num else {}
+        return self._times(value, exps, mask, num, den)
+
+    def parse_group(self) -> dict:
+        """The expression of a group whose '(' is read, with its ')'."""
+        value = self.parse_expr()
+        self.expect(")")
         return value
 
-    def parse_factor(self) -> dict:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
-            value = self.parse_expr()
-            self.expect(")")
+    @staticmethod
+    def _times(value, exps, mask, num, den):
+        """``value`` (None for 1) times the running monomial, unless that is 1."""
+        if num == den and not mask and not any(exps):
             return value
-        if tok.kind == "INT":
-            self.next()
-            num = tok.value
-            if self.peek().kind == "/":
-                self.next()
-                den_tok = self.expect("INT")
-                if den_tok.value == 0:
-                    raise ExprError("zero denominator", den_tok.pos)
-                return self._scalar(Fraction(num, den_tok.value))
-            return self._scalar(Fraction(num))
-        if tok.kind == "ATOM":
-            self.next()
-            value = self._atom(tok)
-            if self.peek().kind == "^":
-                cls, _ = tok.value
-                if cls not in ("x", "ex", "dx"):
-                    caret = self.peek()
-                    raise ExprError("'^' applies to even atoms only", caret.pos)
-                self.next()
-                exp_tok = self.expect("INT")
-                if exp_tok.value < 1:
-                    raise ExprError("exponent must be positive", exp_tok.pos)
-                value = self._atom(tok, exp_tok.value)
-            return value
-        raise ExprError(f"unexpected token {tok.kind!r}", tok.pos)
+        mono = {(tuple(exps), mask): Fraction(num, den)} if num else {}
+        return mono if value is None else _ops.mul_terms(value, mono)
 
-    def _atom(self, tok, power: int = 1) -> dict:
-        """The atom's monomial; ``power`` > 1 only for even atoms."""
-        cls, idx = tok.value
+    def _atom(self, cls: str, idx: int, pos: int) -> int:
+        """The exponent position of an even atom, the mask bit of an odd one."""
         sig = self.sig
-        slot = _SLOT_PREFIX[self.kind]
-        if cls in ("ex", "et", "dx", "dt"):
-            if slot is None or cls[0] != slot:
-                raise ExprError(
-                    f"atom {cls}{idx} is not allowed when parsing a {self.kind}",
-                    tok.pos,
-                )
-        if cls in ("x", "ex", "dx"):
+        if len(cls) == 2 and cls[0] != self.slot:
+            raise ExprError(
+                f"atom {cls}{idx} is not allowed when parsing a {self.kind}", pos
+            )
+        if cls in _EVEN:
             if not 1 <= idx <= sig.p:
-                raise ExprError(
-                    f"even index {idx} out of range 1..{sig.p}", tok.pos
-                )
-            at = idx - 1 if cls == "x" else sig.p + idx - 1
-            exps = tuple(power if k == at else 0 for k in range(2 * sig.p))
-            return {(exps, 0): Fraction(1)}
+                raise ExprError(f"even index {idx} out of range 1..{sig.p}", pos)
+            return idx - 1 if cls == "x" else sig.p + idx - 1
         if not 1 <= idx <= sig.q:
-            raise ExprError(f"odd index {idx} out of range 1..{sig.q}", tok.pos)
-        bit = 1 << (idx - 1) if cls == "t" else 1 << (sig.q + idx - 1)
-        return {(self._zero, bit): Fraction(1)}
+            raise ExprError(f"odd index {idx} out of range 1..{sig.q}", pos)
+        return 1 << (idx - 1) if cls == "t" else 1 << (sig.q + idx - 1)
 
 
-def parse(
-    kind: str,
-    text: str,
-    signature: Signature,
-    *,
-    weight=0,
-    lam=0,
-    mu=None,
-):
+def parse(kind: str, text: str, signature: Signature, *, weight=0, lam=0, mu=None):
     """Parse ``text`` as the given kind over ``signature``.
 
     ``weight`` applies to symbols, ``lam``/``mu`` to operators (``mu``
@@ -262,12 +261,13 @@ def parse(
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+    if not isinstance(text, str):
+        raise ExprError(f"expected expression text, got {type(text).__name__}")
     tokens = _lex(text)
     try:
         value = _Parser(tokens, kind, signature).parse()
     except RecursionError:
         raise ExprError("expression nested too deeply", 0) from None
-    # the parser's monomial maps are term maps over the doubled signature
     poly = SuperPolynomial._raw(_doubled(signature), value)
     return _build(kind, signature, poly, weight, lam, lam if mu is None else mu)
 

@@ -797,12 +797,16 @@ def _coefficients(
     """C_{k,0..r}, where C_{k,r} = prod_{j=1..r} ((m+1) lam + k - j) /
     (j (m + 2k - j - (m+1) d)) at superdimension m = p - q, as the running
     product C_{k,j} = C_{k,j-1} ((m+1) lam + k - j) / (j (m + 2k - j - (m+1) d));
-    at m = -1 both weights drop out."""
+    at m = -1 both weights drop out.  With lam = a/b and d = c/e the step
+    factor is ((m+1) a + (k-j) b) e / (b j ((m+2k-j) e - (m+1) c)), so the
+    product runs in integers, one Fraction per entry."""
     pq = signature.p - signature.q
+    a, b = lam.numerator, lam.denominator
+    c, e = d.numerator, d.denominator
     coeff = Fraction(1)
     out = [coeff]
     for j in range(1, r + 1):
-        factor = pq + 2 * k - j - (pq + 1) * d
+        factor = (pq + 2 * k - j) * e - (pq + 1) * c
         if factor == 0:
             raise CriticalValueError(
                 f"vanishing denominator at step j={j}: weight {d} is critical "
@@ -810,7 +814,8 @@ def _coefficients(
                 value=d,
                 pairs=[(k, k - j)],
             )
-        coeff *= ((pq + 1) * lam + k - j) / (j * factor)
+        coeff = Fraction(coeff.numerator * ((pq + 1) * a + (k - j) * b) * e,
+                         coeff.denominator * b * j * factor)
         out.append(coeff)
     return out
 

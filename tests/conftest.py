@@ -24,10 +24,11 @@ def fresh_cache(monkeypatch):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts of the calls to the term kernel's derivative routines."""
+    """Counts of the calls to the term kernel's derivative routines and
+    its product."""
     calls = Counter()
     for name in ("derive_terms", "divergence_terms", "partial_even_terms",
-                 "partial_odd_terms"):
+                 "partial_odd_terms", "mul_terms"):
         original = getattr(supercore._ops, name)
 
         def counted(*args, _name=name, _original=original):

@@ -203,6 +203,18 @@ class TestExitCodes:
                      "--symbol", "ex7 +"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["quantize", "--symbol=--"],
+        ["symbol-map", "--operator=--"],
+        ["div", "vfield", "--field=--"],
+        ["lie", "density", "--field=x1*dx1", "--function=--"],
+    ], ids=["symbol", "operator", "field", "function"])
+    def test_dashes_are_expression_text(self, capsys, argv):
+        # argparse drops a "--" value unless the CLI keeps it
+        assert main(argv + ["--p", "1", "--q", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "expression error: unexpected token '-' (at position 1)\n")
+
     def test_missing_signature_is_one(self, capsys):
         assert main(["critical", "--kmax", "2"]) == 1
         capsys.readouterr()
@@ -498,6 +510,7 @@ class TestExpressionFuzz:
     @given(text=FUZZ_TEXT)
     @example(text="x1^99999999999")
     @example(text="dx1^12345678901")
+    @example(text="--")
     def test_exit_zero_or_one(self, argv, option, text):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -514,6 +527,7 @@ class TestExpressionFuzz:
     @example(text="x1^99999999999")
     @example(text="ex1^12345678901")
     @example(text="dx1^12345678901")
+    @example(text="--")
     def test_capped_exit_zero_one_or_two(self, argv, option, text):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

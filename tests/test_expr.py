@@ -9,10 +9,12 @@ from superquant import (
     DiffOperator,
     ExprError,
     MixedSymbol,
+    QuantizationConfig,
     Signature,
     SuperPolynomial,
     SuperVectorField,
     SymbolField,
+    quantize,
 )
 from superquant.expr import (
     format_operator,
@@ -24,6 +26,8 @@ from superquant.expr import (
     value_from_json,
     value_to_json,
 )
+
+from expr_reference import parse_reference
 
 S11 = Signature(1, 1)
 S21 = Signature(2, 1)
@@ -583,6 +587,128 @@ class TestParseFuzz:
         assert s.degree == 7
         d = parse("operator", "dx1^12345678901", S21)
         assert d.order == 12345678901
+
+    @pytest.mark.parametrize("text", [None, [], b"x1", 7])
+    def test_text_that_is_not_a_string(self, text):
+        with pytest.raises(ExprError, match="expected expression text"):
+            parse("poly", text, S21)
+
+
+# ---------------------------------------------------------------------------
+# The reader folds each product into one monomial: the printed text of a
+# quantized operator, every coefficient a literal or a one-term group such as
+# ``(3/4)``, parses with no kernel product at all.
+
+
+@pytest.mark.parametrize("sig", [S21, Signature(2, 3)], ids=str)
+def test_printed_operator_parses_without_a_kernel_product(sig, kernel_calls):
+    rng = random.Random(f"printed {sig}")
+    cfg = QuantizationConfig(sig, Fraction(1, 3), Fraction(1, 5), t=Fraction(1, 2))
+    symbol = MixedSymbol.from_fields(sig, cfg.delta, [
+        rand_symbol(sig, cfg.delta, degree, rng) for degree in (1, 2, 3)])
+    op = quantize(symbol, cfg)
+    text = format_value(op)
+    assert "(" in text and "*t" in text and "*dt" in text
+    kernel_calls.clear()
+    assert parse("operator", text, sig, lam=op.lam, mu=op.mu) == op
+    assert kernel_calls["mul_terms"] == 0
+
+
+def test_a_product_of_two_sums_is_one_kernel_product(kernel_calls):
+    assert poly(S21, "(x1 + t1)*(t1 - x1)") == -poly(S21, "x1^2")
+    assert kernel_calls["mul_terms"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the reader agrees with the reader it replaced, kept in
+# ``expr_reference``, on the value or on the error message and position.
+
+_PIECES = st.sampled_from([
+    "x1", "x2", "x4", "t1", "t2", "t4", "ex1", "ex2", "et1", "et2", "dx1",
+    "dx2", "dt1", "dt3", "x01", "e1", "y3", "+", "-", "*", "^", "/", "(", ")",
+    " ", "0", "1", "2", "12", "\u00e9", "\u00b3", "\u00bd", "\u0663", "\u00a0",
+    "_", "t1^2", "x1^0", "x1^3", "t1*t1", "et1*x1*et1", "dt1*t2*dt1",
+    "(x1 + t1)", "(t1 - x1)", "(3/4)", "(-2)", "(0)", "/0",
+])
+_LONG = "1" * 4301
+DIFF_TEXT = st.one_of(
+    FUZZ_TEXT,
+    st.lists(_PIECES, max_size=16).map("".join),
+    st.lists(_PIECES, min_size=1, max_size=8).map("*".join),
+    st.builds(
+        lambda depth, inner: "(" * depth + inner + ")" * depth,
+        st.sampled_from([1, 3, 30, 2000]),
+        st.lists(_PIECES, max_size=6).map("*".join),
+    ),
+    st.sampled_from([_LONG, "x" + _LONG, "2*" + _LONG + "*x1", "x1^" + _LONG]),
+)
+
+
+@st.composite
+def _any_signatures(draw):
+    p = draw(st.integers(0, 3))
+    return Signature(p, draw(st.integers(0 if p else 1, 3)))
+
+
+@st.composite
+def _sums_of_products(draw, sig, kind):
+    """Well-formed text over the atoms of ``sig`` legal in ``kind``: powers,
+    literals, out-of-order and repeated odd atoms, groups of one term and of
+    several terms inside products."""
+    slot = {"poly": "", "vfield": "d", "symbol": "e", "operator": "d"}[kind]
+    classes = ("", slot) if slot else ("",)
+    evens = [f"{c}x{i}" for c in classes for i in range(1, sig.p + 1)]
+    odds = [f"{c}t{i}" for c in classes for i in range(1, sig.q + 1)]
+    factors = [st.sampled_from(["2", "1/3", "(3/4)", "(-1/2)"])]
+    if evens:
+        factors.append(st.sampled_from(evens))
+        factors.append(st.builds("{}^{}".format, st.sampled_from(evens), st.integers(1, 3)))
+    if odds:
+        factors.append(st.sampled_from(odds))
+    product = st.lists(st.one_of(factors), min_size=1, max_size=5).map("*".join)
+    group = st.one_of(
+        product.map("({})".format),
+        st.lists(product, min_size=2, max_size=3).map(" - ".join).map("({})".format),
+    )
+    term = st.lists(st.one_of(*factors, group), min_size=1, max_size=5).map("*".join)
+    sign = draw(st.sampled_from(["", "-"]))
+    return sign + " + ".join(draw(st.lists(term, min_size=1, max_size=3)))
+
+
+def _assert_agrees(kind, text, sig):
+    def outcome(reader):
+        try:
+            value = reader(kind, text, sig)
+        except ExprError as exc:
+            return "error", str(exc), exc.position
+        return "value", type(value), value
+
+    assert outcome(parse) == outcome(parse_reference)
+
+
+@pytest.mark.parametrize("kind", ["poly", "vfield", "symbol", "operator"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_reader_agrees_with_the_reference(kind, data):
+    sig = data.draw(_any_signatures(), label="sig")
+    text = data.draw(st.one_of(DIFF_TEXT, _sums_of_products(sig, kind)), label="text")
+    _assert_agrees(kind, text, sig)
+
+
+@pytest.mark.parametrize("kind", ["poly", "vfield", "symbol", "operator"])
+@pytest.mark.parametrize("text, sig", [
+    ("\u00e9x1 + x1\u00b3", S21),
+    ("x1\u0663*2", S21),
+    ("(x1 + t1)*x2*(t1 - x1)*t1", S21),
+    ("t2*(t1)*(3/4)", S12),
+    ("dt1*t1*(dt2*t2)", S12),
+    ("t1*(3/4)*t1", Signature(0, 2)),
+    ("x1^2*(2/4)*x1", S10),
+    ("(" * 2000 + "x1" + ")" * 2000, S21),
+], ids=["letters", "digit", "groups", "one-term-group", "odd-group", "repeat", "even",
+        "deep"])
+def test_reader_agrees_on_edge_cases(kind, text, sig):
+    _assert_agrees(kind, text, sig)
 
 
 # term keys close to the encoder's layout: small indices, so that repeats,
