@@ -26,6 +26,9 @@ homomorphism`` compares every pair of basis brackets, work that grows like
 ``quantize`` and ``symbol-map`` take one divergence pass per degree of the
 symbol or order of the operator they parse, so that degree is capped at
 ``DEGREE_MAX`` (64) in the same way, before any of the series is computed.
+``check`` runs its identities for every sample at every degree up to its
+bound, so ``--samples`` is capped at ``CHECK_SAMPLES_MAX`` (100) and
+``--kmax`` and ``--degree-max`` at ``CHECK_DEGREE_MAX`` (8) in the same way.
 """
 
 from __future__ import annotations
@@ -80,6 +83,13 @@ HOMOMORPHISM_NMAX = 8
 # the largest symbol degree of ``quantize`` and operator order of
 # ``symbol-map``; the divergence series takes one pass per degree
 DEGREE_MAX = 64
+# the largest --samples of ``check``; the identities run grow linearly with it
+CHECK_SAMPLES_MAX = 100
+# the largest --kmax and --degree-max of ``check``: one cell per degree, each
+# over symbols whose frame monomials grow with the degree
+CHECK_DEGREE_MAX = 8
+_CHECK_CAPS = (("samples", CHECK_SAMPLES_MAX), ("kmax", CHECK_DEGREE_MAX),
+               ("degree_max", CHECK_DEGREE_MAX))
 
 
 class _UsageError(Exception):
@@ -402,6 +412,11 @@ def _dispatch(args) -> int:
             h = euler_element(sig)
         return _emit_value(args, realize(h))
     # check
+    for name, cap in _CHECK_CAPS:
+        value = getattr(args, name)
+        if value is not None and value > cap:
+            flag = "--" + name.replace("_", "-")
+            raise DomainError(f"{flag} {value} exceeds the cap {cap}")
     if args.mode == "equivariance":
         cfg = _config(args, sig)
         report = check_equivariance(

@@ -70,6 +70,13 @@ _SLOT_PREFIX = {
     KIND_OPERATOR: "d",
 }
 
+# The deepest nesting of parenthesised groups that ``parse`` reads; one more
+# is refused with "expression nested too deeply" at position 0.  Each level
+# takes three interpreter frames, so at the default recursion limit of 1000
+# a caller up to about 650 frames deep can read text at the cap, and which
+# texts are accepted does not depend on the caller.
+MAX_NESTING = 100
+
 _OPERATORS = frozenset("+-*^/()")
 _EVEN = frozenset(("x", "ex", "dx"))
 
@@ -135,6 +142,7 @@ class _Parser:
         self.kind = kind
         self.sig = signature
         self.slot = _SLOT_PREFIX[kind]
+        self.depth = 0
 
     def expect(self, kind) -> tuple:
         tok = self.tokens[self.i]
@@ -223,9 +231,14 @@ class _Parser:
         return self._times(value, exps, mask, num, den)
 
     def parse_group(self) -> dict:
-        """The expression of a group whose '(' is read, with its ')'."""
+        """The expression of a group whose '(' is read, with its ')'; at most
+        ``MAX_NESTING`` groups are open at once."""
+        if self.depth == MAX_NESTING:
+            raise ExprError("expression nested too deeply", 0)
+        self.depth += 1
         value = self.parse_expr()
         self.expect(")")
+        self.depth -= 1
         return value
 
     @staticmethod
@@ -257,7 +270,8 @@ def parse(kind: str, text: str, signature: Signature, *, weight=0, lam=0, mu=Non
 
     ``weight`` applies to symbols, ``lam``/``mu`` to operators (``mu``
     defaults to ``lam``).  Symbols parse to a SymbolField when the generator
-    degree is uniform across terms and to a MixedSymbol otherwise.
+    degree is uniform across terms and to a MixedSymbol otherwise.  Groups
+    nest at most ``MAX_NESTING`` deep.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -266,7 +280,7 @@ def parse(kind: str, text: str, signature: Signature, *, weight=0, lam=0, mu=Non
     tokens = _lex(text)
     try:
         value = _Parser(tokens, kind, signature).parse()
-    except RecursionError:
+    except RecursionError:  # a caller deeper than MAX_NESTING allows for
         raise ExprError("expression nested too deeply", 0) from None
     poly = SuperPolynomial._raw(_doubled(signature), value)
     return _build(kind, signature, poly, weight, lam, lam if mu is None else mu)

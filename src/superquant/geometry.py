@@ -311,17 +311,36 @@ class _FieldAction(NamedTuple):
     div: SuperPolynomial
 
 
-def _field_action(x: "SuperVectorField") -> _FieldAction:
+def _coordinate_rows(x: "SuperVectorField") -> list:
+    """The coordinate derivation sum_i X^i d/dy^i as pairs (0-based position
+    among the doubled variables, coefficient over them)."""
+    sig = x.signature
+    return [
+        (_coord(sig, i) - 1, _lift(sig, comp))
+        for i, comp in enumerate(x.components, start=1)
+    ]
+
+
+def _lift_rows(x: "SuperVectorField") -> list:
+    """The lift of X in the same pairs: the coordinate derivation, then one
+    rotation row per slot atom (see ``_FieldAction``)."""
     sig = x.signature
     minus = -x._poly
     twisted = minus.parity_twist()
-    rows = []
+    rows = _coordinate_rows(x)
     for i in range(1, sig.n + 1):
         row = (twisted if sig.parity(i) else minus).partial(_coord(sig, i))
-        rows.append((_slot(sig, i) - 1, row._terms))
-    evens, odds = x._derivation()
-    rotation_evens, rotation_odds = _ops.derivation(2 * sig.p, rows)
-    return _FieldAction((evens + rotation_evens, odds + rotation_odds), x._div())
+        rows.append((_slot(sig, i) - 1, row))
+    return rows
+
+
+def _kernel_form(sig: Signature, rows) -> tuple:
+    """Pairs (position, coefficient) in the form ``derive_terms`` takes."""
+    return _ops.derivation(2 * sig.p, [(i, c._terms) for i, c in rows])
+
+
+def _field_action(x: "SuperVectorField") -> _FieldAction:
+    return _FieldAction(_kernel_form(x.signature, _lift_rows(x)), x._div())
 
 
 def _first_order(action: _FieldAction, weight: Fraction, poly: SuperPolynomial) -> dict:
@@ -398,12 +417,7 @@ class SuperVectorField(_TermMap, _Graded):
         over the doubled variables, built on first use."""
         form = self._form
         if form is None:
-            sig = self.signature
-            rows = [
-                (_coord(sig, i) - 1, _lift(sig, comp)._terms)
-                for i, comp in enumerate(self.components, start=1)
-            ]
-            form = self._form = _ops.derivation(2 * sig.p, rows)
+            form = self._form = _kernel_form(self.signature, _coordinate_rows(self))
         return form
 
     def _odd_part(self) -> "SuperVectorField":

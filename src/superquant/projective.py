@@ -16,8 +16,11 @@ it to the full projective algebra).
 
 Per-signature constants are built on first use and kept by ``functools.cache``
 for the life of the process: the dual bases, the graded basis realized as
-vector fields, which the Casimir, the lowering map and the verifier share, and
-the realized duals.  Cached values are never mutated, so threads share them.
+vector fields, which the Casimir, the lowering map and the verifier share, the
+realized duals, and the symbol-action Casimir as one second-order operator
+over the doubled variables (``_symbol_casimir``), which ``casimir_apply``
+applies in at most 1 + 2(p+q) kernel passes.  Cached values are never
+mutated, so threads share them.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .geometry import (
     affine_symbol,
     interior,
     _doubled,
+    _lift_rows,
     _unit,
     lie_operator,
     lie_symbol,
@@ -611,6 +615,86 @@ def _casimir_fields(signature: Signature, scheme: str) -> tuple:
     return tuple(zip(_realized_basis(signature, scheme), map(realize, pair.dual)))
 
 
+@functools.cache
+def _symbol_casimir(signature: Signature, scheme: str) -> tuple:
+    """The symbol-action Casimir sum L_Y L_X over the pairs (X, Y) of
+    ``_casimir_fields`` as one second-order operator over the doubled
+    variables, its weight-free parts kept apart.
+
+    With L_X = D_X + w phi_X, D_X = sum_I P_I d_I the lift of X (left
+    derivatives), phi_X = div X, D_Y = sum_J Q_J d_J and tw_J the parity
+    twist when the variable J is odd,
+    L_Y L_X = sum_{J,I} Q_J tw_J(P_I) d_J d_I + sum_{J,I} Q_J (d_J P_I) d_I
+    + w (sum_I phi_Y P_I d_I + sum_J Q_J tw_J(phi_X) d_J + sum_J Q_J d_J phi_X)
+    + w^2 phi_Y phi_X.  Summed over the pairs, the second-order rows are
+    brought to d_a d_b with a <= b by d_b d_a = (-1)^{|a||b|} d_a d_b, and
+    d_a d_a is dropped for odd a.  Returns ``(first, c1, c2, second)``:
+    ``first`` lists ``(I, B0_I, B1_I)``, the first-order rows B0 + w B1;
+    w c1 + w^2 c2 is the multiplier; ``second`` lists ``(b, form)``, ``form``
+    being sum_{a <= b} N_ab d_a in the kernel's form, applied to d_b S.
+    """
+    p2 = 2 * signature.p
+    add_into = _ops.add_into
+    products, first0, first1, c1, c2 = {}, {}, {}, {}, {}
+    for x, y in _casimir_fields(signature, scheme):
+        # each coefficient of X with its parity twist
+        rows_x = [(i, (f, f.parity_twist())) for i, f in _lift_rows(x) if f]
+        phi_x, phi_y = x._div(), y._div()
+        phis_x = (phi_x, phi_x.parity_twist())
+        for j, qj in _lift_rows(y):
+            if not qj:
+                continue
+            odd = j >= p2
+            for i, pis in rows_x:
+                add_into(products.setdefault((j, i), {}), (qj * pis[odd])._terms)
+                add_into(first0.setdefault(i, {}), (qj * pis[0].partial(j + 1))._terms)
+            if phi_x:
+                add_into(first1.setdefault(j, {}), (qj * phis_x[odd])._terms)
+                add_into(c1, (qj * phi_x.partial(j + 1))._terms)
+        if phi_y:
+            for i, pis in rows_x:
+                add_into(first1.setdefault(i, {}), (phi_y * pis[0])._terms)
+            add_into(c2, (phi_y * phi_x)._terms)
+    canonical = {}
+    for (a, b), m in products.items():
+        if a > b:
+            a, b = b, a
+            sign = -1 if a >= p2 else 1  # both odd when the lower one is
+        elif a < b or a < p2:
+            sign = 1
+        else:
+            continue  # d_a d_a = 0 for odd a
+        add_into(canonical.setdefault(b, {}).setdefault(a, {}), m, sign)
+    first = tuple(
+        (i, first0.get(i, {}), first1.get(i, {}))
+        for i in sorted(first0.keys() | first1.keys())
+    )
+    second = tuple(
+        (b, _ops.derivation(p2, sorted(rows.items())))
+        for b, rows in sorted(canonical.items())
+        if any(rows.values())
+    )
+    return first, c1, c2, second
+
+
+def _symbol_casimir_terms(s: SymbolField, scheme: str) -> dict:
+    """The terms of the symbol-action Casimir on s: one ``derive_terms`` pass
+    with the first-order rows and multiplier at the weight of s, then one
+    per variable b with second-order rows, over d_b S."""
+    first, c1, c2, second = _symbol_casimir(s.signature, scheme)
+    w = s.weight
+    scale, add_into = _ops.scale_terms, _ops.add_into
+    rows = [(i, add_into(scale(b1, w), b0)) for i, b0, b1 in first]
+    multiplier = add_into(scale(c1, w), scale(c2, w * w))
+    poly = s._poly
+    acc = _ops.derive_terms(poly._terms, _ops.derivation(poly.signature.p, rows), multiplier)
+    for b, form in second:
+        derived = poly.partial(b + 1)._terms
+        if derived:
+            add_into(acc, _ops.derive_terms(derived, form))
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # quantization defect maps
 
@@ -691,25 +775,26 @@ def casimir_apply(
 ) -> MixedSymbol:
     """Apply the quadratic Casimir of the invariant form to a symbol.
 
-    With ``rep="L"`` the generators act by the symbol Lie derivative; with
-    ``rep="affine"`` they act by the operator Lie derivative conjugated
-    through coefficient-wise quantization at weight lam.  Either way the
-    sum over the basis pairs is built in one private dict with the kernel's
-    ``add_into`` and wrapped once, with the weights (and degree) of the
-    input.
+    With ``rep="L"`` the generators act by the symbol Lie derivative, and
+    the sum over the basis pairs is the one second-order operator of
+    ``_symbol_casimir``, built once per signature and scheme: one kernel
+    pass with its first-order rows at the symbol's weight, then one per
+    variable with second-order rows.  With ``rep="affine"`` they act by the
+    operator Lie derivative conjugated through coefficient-wise quantization
+    at weight lam, and the sum over the basis pairs is built in one private
+    dict with the kernel's ``add_into``.  Either way the result is wrapped
+    once, with the weights (and degree) of the input.
     """
     sig = s.signature
     normalize_algebra(sig, algebra)
     lam = as_fraction(lam)
-    fields = _casimir_fields(sig, scheme)
-    acc = {}
     if rep == REP_SYMBOL:
-        for xu, xud in fields:
-            _ops.add_into(acc, lie_symbol(xud, lie_symbol(xu, s))._poly._terms)
-        return s._with(SuperPolynomial._raw(s._poly.signature, acc)).as_mixed()
+        terms = _symbol_casimir_terms(s, scheme)
+        return s._with(SuperPolynomial._raw(s._poly.signature, terms)).as_mixed()
     if rep == REP_AFFINE:
         op = affine_quantize(s, lam)
-        for xu, xud in fields:
+        acc = {}
+        for xu, xud in _casimir_fields(sig, scheme):
             _ops.add_into(acc, lie_operator(xud, lie_operator(xu, op))._poly._terms)
         return affine_symbol(op._with(SuperPolynomial._raw(op._poly.signature, acc)))
     raise ValueError(f"unknown representation {rep!r}")

@@ -9,17 +9,23 @@ diffing the outputs.
 
     PYTHONPATH=src python tests/corpus.py > corpus.txt
     PYTHONPATH=src python tests/corpus.py --signatures 1/1,2/1 --kmax 2
+    PYTHONPATH=src python tests/corpus.py --digests > tests/corpus_digests.txt
 
 The default covers the 12 signatures of ``SIGNATURES`` with symbol degrees
 k <= 3, the Casimir at k <= 2, and the realization and bracket of random
 algebra elements; a last section prints the variant names each signature
-gives, by default and under each algebra alias it accepts.  The name keeps
-pytest from collecting the file.
+gives, by default and under each algebra alias it accepts.  With
+``--digests`` it prints instead one line ``digest signature section`` per
+construction and signature, the table that ``test_corpus.py`` pins; a
+section is a label's first word, with its representation for ``casimir``
+and ``lie_operator``.  The name keeps pytest from collecting the file.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import io
 import json
 import random
 import sys
@@ -284,6 +290,35 @@ def run(signatures, kmax: int, out=None) -> None:
         run_variants(sig, out)
 
 
+# constructions whose section also names the representation they act in
+_REPRESENTED = frozenset(("casimir", "lie_operator"))
+
+
+def section(line: str) -> tuple[str, str]:
+    """The signature and the section of a corpus line: the first word of its
+    label after any ``k=N``, with the next word for ``_REPRESENTED``; the
+    line of a degree without symbols belongs to ``symbol``."""
+    tag, label = line.split("] ", 1)
+    words = label.split(":", 1)[0].split()
+    if words and words[0].startswith("k="):
+        words = words[1:]
+    if not words:
+        return tag[1:], "symbol"
+    return tag[1:], " ".join(words[:2]) if words[0] in _REPRESENTED else words[0]
+
+
+def digests(text: str) -> dict:
+    """``{(signature, section): digest}``, the digest being the first 16 hex
+    digits of the sha256 of the section's lines in printed order."""
+    lines: dict = {}
+    for line in text.splitlines(keepends=True):
+        lines.setdefault(section(line), []).append(line)
+    return {
+        key: hashlib.sha256("".join(rows).encode()).hexdigest()[:16]
+        for key, rows in lines.items()
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -292,9 +327,17 @@ def main(argv=None) -> int:
         help="comma-separated p/q pairs (default: all 12)",
     )
     parser.add_argument("--kmax", type=int, default=3, help="largest symbol degree")
+    parser.add_argument("--digests", action="store_true",
+                        help="print the digest of each section instead")
     args = parser.parse_args(argv)
     signatures = [tuple(map(int, pq.split("/"))) for pq in args.signatures.split(",")]
-    run(signatures, args.kmax)
+    if not args.digests:
+        run(signatures, args.kmax)
+        return 0
+    out = io.StringIO()
+    run(signatures, args.kmax, out)
+    for (sig, name), digest in digests(out.getvalue()).items():
+        print(f"{digest} {sig} {name}")
     return 0
 
 

@@ -318,6 +318,33 @@ class TestExitCodes:
         assert out == ""
         assert err == f"domain error: {message} exceeds the cap 64\n"
 
+    @pytest.mark.parametrize("argv,identities", [
+        (["casimir", "--kmax", "8", "--samples", "100"], 900),
+        (["relcas", "--kmax", "8", "--samples", "1"], 9),
+        (["equivariance", "--degree-max", "8", "--samples", "1"], 27),
+    ], ids=["casimir", "relcas", "equivariance"])
+    def test_check_sizes_at_cap_run(self, argv, identities, capsys):
+        assert (cli.CHECK_SAMPLES_MAX, cli.CHECK_DEGREE_MAX) == (100, 8)
+        argv = ["check", *argv, "--p", "1", "--q", "0", "--delta", "1/7", "--format", "json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["samples_run"] == identities
+
+    @pytest.mark.parametrize("argv,message", [
+        (["casimir", "--samples", "101"], "--samples 101 exceeds the cap 100"),
+        (["relcas", "--samples", "10000000000"],
+         "--samples 10000000000 exceeds the cap 100"),
+        (["equivariance", "--samples", "101"], "--samples 101 exceeds the cap 100"),
+        (["casimir", "--kmax", "9"], "--kmax 9 exceeds the cap 8"),
+        (["relcas", "--kmax", "9"], "--kmax 9 exceeds the cap 8"),
+        (["equivariance", "--degree-max", "9"], "--degree-max 9 exceeds the cap 8"),
+    ], ids=["casimir-samples", "relcas-samples", "equivariance-samples",
+            "casimir-kmax", "relcas-kmax", "equivariance-degree-max"])
+    def test_check_size_over_cap_is_two(self, argv, message, capsys):
+        assert main(["check", *argv, "--p", "2", "--q", "1", "--delta", "1/7"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"domain error: {message}\n"
+
     def test_negative_degree_max_is_one(self, capsys):
         assert main(["check", "equivariance", "--p", "1", "--q", "1",
                      "--degree-max", "-1"]) == 1

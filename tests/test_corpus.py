@@ -1,6 +1,8 @@
-"""The differential corpus script runs and is deterministic."""
+"""The differential corpus script runs, is deterministic, and prints what
+its checked-in digest table pins."""
 
 import io
+import pathlib
 
 import corpus
 
@@ -20,3 +22,23 @@ def test_corpus_runs_on_one_signature():
     assert len(docs) > 100
     assert [e.split(": ")[1] for e in errors] == ["CriticalValueError"]
     assert errors[0].startswith("[1|1] k=1 quantize critical: ")
+
+
+DIGESTS = pathlib.Path(__file__).with_name("corpus_digests.txt")
+
+
+def test_full_corpus_matches_the_digest_table():
+    # one digest per construction and signature, so a failure names what
+    # moved; regenerate with ``tests/corpus.py --digests`` only for a change
+    # that is meant to move a result
+    out = io.StringIO()
+    corpus.run(corpus.SIGNATURES, 3, out)
+    got = corpus.digests(out.getvalue())
+    want = {}
+    for line in DIGESTS.read_text().splitlines():
+        digest, sig, section = line.split(" ", 2)
+        want[(sig, section)] = digest
+    assert len(want) == 300
+    moved = sorted(f"[{sig}] {section}" for sig, section in want.keys() | got.keys()
+                   if want.get((sig, section)) != got.get((sig, section)))
+    assert not moved, f"corpus sections that moved: {moved}"

@@ -1,6 +1,7 @@
 """Tests for expression parsing, formatting, and JSON encoding."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from superquant import (
     quantize,
 )
 from superquant.expr import (
+    MAX_NESTING,
     format_operator,
     format_poly,
     format_symbol,
@@ -693,6 +695,34 @@ def test_reader_agrees_with_the_reference(kind, data):
     sig = data.draw(_any_signatures(), label="sig")
     text = data.draw(st.one_of(DIFF_TEXT, _sums_of_products(sig, kind)), label="text")
     _assert_agrees(kind, text, sig)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _from_depth(frames, call):
+    """``call()``, run ``frames`` interpreter frames below the caller."""
+    return call() if frames == 0 else _from_depth(frames - 1, call)
+
+
+def test_nesting_cap_does_not_depend_on_the_caller():
+    def nested(depth):
+        return parse("poly", "(" * depth + "x1" + ")" * depth, S21)
+
+    # a caller as deep as leaves three frames per level of the cap and a
+    # margin for the reader's own calls
+    room = sys.getrecursionlimit() - _stack_depth() - 3 * MAX_NESTING - 40
+    assert room > 500
+    for frames in (0, room):
+        assert _from_depth(frames, lambda: nested(MAX_NESTING)) == poly(S21, "x1")
+        with pytest.raises(ExprError) as info:
+            _from_depth(frames, lambda: nested(MAX_NESTING + 1))
+        assert str(info.value) == "expression nested too deeply (at position 0)"
+        assert info.value.position == 0
 
 
 @pytest.mark.parametrize("kind", ["poly", "vfield", "symbol", "operator"])

@@ -3,10 +3,13 @@
 Independent oracles used here: the invariant form recomputed as a supertrace
 of composed adjoint maps over the full elementary-matrix basis; the defect
 map computed from its definition against its closed form; Casimir
-eigenvalues measured by brute-force application against the closed formula;
-and dual bases checked against the closed-form pairings.
+eigenvalues measured by application against the closed formula; the
+symbol-action Casimir operator against the sum of Lie derivatives over the
+basis pairs (``casimir_reference``); and dual bases checked against the
+closed-form pairings.
 """
 
+import functools
 import random
 import re
 from fractions import Fraction
@@ -15,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superquant import projective
+from superquant import geometry, projective
+from superquant.cli import main as cli_main
 from superquant.errors import CriticalValueError, DomainError
-from superquant.supercore import Signature, SuperPolynomial
+from superquant.supercore import Signature, SuperPolynomial, _ops, as_fraction
 from superquant.geometry import (
     SuperVectorField,
     SymbolField,
@@ -31,6 +35,7 @@ from superquant.projective import (
     ALGEBRA_SL,
     GradedElement,
     PglElement,
+    _casimir_fields,
     _super_commutator,
     _supertrace_full,
     affine_defect,
@@ -60,6 +65,7 @@ from superquant.projective import (
     realize,
     scaled_eps,
 )
+from superquant.verifier import symbol_samples
 from test_geometry import ORACLE_SIGNATURES
 
 S10 = Signature(1, 0)
@@ -510,6 +516,7 @@ def test_psl_dual_basis_refuses_a_basis_with_supertrace(monkeypatch, fresh_cache
 
 def test_casimir_fields_realized_once_per_signature(monkeypatch, fresh_cache):
     fresh_cache("_casimir_fields", projective)
+    fresh_cache("_symbol_casimir", projective)
     fresh_cache("_realized_basis", projective)
     realized = []
     real_realize = projective.realize
@@ -659,6 +666,109 @@ def test_casimir_basis_independence():
     a = casimir_apply(s, Fraction(1, 2), rep="affine", scheme="elementary")
     b = casimir_apply(s, Fraction(1, 2), rep="affine", scheme="euler-split")
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# the symbol-action Casimir as one second-order operator
+
+
+def casimir_reference(s, lam, algebra=None, scheme="elementary"):
+    """The symbol-action Casimir as the sum over the basis pairs of two
+    symbol Lie derivatives, the loop that ``casimir_apply(rep="L")`` ran
+    before it became one operator; kept verbatim as the oracle."""
+    sig = s.signature
+    normalize_algebra(sig, algebra)
+    lam = as_fraction(lam)
+    fields = _casimir_fields(sig, scheme)
+    acc = {}
+    for xu, xud in fields:
+        _ops.add_into(acc, lie_symbol(xud, lie_symbol(xu, s))._poly._terms)
+    return s._with(SuperPolynomial._raw(s._poly.signature, acc)).as_mixed()
+
+
+CASIMIR_ORACLE_SIGNATURES = [
+    Signature(p, q)
+    for p, q in ((1, 0), (0, 1), (0, 2), (1, 1), (2, 1), (1, 2), (3, 1), (2, 2),
+                 (2, 3), (1, 3), (3, 2))
+]
+CASIMIR_DELTAS = [Fraction(0), Fraction(1, 5), Fraction(-1, 3), Fraction(3, 2), Fraction(2)]
+
+
+@pytest.mark.parametrize("sig", CASIMIR_ORACLE_SIGNATURES, ids=str)
+def test_symbol_casimir_matches_the_lie_derivative_loop(sig):
+    schemes = ["elementary"]
+    if sig.p != sig.q and not projective._is_psl(sig):
+        schemes.append("euler-split")
+    rng = random.Random(f"casimir oracle {sig}")
+    cases = 0
+    for scheme in schemes:
+        for delta in CASIMIR_DELTAS:
+            for k in range(4):
+                for s in symbol_samples(sig, delta, k, 2, rng):
+                    want = casimir_reference(s, Fraction(1, 3), scheme=scheme)
+                    assert casimir_apply(s, Fraction(1, 3), scheme=scheme) == want
+                    cases += 1
+    # at p = 0 there is no symbol above degree q
+    degrees = len([k for k in range(4) if sig.p or k <= sig.q])
+    assert cases == 2 * len(schemes) * len(CASIMIR_DELTAS) * degrees
+
+
+@pytest.mark.parametrize(
+    "sig", [S10, Signature(0, 2), S21, Signature(2, 3), Signature(3, 2)], ids=str
+)
+def test_symbol_casimir_is_a_few_kernel_passes(sig, monkeypatch, kernel_calls):
+    builds = []
+    build = projective._symbol_casimir.__wrapped__
+
+    def counting_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    def no_lie_symbol(*args):
+        raise AssertionError("the symbol-action Casimir took a Lie derivative")
+
+    monkeypatch.setattr(projective, "_symbol_casimir", functools.cache(counting_build))
+    monkeypatch.setattr(projective, "lie_symbol", no_lie_symbol)
+    monkeypatch.setattr(geometry, "lie_symbol", no_lie_symbol)
+    rng = random.Random(f"casimir passes {sig}")
+    for k in range(4):
+        for s in symbol_samples(sig, Fraction(1, 5), k, 2, rng):
+            kernel_calls.clear()
+            want = casimir_apply(s, 0)
+            assert 1 <= kernel_calls["derive_terms"] <= 1 + 2 * sig.n
+            assert want == casimir_apply(s, 0)
+    assert builds == [(sig, "elementary")]
+
+
+def _mutated_second_order(operator, n, side, j, negate):
+    """A ``_symbol_casimir`` operator with second-order row j of pass n,
+    among its even (side 0) or odd (side 1) rows, negated or dropped."""
+    first, c1, c2, second = operator
+    b, form = second[n]
+    rows = list(form[side])
+    if negate:
+        position, terms = rows[j]
+        rows[j] = (position, [(e, m, -c, -unit) for e, m, c, unit in terms])
+    else:
+        del rows[j]
+    form = (rows, form[1]) if side == 0 else (form[0], rows)
+    return first, c1, c2, second[:n] + ((b, form),) + second[n + 1:]
+
+
+def test_check_casimir_sees_every_second_order_row(monkeypatch, capsys):
+    sig = S21
+    argv = ["check", "casimir", "--p", "2", "--q", "1"]
+    assert cli_main(argv) == 0
+    operator = projective._symbol_casimir(sig, "elementary")
+    rows = [(n, side, j) for n, (_, form) in enumerate(operator[3])
+            for side in (0, 1) for j in range(len(form[side]))]
+    assert rows
+    for n, side, j in rows:
+        for negate in (False, True):
+            mutated = _mutated_second_order(operator, n, side, j, negate)
+            monkeypatch.setattr(projective, "_symbol_casimir", lambda *args: mutated)
+            assert cli_main(argv) == 3, (n, side, j, negate)
+    capsys.readouterr()
 
 
 def test_lowering_fields_realized_once_per_signature(monkeypatch, fresh_cache):
