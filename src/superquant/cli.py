@@ -26,9 +26,14 @@ homomorphism`` compares every pair of basis brackets, work that grows like
 ``quantize`` and ``symbol-map`` take one divergence pass per degree of the
 symbol or order of the operator they parse, so that degree is capped at
 ``DEGREE_MAX`` (64) in the same way, before any of the series is computed.
+``lie operator`` takes a Leibniz step per order of each operator term up
+to the coordinate degree of the field, so that degree is capped at
+``DEGREE_MAX`` in the same way, before the derivative is computed.
 ``check`` runs its identities for every sample at every degree up to its
 bound, so ``--samples`` is capped at ``CHECK_SAMPLES_MAX`` (100) and
-``--kmax`` and ``--degree-max`` at ``CHECK_DEGREE_MAX`` (8) in the same way.
+``--kmax`` and ``--degree-max`` at ``CHECK_DEGREE_MAX`` (8) in the same way;
+``check equivariance``, ``casimir`` and ``relcas``, whose generators, dual
+pairs and frame monomials grow with p + q, cap it at ``CHECK_NMAX`` (5).
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .errors import CriticalValueError, DomainError, ExprError
 from .expr import format_value, parse, value_to_json
 from .geometry import (
     SymbolField,
+    _coordinate_degree,
     _slot_degrees,
     lie_density,
     lie_operator,
@@ -88,6 +94,9 @@ CHECK_SAMPLES_MAX = 100
 # the largest --kmax and --degree-max of ``check``: one cell per degree, each
 # over symbols whose frame monomials grow with the degree
 CHECK_DEGREE_MAX = 8
+# the largest p + q of ``check equivariance``, ``casimir`` and ``relcas``:
+# the generators, the dual pairs and the frame monomials grow with it
+CHECK_NMAX = 5
 _CHECK_CAPS = (("samples", CHECK_SAMPLES_MAX), ("kmax", CHECK_DEGREE_MAX),
                ("degree_max", CHECK_DEGREE_MAX))
 
@@ -356,6 +365,9 @@ def _dispatch(args) -> int:
             return _emit_value(args, lie_symbol(x, s))
         d = parse("operator", _require(args, "operator"), sig,
                   lam=args.lam, mu=args.lam + args.delta)
+        top = _coordinate_degree(sig, x._poly)
+        if top > DEGREE_MAX:
+            raise DomainError(f"field coordinate degree {top} exceeds the cap {DEGREE_MAX}")
         return _emit_value(args, lie_operator(x, d))
     if cmd == "div":
         if args.mode == "vfield":
@@ -417,6 +429,9 @@ def _dispatch(args) -> int:
         if value is not None and value > cap:
             flag = "--" + name.replace("_", "-")
             raise DomainError(f"{flag} {value} exceeds the cap {cap}")
+    nmax = HOMOMORPHISM_NMAX if args.mode == "homomorphism" else CHECK_NMAX
+    if sig.n > nmax:
+        raise DomainError(f"check {args.mode} at p + q = {sig.n} exceeds the cap {nmax}")
     if args.mode == "equivariance":
         cfg = _config(args, sig)
         report = check_equivariance(
@@ -429,10 +444,6 @@ def _dispatch(args) -> int:
             k_max=args.kmax, sample_count=args.samples, seed=args.seed,
         )
     elif args.mode == "homomorphism":
-        if sig.n > HOMOMORPHISM_NMAX:
-            raise DomainError(
-                f"check homomorphism at p + q = {sig.n} exceeds the cap {HOMOMORPHISM_NMAX}"
-            )
         report = check_homomorphism(sig)
     else:
         report = check_relcas(

@@ -43,7 +43,10 @@ weight.  ``lie_operator`` is that action at weight mu - lam plus a term of
 lower order, the Leibniz terms of |beta| >= 2 of
 sum_i X^i d_i and of |beta| >= 1 of lam div X; along an affine field that
 term is empty, so there the two actions agree and the affine correspondence
-intertwines them.
+intertwines them.  Along a homogeneous field of coordinate degree at most 2
+that term is a slot derivative of the operator's map, so
+``_operator_lie_parts`` writes ``lie_operator`` as operators over the
+doubled variables, which the quantized-action Casimir composes.
 
 Conventions that fix every sign below: odd derivatives act from the left;
 an operator of odd parity passes a function coefficient g at the cost of
@@ -65,9 +68,10 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import comb, prod
-from operator import sub
+from operator import add, sub
 from typing import Iterable, NamedTuple, Sequence
 
+from .errors import DomainError
 from .supercore import (
     Rational,
     Signature,
@@ -100,6 +104,7 @@ def _slot(sig: Signature, i: int) -> int:
     return sig.p + i if i <= sig.p else sig.p + sig.q + i
 
 
+@cache
 def _unit(sig: Signature, i: int) -> tuple:
     """The slot key of the atom paired with y^i."""
     if i <= sig.p:
@@ -925,6 +930,76 @@ def lie_operator(x: SuperVectorField, d: DiffOperator) -> DiffOperator:
         else:
             _ops.add_into(out, below._terms, -1)
     return d._with(SuperPolynomial._raw(poly.signature, out))
+
+
+def _operator_lie_parts(x: SuperVectorField) -> tuple:
+    """``lie_operator`` along x as three operators on the term maps: over
+    the doubled signature, acting on the map P of an operator D of weights
+    lam, mu, L_X D = A(P) + (mu - lam) Phi(P) + lam B(P).
+
+    x must be homogeneous of coordinate degree at most 2, as every realized
+    projective field is.  Then the Leibniz sum of ``lie_operator`` has only
+    its terms |beta| = 2 for W = sum_i X^i d_i and |beta| = 1 for div X, and
+    each is a slot derivative of P: moved to the normal order of f d^a and
+    twisted by -(-tau)^a, the term eps C d^{a-beta} * d_y^beta W of f d^a
+    is -(-1)^{|X| |beta|} d_y^beta W times d_xi^beta (f d^a) / (beta! D),
+    whatever f and a, xi being the slot atoms and |beta| the parity of
+    beta; D = -1 when both atoms are odd (the left derivatives
+    anticommute), else 1.  So, with a <= b coordinates and the odd a = b
+    left out (d_xi_a d_xi_a = 0),
+
+        A = lift(X) + sum_{a<=b} N_ab d_xi_a d_xi_b,
+        N_ab = s_ab d_y_a d_y_b W (d_y_b first), halved when a = b,
+        Phi = div X,   B = sum_j s_j (d_y_j div X) d_xi_j,
+
+    where s_ab = +1 when y^a and y^b are both odd, -(-1)^{|X|} when one is,
+    and -1 when neither is; s_j = -(-1)^{|X|} for odd y^j and -1 otherwise.
+    """
+    sig = x.signature
+    par = x._poly.parity()
+    if par is None or _coordinate_degree(sig, x._poly) > 2:
+        raise DomainError(
+            "the operator action as slot derivatives needs a homogeneous field "
+            "of coordinate degree at most 2"
+        )
+    sig2 = _doubled(sig)
+    s = 1 if par else -1
+
+    def lifted(acc, coeff, *variables):
+        # coeff times the derivatives along the doubled variables (1-based);
+        # each slot key of a part takes one coefficient, so none collide
+        if coeff:
+            evens, mask = (0,) * sig2.p, 0
+            for v in variables:
+                e, m = _unit(sig2, v)
+                evens, mask = tuple(map(add, evens, e)), mask | m
+            acc.update(_lift(sig2, coeff, (evens, mask))._terms)
+        return acc
+
+    a_terms, b_terms = {}, {}
+    for position, coeff in _lift_rows(x):
+        lifted(a_terms, coeff, position + 1)
+    for b in range(1, sig.n + 1):
+        wb = x._poly.partial(_coord(sig, b))
+        odd_b = sig.parity(b)
+        for a in range(1, b + 1) if wb else ():
+            odd_a = sig.parity(a)
+            if a == b and odd_a:
+                continue
+            sign = 1 if odd_a and odd_b else s if odd_a or odd_b else -1
+            n_ab = wb.partial(_coord(sig, a))
+            if n_ab:
+                n_ab *= Fraction(sign, 2) if a == b else sign
+                lifted(a_terms, n_ab, _slot(sig, a), _slot(sig, b))
+    div = x._div()
+    for j in range(1, sig.n + 1):
+        c = div.partial(_coord(sig, j)) * (s if sig.parity(j) else -1)
+        lifted(b_terms, c, _slot(sig, j))
+    zero, sig4 = Fraction(0), _doubled(sig2)
+    return tuple(
+        DiffOperator._raw(sig2, zero, zero, SuperPolynomial._raw(sig4, terms))
+        for terms in (a_terms, lifted({}, div), b_terms)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,15 @@ supertraceless elements form the simple part, while the Euler class extends
 it to the full projective algebra).
 
 Per-signature constants are built on first use and kept by ``functools.cache``
-for the life of the process: the dual bases, the graded basis realized as
-vector fields, which the Casimir, the lowering map and the verifier share, the
-realized duals, and the symbol-action Casimir as one second-order operator
-over the doubled variables (``_symbol_casimir``), which ``casimir_apply``
-applies in at most 1 + 2(p+q) kernel passes.  Cached values are never
-mutated, so threads share them.
+for the life of the process: the graded basis, its dual basis (Gram matrix,
+inverse and duals over nonzero entries only), the basis realized as vector
+fields, which the Casimir, the lowering map and the verifier share, the
+realized duals, and the two Casimir operators over the doubled variables
+that ``casimir_apply`` applies: on symbols one second-order operator
+(``_symbol_casimir``), at most 1 + 2(p+q) kernel passes, and on quantized
+operators one operator by weight power (``_affine_casimir``), one
+``DiffOperator.apply``.  Cached values are never mutated, so threads share
+them.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from typing import Iterable, Sequence
 
 from .errors import CriticalValueError, DomainError
 from .geometry import (
+    DiffOperator,
     MixedSymbol,
     SuperVectorField,
     SymbolField,
@@ -41,6 +45,7 @@ from .geometry import (
     interior,
     _doubled,
     _lift_rows,
+    _operator_lie_parts,
     _unit,
     lie_operator,
     lie_symbol,
@@ -154,23 +159,39 @@ def _super_commutator(m1, m2, signature: Signature):
     return tuple(tuple(row) for row in out)
 
 
-def _invert(matrix) -> tuple:
-    """Exact Gauss-Jordan inverse of a rational matrix."""
-    size = len(matrix)
-    aug = [list(row) + [Fraction(1 if r == c else 0) for c in range(size)]
-           for r, row in enumerate(matrix)]
+def _entries(m) -> list:
+    """The nonzero entries ``(row, column, value)`` of a matrix."""
+    return [(r, c, v) for r, row in enumerate(m) for c, v in enumerate(row) if v]
+
+
+def _invert(rows: list) -> list:
+    """Exact Gauss-Jordan inverse of a rational matrix given by its rows as
+    ``{column: value}`` dicts of the nonzero entries; the inverse comes back
+    in the same form.  Only nonzero entries are visited."""
+    size = len(rows)
+    aug = [(dict(row), {r: Fraction(1)}) for r, row in enumerate(rows)]
     for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col]), None)
+        pivot = next((r for r in range(col, size) if col in aug[r][0]), None)
         if pivot is None:
             raise ValueError("matrix is singular")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
+        left, right = aug[col]
+        inv = 1 / left[col]
+        if inv != 1:
+            left = {c: v * inv for c, v in left.items()}
+            right = {c: v * inv for c, v in right.items()}
+            aug[col] = left, right
         for r in range(size):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return tuple(tuple(row[size:]) for row in aug)
+            factor = aug[r][0].get(col) if r != col else None
+            if factor:
+                for target, source in zip(aug[r], (left, right)):
+                    for c, v in source.items():
+                        total = target.get(c, 0) - factor * v
+                        if total:
+                            target[c] = total
+                        else:
+                            target.pop(c, None)
+    return [right for _left, right in aug]
 
 
 # ---------------------------------------------------------------------------
@@ -562,49 +583,74 @@ def dual_basis_pair(
     return _build_dual_basis_pair(signature, scheme)
 
 
+def _form_rows(signature: Signature, left, right) -> list:
+    """The invariant form on every pair (left[i], right[j]), row i as a
+    ``{j: value}`` dict of the nonzero values, over the nonzero entries:
+    str(ab) = sum_{r,k} (-1)^{pi_r} a_rk b_kr, times 2(p+1-q) for the
+    Killing form; at q = p+1 the supertrace itself, the Kaplansky form on
+    supertraceless elements."""
+    scale = 1 if _is_psl(signature) else 2 * (signature.p + 1 - signature.q)
+    # each b_kr of the right side, filed under the position (r, k) of its a_rk
+    transposed = {}
+    for j, b in enumerate(right):
+        for k, r, v in _entries(b.matrix):
+            transposed.setdefault((r, k), []).append((j, scale * v))
+    rows = []
+    for a in left:
+        row = {}
+        for r, k, v in _entries(a.matrix):
+            if _full_parity(signature, r):
+                v = -v
+            for j, w in transposed.get((r, k), ()):
+                row[j] = row.get(j, 0) + v * w
+        rows.append({j: v for j, v in row.items() if v})
+    return rows
+
+
+@functools.cache
+def _graded_basis(signature: Signature, scheme: str) -> tuple:
+    """``graded_basis`` once per signature and scheme: the dual bases and
+    the realized fields share it."""
+    return tuple(graded_basis(signature, scheme=scheme))
+
+
 @functools.cache
 def _build_dual_basis_pair(signature: Signature, scheme: str) -> DualBasisPair:
-    basis = graded_basis(signature, scheme=scheme)
+    """The duals of ``_graded_basis`` from the inverse Gram matrix, every
+    step over nonzero entries only, and the pairing of every basis element
+    with every dual checked against the identity."""
+    basis = _graded_basis(signature, scheme)
     psl = _is_psl(signature)
     if psl and any(h.supertrace() for h in basis):
         raise DomainError("the Kaplansky form needs a supertraceless basis")
-    # at q = p+1, kaplansky_form without its supertrace check on every pair:
-    # the basis is supertraceless, and so is every combination of it
-    form = (
-        (lambda a, b: _supertrace_product(a.matrix, b.matrix, signature))
-        if psl
-        else killing_form
+    size = 1 + signature.n
+    inverse = _invert(_form_rows(signature, basis, basis))
+    # dual j is sum_k inverse[k][j] basis[k], gathered entry by entry
+    gathered = [{} for _ in basis]
+    for h, inverse_row in zip(basis, inverse):
+        entries = _entries(h.matrix)
+        for j, c in inverse_row.items():
+            acc = gathered[j]
+            for r, k, v in entries:
+                acc[r, k] = acc.get((r, k), 0) + c * v
+    zero = Fraction(0)
+    dual = tuple(
+        PglElement._raw(signature, tuple(
+            tuple(acc.get((r, k), zero) for k in range(size)) for r in range(size)
+        ))
+        for acc in gathered
     )
-    size = len(basis)
-    gram = tuple(
-        tuple(form(basis[i], basis[j]) for j in range(size)) for i in range(size)
-    )
-    inverse = _invert(gram)
-    dual = []
-    for j in range(size):
-        acc = None
-        for k in range(size):
-            c = inverse[k][j]
-            if not c:
-                continue
-            term = c * basis[k]
-            acc = term if acc is None else acc + term
-        if acc is None:
-            raise ValueError("degenerate form: no dual element")
-        dual.append(acc)
-    for i in range(size):
-        for j in range(size):
-            want = Fraction(1 if i == j else 0)
-            if form(basis[i], dual[j]) != want:
-                raise DomainError("dual basis verification failed")
-    return DualBasisPair(tuple(basis), tuple(dual), "Kaplansky" if psl else "Killing")
+    for i, row in enumerate(_form_rows(signature, basis, dual)):
+        if row != {i: 1}:
+            raise DomainError("dual basis verification failed")
+    return DualBasisPair(basis, dual, "Kaplansky" if psl else "Killing")
 
 
 @functools.cache
 def _realized_basis(signature: Signature, scheme: str) -> tuple:
     """``graded_basis`` as vector fields, e_i first and eps_i last; callers
     pass ``scheme`` positionally, so each basis has one cache entry."""
-    return tuple(map(realize, graded_basis(signature, scheme=scheme)))
+    return tuple(map(realize, _graded_basis(signature, scheme)))
 
 
 @functools.cache
@@ -675,6 +721,48 @@ def _symbol_casimir(signature: Signature, scheme: str) -> tuple:
         if any(rows.values())
     )
     return first, c1, c2, second
+
+
+@functools.cache
+def _affine_casimir(signature: Signature, scheme: str) -> tuple:
+    """The quantized-action Casimir sum L_Y L_X over the pairs (X, Y) of
+    ``_casimir_fields`` as one differential operator over the doubled
+    variables, its parts by weight kept apart.
+
+    On the term map of an operator of weights lam and mu = lam + delta, a
+    field acts by L_X = A_X + delta Phi_X + lam B_X
+    (``geometry._operator_lie_parts``), so the sum is
+    sum_{i+j<=2} delta^i lam^j C_ij, each C_ij a sum of ``compose``
+    products of those parts.  Returns ``(i, j, terms of C_ij)`` for the
+    nonzero C_ij.  The build reads neither ``_symbol_casimir`` nor
+    ``casimir_defect``, the two sides ``check relcas`` compares it with.
+    """
+    powers = ((0, 0), (1, 0), (0, 1))  # of (delta, lam) in A, Phi, B
+    parts = {}
+    for x, y in _casimir_fields(signature, scheme):
+        ops_x = list(zip(powers, _operator_lie_parts(x)))
+        for (dy, ly), op_y in zip(powers, _operator_lie_parts(y)):
+            for (dx, lx), op_x in ops_x:
+                if op_y._poly and op_x._poly:
+                    acc = parts.setdefault((dy + dx, ly + lx), {})
+                    _ops.add_into(acc, op_y.compose(op_x)._poly._terms)
+    return tuple((i, j, terms) for (i, j), terms in sorted(parts.items()) if terms)
+
+
+def _affine_casimir_terms(s: SymbolField, lam: Fraction, scheme: str) -> SuperPolynomial:
+    """The term map of the quantized-action Casimir on the coefficient-wise
+    quantization of s: the parts of ``_affine_casimir`` summed at delta =
+    the weight of s and lam, then one ``DiffOperator.apply`` on the term
+    map of s."""
+    acc = {}
+    for i, j, terms in _affine_casimir(s.signature, scheme):
+        c = s.weight**i * lam**j
+        if c:
+            _ops.add_into(acc, terms if c == 1 else _ops.scale_terms(terms, c))
+    sig2 = s._poly.signature
+    zero = Fraction(0)
+    op = DiffOperator._raw(sig2, zero, zero, SuperPolynomial._raw(_doubled(sig2), acc))
+    return op.apply(s._poly)
 
 
 def _symbol_casimir_terms(s: SymbolField, scheme: str) -> dict:
@@ -781,9 +869,11 @@ def casimir_apply(
     pass with its first-order rows at the symbol's weight, then one per
     variable with second-order rows.  With ``rep="affine"`` they act by the
     operator Lie derivative conjugated through coefficient-wise quantization
-    at weight lam, and the sum over the basis pairs is built in one private
-    dict with the kernel's ``add_into``.  Either way the result is wrapped
-    once, with the weights (and degree) of the input.
+    at weight lam, and the sum over the basis pairs is the operator of
+    ``_affine_casimir``, built once per signature and scheme: its parts
+    summed at the symbol's weight and lam, then one ``DiffOperator.apply``
+    on the symbol's term map.  Either way the result is wrapped once, with
+    the weights (and degree) of the input.
     """
     sig = s.signature
     normalize_algebra(sig, algebra)
@@ -792,11 +882,7 @@ def casimir_apply(
         terms = _symbol_casimir_terms(s, scheme)
         return s._with(SuperPolynomial._raw(s._poly.signature, terms)).as_mixed()
     if rep == REP_AFFINE:
-        op = affine_quantize(s, lam)
-        acc = {}
-        for xu, xud in _casimir_fields(sig, scheme):
-            _ops.add_into(acc, lie_operator(xud, lie_operator(xu, op))._poly._terms)
-        return affine_symbol(op._with(SuperPolynomial._raw(op._poly.signature, acc)))
+        return MixedSymbol._raw(sig, s.weight, _affine_casimir_terms(s, lam, scheme))
     raise ValueError(f"unknown representation {rep!r}")
 
 

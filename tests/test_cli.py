@@ -318,6 +318,45 @@ class TestExitCodes:
         assert out == ""
         assert err == f"domain error: {message} exceeds the cap 64\n"
 
+    def test_lie_operator_field_at_cap_runs(self, capsys):
+        argv = ["lie", "operator", "--p", "1", "--q", "0",
+                "--field", "x1^64*dx1", "--operator", "dx1^64"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("-4096*x1^63*dx1^64 - ")
+
+    @pytest.mark.parametrize("p,q,field,operator,degree", [
+        (1, 0, "x1^65*dx1", "dx1", 65),
+        (1, 0, "x1^2000*dx1", "dx1^2000", 2000),
+        (2, 1, "x1*dx1 + x1^32*x2^32*t1*dt1", "x1*dx2", 65),
+    ], ids=["one-step", "large", "odd"])
+    def test_lie_operator_field_over_cap_is_two(self, p, q, field, operator, degree,
+                                                capsys):
+        argv = ["lie", "operator", "--p", str(p), "--q", str(q),
+                "--field", field, "--operator", operator]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"domain error: field coordinate degree {degree} exceeds the cap 64\n"
+
+    @pytest.mark.parametrize("argv,identities", [
+        (["casimir", "--p", "2", "--q", "3", "--kmax", "1"], 2),
+        (["relcas", "--p", "3", "--q", "2", "--kmax", "1"], 2),
+        (["equivariance", "--p", "4", "--q", "1", "--degree-max", "0"], 35),
+    ], ids=["casimir", "relcas", "equivariance"])
+    def test_check_signature_at_cap_runs(self, argv, identities, capsys):
+        assert cli.CHECK_NMAX == 5
+        argv = ["check", *argv, "--samples", "1", "--delta", "1/7", "--format", "json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["samples_run"] == identities
+
+    @pytest.mark.parametrize("mode", ["equivariance", "casimir", "relcas"])
+    @pytest.mark.parametrize("p,q", [(3, 3), (6, 0), (0, 6), (40, 40)])
+    def test_check_signature_over_cap_is_two(self, mode, p, q, capsys):
+        assert main(["check", mode, "--p", str(p), "--q", str(q), "--samples", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"domain error: check {mode} at p + q = {p + q} exceeds the cap 5\n"
+
     @pytest.mark.parametrize("argv,identities", [
         (["casimir", "--kmax", "8", "--samples", "100"], 900),
         (["relcas", "--kmax", "8", "--samples", "1"], 9),

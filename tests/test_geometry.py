@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superquant import geometry
+from superquant.errors import DomainError
 from superquant.expr import format_value
 from superquant.projective import euler_element, realize
 from superquant.quantizer import QuantizationConfig, quantize
@@ -587,6 +588,41 @@ def test_lie_operator_matches_composition_for_cubic_fields(case):
     assert (got.lam, got.mu) == (d.lam, d.mu)
     assert got == lie_operator_by_composition(xf, d)
     assert got == lie_operator_by_composition(xf, d, compose_reference)
+
+
+@st.composite
+def homogeneous_fields_and_operators(draw):
+    """A homogeneous field of coordinate degree at most 2, one graded part
+    of a drawn field, and an operator."""
+    xf, d = draw(fields_and_operators())
+    parts = xf.graded_parts()
+    if parts:
+        xf = parts[draw(st.integers(0, len(parts) - 1))][1]
+    return xf, d
+
+
+def lie_operator_by_parts(xf, d):
+    """L_X D from the three operators of ``_operator_lie_parts``, applied to
+    the term map of D at its weights."""
+    a, phi, b = geometry._operator_lie_parts(xf)
+    op = a._poly + (d.mu - d.lam) * phi._poly + d.lam * b._poly
+    return d._with(a._with(op).apply(d._poly))
+
+
+@settings(max_examples=300, deadline=None)
+@given(homogeneous_fields_and_operators())
+def test_operator_lie_parts_match_the_definition(case):
+    xf, d = case
+    assert lie_operator_by_parts(xf, d) == lie_operator_by_composition(xf, d)
+
+
+def test_operator_lie_parts_refuse_other_fields():
+    rng = random.Random(53)
+    cubic = SuperVectorField(S21, [x(S21) ** 3, 0, 0])
+    mixed = SuperVectorField(S21, [th(S21), 1, 0])
+    for xf in (cubic, mixed, cubic + rand_homogeneous_field(rng, S21, 0)):
+        with pytest.raises(DomainError):
+            geometry._operator_lie_parts(xf)
 
 
 def test_lie_operator_does_not_compose(monkeypatch):

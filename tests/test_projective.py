@@ -5,7 +5,9 @@ of composed adjoint maps over the full elementary-matrix basis; the defect
 map computed from its definition against its closed form; Casimir
 eigenvalues measured by application against the closed formula; the
 symbol-action Casimir operator against the sum of Lie derivatives over the
-basis pairs (``casimir_reference``); and dual bases checked against the
+basis pairs (``casimir_reference``), and the quantized-action Casimir
+operator against the sum of operator Lie derivatives
+(``casimir_affine_reference``); and dual bases checked against the
 closed-form pairings.
 """
 
@@ -25,8 +27,11 @@ from superquant.supercore import Signature, SuperPolynomial, _ops, as_fraction
 from superquant.geometry import (
     SuperVectorField,
     SymbolField,
+    affine_quantize,
+    affine_symbol,
     bracket,
     interior,
+    lie_operator,
     lie_symbol,
     symbol_divergence,
 )
@@ -478,9 +483,17 @@ def test_dual_basis_pair_cached():
 
 
 def test_failed_dual_basis_check_raises_domain_error(monkeypatch, fresh_cache):
-    killing_form = projective.killing_form
-    # not bilinear: the duals solved from its Gram matrix fail the check
-    monkeypatch.setattr(projective, "killing_form", lambda a, b: killing_form(a, b) + 1)
+    form_rows = projective._form_rows
+
+    def shifted(sig, left, right):
+        # not bilinear: every value of the form plus 1, so the duals solved
+        # from its Gram matrix fail the check
+        return [
+            {j: v for j in range(len(right)) if (v := row.get(j, 0) + 1)}
+            for row in form_rows(sig, left, right)
+        ]
+
+    monkeypatch.setattr(projective, "_form_rows", shifted)
     fresh_cache("_build_dual_basis_pair", projective)
     with pytest.raises(DomainError, match="dual basis verification failed"):
         dual_basis_pair(S21)
@@ -505,6 +518,7 @@ def test_psl_dual_basis_takes_one_supertrace_per_element(monkeypatch, fresh_cach
 
 def test_psl_dual_basis_refuses_a_basis_with_supertrace(monkeypatch, fresh_cache):
     fresh_cache("_build_dual_basis_pair", projective)
+    fresh_cache("_graded_basis", projective)
     graded = projective.graded_basis
     monkeypatch.setattr(
         projective, "graded_basis",
@@ -517,6 +531,7 @@ def test_psl_dual_basis_refuses_a_basis_with_supertrace(monkeypatch, fresh_cache
 def test_casimir_fields_realized_once_per_signature(monkeypatch, fresh_cache):
     fresh_cache("_casimir_fields", projective)
     fresh_cache("_symbol_casimir", projective)
+    fresh_cache("_affine_casimir", projective)
     fresh_cache("_realized_basis", projective)
     realized = []
     real_realize = projective.realize
@@ -768,6 +783,104 @@ def test_check_casimir_sees_every_second_order_row(monkeypatch, capsys):
             mutated = _mutated_second_order(operator, n, side, j, negate)
             monkeypatch.setattr(projective, "_symbol_casimir", lambda *args: mutated)
             assert cli_main(argv) == 3, (n, side, j, negate)
+    capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# the quantized-action Casimir as one operator over the doubled variables
+
+
+def casimir_affine_reference(s, lam, algebra=None, scheme="elementary"):
+    """The quantized-action Casimir as the sum over the basis pairs of two
+    operator Lie derivatives, the loop that ``casimir_apply(rep="affine")``
+    ran before it became one operator; kept verbatim as the oracle."""
+    sig = s.signature
+    normalize_algebra(sig, algebra)
+    lam = as_fraction(lam)
+    op = affine_quantize(s, lam)
+    acc = {}
+    for xu, xud in _casimir_fields(sig, scheme):
+        _ops.add_into(acc, lie_operator(xud, lie_operator(xu, op))._poly._terms)
+    return affine_symbol(op._with(SuperPolynomial._raw(op._poly.signature, acc)))
+
+
+AFFINE_LAMBDAS = [Fraction(0), Fraction(1, 3), Fraction(-2, 5)]
+AFFINE_DELTAS = [Fraction(0), Fraction(1, 5), Fraction(-1, 3), Fraction(3, 2)]
+
+
+@pytest.mark.parametrize("sig", CASIMIR_ORACLE_SIGNATURES, ids=str)
+def test_affine_casimir_matches_the_lie_operator_loop(sig):
+    schemes = ["elementary"]
+    if sig.p != sig.q and not projective._is_psl(sig):
+        schemes.append("euler-split")
+    rng = random.Random(f"affine casimir oracle {sig}")
+    cases = 0
+    for scheme in schemes:
+        for lam in AFFINE_LAMBDAS:
+            for delta in AFFINE_DELTAS:
+                for k in range(4):
+                    for s in symbol_samples(sig, delta, k, 2, rng):
+                        want = casimir_affine_reference(s, lam, scheme=scheme)
+                        got = casimir_apply(s, lam, rep="affine", scheme=scheme)
+                        assert got == want
+                        assert got.weight == s.weight
+                        cases += 1
+    degrees = len([k for k in range(4) if sig.p or k <= sig.q])
+    assert cases == 2 * len(schemes) * len(AFFINE_LAMBDAS) * len(AFFINE_DELTAS) * degrees
+
+
+@pytest.mark.parametrize(
+    "sig", [S10, Signature(0, 2), S21, S12, Signature(3, 2)], ids=str
+)
+def test_affine_casimir_takes_no_lie_derivative(sig, monkeypatch):
+    builds = []
+    build = projective._affine_casimir.__wrapped__
+
+    def counting_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    def no_lie_operator(*args):
+        raise AssertionError("the quantized-action Casimir took a Lie derivative")
+
+    monkeypatch.setattr(projective, "_affine_casimir", functools.cache(counting_build))
+    monkeypatch.setattr(projective, "lie_operator", no_lie_operator)
+    monkeypatch.setattr(geometry, "lie_operator", no_lie_operator)
+    rng = random.Random(f"affine casimir spy {sig}")
+    for lam in (Fraction(0), Fraction(1, 3)):
+        for k in range(4):
+            for s in symbol_samples(sig, Fraction(1, 5), k, 2, rng):
+                assert casimir_apply(s, lam, rep="affine") == casimir_apply(
+                    s, lam, rep="affine")
+    assert builds == [(sig, "elementary")]
+
+
+RELCAS_ARGV = ["check", "relcas", "--p", "2", "--q", "1", "--lambda", "1/3",
+               "--delta", "1/5", "--kmax", "4", "--samples", "4"]
+
+
+def test_check_relcas_sees_every_term_of_the_affine_casimir(monkeypatch, capsys):
+    assert cli_main(RELCAS_ARGV) == 0
+    parts = projective._affine_casimir(S21, "elementary")
+    assert {(i, j) for i, j, _ in parts} == {(0, 0), (1, 0), (0, 1), (2, 0)}
+    for n, (i, j, terms) in enumerate(parts):
+        for key in terms:
+            negated = dict(terms)
+            negated[key] = -negated[key]
+            mutated = parts[:n] + ((i, j, negated),) + parts[n + 1:]
+            monkeypatch.setattr(projective, "_affine_casimir", lambda *args: mutated)
+            assert cli_main(RELCAS_ARGV) == 3, (i, j, key)
+    capsys.readouterr()
+
+
+def test_check_relcas_sides_are_built_apart(monkeypatch, fresh_cache, capsys):
+    # with a wrong symbol-action Casimir, a quantized-action Casimir built
+    # afresh does not follow it: the check still fails
+    operator = projective._symbol_casimir(S21, "elementary")
+    mutated = _mutated_second_order(operator, 0, 0, 0, True)
+    monkeypatch.setattr(projective, "_symbol_casimir", lambda *args: mutated)
+    fresh_cache("_affine_casimir", projective)
+    assert cli_main(RELCAS_ARGV) == 3
     capsys.readouterr()
 
 
