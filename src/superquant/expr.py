@@ -36,7 +36,6 @@ other document.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 
@@ -497,6 +496,3 @@ def value_from_json(data: dict):
         rows.append((xe, tmask, se, smask, _rational(coeff)))
     return _build(kind, sig, _join(sig, rows), *map(_rational, weights))
 
-
-def value_to_json_text(v) -> str:
-    return json.dumps(value_to_json(v), indent=2)

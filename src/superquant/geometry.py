@@ -43,10 +43,10 @@ weight.  ``lie_operator`` is that action at weight mu - lam plus a term of
 lower order, the Leibniz terms of |beta| >= 2 of
 sum_i X^i d_i and of |beta| >= 1 of lam div X; along an affine field that
 term is empty, so there the two actions agree and the affine correspondence
-intertwines them.  Along a homogeneous field of coordinate degree at most 2
-that term is a slot derivative of the operator's map, so
-``_operator_lie_parts`` writes ``lie_operator`` as operators over the
-doubled variables, which the quantized-action Casimir composes.
+intertwines them.  ``_symbol_lie_parts`` and ``_operator_lie_parts`` write
+both actions as operators over the doubled variables, from one lift, for the
+Casimirs to compose.  An operator is applied, and composed, in one nested
+form of ``derive_terms`` passes (``_apply_form``).
 
 Conventions that fix every sign below: odd derivatives act from the left;
 an operator of odd parity passes a function coefficient g at the cost of
@@ -57,9 +57,9 @@ Values are never mutated in place.  A vector field relies on this: what
 ``lie_symbol`` and ``lie_operator`` need of it alone (its lift to the doubled
 variables and its divergence), and what ``apply`` and ``bracket`` need (its
 coordinate derivation and its odd part), is computed on first use and kept
-with the field.  A long sum is built in a private dict with the
-kernel's ``add_into`` and wrapped once at the end, so no value that a caller
-can see is ever changed.
+with the field, as an operator keeps the nested form ``apply`` runs.  A long
+sum is built in a private dict with the kernel's ``add_into`` and wrapped
+once at the end, so no value that a caller can see is ever changed.
 """
 
 from __future__ import annotations
@@ -210,12 +210,14 @@ class _TermMap:
 
     ``_poly`` is the term map over the doubled signature.  Beside the
     signature each map carries the attributes named in ``_fields``; the ones
-    named in ``_weights`` must agree in a sum.
+    named in ``_weights`` must agree in a sum.  The ones named in ``_cached``
+    hold what is built from the map on first use, None until then.
     """
 
     __slots__ = ("signature", "_poly")
     _fields: tuple[str, ...]
     _weights: tuple[str, ...]
+    _cached: tuple[str, ...] = ()
 
     @classmethod
     def _raw(cls, signature, *args):
@@ -225,6 +227,8 @@ class _TermMap:
         *values, self._poly = args
         for name, value in zip(cls._fields, values):
             setattr(self, name, value)
+        for name in cls._cached:
+            setattr(self, name, None)
         return self
 
     def _with(self, poly: SuperPolynomial):
@@ -375,7 +379,7 @@ class SuperVectorField(_TermMap, _Graded):
     its odd graded part, which ``bracket`` uses, in ``_odd``.
     """
 
-    __slots__ = ("_action_data", "_form", "_odd")
+    __slots__ = _cached = ("_action_data", "_form", "_odd")
     _fields = _weights = ()
 
     def __init__(self, signature: Signature, components: Sequence):
@@ -393,12 +397,6 @@ class SuperVectorField(_TermMap, _Graded):
         units = [_unit(signature, i) for i in range(1, signature.n + 1)]
         self._poly = _nested(signature, dict(zip(units, comps)))
         self._action_data = self._form = self._odd = None
-
-    @classmethod
-    def _raw(cls, signature: Signature, poly: SuperPolynomial) -> "SuperVectorField":
-        self = super()._raw(signature, poly)
-        self._action_data = self._form = self._odd = None
-        return self
 
     @property
     def components(self) -> tuple:
@@ -700,18 +698,20 @@ class _Leibniz:
     with the rightmost acting first.  Every factor of d^alpha either
     differentiates the coefficients of M or passes them to stand at the left
     of the derivative monomials; the term beta = 0 is the product d^alpha * M.
-    The sum stops at the coordinate degree of M.
+    The sum stops at the coordinate degree of M, and each even beta_i at
+    the power of y^i in M: a beta beyond them has d_y^beta M = 0.
 
     Each derivative d_y^beta M is computed once and shared by the keys alpha
-    of one call of ``compose`` or ``lie_operator``, which make and drop the
-    object.
+    of one call of ``lie_operator``, which makes and drops the object.
     """
 
-    __slots__ = ("sig", "degree", "_derivs")
+    __slots__ = ("sig", "degree", "_powers", "_derivs")
 
     def __init__(self, sig: Signature, m: SuperPolynomial):
         self.sig = sig
         self.degree = _coordinate_degree(sig, m)
+        # the highest power of each even coordinate in M
+        self._powers = tuple(map(max, zip(*(e[: sig.p] for (e, _), _ in m.items()))))
         self._derivs = {((0,) * sig.p, 0): m}
 
     def derivative(self, beta) -> SuperPolynomial:
@@ -740,7 +740,8 @@ class _Leibniz:
         top = min(self.degree, sum(se) + smask.bit_count())
         if lowest > top:
             return SuperPolynomial._raw(_doubled(sig), out)
-        for be in product(*[range(min(a, top) + 1) for a in se]):
+        ranges = [range(min(a, r, top) + 1) for a, r in zip(se, self._powers)]
+        for be in product(*ranges):
             even_order = sum(be)
             if even_order > top:
                 continue
@@ -779,23 +780,105 @@ def _submasks(mask: int):
         part = (part - 1) & mask
 
 
+def _apply_form(p: int, terms: dict) -> tuple:
+    """The nested form ``(multiplier, rows, derivation, deeper)`` of the
+    operator sum_a f_a d^a given as ``{slot key a: terms of f_a}`` over a
+    signature with p even coordinates: f_0 or None; the pairs (0-based
+    position i, f_i) of the first-order terms, and the same in the kernel's
+    ``derivation`` form; and each term of order two or more as f_a d^{a-b}
+    in the subtree filed under its rightmost factor d_b, the highest odd one,
+    else the highest even one, so that d^a = d^{a-b} d_b with no sign.
+    """
+    multiplier, rows, deeper = None, [], {}
+    for (se, smask), coeff in terms.items():
+        if smask:
+            bit = smask.bit_length() - 1
+            position, rest = p + bit, (se, smask ^ 1 << bit)
+        elif any(se):
+            ix = max(i for i, a in enumerate(se) if a)
+            position, rest = ix, (se[:ix] + (se[ix] - 1,) + se[ix + 1 :], 0)
+        else:
+            multiplier = coeff
+            continue
+        if any(rest[0]) or rest[1]:
+            deeper.setdefault(position, {})[rest] = coeff
+        else:
+            rows.append((position, coeff))
+    deeper = [(i, _apply_form(p, sub)) for i, sub in deeper.items()]
+    return multiplier, rows, _ops.derivation(p, rows), deeper
+
+
+def _apply_forms(p: int, terms: dict, forms) -> dict:
+    """The terms of sum_c c P(terms) over the pairs (c, nested form of P):
+    one ``derive_terms`` pass with the multipliers and first-order rows,
+    summed at the c, then the subtrees under each b, with their c, on d_b of
+    the terms.  The dict is the caller's own."""
+    if len(forms) == 1 and forms[0][0] == 1:
+        multiplier, _, derivation, _ = forms[0][1]
+    else:
+        scale, add_into = _ops.scale_terms, _ops.add_into
+        multiplier, rows = {}, {}
+        for c, (w, form_rows, _, _) in forms:
+            if w:
+                add_into(multiplier, w if c == 1 else scale(w, c))
+            for i, row in form_rows:
+                add_into(rows.setdefault(i, {}), row if c == 1 else scale(row, c))
+        derivation = _ops.derivation(p, rows.items())
+    out = _ops.derive_terms(terms, derivation, multiplier)
+    deeper: dict = {}
+    for c, (_, _, _, subtrees) in forms:
+        for i, sub in subtrees:
+            deeper.setdefault(i, []).append((c, sub))
+    for i, subs in deeper.items():
+        if i < p:
+            derived = _ops.partial_even_terms(terms, i)
+        else:
+            derived = _ops.partial_odd_terms(terms, 1 << (i - p))
+        if derived:
+            _ops.add_into(out, _apply_forms(p, derived, subs))
+    return out
+
+
+def _compose_terms(sig: Signature, form: tuple, q: dict) -> dict:
+    """The terms of P o Q for the nested form of P and the term map q of Q:
+    d_b o Q is d/dy^b Q + xi_b * Q over the doubled variables, xi_b the slot
+    atom of d_b, so a node is one ``derive_terms`` pass over q, its rows on
+    the coordinates and its terms of order at most one the multiplier, and
+    each subtree runs on d_b o Q.  The dict is the caller's own."""
+    p = sig.p
+    multiplier, rows, _, deeper = form
+    first = dict(_lift(sig, multiplier)._terms) if multiplier else {}
+    coordinates = []
+    for i, f in rows:
+        first.update(_lift(sig, f, _unit(sig, i + 1))._terms)
+        coordinates.append((i + p * (i >= p), _lift(sig, f)._terms))
+    out = _ops.derive_terms(q, _ops.derivation(2 * p, coordinates), first)
+    for i, sub in deeper:
+        d_b = (None, [(i, {((0,) * p, 0): Fraction(1)})], None, ())  # d_b alone
+        _ops.add_into(out, _compose_terms(sig, sub, _compose_terms(sig, d_b, q)))
+    return out
+
+
 class DiffOperator(_TermMap, _Graded):
     """Normal-form differential operator between density modules.
 
     ``items()`` lists derivative multi-indices ``(even_powers, odd_subset)``
     with the polynomial coefficients standing to their left; within a term
     the odd derivative factors carry ascending indices and the rightmost
-    factor acts first.
+    factor acts first.  An operator must not be mutated: the nested form
+    that ``apply`` runs is built on first use and kept in ``_form``.
     """
 
-    __slots__ = ("lam", "mu")
+    __slots__ = ("lam", "mu", "_form")
     _fields = _weights = ("lam", "mu")
+    _cached = ("_form",)
 
     def __init__(self, signature: Signature, lam: Rational, mu: Rational, terms=None):
         self.signature = signature
         self.lam = as_fraction(lam)
         self.mu = as_fraction(mu)
         self._poly = _nested(signature, terms or {})
+        self._form = None
 
     @classmethod
     def zero(cls, signature: Signature, lam: Rational, mu: Rational) -> "DiffOperator":
@@ -812,27 +895,29 @@ class DiffOperator(_TermMap, _Graded):
     def order(self) -> int:
         return max(_slot_degrees(self.signature, self._poly), default=0)
 
+    def _nested_form(self) -> tuple:
+        """The nested form of the operator, built on first use."""
+        form = self._form
+        if form is None:
+            sig = self.signature
+            form = self._form = _apply_form(sig.p, _split(sig, self._poly))
+        return form
+
     def apply(self, f: SuperPolynomial) -> SuperPolynomial:
-        """Evaluate on a superfunction: each term f_a d^a adds f_a times the
-        coordinate derivative d^a f of ``_Leibniz``."""
+        """Evaluate on a superfunction: the nested form, built once, run by
+        ``_apply_forms``; no product of term maps is taken."""
         _check_same_signature(self, f)
         sig = self.signature
-        derivs = _Leibniz(sig, _lift(sig, f))
-        out: dict = {}
-        for alpha, coeff in _split(sig, self._poly).items():
-            g = derivs.derivative(alpha)
-            if g:
-                _ops.add_into(out, (_lift(sig, coeff) * g)._terms)
-        return _unlift(sig, out)
+        terms = _apply_forms(sig.p, f._terms, [(1, self._nested_form())])
+        return SuperPolynomial._raw(sig, terms)
 
     # -- composition -------------------------------------------------------
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
         """self o other (other acts first); weights must chain.
 
-        Each term f d^alpha of self contributes f * (d^alpha o other), the
-        normal ordering by the Leibniz sum of ``_Leibniz``, whose coordinate
-        derivatives of other are shared by all the terms.
+        The nested form of self runs on the term map of other
+        (``_compose_terms``).
         """
         _check_same_signature(self, other)
         if self.lam != other.mu:
@@ -840,10 +925,7 @@ class DiffOperator(_TermMap, _Graded):
                 f"weight mismatch in composition: {self.lam} vs {other.mu}"
             )
         sig = self.signature
-        push = _Leibniz(sig, other._poly)
-        out: dict = {}
-        for alpha, f in _split(sig, self._poly).items():
-            _ops.add_into(out, (_lift(sig, f) * push(alpha))._terms)
+        out = _compose_terms(sig, self._nested_form(), other._poly._terms)
         return DiffOperator._raw(
             sig, other.lam, self.mu, SuperPolynomial._raw(_doubled(sig), out)
         )
@@ -932,6 +1014,30 @@ def lie_operator(x: SuperVectorField, d: DiffOperator) -> DiffOperator:
     return d._with(SuperPolynomial._raw(poly.signature, out))
 
 
+def _slot_operator(sig2: Signature, coeffs: dict) -> DiffOperator:
+    """The operator of weights 0 over the doubled signature ``sig2`` with
+    the coefficients ``{slot key: coefficient}``, built unchecked."""
+    q = sig2.q
+    terms = {
+        (e + se, m | smask << q): c
+        for (se, smask), coeff in coeffs.items()
+        for (e, m), c in coeff.items()
+    }
+    zero, sig4 = Fraction(0), _doubled(sig2)
+    return DiffOperator._raw(sig2, zero, zero, SuperPolynomial._raw(sig4, terms))
+
+
+def _symbol_lie_parts(x: SuperVectorField) -> tuple:
+    """``lie_symbol`` along x as two operators on the term maps: over the
+    doubled signature, acting on the map S of a symbol of weight w,
+    L_X S = lift(X)(S) + w Phi(S), the lift in the rows of ``_lift_rows``
+    and Phi = div X."""
+    sig2 = _doubled(x.signature)
+    lift = {_unit(sig2, i + 1): c for i, c in _lift_rows(x)}
+    div = {((0,) * sig2.p, 0): x._div()}
+    return _slot_operator(sig2, lift), _slot_operator(sig2, div)
+
+
 def _operator_lie_parts(x: SuperVectorField) -> tuple:
     """``lie_operator`` along x as three operators on the term maps: over
     the doubled signature, acting on the map P of an operator D of weights
@@ -954,6 +1060,7 @@ def _operator_lie_parts(x: SuperVectorField) -> tuple:
 
     where s_ab = +1 when y^a and y^b are both odd, -(-1)^{|X|} when one is,
     and -1 when neither is; s_j = -(-1)^{|X|} for odd y^j and -1 otherwise.
+    The lift and Phi are the parts of ``_symbol_lie_parts``.
     """
     sig = x.signature
     par = x._poly.parity()
@@ -964,21 +1071,8 @@ def _operator_lie_parts(x: SuperVectorField) -> tuple:
         )
     sig2 = _doubled(sig)
     s = 1 if par else -1
-
-    def lifted(acc, coeff, *variables):
-        # coeff times the derivatives along the doubled variables (1-based);
-        # each slot key of a part takes one coefficient, so none collide
-        if coeff:
-            evens, mask = (0,) * sig2.p, 0
-            for v in variables:
-                e, m = _unit(sig2, v)
-                evens, mask = tuple(map(add, evens, e)), mask | m
-            acc.update(_lift(sig2, coeff, (evens, mask))._terms)
-        return acc
-
-    a_terms, b_terms = {}, {}
-    for position, coeff in _lift_rows(x):
-        lifted(a_terms, coeff, position + 1)
+    lift, phi = _symbol_lie_parts(x)
+    n_terms, b_terms = {}, {}
     for b in range(1, sig.n + 1):
         wb = x._poly.partial(_coord(sig, b))
         odd_b = sig.parity(b)
@@ -989,17 +1083,14 @@ def _operator_lie_parts(x: SuperVectorField) -> tuple:
             sign = 1 if odd_a and odd_b else s if odd_a or odd_b else -1
             n_ab = wb.partial(_coord(sig, a))
             if n_ab:
-                n_ab *= Fraction(sign, 2) if a == b else sign
-                lifted(a_terms, n_ab, _slot(sig, a), _slot(sig, b))
+                (ea, ma), (eb, mb) = (_unit(sig2, _slot(sig, v)) for v in (a, b))
+                key = tuple(map(add, ea, eb)), ma | mb
+                n_terms[key] = n_ab * (Fraction(sign, 2) if a == b else sign)
     div = x._div()
     for j in range(1, sig.n + 1):
         c = div.partial(_coord(sig, j)) * (s if sig.parity(j) else -1)
-        lifted(b_terms, c, _slot(sig, j))
-    zero, sig4 = Fraction(0), _doubled(sig2)
-    return tuple(
-        DiffOperator._raw(sig2, zero, zero, SuperPolynomial._raw(sig4, terms))
-        for terms in (a_terms, lifted({}, div), b_terms)
-    )
+        b_terms[_unit(sig2, _slot(sig, j))] = c
+    return lift + _slot_operator(sig2, n_terms), phi, _slot_operator(sig2, b_terms)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,11 @@ Per-signature constants are built on first use and kept by ``functools.cache``
 for the life of the process: the graded basis, its dual basis (Gram matrix,
 inverse and duals over nonzero entries only), the basis realized as vector
 fields, which the Casimir, the lowering map and the verifier share, the
-realized duals, and the two Casimir operators over the doubled variables
-that ``casimir_apply`` applies: on symbols one second-order operator
-(``_symbol_casimir``), at most 1 + 2(p+q) kernel passes, and on quantized
-operators one operator by weight power (``_affine_casimir``), one
-``DiffOperator.apply``.  Cached values are never mutated, so threads share
-them.
+realized duals, and the Casimir of each representation (``_casimir``):
+operators over the doubled variables, one per weight power, composed from
+the per-field parts of the symbol or the operator Lie derivative, which
+``casimir_apply`` runs in one nested application.  Cached values are never
+mutated, so threads share them.
 """
 
 from __future__ import annotations
@@ -43,9 +42,10 @@ from .geometry import (
     affine_quantize,
     affine_symbol,
     interior,
+    _apply_forms,
     _doubled,
-    _lift_rows,
     _operator_lie_parts,
+    _symbol_lie_parts,
     _unit,
     lie_operator,
     lie_symbol,
@@ -54,6 +54,8 @@ from .supercore import Rational, Signature, SuperPolynomial, _ops, as_fraction
 
 ALGEBRA_SL = "sl"
 ALGEBRA_PSL = "psl"
+REP_SYMBOL = "L"
+REP_AFFINE = "affine"
 
 
 def _is_psl(signature: Signature) -> bool:
@@ -662,125 +664,36 @@ def _casimir_fields(signature: Signature, scheme: str) -> tuple:
 
 
 @functools.cache
-def _symbol_casimir(signature: Signature, scheme: str) -> tuple:
-    """The symbol-action Casimir sum L_Y L_X over the pairs (X, Y) of
-    ``_casimir_fields`` as one second-order operator over the doubled
-    variables, its weight-free parts kept apart.
-
-    With L_X = D_X + w phi_X, D_X = sum_I P_I d_I the lift of X (left
-    derivatives), phi_X = div X, D_Y = sum_J Q_J d_J and tw_J the parity
-    twist when the variable J is odd,
-    L_Y L_X = sum_{J,I} Q_J tw_J(P_I) d_J d_I + sum_{J,I} Q_J (d_J P_I) d_I
-    + w (sum_I phi_Y P_I d_I + sum_J Q_J tw_J(phi_X) d_J + sum_J Q_J d_J phi_X)
-    + w^2 phi_Y phi_X.  Summed over the pairs, the second-order rows are
-    brought to d_a d_b with a <= b by d_b d_a = (-1)^{|a||b|} d_a d_b, and
-    d_a d_a is dropped for odd a.  Returns ``(first, c1, c2, second)``:
-    ``first`` lists ``(I, B0_I, B1_I)``, the first-order rows B0 + w B1;
-    w c1 + w^2 c2 is the multiplier; ``second`` lists ``(b, form)``, ``form``
-    being sum_{a <= b} N_ab d_a in the kernel's form, applied to d_b S.
+def _casimir(signature: Signature, scheme: str, rep: str) -> tuple:
+    """The Casimir sum L_Y L_X over the pairs (X, Y) of ``_casimir_fields``
+    as ``(i, j, C_ij)`` for the nonzero operators C_ij over the doubled
+    variables with sum delta^i lam^j C_ij = sum L_Y L_X, each a sum of
+    ``compose`` products of the parts of the fields' actions: on a symbol
+    of weight delta (``rep="L"``) L_X = lift(X) + delta Phi_X
+    (``geometry._symbol_lie_parts``), on an operator of weights lam and
+    lam + delta (``rep="affine"``) L_X = A_X + delta Phi_X + lam B_X
+    (``geometry._operator_lie_parts``).  ``check relcas`` compares the two
+    through ``casimir_defect``, which reads neither.
     """
-    p2 = 2 * signature.p
-    add_into = _ops.add_into
-    products, first0, first1, c1, c2 = {}, {}, {}, {}, {}
+    if rep == REP_SYMBOL:
+        parts, powers = _symbol_lie_parts, ((0, 0), (1, 0))  # of (delta, lam)
+    else:
+        parts, powers = _operator_lie_parts, ((0, 0), (1, 0), (0, 1))
+    sums = {}
     for x, y in _casimir_fields(signature, scheme):
-        # each coefficient of X with its parity twist
-        rows_x = [(i, (f, f.parity_twist())) for i, f in _lift_rows(x) if f]
-        phi_x, phi_y = x._div(), y._div()
-        phis_x = (phi_x, phi_x.parity_twist())
-        for j, qj in _lift_rows(y):
-            if not qj:
-                continue
-            odd = j >= p2
-            for i, pis in rows_x:
-                add_into(products.setdefault((j, i), {}), (qj * pis[odd])._terms)
-                add_into(first0.setdefault(i, {}), (qj * pis[0].partial(j + 1))._terms)
-            if phi_x:
-                add_into(first1.setdefault(j, {}), (qj * phis_x[odd])._terms)
-                add_into(c1, (qj * phi_x.partial(j + 1))._terms)
-        if phi_y:
-            for i, pis in rows_x:
-                add_into(first1.setdefault(i, {}), (phi_y * pis[0])._terms)
-            add_into(c2, (phi_y * phi_x)._terms)
-    canonical = {}
-    for (a, b), m in products.items():
-        if a > b:
-            a, b = b, a
-            sign = -1 if a >= p2 else 1  # both odd when the lower one is
-        elif a < b or a < p2:
-            sign = 1
-        else:
-            continue  # d_a d_a = 0 for odd a
-        add_into(canonical.setdefault(b, {}).setdefault(a, {}), m, sign)
-    first = tuple(
-        (i, first0.get(i, {}), first1.get(i, {}))
-        for i in sorted(first0.keys() | first1.keys())
-    )
-    second = tuple(
-        (b, _ops.derivation(p2, sorted(rows.items())))
-        for b, rows in sorted(canonical.items())
-        if any(rows.values())
-    )
-    return first, c1, c2, second
-
-
-@functools.cache
-def _affine_casimir(signature: Signature, scheme: str) -> tuple:
-    """The quantized-action Casimir sum L_Y L_X over the pairs (X, Y) of
-    ``_casimir_fields`` as one differential operator over the doubled
-    variables, its parts by weight kept apart.
-
-    On the term map of an operator of weights lam and mu = lam + delta, a
-    field acts by L_X = A_X + delta Phi_X + lam B_X
-    (``geometry._operator_lie_parts``), so the sum is
-    sum_{i+j<=2} delta^i lam^j C_ij, each C_ij a sum of ``compose``
-    products of those parts.  Returns ``(i, j, terms of C_ij)`` for the
-    nonzero C_ij.  The build reads neither ``_symbol_casimir`` nor
-    ``casimir_defect``, the two sides ``check relcas`` compares it with.
-    """
-    powers = ((0, 0), (1, 0), (0, 1))  # of (delta, lam) in A, Phi, B
-    parts = {}
-    for x, y in _casimir_fields(signature, scheme):
-        ops_x = list(zip(powers, _operator_lie_parts(x)))
-        for (dy, ly), op_y in zip(powers, _operator_lie_parts(y)):
+        ops_x = list(zip(powers, parts(x)))
+        for (dy, ly), op_y in zip(powers, parts(y)):
             for (dx, lx), op_x in ops_x:
                 if op_y._poly and op_x._poly:
-                    acc = parts.setdefault((dy + dx, ly + lx), {})
+                    acc = sums.setdefault((dy + dx, ly + lx), {})
                     _ops.add_into(acc, op_y.compose(op_x)._poly._terms)
-    return tuple((i, j, terms) for (i, j), terms in sorted(parts.items()) if terms)
-
-
-def _affine_casimir_terms(s: SymbolField, lam: Fraction, scheme: str) -> SuperPolynomial:
-    """The term map of the quantized-action Casimir on the coefficient-wise
-    quantization of s: the parts of ``_affine_casimir`` summed at delta =
-    the weight of s and lam, then one ``DiffOperator.apply`` on the term
-    map of s."""
-    acc = {}
-    for i, j, terms in _affine_casimir(s.signature, scheme):
-        c = s.weight**i * lam**j
-        if c:
-            _ops.add_into(acc, terms if c == 1 else _ops.scale_terms(terms, c))
-    sig2 = s._poly.signature
-    zero = Fraction(0)
-    op = DiffOperator._raw(sig2, zero, zero, SuperPolynomial._raw(_doubled(sig2), acc))
-    return op.apply(s._poly)
-
-
-def _symbol_casimir_terms(s: SymbolField, scheme: str) -> dict:
-    """The terms of the symbol-action Casimir on s: one ``derive_terms`` pass
-    with the first-order rows and multiplier at the weight of s, then one
-    per variable b with second-order rows, over d_b S."""
-    first, c1, c2, second = _symbol_casimir(s.signature, scheme)
-    w = s.weight
-    scale, add_into = _ops.scale_terms, _ops.add_into
-    rows = [(i, add_into(scale(b1, w), b0)) for i, b0, b1 in first]
-    multiplier = add_into(scale(c1, w), scale(c2, w * w))
-    poly = s._poly
-    acc = _ops.derive_terms(poly._terms, _ops.derivation(poly.signature.p, rows), multiplier)
-    for b, form in second:
-        derived = poly.partial(b + 1)._terms
-        if derived:
-            add_into(acc, _ops.derive_terms(derived, form))
-    return acc
+    sig2, zero = _doubled(signature), Fraction(0)
+    sig4 = _doubled(sig2)
+    return tuple(
+        (i, j, DiffOperator._raw(sig2, zero, zero, SuperPolynomial._raw(sig4, terms)))
+        for (i, j), terms in sorted(sums.items())
+        if terms
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -850,10 +763,6 @@ def casimir_defect(s: SymbolField, lam: Rational) -> SymbolField:
 # Casimir application and scalar constants
 
 
-REP_SYMBOL = "L"
-REP_AFFINE = "affine"
-
-
 def casimir_apply(
     s: SymbolField,
     lam: Rational,
@@ -863,27 +772,26 @@ def casimir_apply(
 ) -> MixedSymbol:
     """Apply the quadratic Casimir of the invariant form to a symbol.
 
-    With ``rep="L"`` the generators act by the symbol Lie derivative, and
-    the sum over the basis pairs is the one second-order operator of
-    ``_symbol_casimir``, built once per signature and scheme: one kernel
-    pass with its first-order rows at the symbol's weight, then one per
-    variable with second-order rows.  With ``rep="affine"`` they act by the
-    operator Lie derivative conjugated through coefficient-wise quantization
-    at weight lam, and the sum over the basis pairs is the operator of
-    ``_affine_casimir``, built once per signature and scheme: its parts
-    summed at the symbol's weight and lam, then one ``DiffOperator.apply``
-    on the symbol's term map.  Either way the result is wrapped once, with
-    the weights (and degree) of the input.
+    With ``rep="L"`` the generators act by the symbol Lie derivative; with
+    ``rep="affine"`` by the operator Lie derivative conjugated through
+    coefficient-wise quantization at weight lam.  Either way the operators
+    of ``_casimir``, built once per signature, scheme and representation,
+    run together on the symbol's term map at its weight and lam
+    (``geometry._apply_forms``).
     """
     sig = s.signature
     normalize_algebra(sig, algebra)
     lam = as_fraction(lam)
-    if rep == REP_SYMBOL:
-        terms = _symbol_casimir_terms(s, scheme)
-        return s._with(SuperPolynomial._raw(s._poly.signature, terms)).as_mixed()
-    if rep == REP_AFFINE:
-        return MixedSymbol._raw(sig, s.weight, _affine_casimir_terms(s, lam, scheme))
-    raise ValueError(f"unknown representation {rep!r}")
+    if rep not in (REP_SYMBOL, REP_AFFINE):
+        raise ValueError(f"unknown representation {rep!r}")
+    forms = []
+    for i, j, op in _casimir(sig, scheme, rep):
+        c = s.weight**i * lam**j
+        if c:
+            forms.append((c, op._nested_form()))
+    poly = s._poly
+    terms = _apply_forms(poly.signature.p, poly._terms, forms)
+    return MixedSymbol._raw(sig, s.weight, SuperPolynomial._raw(poly.signature, terms))
 
 
 def casimir_eigenvalue(k: int, delta: Rational, signature: Signature) -> Fraction:

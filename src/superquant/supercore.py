@@ -186,9 +186,6 @@ class SuperPolynomial:
     def coefficient(self, evens: Iterable[int], odds: Iterable[int]) -> Fraction:
         return self._terms.get(_monomial_key(self.signature, evens, odds), Fraction(0))
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get(((0,) * self.signature.p, 0), Fraction(0))
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self._terms:

@@ -12,7 +12,6 @@ reuse the graded basis fields of ``projective._realized_basis``.
 from __future__ import annotations
 
 import functools
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -87,9 +86,6 @@ class CheckReport:
             "passed": self.passed,
             "failures": [dict(f) for f in self.failures],
         }
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
 
     @classmethod
     def from_json(cls, data: dict) -> "CheckReport":

@@ -567,6 +567,121 @@ def test_compose_matches_apply_for_higher_exponents(case):
         assert comp.apply(mono) == d1.apply(d2.apply(mono))
 
 
+def test_leibniz_walks_only_the_coordinates_of_the_map(monkeypatch):
+    """The Leibniz sum of ``lie_operator`` takes no derivative along a
+    coordinate the field lacks: the count of ``derivative`` calls is the
+    same whatever the number of even derivatives in the operator key."""
+    calls = Counter()
+    derivative = geometry._Leibniz.derivative
+
+    def counting(self, beta):
+        calls[self.sig] += 1
+        return derivative(self, beta)
+
+    monkeypatch.setattr(geometry._Leibniz, "derivative", counting)
+    for p in (1, 2, 3, 4, 5):
+        sig = Signature(p, 1)
+        x1 = SuperPolynomial.coordinate(sig, 1)
+        xf = SuperVectorField(sig, [x1**6] + [0] * p)
+        d = DiffOperator(sig, 0, 0, {((6,) * p, 1): 1})
+        assert not lie_operator(xf, d).is_zero()
+    assert len(set(calls.values())) == 1 and calls[Signature(1, 1)] > 0
+
+
+# ---------------------------------------------------------------------------
+# operator application
+#
+# ``apply_reference`` is ``DiffOperator.apply`` as it was before it ran the
+# operator's nested form: each coordinate derivative of the lifted function
+# from ``_Leibniz``, times its coefficient by the kernel's product; kept
+# verbatim as the oracle.
+
+
+def apply_reference(self, f):
+    """Evaluate on a superfunction: each term f_a d^a adds f_a times the
+    coordinate derivative d^a f of ``_Leibniz``."""
+    _check_same_signature(self, f)
+    sig = self.signature
+    derivs = geometry._Leibniz(sig, geometry._lift(sig, f))
+    out: dict = {}
+    for alpha, coeff in geometry._split(sig, self._poly).items():
+        g = derivs.derivative(alpha)
+        if g:
+            _ops.add_into(out, (geometry._lift(sig, coeff) * g)._terms)
+    return geometry._unlift(sig, out)
+
+
+APPLY_SIGNATURES = [
+    Signature(p, q)
+    for p, q in ((1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2),
+                 (2, 3), (3, 1))
+]
+
+
+def rand_operator(rng, sig, order):
+    """An operator of order ``order``, or of the largest order the signature
+    has when that is lower, with five more terms of order at most that."""
+    top = order if sig.p else min(order, sig.q)
+    keys = [((top - sig.q,) + (0,) * (sig.p - 1), (1 << sig.q) - 1) if top > sig.q
+            else ((0,) * sig.p, (1 << top) - 1)]
+    for _ in range(5):
+        evens, mask = [0] * sig.p, 0
+        for _ in range(rng.randint(0, top)):
+            i = rng.randrange(sig.n)
+            if i < sig.p:
+                evens[i] += 1
+            else:
+                mask |= 1 << (i - sig.p)
+        keys.append((tuple(evens), mask))
+    terms = {key: rand_poly(rng, sig, 2, 3) for key in keys}
+    return DiffOperator(sig, rand_fraction(rng), rand_fraction(rng), terms)
+
+
+@pytest.mark.parametrize("sig", APPLY_SIGNATURES, ids=str)
+def test_apply_matches_the_leibniz_reference(sig):
+    rng = random.Random(f"apply oracle {sig}")
+    seen = Counter()
+    for _ in range(8):
+        d = rand_operator(rng, sig, 4)
+        assert d.order == (4 if sig.p else min(4, sig.q))
+        parts = d.graded_parts()
+        for kind, op in [("mixed" if len(parts) == 2 else parts[0][0], d)] + parts:
+            fs = [rand_poly(rng, sig, 6, 4) for _ in range(3)]
+            for f in fs + [SuperPolynomial.zero(sig)]:
+                assert op.apply(f) == apply_reference(op, f)
+            seen[kind] += 1
+    assert not sig.q or (seen[1] and seen["mixed"])
+
+
+def test_apply_runs_its_form_without_a_product(monkeypatch, kernel_calls):
+    """``apply`` builds an operator's nested form once, on first use, and
+    takes no product of term maps: one ``derive_terms`` pass per node of
+    the form, and a derivative per subtree."""
+    rng = random.Random("apply spy")
+    sig = Signature(2, 3)
+    d = rand_operator(rng, sig, 5)
+    fs = [rand_poly(rng, sig, 6, 4) for _ in range(4)]
+    want = [apply_reference(d, f) for f in fs]
+    built = []
+    build = geometry._apply_form
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(geometry, "_apply_form", counting)
+    kernel_calls.clear()
+    assert d.apply(fs[0]) == want[0]
+    nodes = len(built)
+    assert nodes > 1 and 1 <= kernel_calls["derive_terms"] <= nodes
+    for f, w in zip(fs[1:], want[1:]):
+        assert d.apply(f) == w
+    assert len(built) == nodes
+    assert kernel_calls["mul_terms"] == 0
+    assert (-d).apply(fs[0]) == -want[0]  # a new operator builds its own form
+    assert len(built) == 2 * nodes
+
+
 @st.composite
 def cubic_fields_and_operators(draw):
     """A field with a cubic term (where the signature has one) and an
@@ -1033,13 +1148,13 @@ def test_lie_operator_along_affine_generators_runs_no_leibniz_sum(sig, monkeypat
 # ---------------------------------------------------------------------------
 # the one-pass derivation kernel
 #
-# ``apply_reference`` is the per-component ``SuperVectorField.apply`` that
+# ``field_apply_reference`` is the per-component ``SuperVectorField.apply`` that
 # the kernel's ``derive_terms`` replaced, and ``first_order_reference`` the
 # first-order action as ``lift.apply(P) + (w div X) P`` on the lifted field
 # that ``_field_action`` used to build; both verbatim.
 
 
-def apply_reference(self, f):
+def field_apply_reference(self, f):
     _check_same_signature(self, f)
     out = SuperPolynomial.zero(self.signature)
     for i, comp in enumerate(self.components, start=1):
@@ -1069,7 +1184,7 @@ def lift_reference(x):
 
 
 def first_order_reference(x, weight, poly):
-    out = apply_reference(lift_reference(x), poly)
+    out = field_apply_reference(lift_reference(x), poly)
     div = geometry._lift(x.signature, x.divergence())
     if weight and div:
         out = out + (weight * div) * poly
@@ -1085,8 +1200,8 @@ def bracket_reference(x, y):
             for i in range(sig.n):
                 comps[i] = (
                     comps[i]
-                    + apply_reference(xp, yp.components[i])
-                    - sign * apply_reference(yp, xp.components[i])
+                    + field_apply_reference(xp, yp.components[i])
+                    - sign * field_apply_reference(yp, xp.components[i])
                 )
     return SuperVectorField(sig, comps)
 
@@ -1162,9 +1277,9 @@ def derivation_oracle_cases(draw):
 @given(derivation_oracle_cases())
 def test_one_pass_derivation_matches_per_component_references(case):
     xf, yf, f, s, d = case
-    assert xf.apply(f) == apply_reference(xf, f)
+    assert xf.apply(f) == field_apply_reference(xf, f)
     assert lie_density(xf, s.weight, f) == (
-        apply_reference(xf, f) + (s.weight * xf.divergence()) * f
+        field_apply_reference(xf, f) + (s.weight * xf.divergence()) * f
     )
     got = lie_symbol(xf, s)
     assert got._poly == first_order_reference(xf, s.weight, s._poly)
@@ -1177,7 +1292,7 @@ def test_one_pass_derivation_matches_per_component_references(case):
 def test_cancelling_action_leaves_no_zero_terms(sig):
     killer, killed = cancelling_pair(sig)
     assert killer.apply(killed).is_zero() and not killer.apply(killed)._terms
-    assert apply_reference(killer, killed).is_zero()
+    assert field_apply_reference(killer, killed).is_zero()
 
 
 def test_lie_density_cancels_to_zero():

@@ -530,8 +530,7 @@ def test_psl_dual_basis_refuses_a_basis_with_supertrace(monkeypatch, fresh_cache
 
 def test_casimir_fields_realized_once_per_signature(monkeypatch, fresh_cache):
     fresh_cache("_casimir_fields", projective)
-    fresh_cache("_symbol_casimir", projective)
-    fresh_cache("_affine_casimir", projective)
+    fresh_cache("_casimir", projective)
     fresh_cache("_realized_basis", projective)
     realized = []
     real_realize = projective.realize
@@ -684,7 +683,7 @@ def test_casimir_basis_independence():
 
 
 # ---------------------------------------------------------------------------
-# the symbol-action Casimir as one second-order operator
+# the symbol-action Casimir, composed from the lift and div X of each field
 
 
 def casimir_reference(s, lam, algebra=None, scheme="elementary"):
@@ -728,66 +727,83 @@ def test_symbol_casimir_matches_the_lie_derivative_loop(sig):
     assert cases == 2 * len(schemes) * len(CASIMIR_DELTAS) * degrees
 
 
-@pytest.mark.parametrize(
-    "sig", [S10, Signature(0, 2), S21, Signature(2, 3), Signature(3, 2)], ids=str
-)
-def test_symbol_casimir_is_a_few_kernel_passes(sig, monkeypatch, kernel_calls):
+def counting_casimir(monkeypatch):
+    """A fresh ``_casimir`` cache that records each build's arguments."""
     builds = []
-    build = projective._symbol_casimir.__wrapped__
+    build = projective._casimir.__wrapped__
 
     def counting_build(*args):
         builds.append(args)
         return build(*args)
 
+    monkeypatch.setattr(projective, "_casimir", functools.cache(counting_build))
+    return builds
+
+
+@pytest.mark.parametrize(
+    "sig", [S10, Signature(0, 2), S21, Signature(2, 3), Signature(3, 2)], ids=str
+)
+def test_symbol_casimir_is_a_few_kernel_passes(sig, monkeypatch, kernel_calls):
     def no_lie_symbol(*args):
         raise AssertionError("the symbol-action Casimir took a Lie derivative")
 
-    monkeypatch.setattr(projective, "_symbol_casimir", functools.cache(counting_build))
+    builds = counting_casimir(monkeypatch)
     monkeypatch.setattr(projective, "lie_symbol", no_lie_symbol)
     monkeypatch.setattr(geometry, "lie_symbol", no_lie_symbol)
     rng = random.Random(f"casimir passes {sig}")
     for k in range(4):
         for s in symbol_samples(sig, Fraction(1, 5), k, 2, rng):
+            want = casimir_apply(s, 0)  # the first call builds the Casimir
             kernel_calls.clear()
-            want = casimir_apply(s, 0)
+            assert casimir_apply(s, 0) == want
             assert 1 <= kernel_calls["derive_terms"] <= 1 + 2 * sig.n
-            assert want == casimir_apply(s, 0)
-    assert builds == [(sig, "elementary")]
+    assert builds == [(sig, "elementary", "L")]
 
 
-def _mutated_second_order(operator, n, side, j, negate):
-    """A ``_symbol_casimir`` operator with second-order row j of pass n,
-    among its even (side 0) or odd (side 1) rows, negated or dropped."""
-    first, c1, c2, second = operator
-    b, form = second[n]
-    rows = list(form[side])
-    if negate:
-        position, terms = rows[j]
-        rows[j] = (position, [(e, m, -c, -unit) for e, m, c, unit in terms])
-    else:
-        del rows[j]
-    form = (rows, form[1]) if side == 0 else (form[0], rows)
-    return first, c1, c2, second[:n] + ((b, form),) + second[n + 1:]
+def _second_order_keys(parts):
+    """The second-order slot keys of rep-L ``_casimir`` parts, with the
+    index of the part that holds each."""
+    return [
+        (n, key)
+        for n, (_, _, op) in enumerate(parts)
+        for key, _ in op.items()
+        if sum(key[0]) + key[1].bit_count() == 2
+    ]
+
+
+def _mutated_second_order(parts, n, key, negate):
+    """Rep-L ``_casimir`` parts with the second-order row d_a d_b of slot
+    key ``key`` in part n, its coefficient, negated or dropped."""
+    i, j, op = parts[n]
+    sig = op.signature
+    terms = {}
+    for slot, coeff in op.items():
+        if slot == key:
+            if not negate:
+                continue
+            coeff = -coeff
+        terms[slot] = coeff
+    mutated = geometry.DiffOperator(sig, 0, 0, terms)
+    return parts[:n] + ((i, j, mutated),) + parts[n + 1:]
 
 
 def test_check_casimir_sees_every_second_order_row(monkeypatch, capsys):
     sig = S21
     argv = ["check", "casimir", "--p", "2", "--q", "1"]
     assert cli_main(argv) == 0
-    operator = projective._symbol_casimir(sig, "elementary")
-    rows = [(n, side, j) for n, (_, form) in enumerate(operator[3])
-            for side in (0, 1) for j in range(len(form[side]))]
-    assert rows
-    for n, side, j in rows:
+    parts = projective._casimir(sig, "elementary", "L")
+    keys = _second_order_keys(parts)
+    assert keys and {n for n, _ in keys} == {0}  # only C_00 is of order 2
+    for n, key in keys:
         for negate in (False, True):
-            mutated = _mutated_second_order(operator, n, side, j, negate)
-            monkeypatch.setattr(projective, "_symbol_casimir", lambda *args: mutated)
-            assert cli_main(argv) == 3, (n, side, j, negate)
+            mutated = _mutated_second_order(parts, n, key, negate)
+            monkeypatch.setattr(projective, "_casimir", lambda *args: mutated)
+            assert cli_main(argv) == 3, (key, negate)
     capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
-# the quantized-action Casimir as one operator over the doubled variables
+# the quantized-action Casimir, composed from A, Phi and B of each field
 
 
 def casimir_affine_reference(s, lam, algebra=None, scheme="elementary"):
@@ -833,17 +849,10 @@ def test_affine_casimir_matches_the_lie_operator_loop(sig):
     "sig", [S10, Signature(0, 2), S21, S12, Signature(3, 2)], ids=str
 )
 def test_affine_casimir_takes_no_lie_derivative(sig, monkeypatch):
-    builds = []
-    build = projective._affine_casimir.__wrapped__
-
-    def counting_build(*args):
-        builds.append(args)
-        return build(*args)
-
     def no_lie_operator(*args):
         raise AssertionError("the quantized-action Casimir took a Lie derivative")
 
-    monkeypatch.setattr(projective, "_affine_casimir", functools.cache(counting_build))
+    builds = counting_casimir(monkeypatch)
     monkeypatch.setattr(projective, "lie_operator", no_lie_operator)
     monkeypatch.setattr(geometry, "lie_operator", no_lie_operator)
     rng = random.Random(f"affine casimir spy {sig}")
@@ -852,7 +861,7 @@ def test_affine_casimir_takes_no_lie_derivative(sig, monkeypatch):
             for s in symbol_samples(sig, Fraction(1, 5), k, 2, rng):
                 assert casimir_apply(s, lam, rep="affine") == casimir_apply(
                     s, lam, rep="affine")
-    assert builds == [(sig, "elementary")]
+    assert builds == [(sig, "elementary", "affine")]
 
 
 RELCAS_ARGV = ["check", "relcas", "--p", "2", "--q", "1", "--lambda", "1/3",
@@ -861,26 +870,37 @@ RELCAS_ARGV = ["check", "relcas", "--p", "2", "--q", "1", "--lambda", "1/3",
 
 def test_check_relcas_sees_every_term_of_the_affine_casimir(monkeypatch, capsys):
     assert cli_main(RELCAS_ARGV) == 0
-    parts = projective._affine_casimir(S21, "elementary")
+    casimir = projective._casimir
+    parts = casimir(S21, "elementary", "affine")
     assert {(i, j) for i, j, _ in parts} == {(0, 0), (1, 0), (0, 1), (2, 0)}
-    for n, (i, j, terms) in enumerate(parts):
-        for key in terms:
-            negated = dict(terms)
+    for n, (i, j, op) in enumerate(parts):
+        for key in op._poly._terms:
+            negated = dict(op._poly._terms)
             negated[key] = -negated[key]
-            mutated = parts[:n] + ((i, j, negated),) + parts[n + 1:]
-            monkeypatch.setattr(projective, "_affine_casimir", lambda *args: mutated)
+            mutated = parts[:n] + ((i, j, op._with(SuperPolynomial._raw(
+                op._poly.signature, negated))),) + parts[n + 1:]
+            monkeypatch.setattr(
+                projective, "_casimir",
+                lambda sig, scheme, rep: mutated if rep == "affine" else casimir(
+                    sig, scheme, rep),
+            )
             assert cli_main(RELCAS_ARGV) == 3, (i, j, key)
     capsys.readouterr()
 
 
-def test_check_relcas_sides_are_built_apart(monkeypatch, fresh_cache, capsys):
+def test_check_relcas_sides_are_built_apart(monkeypatch, capsys):
     # with a wrong symbol-action Casimir, a quantized-action Casimir built
     # afresh does not follow it: the check still fails
-    operator = projective._symbol_casimir(S21, "elementary")
-    mutated = _mutated_second_order(operator, 0, 0, 0, True)
-    monkeypatch.setattr(projective, "_symbol_casimir", lambda *args: mutated)
-    fresh_cache("_affine_casimir", projective)
+    parts = projective._casimir(S21, "elementary", "L")
+    n, key = _second_order_keys(parts)[0]
+    mutated = _mutated_second_order(parts, n, key, True)
+    fresh = functools.cache(projective._casimir.__wrapped__)
+    monkeypatch.setattr(
+        projective, "_casimir",
+        lambda sig, scheme, rep: mutated if rep == "L" else fresh(sig, scheme, rep),
+    )
     assert cli_main(RELCAS_ARGV) == 3
+    assert fresh.cache_info().misses == 1  # the affine Casimir was built anew
     capsys.readouterr()
 
 

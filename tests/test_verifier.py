@@ -288,7 +288,7 @@ class TestRealizeOnce:
         # share one realization of each graded basis element, and the
         # lowering map builds no dual basis
         fresh_cache("_casimir_fields", projective)
-        fresh_cache("_symbol_casimir", projective)
+        fresh_cache("_casimir", projective)
         fresh_cache("_build_dual_basis_pair", projective)
         fresh_cache("_realized_basis", projective, verifier)
         fresh_cache("_realized_generators", verifier)
