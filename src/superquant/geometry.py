@@ -24,29 +24,28 @@ atoms in bits q..2q-1.  Coordinate bits below slot bits put a coefficient to
 the left of its slot monomial, so the term map of g e^B is the product
 g * e^B and a key splits into a slot key and a coefficient key with no sign.
 Every construction is then a few kernel calls: an interior product is a slot
-derivative, a symmetric product a left product, the affine correspondence a
-relabeling of the slot atoms, and normal ordering the Leibniz sum
-d^alpha o M = sum_beta eps C d^{alpha-beta} * d_y^beta M (``_Leibniz``).
+derivative, a symmetric product a left product, and the affine
+correspondence a relabeling of the slot atoms.
 A term's parity is that of its odd mask, so one ``graded_parts`` serves
 fields and operators, and a field's divergence is the symbol divergence of
 its map, d read as e.
 
-Both Lie derivatives share one first-order action on the doubled variables:
-the lift of the field (X on the coordinates, its Jacobian rotating the slot
-atoms) plus a weight times div X.  It is one call of the kernel's
-``derive_terms``, sum_i C_i d_i P + W P in one pass over P.  The field's
-coordinate derivation sum_i X^i d/dy^i is the part of the lift that acts
-on the coordinates; ``SuperVectorField.apply`` and ``lie_density`` are
-that derivation on a lifted function, and ``bracket`` is it on the maps of
-two fields.  ``lie_symbol`` is the first-order action at the symbol's
-weight.  ``lie_operator`` is that action at weight mu - lam plus a term of
-lower order, the Leibniz terms of |beta| >= 2 of
-sum_i X^i d_i and of |beta| >= 1 of lam div X; along an affine field that
-term is empty, so there the two actions agree and the affine correspondence
-intertwines them.  ``_symbol_lie_parts`` and ``_operator_lie_parts`` write
-both actions as operators over the doubled variables, from one lift, for the
-Casimirs to compose.  An operator is applied, and composed, in one nested
-form of ``derive_terms`` passes (``_apply_form``).
+Both Lie derivatives along a field X are operators over the doubled
+variables, built from X alone and kept with it (``_FieldParts``): the lift
+of X (X on the coordinates, its Jacobian rotating the slot atoms), div X,
+and the slot series of the map W = sum_i X^i d_i and of div X, the terms
+(d_y^beta W) d_xi^beta that normal-order d^a o W, xi being the slot atoms.
+``lie_symbol`` is lift + w div X at the symbol's weight w; ``lie_operator``
+is the lift plus the series of W from |beta| = 2, plus (mu - lam) div X,
+plus lam times the series of div X.  Along an affine field the series are
+empty, so there the two actions agree and the affine correspondence
+intertwines them.  The field's coordinate derivation sum_i X^i d/dy^i is
+the part of the lift that acts on the coordinates;
+``SuperVectorField.apply`` and ``lie_density`` are that derivation on a
+lifted function, and ``bracket`` is it on the maps of two fields.  An
+operator is applied, and composed, in one nested form of the kernel's
+``derive_terms`` passes (``_apply_form``), and the Casimirs compose the
+same parts.
 
 Conventions that fix every sign below: odd derivatives act from the left;
 an operator of odd parity passes a function coefficient g at the cost of
@@ -54,24 +53,21 @@ an operator of odd parity passes a function coefficient g at the cost of
 sum_i (-1)^{parity(y^i) parity(X^i)} dX^i/dy^i.
 
 Values are never mutated in place.  A vector field relies on this: what
-``lie_symbol`` and ``lie_operator`` need of it alone (its lift to the doubled
-variables and its divergence), and what ``apply`` and ``bracket`` need (its
-coordinate derivation and its odd part), is computed on first use and kept
-with the field, as an operator keeps the nested form ``apply`` runs.  A long
-sum is built in a private dict with the kernel's ``add_into`` and wrapped
-once at the end, so no value that a caller can see is ever changed.
+``lie_symbol`` and ``lie_operator`` need of it alone (its parts), and what
+``apply`` and ``bracket`` need (its coordinate derivation and its odd part),
+is computed on first use and kept with the field, as an operator keeps the
+nested form ``apply`` runs.  A long sum is built in a private dict with the
+kernel's ``add_into`` and wrapped once at the end, so no value that a caller
+can see is ever changed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import product
-from math import comb, prod
-from operator import add, sub
+from math import factorial, prod
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DomainError
 from .supercore import (
     Rational,
     Signature,
@@ -301,25 +297,6 @@ class _TermMap:
 # vector fields
 
 
-class _FieldAction(NamedTuple):
-    """The action data of a field X over the doubled variables.
-
-    ``lift`` is X on the coordinates plus the rotation of the slot atoms,
-    sum_ij J_ij e_j d/de_i with J_ij = s_i dX_chi^j/dy^i summed over the
-    graded parts X_chi, where s_i = 1 when chi and y^i are both odd and -1
-    otherwise.  So row i of the rotation is -d/dy^i of the field's term map,
-    parity-twisted first when y^i is odd: a term's parity is chi.  It is
-    kept in the form the kernel's ``derive_terms`` takes, the field's
-    coordinate derivation followed by these rows.  ``div`` is div X; term by
-    term it is the weighted trace sum_i -(-1)^{parity(y^i)} J_ii, so a
-    density twist of weight w adds w div X.  Both are built once per field,
-    by ``_field_action``.
-    """
-
-    lift: tuple
-    div: SuperPolynomial
-
-
 def _coordinate_rows(x: "SuperVectorField") -> list:
     """The coordinate derivation sum_i X^i d/dy^i as pairs (0-based position
     among the doubled variables, coefficient over them)."""
@@ -328,37 +305,6 @@ def _coordinate_rows(x: "SuperVectorField") -> list:
         (_coord(sig, i) - 1, _lift(sig, comp))
         for i, comp in enumerate(x.components, start=1)
     ]
-
-
-def _lift_rows(x: "SuperVectorField") -> list:
-    """The lift of X in the same pairs: the coordinate derivation, then one
-    rotation row per slot atom (see ``_FieldAction``)."""
-    sig = x.signature
-    minus = -x._poly
-    twisted = minus.parity_twist()
-    rows = _coordinate_rows(x)
-    for i in range(1, sig.n + 1):
-        row = (twisted if sig.parity(i) else minus).partial(_coord(sig, i))
-        rows.append((_slot(sig, i) - 1, row))
-    return rows
-
-
-def _kernel_form(sig: Signature, rows) -> tuple:
-    """Pairs (position, coefficient) in the form ``derive_terms`` takes."""
-    return _ops.derivation(2 * sig.p, [(i, c._terms) for i, c in rows])
-
-
-def _field_action(x: "SuperVectorField") -> _FieldAction:
-    return _FieldAction(_kernel_form(x.signature, _lift_rows(x)), x._div())
-
-
-def _first_order(action: _FieldAction, weight: Fraction, poly: SuperPolynomial) -> dict:
-    """The terms of lift(X) P + weight div(X) P: the Lie derivative of a
-    symbol of weight ``weight``, and the first-order part of that of an
-    operator whose weights differ by ``weight``.  One ``derive_terms`` call
-    with weight div(X) as the multiplier; the dict is the caller's own."""
-    w = (weight * action.div)._terms if weight and action.div else None
-    return _ops.derive_terms(poly._terms, action.lift, w)
 
 
 def _component(sig: Signature, key) -> int:
@@ -373,13 +319,13 @@ class SuperVectorField(_TermMap, _Graded):
 
     The term map is sum_i X^i d_i, of degree one in the derivatives d, and
     ``components`` reads the X^i off it.  A field must not be mutated: the
-    data its Lie derivatives need is computed once, on first use, and kept
-    in ``_action_data``, and so are its coordinate derivation in the
-    kernel's form, which ``apply`` and ``bracket`` use, in ``_form``, and
-    its odd graded part, which ``bracket`` uses, in ``_odd``.
+    parts of its Lie derivatives are built once, on first use, and kept in
+    ``_parts``, and so are its coordinate derivation in the kernel's form,
+    which ``apply`` and ``bracket`` use, in ``_form``, and its odd graded
+    part, which ``bracket`` uses, in ``_odd``.
     """
 
-    __slots__ = _cached = ("_action_data", "_form", "_odd")
+    __slots__ = _cached = ("_parts", "_form", "_odd")
     _fields = _weights = ()
 
     def __init__(self, signature: Signature, components: Sequence):
@@ -396,7 +342,7 @@ class SuperVectorField(_TermMap, _Graded):
             )
         units = [_unit(signature, i) for i in range(1, signature.n + 1)]
         self._poly = _nested(signature, dict(zip(units, comps)))
-        self._action_data = self._form = self._odd = None
+        self._parts = self._form = self._odd = None
 
     @property
     def components(self) -> tuple:
@@ -407,20 +353,21 @@ class SuperVectorField(_TermMap, _Graded):
             comps[_component(sig, key) - 1] = SuperPolynomial._raw(sig, terms)
         return tuple(comps)
 
-    def _action(self) -> _FieldAction:
-        """The lift and the divergence, built on first use."""
-        data = self._action_data
-        if data is None:
-            # built whole, then stored in one assignment
-            data = self._action_data = _field_action(self)
-        return data
+    def _lie_parts(self) -> "_FieldParts":
+        """The parts of both Lie derivatives, built on first use by
+        ``_field_parts``."""
+        parts = self._parts
+        if parts is None:
+            parts = self._parts = _field_parts(self)
+        return parts
 
     def _derivation(self) -> tuple:
         """The kernel's form of the coordinate derivation sum_i X^i d/dy^i
         over the doubled variables, built on first use."""
         form = self._form
         if form is None:
-            form = self._form = _kernel_form(self.signature, _coordinate_rows(self))
+            rows = [(i, c._terms) for i, c in _coordinate_rows(self)]
+            form = self._form = _ops.derivation(2 * self.signature.p, rows)
         return form
 
     def _odd_part(self) -> "SuperVectorField":
@@ -687,80 +634,6 @@ class MixedSymbol(_TermMap):
 # differential operators
 
 
-class _Leibniz:
-    """Normal ordering of d^alpha o M for one term map M, by the Leibniz rule
-
-        d^alpha o M = sum_{beta <= alpha} eps C d^{alpha-beta} * d_y^beta M,
-
-    where C = prod_{even i} binom(alpha_i, beta_i), eps is the sign of
-    d^alpha = eps d^{alpha-beta} d^beta among the odd derivatives, and
-    d_y^beta differentiates the coordinates of M, its odd factors ascending
-    with the rightmost acting first.  Every factor of d^alpha either
-    differentiates the coefficients of M or passes them to stand at the left
-    of the derivative monomials; the term beta = 0 is the product d^alpha * M.
-    The sum stops at the coordinate degree of M, and each even beta_i at
-    the power of y^i in M: a beta beyond them has d_y^beta M = 0.
-
-    Each derivative d_y^beta M is computed once and shared by the keys alpha
-    of one call of ``lie_operator``, which makes and drops the object.
-    """
-
-    __slots__ = ("sig", "degree", "_powers", "_derivs")
-
-    def __init__(self, sig: Signature, m: SuperPolynomial):
-        self.sig = sig
-        self.degree = _coordinate_degree(sig, m)
-        # the highest power of each even coordinate in M
-        self._powers = tuple(map(max, zip(*(e[: sig.p] for (e, _), _ in m.items()))))
-        self._derivs = {((0,) * sig.p, 0): m}
-
-    def derivative(self, beta) -> SuperPolynomial:
-        """d_y^beta M for a slot key beta."""
-        got = self._derivs.get(beta)
-        if got is None:
-            # peel the leftmost factor: the lowest even index, else the lowest odd one
-            evens, mask = beta
-            for ix, b in enumerate(evens):
-                if b:
-                    i, rest = ix + 1, (evens[:ix] + (b - 1,) + evens[ix + 1 :], mask)
-                    break
-            else:
-                bit = mask & -mask
-                i, rest = self.sig.p + bit.bit_length(), (evens, mask ^ bit)
-            inner = self.derivative(rest)
-            got = inner.partial(_coord(self.sig, i)) if inner else inner
-            self._derivs[beta] = got
-        return got
-
-    def __call__(self, alpha, lowest: int = 0) -> SuperPolynomial:
-        """d^alpha o M normal-ordered, less the terms with |beta| < ``lowest``."""
-        sig = self.sig
-        se, smask = alpha
-        out: dict = {}
-        top = min(self.degree, sum(se) + smask.bit_count())
-        if lowest > top:
-            return SuperPolynomial._raw(_doubled(sig), out)
-        ranges = [range(min(a, r, top) + 1) for a, r in zip(se, self._powers)]
-        for be in product(*ranges):
-            even_order = sum(be)
-            if even_order > top:
-                continue
-            rest = tuple(map(sub, se, be))
-            binom = prod(map(comb, se, be))
-            for bmask in _submasks(smask):
-                if not lowest <= even_order + bmask.bit_count() <= top:
-                    continue
-                dm = self.derivative((be, bmask))
-                if not dm:
-                    continue
-                rmask = smask ^ bmask
-                if rmask or any(rest):
-                    sign = _ops.odd_merge_sign(rmask, bmask)
-                    dm = _slot_monomial(sig, (rest, rmask), sign * binom) * dm
-                _ops.add_into(out, dm._terms)
-        return SuperPolynomial._raw(_doubled(sig), out)
-
-
 def _coordinate_degree(sig: Signature, m: SuperPolynomial) -> int:
     """The largest coordinate degree of the terms of a term map; -1 for zero."""
     p, low = sig.p, (1 << sig.q) - 1
@@ -770,24 +643,14 @@ def _coordinate_degree(sig: Signature, m: SuperPolynomial) -> int:
     )
 
 
-def _submasks(mask: int):
-    """Every mask whose bits lie in ``mask``, ``mask`` first."""
-    part = mask
-    while True:
-        yield part
-        if not part:
-            return
-        part = (part - 1) & mask
-
-
 def _apply_form(p: int, terms: dict) -> tuple:
-    """The nested form ``(multiplier, rows, derivation, deeper)`` of the
-    operator sum_a f_a d^a given as ``{slot key a: terms of f_a}`` over a
-    signature with p even coordinates: f_0 or None; the pairs (0-based
-    position i, f_i) of the first-order terms, and the same in the kernel's
-    ``derivation`` form; and each term of order two or more as f_a d^{a-b}
-    in the subtree filed under its rightmost factor d_b, the highest odd one,
-    else the highest even one, so that d^a = d^{a-b} d_b with no sign.
+    """The nested form ``(multiplier, rows, deeper)`` of the operator
+    sum_a f_a d^a given as ``{slot key a: terms of f_a}`` over a signature
+    with p even coordinates: f_0 or None; the pairs (0-based position i,
+    f_i) of the first-order terms; and each term of order two or more as
+    f_a d^{a-b} in the subtree filed under its rightmost factor d_b, the
+    highest odd one, else the highest even one, so that d^a = d^{a-b} d_b
+    with no sign.
     """
     multiplier, rows, deeper = None, [], {}
     for (se, smask), coeff in terms.items():
@@ -804,31 +667,39 @@ def _apply_form(p: int, terms: dict) -> tuple:
             deeper.setdefault(position, {})[rest] = coeff
         else:
             rows.append((position, coeff))
-    deeper = [(i, _apply_form(p, sub)) for i, sub in deeper.items()]
-    return multiplier, rows, _ops.derivation(p, rows), deeper
+    return multiplier, rows, [(i, _apply_form(p, sub)) for i, sub in deeper.items()]
+
+
+def _combination(pairs) -> dict:
+    """The terms of sum_c c T over the pairs (c, terms T): T itself when it
+    is the only one and c is 1, else a new dict."""
+    if len(pairs) == 1 and pairs[0][0] == 1:
+        return pairs[0][1]
+    out: dict = {}
+    for c, t in pairs:
+        _ops.add_into(out, t if c == 1 else _ops.scale_terms(t, c))
+    return out
 
 
 def _apply_forms(p: int, terms: dict, forms) -> dict:
     """The terms of sum_c c P(terms) over the pairs (c, nested form of P):
     one ``derive_terms`` pass with the multipliers and first-order rows,
-    summed at the c, then the subtrees under each b, with their c, on d_b of
-    the terms.  The dict is the caller's own."""
-    if len(forms) == 1 and forms[0][0] == 1:
-        multiplier, _, derivation, _ = forms[0][1]
-    else:
-        scale, add_into = _ops.scale_terms, _ops.add_into
-        multiplier, rows = {}, {}
-        for c, (w, form_rows, _, _) in forms:
-            if w:
-                add_into(multiplier, w if c == 1 else scale(w, c))
-            for i, row in form_rows:
-                add_into(rows.setdefault(i, {}), row if c == 1 else scale(row, c))
-        derivation = _ops.derivation(p, rows.items())
-    out = _ops.derive_terms(terms, derivation, multiplier)
-    deeper: dict = {}
-    for c, (_, _, _, subtrees) in forms:
+    summed at the c, and none where both are empty; then the subtrees under
+    each b, with their c, on d_b of the terms.  The dict is the caller's
+    own."""
+    weights, rows, deeper = [], {}, {}
+    for c, (w, form_rows, subtrees) in forms:
+        if w:
+            weights.append((c, w))
+        for i, row in form_rows:
+            rows.setdefault(i, []).append((c, row))
         for i, sub in subtrees:
             deeper.setdefault(i, []).append((c, sub))
+    multiplier = _combination(weights)
+    derivation = _ops.derivation(p, [(i, _combination(r)) for i, r in rows.items()])
+    out = {}
+    if multiplier or any(derivation):
+        out = _ops.derive_terms(terms, derivation, multiplier or None)
     for i, subs in deeper.items():
         if i < p:
             derived = _ops.partial_even_terms(terms, i)
@@ -839,6 +710,15 @@ def _apply_forms(p: int, terms: dict, forms) -> dict:
     return out
 
 
+def _apply_parts(poly: SuperPolynomial, pairs) -> dict:
+    """The terms of sum_c c P(poly) over the pairs (c, operator P) over the
+    signature of the term map ``poly``: their nested forms run together by
+    ``_apply_forms``, the zero ones left out.  The dict is the caller's
+    own."""
+    forms = [(c, op._nested_form()) for c, op in pairs if c and op._poly]
+    return _apply_forms(poly.signature.p, poly._terms, forms)
+
+
 def _compose_terms(sig: Signature, form: tuple, q: dict) -> dict:
     """The terms of P o Q for the nested form of P and the term map q of Q:
     d_b o Q is d/dy^b Q + xi_b * Q over the doubled variables, xi_b the slot
@@ -846,7 +726,7 @@ def _compose_terms(sig: Signature, form: tuple, q: dict) -> dict:
     the coordinates and its terms of order at most one the multiplier, and
     each subtree runs on d_b o Q.  The dict is the caller's own."""
     p = sig.p
-    multiplier, rows, _, deeper = form
+    multiplier, rows, deeper = form
     first = dict(_lift(sig, multiplier)._terms) if multiplier else {}
     coordinates = []
     for i, f in rows:
@@ -854,7 +734,7 @@ def _compose_terms(sig: Signature, form: tuple, q: dict) -> dict:
         coordinates.append((i + p * (i >= p), _lift(sig, f)._terms))
     out = _ops.derive_terms(q, _ops.derivation(2 * p, coordinates), first)
     for i, sub in deeper:
-        d_b = (None, [(i, {((0,) * p, 0): Fraction(1)})], None, ())  # d_b alone
+        d_b = (None, [(i, {((0,) * p, 0): Fraction(1)})], ())  # d_b alone
         _ops.add_into(out, _compose_terms(sig, sub, _compose_terms(sig, d_b, q)))
     return out
 
@@ -907,9 +787,7 @@ class DiffOperator(_TermMap, _Graded):
         """Evaluate on a superfunction: the nested form, built once, run by
         ``_apply_forms``; no product of term maps is taken."""
         _check_same_signature(self, f)
-        sig = self.signature
-        terms = _apply_forms(sig.p, f._terms, [(1, self._nested_form())])
-        return SuperPolynomial._raw(sig, terms)
+        return SuperPolynomial._raw(self.signature, _apply_parts(f, [(1, self)]))
 
     # -- composition -------------------------------------------------------
 
@@ -970,11 +848,13 @@ def lie_operator(x: SuperVectorField, d: DiffOperator) -> DiffOperator:
     """Lie derivative of an operator between density modules.
 
     For homogeneous pieces this is L^mu_X o D - (-1)^{parity(X) parity(D)}
-    D o L^lam_X, extended additively.  It is the first-order action that
-    ``lie_symbol`` applies, at weight mu - lam, plus a term of lower order.
-    Let W = sum_i X^i d_i + lam div X, and let [d^a W] be the terms of
-    order below |a| of d^a o W normal-ordered.  A normal-form term f d^a of
-    D, with a the parity of d^a, maps to
+    D o L^lam_X, extended additively.  On the term map P of D it is
+    A(P) + (mu - lam) div(X) P + lam B(P), the parts of ``_FieldParts``
+    run together in one ``_apply_forms`` call, A as the lift and the rest.
+
+    Let W = sum_i X^i d_i + lam div X, and let [d^a W] be the terms of order
+    below |a| of d^a o W normal-ordered.  A normal-form term f d^a of D,
+    with a the parity of d^a, maps to
 
         lift(X)(f d^a) + (mu - lam) div(X) f d^a - (-tau)^a ([d^a W] * f),
 
@@ -982,36 +862,23 @@ def lie_operator(x: SuperVectorField, d: DiffOperator) -> DiffOperator:
     between the two compositions; those of order |a| are the first-order
     action: the rotation of the slot atoms in the lift (naturality of the
     principal symbol) and lam div X, the twist of weight lam taken out of
-    mu.  So [d^a W] is the Leibniz sum of ``_Leibniz``,
-    sum eps C d^{a-beta} * d_y^beta W, over |beta| >= 2 for sum_i X^i d_i
-    and over |beta| >= 1 for lam div X, each stopping at the coordinate
-    degree of its map: along an affine field it is empty.
-    Moving f to the right of [d^a W] makes the super sign: for a graded part
-    X_chi of X, [d^a W_chi] has parity chi + a.
+    mu.  By the Leibniz rule [d^a W] = sum eps C d^{a-beta} * d_y^beta W,
+    over |beta| >= 2 for sum_i X^i d_i and |beta| >= 1 for lam div X, where
+    C = prod_{even i} binom(a_i, beta_i) and eps is the sign of
+    d^a = eps d^{a-beta} d^beta.  Moved to the normal order of f d^a and
+    twisted by -(-tau)^a, a term is s_beta (d_y^beta W) / beta! times the
+    slot derivative d_xi^beta (f d^a), whatever f and a, for C beta! is the
+    factor that d_xi^beta brings down from xi^a: the sums are the slot
+    series of ``_slot_series``, so A and B.  They stop at the powers of the
+    field and at the slot exponents of D; along an affine field both are
+    empty, and the action is one kernel pass.
     """
     _check_same_signature(x, d)
-    sig = d.signature
-    action = x._action()
     poly = d._poly
-    out = _first_order(action, d.mu - d.lam, poly)
-    sums = []
-    if _coordinate_degree(sig, x._poly) >= 2:
-        sums.append((_Leibniz(sig, x._poly), 2))
-    if d.lam and _coordinate_degree(sig, action.div) >= 1:
-        sums.append((_Leibniz(sig, d.lam * action.div), 1))
-    if not sums:
-        return d._with(SuperPolynomial._raw(poly.signature, out))
-    for alpha, f in _split(sig, poly).items():
-        terms = [push(alpha, lowest) for push, lowest in sums]
-        below = sum(terms[1:], terms[0])
-        if not below:
-            continue  # [d^0 W] is empty, and so is [d^a W] if d^a kills W
-        below = below * _lift(sig, f)
-        if alpha[1].bit_count() & 1:
-            _ops.add_into(out, below.parity_twist()._terms)
-        else:
-            _ops.add_into(out, below._terms, -1)
-    return d._with(SuperPolynomial._raw(poly.signature, out))
+    lift, higher, phi, b = _operator_lie_parts(x, poly)
+    pairs = [(1, lift), (1, higher), (d.mu - d.lam, phi), (d.lam, b)]
+    terms = _apply_parts(poly, pairs)
+    return d._with(SuperPolynomial._raw(poly.signature, terms))
 
 
 def _slot_operator(sig2: Signature, coeffs: dict) -> DiffOperator:
@@ -1027,70 +894,133 @@ def _slot_operator(sig2: Signature, coeffs: dict) -> DiffOperator:
     return DiffOperator._raw(sig2, zero, zero, SuperPolynomial._raw(sig4, terms))
 
 
-def _symbol_lie_parts(x: SuperVectorField) -> tuple:
-    """``lie_symbol`` along x as two operators on the term maps: over the
-    doubled signature, acting on the map S of a symbol of weight w,
-    L_X S = lift(X)(S) + w Phi(S), the lift in the rows of ``_lift_rows``
-    and Phi = div X."""
-    sig2 = _doubled(x.signature)
-    lift = {_unit(sig2, i + 1): c for i, c in _lift_rows(x)}
-    div = {((0,) * sig2.p, 0): x._div()}
-    return _slot_operator(sig2, lift), _slot_operator(sig2, div)
+def _highest(p: int, keys) -> tuple:
+    """The least key at or above every key ``(evens, mask)`` of ``keys``:
+    the largest exponent at each of the p even positions, and the union of
+    the masks."""
+    evens, mask = (0,) * p, 0
+    for e, m in keys:
+        evens, mask = tuple(map(max, evens, e)), mask | m
+    return evens, mask
 
 
-def _operator_lie_parts(x: SuperVectorField) -> tuple:
-    """``lie_operator`` along x as three operators on the term maps: over
-    the doubled signature, acting on the map P of an operator D of weights
-    lam, mu, L_X D = A(P) + (mu - lam) Phi(P) + lam B(P).
+def _slot_series(sig: Signature, m: SuperPolynomial, cap: tuple, lowest=1, top=None):
+    """The terms lowest <= |beta| <= top of the slot series of a term map m
+    over the doubled variables of ``sig``,
 
-    x must be homogeneous of coordinate degree at most 2, as every realized
-    projective field is.  Then the Leibniz sum of ``lie_operator`` has only
-    its terms |beta| = 2 for W = sum_i X^i d_i and |beta| = 1 for div X, and
-    each is a slot derivative of P: moved to the normal order of f d^a and
-    twisted by -(-tau)^a, the term eps C d^{a-beta} * d_y^beta W of f d^a
-    is -(-1)^{|X| |beta|} d_y^beta W times d_xi^beta (f d^a) / (beta! D),
-    whatever f and a, xi being the slot atoms and |beta| the parity of
-    beta; D = -1 when both atoms are odd (the left derivatives
-    anticommute), else 1.  So, with a <= b coordinates and the odd a = b
-    left out (d_xi_a d_xi_a = 0),
+        sum_beta s_beta (d_y^beta m) / beta! d_xi^beta,
 
-        A = lift(X) + sum_{a<=b} N_ab d_xi_a d_xi_b,
-        N_ab = s_ab d_y_a d_y_b W (d_y_b first), halved when a = b,
-        Phi = div X,   B = sum_j s_j (d_y_j div X) d_xi_j,
-
-    where s_ab = +1 when y^a and y^b are both odd, -(-1)^{|X|} when one is,
-    and -1 when neither is; s_j = -(-1)^{|X|} for odd y^j and -1 otherwise.
-    The lift and Phi are the parts of ``_symbol_lie_parts``.
+    as ``{slot key over the doubled signature: coefficient}``, for the beta
+    up to the slot key ``cap`` over ``sig``.  Here xi are the slot atoms,
+    beta! = prod beta_i! over the even slots, d_y^beta takes its odd factors
+    ascending with the rightmost acting first, and on a term of parity chi
+    s_beta = -(-1)^{chi k} (-1)^{k(k-1)/2}, k the number of odd factors in
+    beta.  The beta grow as a tree, each one factor more than its parent at
+    an index no higher than the parent's last one (lower for an odd one),
+    and a branch stops where d_y^beta m vanishes.
     """
-    sig = x.signature
-    par = x._poly.parity()
-    if par is None or _coordinate_degree(sig, x._poly) > 2:
-        raise DomainError(
-            "the operator action as slot derivatives needs a homogeneous field "
-            "of coordinate degree at most 2"
-        )
-    sig2 = _doubled(sig)
-    s = 1 if par else -1
-    lift, phi = _symbol_lie_parts(x)
-    n_terms, b_terms = {}, {}
-    for b in range(1, sig.n + 1):
-        wb = x._poly.partial(_coord(sig, b))
-        odd_b = sig.parity(b)
-        for a in range(1, b + 1) if wb else ():
-            odd_a = sig.parity(a)
-            if a == b and odd_a:
+    p, q = sig.p, sig.q
+    cap_evens, cap_mask = cap
+    out = {}
+    # beta, the highest index of its next factor, and d_y^beta m
+    stack = [((0,) * p, 0, sig.n, m)]
+    while stack:
+        evens, mask, last, dm = stack.pop()
+        k = mask.bit_count()
+        order = sum(evens) + k
+        if order >= lowest:
+            c = Fraction(-1 if k & 2 else 1, prod(map(factorial, evens)))
+            # d_y^beta m has parity chi + k, so -(-1)^{chi k} is tau for odd k
+            out[((0,) * p + evens, mask << q)] = (
+                c * dm.parity_twist() if k & 1 else -c * dm
+            )
+        if top is not None and order >= top:
+            continue
+        for i in range(last, 0, -1):
+            if i > p:
+                bit = 1 << (i - p - 1)
+                if not cap_mask & bit:
+                    continue
+                beta = evens, mask | bit, i - 1
+            elif evens[i - 1] < cap_evens[i - 1]:
+                beta = evens[: i - 1] + (evens[i - 1] + 1,) + evens[i:], mask, i
+            else:
                 continue
-            sign = 1 if odd_a and odd_b else s if odd_a or odd_b else -1
-            n_ab = wb.partial(_coord(sig, a))
-            if n_ab:
-                (ea, ma), (eb, mb) = (_unit(sig2, _slot(sig, v)) for v in (a, b))
-                key = tuple(map(add, ea, eb)), ma | mb
-                n_terms[key] = n_ab * (Fraction(sign, 2) if a == b else sign)
+            derived = dm.partial(_coord(sig, i))
+            if derived:
+                stack.append((*beta, derived))
+    return out
+
+
+class _FieldParts(NamedTuple):
+    """The Lie derivatives along a field X as operators over the doubled
+    variables, from the slot series (``_slot_series``) of its term map
+    W = sum_i X^i d_i and of div X.
+
+    ``lift`` is the coordinate derivation sum_i X^i d/dy^i plus the terms
+    |beta| = 1 of the series of W, which rotate the slot atoms through the
+    Jacobian of X, and ``phi`` multiplies by ``div``, div X: on the term map
+    of a symbol of weight w, L_X = lift + w phi.  On the term map of an
+    operator of weights lam and mu, L_X = A + (mu - lam) phi + lam B, with A
+    the lift plus the terms |beta| >= 2 of the series of W and B the series
+    of div X (``lie_operator``).  ``higher``, A less the lift, and ``b``
+    hold those terms for the beta up to the slot key ``cap``, None until an
+    operator asks for them; ``powers``, the highest power of each coordinate
+    in W, bounds every beta with a term.
+    """
+
+    powers: tuple
+    div: SuperPolynomial
+    lift: DiffOperator
+    phi: DiffOperator
+    cap: tuple | None = None
+    higher: DiffOperator | None = None
+    b: DiffOperator | None = None
+
+
+def _field_parts(x: SuperVectorField) -> _FieldParts:
+    """The powers, div X, the lift and phi of a field; built once per field,
+    by ``SuperVectorField._lie_parts``."""
+    sig, w = x.signature, x._poly
+    sig2, p, low = _doubled(sig), sig.p, (1 << sig.q) - 1
+    powers = _highest(p, ((e[:p], m & low) for e, m in w._terms))
+    lift = {_unit(sig2, i + 1): c for i, c in _coordinate_rows(x)}
+    lift.update(_slot_series(sig, w, powers, top=1))
     div = x._div()
-    for j in range(1, sig.n + 1):
-        c = div.partial(_coord(sig, j)) * (s if sig.parity(j) else -1)
-        b_terms[_unit(sig2, _slot(sig, j))] = c
-    return lift + _slot_operator(sig2, n_terms), phi, _slot_operator(sig2, b_terms)
+    phi = _slot_operator(sig2, {((0,) * sig2.p, 0): div})
+    return _FieldParts(powers, div, _slot_operator(sig2, lift), phi)
+
+
+def _symbol_lie_parts(x: SuperVectorField) -> tuple:
+    """The lift and phi of ``_FieldParts``: L_X = lift + w phi on the term
+    map of a symbol of weight w."""
+    parts = x._lie_parts()
+    return parts.lift, parts.phi
+
+
+def _operator_lie_parts(x: SuperVectorField, poly: SuperPolynomial | None = None):
+    """The lift, A less the lift, phi and B of ``_FieldParts``,
+    L_X = A + (mu - lam) phi + lam B on the term map ``poly`` of an operator
+    of weights lam and mu, with every beta up to the slot exponents of poly,
+    or every beta when poly is None.  The field keeps them, the last two
+    built again only for an operator that reaches further along a coordinate
+    of the field than any before it."""
+    parts = x._lie_parts()
+    if parts.cap != parts.powers:
+        sig = x.signature
+        p, q = sig.p, sig.q
+        want = parts.powers
+        if poly is not None:
+            reach = _highest(p, ((e[p:], m >> q) for e, m in poly._terms))
+            want = tuple(map(min, want[0], reach[0])), want[1] & reach[1]
+        if parts.cap is not None:
+            want = tuple(map(max, want[0], parts.cap[0])), want[1] | parts.cap[1]
+        if want != parts.cap:
+            sig2 = _doubled(sig)
+            higher = _slot_operator(sig2, _slot_series(sig, x._poly, want, lowest=2))
+            b = _slot_operator(sig2, _slot_series(sig, parts.div, want))
+            x._parts = parts = parts._replace(cap=want, higher=higher, b=b)
+    return parts.lift, parts.higher, parts.phi, parts.b
 
 
 # ---------------------------------------------------------------------------
@@ -1106,7 +1036,8 @@ def lie_symbol(x: SuperVectorField, s: SymbolField) -> SymbolField:
     """
     if x.signature != s.signature:
         raise ValueError("signature mismatch")
-    terms = _first_order(x._action(), s.weight, s._poly)
+    lift, phi = _symbol_lie_parts(x)
+    terms = _apply_parts(s._poly, [(1, lift), (s.weight, phi)])
     return s._with(SuperPolynomial._raw(s._poly.signature, terms))
 
 

@@ -42,7 +42,7 @@ from .geometry import (
     affine_quantize,
     affine_symbol,
     interior,
-    _apply_forms,
+    _apply_parts,
     _doubled,
     _operator_lie_parts,
     _symbol_lie_parts,
@@ -668,17 +668,18 @@ def _casimir(signature: Signature, scheme: str, rep: str) -> tuple:
     """The Casimir sum L_Y L_X over the pairs (X, Y) of ``_casimir_fields``
     as ``(i, j, C_ij)`` for the nonzero operators C_ij over the doubled
     variables with sum delta^i lam^j C_ij = sum L_Y L_X, each a sum of
-    ``compose`` products of the parts of the fields' actions: on a symbol
-    of weight delta (``rep="L"``) L_X = lift(X) + delta Phi_X
-    (``geometry._symbol_lie_parts``), on an operator of weights lam and
-    lam + delta (``rep="affine"``) L_X = A_X + delta Phi_X + lam B_X
-    (``geometry._operator_lie_parts``).  ``check relcas`` compares the two
-    through ``casimir_defect``, which reads neither.
+    ``compose`` products of the parts that each field keeps
+    (``geometry._FieldParts``): on a symbol of weight delta (``rep="L"``)
+    L_X = lift(X) + delta Phi_X, on an operator of weights lam and
+    lam + delta (``rep="affine"``) L_X = A_X + delta Phi_X + lam B_X, A_X
+    as the lift and the rest.
+    ``check relcas`` compares the two through ``casimir_defect``, which
+    reads neither.
     """
     if rep == REP_SYMBOL:
         parts, powers = _symbol_lie_parts, ((0, 0), (1, 0))  # of (delta, lam)
     else:
-        parts, powers = _operator_lie_parts, ((0, 0), (1, 0), (0, 1))
+        parts, powers = _operator_lie_parts, ((0, 0), (0, 0), (1, 0), (0, 1))
     sums = {}
     for x, y in _casimir_fields(signature, scheme):
         ops_x = list(zip(powers, parts(x)))
@@ -777,20 +778,16 @@ def casimir_apply(
     coefficient-wise quantization at weight lam.  Either way the operators
     of ``_casimir``, built once per signature, scheme and representation,
     run together on the symbol's term map at its weight and lam
-    (``geometry._apply_forms``).
+    (``geometry._apply_parts``).
     """
     sig = s.signature
     normalize_algebra(sig, algebra)
     lam = as_fraction(lam)
     if rep not in (REP_SYMBOL, REP_AFFINE):
         raise ValueError(f"unknown representation {rep!r}")
-    forms = []
-    for i, j, op in _casimir(sig, scheme, rep):
-        c = s.weight**i * lam**j
-        if c:
-            forms.append((c, op._nested_form()))
+    pairs = [(s.weight**i * lam**j, op) for i, j, op in _casimir(sig, scheme, rep)]
     poly = s._poly
-    terms = _apply_forms(poly.signature.p, poly._terms, forms)
+    terms = _apply_parts(poly, pairs)
     return MixedSymbol._raw(sig, s.weight, SuperPolynomial._raw(poly.signature, terms))
 
 

@@ -1,22 +1,25 @@
 """Tests for the command-line interface and its golden JSON outputs."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import superquant
-from superquant import cli, verifier
+from superquant import cli, geometry, projective, verifier
 from superquant.geometry import affine_quantize
 from superquant.cli import main
 from superquant.expr import value_from_json
+from superquant.supercore import Signature
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -324,6 +327,27 @@ class TestExitCodes:
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("-4096*x1^63*dx1^64 - ")
 
+    @pytest.mark.parametrize("p,field,operator,digest", [
+        (4, "x1^16*x2^16*x3^16*x4^16*dx1", "dx1*dx2",
+         "9d42ebaee87a7bc077b83466ef410f26f0352b893949d0f47894b16e354d478e"),
+        (8, "*".join(f"x{i}^8" for i in range(1, 9)) + "*dx1", "dx1*dx2",
+         "4f100eef3d62ba217647f1e1a329cc3fc7913db1745fa24df4bb2b10df53fb6e"),
+        (4, "x1^64*dx1", "dx1^64*dx2^64*dx3^64*dx4^64",
+         "2fc52aa48b4e7534acd1db2aaf51bf54f99b3e41cf43190d4a96d7e511511395"),
+    ], ids=["spread-4", "spread-8", "high-order-4"])
+    def test_lie_operator_field_over_many_coordinates_runs_promptly(
+            self, p, field, operator, digest, capsys):
+        # the slot series stop at the operator's exponents along each
+        # coordinate and at the field's powers: the spread fields alone
+        # would give 17^4 and 9^8 beta
+        argv = ["lie", "operator", "--p", str(p), "--q", "0",
+                "--field", field, "--operator", operator]
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 1
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("p,q,field,operator,degree", [
         (1, 0, "x1^65*dx1", "dx1", 65),
         (1, 0, "x1^2000*dx1", "dx1^2000", 2000),
@@ -490,6 +514,36 @@ class TestParserReuse:
         assert len(built) == 1
 
 
+class TestFieldPartsReuse:
+    def test_check_equivariance_reuses_the_casimir_parts(self, monkeypatch, fresh_cache,
+                                                         capsys):
+        # the affine Casimir builds every part of the realized basis fields,
+        # and check equivariance at 2|1, whose generators are those fields,
+        # builds none again: no parts and no slot series
+        fresh_cache("_realized_basis", projective, verifier)
+        fresh_cache("_realized_generators", verifier)
+        fresh_cache("_casimir_fields", projective)
+        fresh_cache("_casimir", projective)
+        calls = []
+        for name in ("_field_parts", "_slot_series"):
+            def counting(*args, _build=getattr(geometry, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _build(*args, **kwargs)
+
+            monkeypatch.setattr(geometry, name, counting)
+        sig = Signature(2, 1)
+        projective._casimir(sig, "elementary", "affine")
+        fields = projective._realized_basis(sig, "elementary")
+        assert calls.count("_field_parts") >= len(fields)
+        assert all(x._parts.cap == x._parts.powers for x in fields)
+        del calls[:]
+        argv = ["check", "equivariance", "--p", "2", "--q", "1", "--degree-max", "2",
+                "--samples", "2", "--delta", "1/7"]
+        assert main(argv) == 0
+        assert "PASS" in capsys.readouterr().out
+        assert calls == []
+
+
 class TestJsonReload:
     def test_operator_json_reloads(self, tmp_path):
         code, data = run_json(
@@ -533,7 +587,7 @@ class TestLargeExponents:
         assert "99999999999" in done.stdout
 
     def test_huge_operator_order_lie_operator_promptly(self):
-        # the Leibniz sum stops at the field's coordinate degree, 2
+        # the slot series stop at the field's power of x1, 2
         done = run_cli(["lie", "operator", "--p", "1", "--q", "0",
                         "--field", "x1^2*dx1", "--operator", "dx1^12345678901"])
         assert done.returncode == 0, done.stderr

@@ -14,13 +14,15 @@ import random
 from collections import Counter
 from copy import deepcopy
 from fractions import Fraction
+from itertools import product
+from math import comb, prod
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superquant import geometry
-from superquant.errors import DomainError
 from superquant.expr import format_value
 from superquant.projective import euler_element, realize
 from superquant.quantizer import QuantizationConfig, quantize
@@ -481,7 +483,93 @@ def test_lie_operator_matches_composition(case):
 #
 # ``push_through_reference`` is the per-factor normal ordering that the
 # Leibniz routine replaced, kept verbatim as an oracle, and
-# ``compose_reference`` composes with it.
+# ``compose_reference`` composes with it.  ``Leibniz`` is that routine,
+# which ``lie_operator`` ran before its slot series, kept verbatim as the
+# oracle of ``apply_reference``.
+
+
+class Leibniz:
+    """Normal ordering of d^alpha o M for one term map M, by the Leibniz rule
+
+        d^alpha o M = sum_{beta <= alpha} eps C d^{alpha-beta} * d_y^beta M,
+
+    where C = prod_{even i} binom(alpha_i, beta_i), eps is the sign of
+    d^alpha = eps d^{alpha-beta} d^beta among the odd derivatives, and
+    d_y^beta differentiates the coordinates of M, its odd factors ascending
+    with the rightmost acting first.  Every factor of d^alpha either
+    differentiates the coefficients of M or passes them to stand at the left
+    of the derivative monomials; the term beta = 0 is the product d^alpha * M.
+    The sum stops at the coordinate degree of M, and each even beta_i at
+    the power of y^i in M: a beta beyond them has d_y^beta M = 0.
+
+    Each derivative d_y^beta M is computed once and shared by the keys alpha
+    of one call, which makes and drops the object.
+    """
+
+    __slots__ = ("sig", "degree", "_powers", "_derivs")
+
+    def __init__(self, sig: Signature, m: SuperPolynomial):
+        self.sig = sig
+        self.degree = geometry._coordinate_degree(sig, m)
+        # the highest power of each even coordinate in M
+        self._powers = tuple(map(max, zip(*(e[: sig.p] for (e, _), _ in m.items()))))
+        self._derivs = {((0,) * sig.p, 0): m}
+
+    def derivative(self, beta) -> SuperPolynomial:
+        """d_y^beta M for a slot key beta."""
+        got = self._derivs.get(beta)
+        if got is None:
+            # peel the leftmost factor: the lowest even index, else the lowest odd one
+            evens, mask = beta
+            for ix, b in enumerate(evens):
+                if b:
+                    i, rest = ix + 1, (evens[:ix] + (b - 1,) + evens[ix + 1 :], mask)
+                    break
+            else:
+                bit = mask & -mask
+                i, rest = self.sig.p + bit.bit_length(), (evens, mask ^ bit)
+            inner = self.derivative(rest)
+            got = inner.partial(geometry._coord(self.sig, i)) if inner else inner
+            self._derivs[beta] = got
+        return got
+
+    def __call__(self, alpha, lowest: int = 0) -> SuperPolynomial:
+        """d^alpha o M normal-ordered, less the terms with |beta| < ``lowest``."""
+        sig = self.sig
+        se, smask = alpha
+        out: dict = {}
+        top = min(self.degree, sum(se) + smask.bit_count())
+        if lowest > top:
+            return SuperPolynomial._raw(geometry._doubled(sig), out)
+        ranges = [range(min(a, r, top) + 1) for a, r in zip(se, self._powers)]
+        for be in product(*ranges):
+            even_order = sum(be)
+            if even_order > top:
+                continue
+            rest = tuple(map(sub, se, be))
+            binom = prod(map(comb, se, be))
+            for bmask in submasks(smask):
+                if not lowest <= even_order + bmask.bit_count() <= top:
+                    continue
+                dm = self.derivative((be, bmask))
+                if not dm:
+                    continue
+                rmask = smask ^ bmask
+                if rmask or any(rest):
+                    sign = _ops.odd_merge_sign(rmask, bmask)
+                    dm = geometry._slot_monomial(sig, (rest, rmask), sign * binom) * dm
+                _ops.add_into(out, dm._terms)
+        return SuperPolynomial._raw(geometry._doubled(sig), out)
+
+
+def submasks(mask: int):
+    """Every mask whose bits lie in ``mask``, ``mask`` first."""
+    part = mask
+    while True:
+        yield part
+        if not part:
+            return
+        part = (part - 1) & mask
 
 
 def push_through_reference(sig: Signature, alpha, m: SuperPolynomial):
@@ -541,7 +629,7 @@ def slot_keys_and_operators(draw):
 @given(slot_keys_and_operators())
 def test_leibniz_matches_push_through_reference(case):
     sig, alphas, m = case
-    push = geometry._Leibniz(sig, m._poly)
+    push = Leibniz(sig, m._poly)
     for alpha in alphas:
         want = push_through_reference(sig, alpha, m._poly)
         assert push(alpha) == want
@@ -567,25 +655,25 @@ def test_compose_matches_apply_for_higher_exponents(case):
         assert comp.apply(mono) == d1.apply(d2.apply(mono))
 
 
-def test_leibniz_walks_only_the_coordinates_of_the_map(monkeypatch):
-    """The Leibniz sum of ``lie_operator`` takes no derivative along a
-    coordinate the field lacks: the count of ``derivative`` calls is the
-    same whatever the number of even derivatives in the operator key."""
+def test_slot_series_walks_only_the_coordinates_of_the_field(monkeypatch):
+    """The parts that ``lie_operator`` builds take no derivative along a
+    coordinate the field lacks: the count of ``partial`` calls is the same
+    whatever the number of even derivatives in the operator key."""
     calls = Counter()
-    derivative = geometry._Leibniz.derivative
+    partial = SuperPolynomial.partial
 
-    def counting(self, beta):
-        calls[self.sig] += 1
-        return derivative(self, beta)
+    def counting(self, i):
+        calls[self.signature] += 1
+        return partial(self, i)
 
-    monkeypatch.setattr(geometry._Leibniz, "derivative", counting)
+    monkeypatch.setattr(SuperPolynomial, "partial", counting)
     for p in (1, 2, 3, 4, 5):
         sig = Signature(p, 1)
         x1 = SuperPolynomial.coordinate(sig, 1)
         xf = SuperVectorField(sig, [x1**6] + [0] * p)
         d = DiffOperator(sig, 0, 0, {((6,) * p, 1): 1})
         assert not lie_operator(xf, d).is_zero()
-    assert len(set(calls.values())) == 1 and calls[Signature(1, 1)] > 0
+    assert len(set(calls.values())) == 1 and calls[Signature(2, 2)] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -593,16 +681,16 @@ def test_leibniz_walks_only_the_coordinates_of_the_map(monkeypatch):
 #
 # ``apply_reference`` is ``DiffOperator.apply`` as it was before it ran the
 # operator's nested form: each coordinate derivative of the lifted function
-# from ``_Leibniz``, times its coefficient by the kernel's product; kept
+# from ``Leibniz``, times its coefficient by the kernel's product; kept
 # verbatim as the oracle.
 
 
 def apply_reference(self, f):
     """Evaluate on a superfunction: each term f_a d^a adds f_a times the
-    coordinate derivative d^a f of ``_Leibniz``."""
+    coordinate derivative d^a f of ``Leibniz``."""
     _check_same_signature(self, f)
     sig = self.signature
-    derivs = geometry._Leibniz(sig, geometry._lift(sig, f))
+    derivs = Leibniz(sig, geometry._lift(sig, f))
     out: dict = {}
     for alpha, coeff in geometry._split(sig, self._poly).items():
         g = derivs.derivative(alpha)
@@ -719,9 +807,9 @@ def homogeneous_fields_and_operators(draw):
 def lie_operator_by_parts(xf, d):
     """L_X D from the three operators of ``_operator_lie_parts``, applied to
     the term map of D at its weights."""
-    a, phi, b = geometry._operator_lie_parts(xf)
-    op = a._poly + (d.mu - d.lam) * phi._poly + d.lam * b._poly
-    return d._with(a._with(op).apply(d._poly))
+    lift, higher, phi, b = geometry._operator_lie_parts(xf)
+    op = lift._poly + higher._poly + (d.mu - d.lam) * phi._poly + d.lam * b._poly
+    return d._with(lift._with(op).apply(d._poly))
 
 
 @settings(max_examples=300, deadline=None)
@@ -729,15 +817,6 @@ def lie_operator_by_parts(xf, d):
 def test_operator_lie_parts_match_the_definition(case):
     xf, d = case
     assert lie_operator_by_parts(xf, d) == lie_operator_by_composition(xf, d)
-
-
-def test_operator_lie_parts_refuse_other_fields():
-    rng = random.Random(53)
-    cubic = SuperVectorField(S21, [x(S21) ** 3, 0, 0])
-    mixed = SuperVectorField(S21, [th(S21), 1, 0])
-    for xf in (cubic, mixed, cubic + rand_homogeneous_field(rng, S21, 0)):
-        with pytest.raises(DomainError):
-            geometry._operator_lie_parts(xf)
 
 
 def test_lie_operator_does_not_compose(monkeypatch):
@@ -1062,7 +1141,7 @@ def test_lie_operator_matches_composition_for_one_field(case):
         assert lie_operator(xf, d) == lie_operator_by_composition(xf, d)
 
 
-def test_field_action_built_once(monkeypatch):
+def test_field_parts_built_once(monkeypatch):
     sig = S21
     x1, x2, t1 = (SuperPolynomial.coordinate(sig, i) for i in (1, 2, 3))
     # even part x1^2 dx1 + x2 t1 dt1, odd part t1 dx2
@@ -1072,13 +1151,13 @@ def test_field_action_built_once(monkeypatch):
     wants = [lie_symbol_reference(xf, s) for s in (s1, s2)]
 
     built, receivers, derived = [], [], []
-    field_action = geometry._field_action
+    field_parts = geometry._field_parts
     partial = SuperPolynomial.partial
     derive_terms = _ops.derive_terms
 
-    def counting_field_action(x):
+    def counting_field_parts(x):
         built.append(x)
-        return field_action(x)
+        return field_parts(x)
 
     def recording_partial(self, i):
         receivers.append(self)
@@ -1088,7 +1167,7 @@ def test_field_action_built_once(monkeypatch):
         derived.append(terms)
         return derive_terms(terms, *args)
 
-    monkeypatch.setattr(geometry, "_field_action", counting_field_action)
+    monkeypatch.setattr(geometry, "_field_parts", counting_field_parts)
     monkeypatch.setattr(SuperPolynomial, "partial", recording_partial)
     monkeypatch.setattr(_ops, "derive_terms", recording_derive_terms)
 
@@ -1113,9 +1192,10 @@ def test_field_action_built_once(monkeypatch):
 
 
 @pytest.mark.parametrize("sig", ORACLE_SIGNATURES, ids=str)
-def test_lie_operator_along_affine_generators_runs_no_leibniz_sum(sig, monkeypatch):
-    """Along e_i, g0 and the Euler field the lower-order term is empty: the
-    first-order action alone is the Lie derivative."""
+def test_lie_operator_along_affine_generators_runs_no_leibniz_sum(sig, kernel_calls):
+    """Along e_i, g0 and the Euler field the slot series, the Leibniz terms
+    of lower order, are empty: the Lie derivative is the first-order action
+    alone, one ``derive_terms`` pass and no derivative of the operator."""
     rng = random.Random(f"affine {sig}")
     fields = [
         realize(h) for label, h in equivariance_generators(sig)
@@ -1131,18 +1211,14 @@ def test_lie_operator_along_affine_generators_runs_no_leibniz_sum(sig, monkeypat
         ops.append(DiffOperator(sig, lam, mu, terms))
     wants = [[lie_operator_by_composition(xf, d) for d in ops] for xf in fields]
 
-    built = []
-
-    class CountingLeibniz(geometry._Leibniz):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(geometry, "_Leibniz", CountingLeibniz)
     for xf, row in zip(fields, wants):
+        lift, higher, _, b = geometry._operator_lie_parts(xf)  # every beta, first
+        assert lift.order == 1 and higher.is_zero() and b.is_zero()
         for d, want in zip(ops, row):
+            kernel_calls.clear()
             assert lie_operator(xf, d) == want
-    assert built == []
+            assert kernel_calls["derive_terms"] == 1
+            assert kernel_calls["partial_even_terms"] == 0 == kernel_calls["partial_odd_terms"]
 
 
 # ---------------------------------------------------------------------------
@@ -1150,8 +1226,8 @@ def test_lie_operator_along_affine_generators_runs_no_leibniz_sum(sig, monkeypat
 #
 # ``field_apply_reference`` is the per-component ``SuperVectorField.apply`` that
 # the kernel's ``derive_terms`` replaced, and ``first_order_reference`` the
-# first-order action as ``lift.apply(P) + (w div X) P`` on the lifted field
-# that ``_field_action`` used to build; both verbatim.
+# first-order action as ``lift.apply(P) + (w div X) P`` on the lifted field,
+# as the field's action data once built it; both verbatim.
 
 
 def field_apply_reference(self, f):
@@ -1396,7 +1472,7 @@ def test_values_are_never_mutated():
     s = rand_symbol(rng, sig, Fraction(1, 5), 2)
     cfg = QuantizationConfig(sig, Fraction(1, 3), Fraction(1, 5))
     d = quantize(s, cfg)
-    xf._action()
+    geometry._operator_lie_parts(xf)  # every part, so no run grows them
     xf.apply(f)  # builds the field's kernel form too
     bracket(xf, yf)  # and both fields' odd parts with their kernel forms
     assert not (xf._odd_part().is_zero() or yf._odd_part().is_zero())
@@ -1406,7 +1482,7 @@ def test_values_are_never_mutated():
     def cache_of(field):
         return field._form, field._odd, field._odd._form
 
-    cached = deepcopy((xf._action_data, cache_of(xf), cache_of(yf)))
+    cached = deepcopy((xf._parts, cache_of(xf), cache_of(yf)))
     runs = [
         [
             xf.apply(f),
@@ -1418,7 +1494,7 @@ def test_values_are_never_mutated():
         for _ in range(2)
     ]
     assert [p._terms for p in polys_in] == before
-    assert (xf._action_data, cache_of(xf), cache_of(yf)) == cached
+    assert (xf._parts, cache_of(xf), cache_of(yf)) == cached
     assert runs[0] == runs[1]
 
 

@@ -740,10 +740,33 @@ def counting_casimir(monkeypatch):
     return builds
 
 
+def reached_passes(p, terms, forms):
+    """The passes ``geometry._apply_forms`` makes: the nodes of the nested
+    forms, merged position by position, that have first-order rows or a
+    multiplier and that the terms reach, a subtree under b being reached
+    when d_b of the terms is not zero."""
+    passes = int(any(w or rows for _, (w, rows, _) in forms))
+    deeper = {}
+    for c, (_, _, subtrees) in forms:
+        for i, sub in subtrees:
+            deeper.setdefault(i, []).append((c, sub))
+    for i, subs in deeper.items():
+        if i < p:
+            derived = _ops.partial_even_terms(terms, i)
+        else:
+            derived = _ops.partial_odd_terms(terms, 1 << (i - p))
+        if derived:
+            passes += reached_passes(p, derived, subs)
+    return passes
+
+
 @pytest.mark.parametrize(
     "sig", [S10, Signature(0, 2), S21, Signature(2, 3), Signature(3, 2)], ids=str
 )
 def test_symbol_casimir_is_a_few_kernel_passes(sig, monkeypatch, kernel_calls):
+    """One ``derive_terms`` pass per node that the symbol reaches and that
+    has rows or a multiplier, at most 1 + 2(p+q): at q = p+1 the top node
+    has neither, and a symbol of degree 0 reaches no other."""
     def no_lie_symbol(*args):
         raise AssertionError("the symbol-action Casimir took a Lie derivative")
 
@@ -751,13 +774,21 @@ def test_symbol_casimir_is_a_few_kernel_passes(sig, monkeypatch, kernel_calls):
     monkeypatch.setattr(projective, "lie_symbol", no_lie_symbol)
     monkeypatch.setattr(geometry, "lie_symbol", no_lie_symbol)
     rng = random.Random(f"casimir passes {sig}")
+    most = 0
     for k in range(4):
         for s in symbol_samples(sig, Fraction(1, 5), k, 2, rng):
             want = casimir_apply(s, 0)  # the first call builds the Casimir
+            forms = [
+                (s.weight**i, op._nested_form())
+                for i, j, op in projective._casimir(sig, "elementary", "L") if not j
+            ]
+            passes = reached_passes(2 * sig.p, s._poly._terms, forms)
             kernel_calls.clear()
             assert casimir_apply(s, 0) == want
-            assert 1 <= kernel_calls["derive_terms"] <= 1 + 2 * sig.n
+            assert kernel_calls["derive_terms"] == passes <= 1 + 2 * sig.n
+            most = max(most, passes)
     assert builds == [(sig, "elementary", "L")]
+    assert most > 0
 
 
 def _second_order_keys(parts):

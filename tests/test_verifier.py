@@ -269,13 +269,13 @@ class TestRealizeOnce:
         fresh_cache("_realized_generators", verifier)
         fresh_cache("_realized_basis", projective, verifier)
         built = []
-        field_action = geometry._field_action
+        field_parts = geometry._field_parts
 
-        def counting_field_action(x):
+        def counting_field_parts(x):
             built.append(x)
-            return field_action(x)
+            return field_parts(x)
 
-        monkeypatch.setattr(geometry, "_field_action", counting_field_action)
+        monkeypatch.setattr(geometry, "_field_parts", counting_field_parts)
         cfg = QuantizationConfig(S21, Fraction(1, 3), Fraction(1, 5))
         first = check_equivariance(cfg, degree_max=1, sample_count=2, seed=5)
         assert len(built) == len(equivariance_generators(S21))
