@@ -26,10 +26,10 @@ homomorphism`` compares every pair of basis brackets, work that grows like
 ``quantize`` and ``symbol-map`` take one divergence pass per degree of the
 symbol or order of the operator they parse, so that degree is capped at
 ``DEGREE_MAX`` (64) in the same way, before any of the series is computed.
-``lie operator`` builds one term of the field's slot series per power of
-the field in each coordinate that the operator reaches, so the field's
-coordinate degree is capped at ``DEGREE_MAX`` in the same way, before the
-derivative is computed.
+``lie operator`` builds one term of the field's slot series per slot key
+at or below both the field's powers and a slot key of the operator, so the
+field's coordinate degree is capped at ``DEGREE_MAX`` in the same way,
+before the derivative is computed.
 ``check`` runs its identities for every sample at every degree up to its
 bound, so ``--samples`` is capped at ``CHECK_SAMPLES_MAX`` (100) and
 ``--kmax`` and ``--degree-max`` at ``CHECK_DEGREE_MAX`` (8) in the same way;

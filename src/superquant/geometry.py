@@ -643,14 +643,31 @@ def _coordinate_degree(sig: Signature, m: SuperPolynomial) -> int:
     )
 
 
-def _apply_form(p: int, terms: dict) -> tuple:
-    """The nested form ``(multiplier, rows, deeper)`` of the operator
-    sum_a f_a d^a given as ``{slot key a: terms of f_a}`` over a signature
-    with p even coordinates: f_0 or None; the pairs (0-based position i,
-    f_i) of the first-order terms; and each term of order two or more as
-    f_a d^{a-b} in the subtree filed under its rightmost factor d_b, the
-    highest odd one, else the highest even one, so that d^a = d^{a-b} d_b
-    with no sign.
+class _Node:
+    """A node of the nested form of an operator (``_apply_form``): the
+    multiplier or None, the first-order rows (0-based position i, f_i), and
+    the subtrees (b, node).  The kernel's derivation of the rows is built on
+    first use, by ``derivation``."""
+
+    __slots__ = ("multiplier", "rows", "deeper", "_derivation")
+
+    def __init__(self, multiplier, rows: list, deeper):
+        self.multiplier, self.rows, self.deeper = multiplier, rows, deeper
+        self._derivation = None
+
+    def derivation(self, p: int) -> tuple:
+        if self._derivation is None:
+            self._derivation = _ops.derivation(p, self.rows)
+        return self._derivation
+
+
+def _apply_form(p: int, terms: dict) -> _Node:
+    """The nested form of the operator sum_a f_a d^a given as
+    ``{slot key a: terms of f_a}`` over a signature with p even coordinates:
+    f_0 as the multiplier; the first-order terms as rows; and each term of
+    order two or more as f_a d^{a-b} in the subtree filed under its
+    rightmost factor d_b, the highest odd one, else the highest even one, so
+    that d^a = d^{a-b} d_b with no sign.
     """
     multiplier, rows, deeper = None, [], {}
     for (se, smask), coeff in terms.items():
@@ -667,7 +684,7 @@ def _apply_form(p: int, terms: dict) -> tuple:
             deeper.setdefault(position, {})[rest] = coeff
         else:
             rows.append((position, coeff))
-    return multiplier, rows, [(i, _apply_form(p, sub)) for i, sub in deeper.items()]
+    return _Node(multiplier, rows, [(i, _apply_form(p, sub)) for i, sub in deeper.items()])
 
 
 def _combination(pairs) -> dict:
@@ -684,19 +701,26 @@ def _combination(pairs) -> dict:
 def _apply_forms(p: int, terms: dict, forms) -> dict:
     """The terms of sum_c c P(terms) over the pairs (c, nested form of P):
     one ``derive_terms`` pass with the multipliers and first-order rows,
-    summed at the c, and none where both are empty; then the subtrees under
-    each b, with their c, on d_b of the terms.  The dict is the caller's
-    own."""
-    weights, rows, deeper = [], {}, {}
-    for c, (w, form_rows, subtrees) in forms:
-        if w:
-            weights.append((c, w))
-        for i, row in form_rows:
-            rows.setdefault(i, []).append((c, row))
-        for i, sub in subtrees:
+    summed at the c (the node's own derivation where one node at c = 1 has
+    rows), and none where both are empty; then the subtrees under each b,
+    with their c, on d_b of the terms.  The dict is the caller's own."""
+    weights, with_rows, deeper = [], [], {}
+    for c, node in forms:
+        if node.multiplier:
+            weights.append((c, node.multiplier))
+        if node.rows:
+            with_rows.append((c, node))
+        for i, sub in node.deeper:
             deeper.setdefault(i, []).append((c, sub))
     multiplier = _combination(weights)
-    derivation = _ops.derivation(p, [(i, _combination(r)) for i, r in rows.items()])
+    if len(with_rows) == 1 and with_rows[0][0] == 1:
+        derivation = with_rows[0][1].derivation(p)
+    else:
+        rows = {}
+        for c, node in with_rows:
+            for i, row in node.rows:
+                rows.setdefault(i, []).append((c, row))
+        derivation = _ops.derivation(p, [(i, _combination(r)) for i, r in rows.items()])
     out = {}
     if multiplier or any(derivation):
         out = _ops.derive_terms(terms, derivation, multiplier or None)
@@ -719,22 +743,21 @@ def _apply_parts(poly: SuperPolynomial, pairs) -> dict:
     return _apply_forms(poly.signature.p, poly._terms, forms)
 
 
-def _compose_terms(sig: Signature, form: tuple, q: dict) -> dict:
+def _compose_terms(sig: Signature, form: _Node, q: dict) -> dict:
     """The terms of P o Q for the nested form of P and the term map q of Q:
     d_b o Q is d/dy^b Q + xi_b * Q over the doubled variables, xi_b the slot
     atom of d_b, so a node is one ``derive_terms`` pass over q, its rows on
     the coordinates and its terms of order at most one the multiplier, and
     each subtree runs on d_b o Q.  The dict is the caller's own."""
     p = sig.p
-    multiplier, rows, deeper = form
-    first = dict(_lift(sig, multiplier)._terms) if multiplier else {}
+    first = dict(_lift(sig, form.multiplier)._terms) if form.multiplier else {}
     coordinates = []
-    for i, f in rows:
+    for i, f in form.rows:
         first.update(_lift(sig, f, _unit(sig, i + 1))._terms)
         coordinates.append((i + p * (i >= p), _lift(sig, f)._terms))
     out = _ops.derive_terms(q, _ops.derivation(2 * p, coordinates), first)
-    for i, sub in deeper:
-        d_b = (None, [(i, {((0,) * p, 0): Fraction(1)})], ())  # d_b alone
+    for i, sub in form.deeper:
+        d_b = _Node(None, [(i, {((0,) * p, 0): Fraction(1)})], ())  # d_b alone
         _ops.add_into(out, _compose_terms(sig, sub, _compose_terms(sig, d_b, q)))
     return out
 
@@ -775,7 +798,7 @@ class DiffOperator(_TermMap, _Graded):
     def order(self) -> int:
         return max(_slot_degrees(self.signature, self._poly), default=0)
 
-    def _nested_form(self) -> tuple:
+    def _nested_form(self) -> _Node:
         """The nested form of the operator, built on first use."""
         form = self._form
         if form is None:
@@ -870,8 +893,9 @@ def lie_operator(x: SuperVectorField, d: DiffOperator) -> DiffOperator:
     slot derivative d_xi^beta (f d^a), whatever f and a, for C beta! is the
     factor that d_xi^beta brings down from xi^a: the sums are the slot
     series of ``_slot_series``, so A and B.  They stop at the powers of the
-    field and at the slot exponents of D; along an affine field both are
-    empty, and the action is one kernel pass.
+    field and, as the Leibniz sums do, take only the beta at or below some
+    slot key of D; along an affine field both are empty, and the action is
+    one kernel pass.
     """
     _check_same_signature(x, d)
     poly = d._poly
@@ -894,61 +918,58 @@ def _slot_operator(sig2: Signature, coeffs: dict) -> DiffOperator:
     return DiffOperator._raw(sig2, zero, zero, SuperPolynomial._raw(sig4, terms))
 
 
-def _highest(p: int, keys) -> tuple:
-    """The least key at or above every key ``(evens, mask)`` of ``keys``:
-    the largest exponent at each of the p even positions, and the union of
-    the masks."""
-    evens, mask = (0,) * p, 0
-    for e, m in keys:
-        evens, mask = tuple(map(max, evens, e)), mask | m
-    return evens, mask
+def _covers(key: tuple, beta: tuple) -> bool:
+    """Whether the slot key ``key`` lies at or above ``beta``: no smaller
+    even exponent and every odd slot of beta."""
+    return all(map(int.__ge__, key[0], beta[0])) and not beta[1] & ~key[1]
 
 
-def _slot_series(sig: Signature, m: SuperPolynomial, cap: tuple, lowest=1, top=None):
+def _slot_series(sig: Signature, m: SuperPolynomial, cap, lowest=1, top=None):
     """The terms lowest <= |beta| <= top of the slot series of a term map m
     over the doubled variables of ``sig``,
 
         sum_beta s_beta (d_y^beta m) / beta! d_xi^beta,
 
     as ``{slot key over the doubled signature: coefficient}``, for the beta
-    up to the slot key ``cap`` over ``sig``.  Here xi are the slot atoms,
-    beta! = prod beta_i! over the even slots, d_y^beta takes its odd factors
-    ascending with the rightmost acting first, and on a term of parity chi
-    s_beta = -(-1)^{chi k} (-1)^{k(k-1)/2}, k the number of odd factors in
-    beta.  The beta grow as a tree, each one factor more than its parent at
-    an index no higher than the parent's last one (lower for an odd one),
-    and a branch stops where d_y^beta m vanishes.
+    at or below some slot key of ``cap`` over ``sig``.  Here xi are the slot
+    atoms, beta! = prod beta_i! over the even slots, d_y^beta takes its odd
+    factors ascending with the rightmost acting first, and on a term of
+    parity chi s_beta = -(-1)^{chi k} (-1)^{k(k-1)/2}, k the number of odd
+    factors in beta.  The beta grow as a tree, each one factor more than its
+    parent at an index no higher than the parent's last one (lower for an
+    odd one), and a branch stops where d_y^beta m vanishes and where no key
+    of the cap lies above it.
     """
     p, q = sig.p, sig.q
-    cap_evens, cap_mask = cap
     out = {}
-    # beta, the highest index of its next factor, and d_y^beta m
-    stack = [((0,) * p, 0, sig.n, m)]
+    # beta, the highest index of its next factor, the keys above beta, and
+    # d_y^beta m
+    stack = [((0,) * p, 0, sig.n, list(cap), m)]
     while stack:
-        evens, mask, last, dm = stack.pop()
+        evens, mask, last, keys, dm = stack.pop()
         k = mask.bit_count()
         order = sum(evens) + k
         if order >= lowest:
-            c = Fraction(-1 if k & 2 else 1, prod(map(factorial, evens)))
+            sign, den = -1 if k & 2 else 1, prod(map(factorial, evens))
             # d_y^beta m has parity chi + k, so -(-1)^{chi k} is tau for odd k
-            out[((0,) * p + evens, mask << q)] = (
-                c * dm.parity_twist() if k & 1 else -c * dm
-            )
+            term = dm.parity_twist() if k & 1 else -dm
+            key = (0,) * p + evens, mask << q
+            out[key] = term if sign == den == 1 else Fraction(sign, den) * term
         if top is not None and order >= top:
             continue
         for i in range(last, 0, -1):
             if i > p:
                 bit = 1 << (i - p - 1)
-                if not cap_mask & bit:
-                    continue
+                above = [key for key in keys if key[1] & bit]
                 beta = evens, mask | bit, i - 1
-            elif evens[i - 1] < cap_evens[i - 1]:
-                beta = evens[: i - 1] + (evens[i - 1] + 1,) + evens[i:], mask, i
             else:
-                continue
-            derived = dm.partial(_coord(sig, i))
-            if derived:
-                stack.append((*beta, derived))
+                a = evens[i - 1]
+                above = [key for key in keys if key[0][i - 1] > a]
+                beta = evens[: i - 1] + (a + 1,) + evens[i:], mask, i
+            if above:
+                derived = dm.partial(_coord(sig, i))
+                if derived:
+                    stack.append((*beta, above, derived))
     return out
 
 
@@ -959,67 +980,64 @@ class _FieldParts(NamedTuple):
 
     ``lift`` is the coordinate derivation sum_i X^i d/dy^i plus the terms
     |beta| = 1 of the series of W, which rotate the slot atoms through the
-    Jacobian of X, and ``phi`` multiplies by ``div``, div X: on the term map
-    of a symbol of weight w, L_X = lift + w phi.  On the term map of an
-    operator of weights lam and mu, L_X = A + (mu - lam) phi + lam B, with A
-    the lift plus the terms |beta| >= 2 of the series of W and B the series
-    of div X (``lie_operator``).  ``higher``, A less the lift, and ``b``
-    hold those terms for the beta up to the slot key ``cap``, None until an
-    operator asks for them; ``powers``, the highest power of each coordinate
-    in W, bounds every beta with a term.
+    Jacobian of X, and ``phi`` multiplies by div X: on the term map of a
+    symbol of weight w, L_X = lift + w phi.  On the term map of an operator
+    of weights lam and mu, L_X = A + (mu - lam) phi + lam B, with A the lift
+    plus the terms |beta| >= 2 of the series of W and B the series of div X
+    (``lie_operator``).  ``higher``, A less the lift, and ``b`` hold those
+    terms for the beta at or below some slot key of ``cap``, None until an
+    operator asks for them; ``powers``, the highest power of each
+    coordinate in W, lies above every beta with a term, and a cap of it
+    alone is every term.
     """
 
     powers: tuple
-    div: SuperPolynomial
     lift: DiffOperator
     phi: DiffOperator
-    cap: tuple | None = None
+    cap: tuple = ()
     higher: DiffOperator | None = None
     b: DiffOperator | None = None
 
 
 def _field_parts(x: SuperVectorField) -> _FieldParts:
-    """The powers, div X, the lift and phi of a field; built once per field,
-    by ``SuperVectorField._lie_parts``."""
+    """The powers, the lift and phi of a field; built once per field, by
+    ``SuperVectorField._lie_parts``."""
     sig, w = x.signature, x._poly
     sig2, p, low = _doubled(sig), sig.p, (1 << sig.q) - 1
-    powers = _highest(p, ((e[:p], m & low) for e, m in w._terms))
+    powers = (0,) * p, 0
+    for e, m in w._terms:
+        powers = tuple(map(max, powers[0], e[:p])), powers[1] | m & low
     lift = {_unit(sig2, i + 1): c for i, c in _coordinate_rows(x)}
-    lift.update(_slot_series(sig, w, powers, top=1))
-    div = x._div()
-    phi = _slot_operator(sig2, {((0,) * sig2.p, 0): div})
-    return _FieldParts(powers, div, _slot_operator(sig2, lift), phi)
-
-
-def _symbol_lie_parts(x: SuperVectorField) -> tuple:
-    """The lift and phi of ``_FieldParts``: L_X = lift + w phi on the term
-    map of a symbol of weight w."""
-    parts = x._lie_parts()
-    return parts.lift, parts.phi
+    lift.update(_slot_series(sig, w, [powers], top=1))
+    phi = _slot_operator(sig2, {((0,) * sig2.p, 0): x._div()})
+    return _FieldParts(powers, _slot_operator(sig2, lift), phi)
 
 
 def _operator_lie_parts(x: SuperVectorField, poly: SuperPolynomial | None = None):
     """The lift, A less the lift, phi and B of ``_FieldParts``,
     L_X = A + (mu - lam) phi + lam B on the term map ``poly`` of an operator
-    of weights lam and mu, with every beta up to the slot exponents of poly,
+    of weights lam and mu, with every beta at or below a slot key of poly,
     or every beta when poly is None.  The field keeps them, the last two
-    built again only for an operator that reaches further along a coordinate
-    of the field than any before it."""
+    built again, for the keys of the cap and the new ones, only for an
+    operator with a slot key that no key of the cap lies above."""
     parts = x._lie_parts()
-    if parts.cap != parts.powers:
+    powers = parts.powers
+    if parts.cap != (powers,):
         sig = x.signature
         p, q = sig.p, sig.q
-        want = parts.powers
+        want = {powers}
         if poly is not None:
-            reach = _highest(p, ((e[p:], m >> q) for e, m in poly._terms))
-            want = tuple(map(min, want[0], reach[0])), want[1] & reach[1]
-        if parts.cap is not None:
-            want = tuple(map(max, want[0], parts.cap[0])), want[1] | parts.cap[1]
-        if want != parts.cap:
+            evens, mask = powers
+            want = {(tuple(map(min, evens, e[p:])), mask & m >> q) for e, m in poly._terms}
+        new = [k for k in want if not any(_covers(c, k) for c in parts.cap)]
+        if new or parts.higher is None:
+            keys = set(parts.cap).union(new)
+            cap = tuple(k for k in keys if not any(c != k and _covers(c, k) for c in keys))
             sig2 = _doubled(sig)
-            higher = _slot_operator(sig2, _slot_series(sig, x._poly, want, lowest=2))
-            b = _slot_operator(sig2, _slot_series(sig, parts.div, want))
-            x._parts = parts = parts._replace(cap=want, higher=higher, b=b)
+            div = SuperPolynomial._raw(sig2, parts.phi._nested_form().multiplier or {})
+            higher = _slot_operator(sig2, _slot_series(sig, x._poly, cap, lowest=2))
+            b = _slot_operator(sig2, _slot_series(sig, div, cap))
+            x._parts = parts = parts._replace(cap=cap, higher=higher, b=b)
     return parts.lift, parts.higher, parts.phi, parts.b
 
 
@@ -1036,8 +1054,8 @@ def lie_symbol(x: SuperVectorField, s: SymbolField) -> SymbolField:
     """
     if x.signature != s.signature:
         raise ValueError("signature mismatch")
-    lift, phi = _symbol_lie_parts(x)
-    terms = _apply_parts(s._poly, [(1, lift), (s.weight, phi)])
+    parts = x._lie_parts()
+    terms = _apply_parts(s._poly, [(1, parts.lift), (s.weight, parts.phi)])
     return s._with(SuperPolynomial._raw(s._poly.signature, terms))
 
 

@@ -45,7 +45,6 @@ from .geometry import (
     _apply_parts,
     _doubled,
     _operator_lie_parts,
-    _symbol_lie_parts,
     _unit,
     lie_operator,
     lie_symbol,
@@ -677,7 +676,11 @@ def _casimir(signature: Signature, scheme: str, rep: str) -> tuple:
     reads neither.
     """
     if rep == REP_SYMBOL:
-        parts, powers = _symbol_lie_parts, ((0, 0), (1, 0))  # of (delta, lam)
+        def parts(x):
+            own = x._lie_parts()
+            return own.lift, own.phi
+
+        powers = ((0, 0), (1, 0))  # of (delta, lam)
     else:
         parts, powers = _operator_lie_parts, ((0, 0), (0, 0), (1, 0), (0, 1))
     sums = {}

@@ -334,12 +334,17 @@ class TestExitCodes:
          "4f100eef3d62ba217647f1e1a329cc3fc7913db1745fa24df4bb2b10df53fb6e"),
         (4, "x1^64*dx1", "dx1^64*dx2^64*dx3^64*dx4^64",
          "2fc52aa48b4e7534acd1db2aaf51bf54f99b3e41cf43190d4a96d7e511511395"),
-    ], ids=["spread-4", "spread-8", "high-order-4"])
+        (4, "x1^16*x2^16*x3^16*x4^16*dx1", " + ".join(f"dx{i}^16" for i in range(1, 5)),
+         "7c3fa5956ba79280e8a839c569fc7705b819e4d78a53dc98ccd4d369a517818d"),
+        (8, "*".join(f"x{i}^8" for i in range(1, 9)) + "*dx1",
+         " + ".join(f"dx{i}^8" for i in range(1, 9)),
+         "a1f23708868c49d478914315578ba02eb544194abd4c35910f0f46499bbe1adf"),
+    ], ids=["spread-4", "spread-8", "high-order-4", "spread-sum-4", "spread-sum-8"])
     def test_lie_operator_field_over_many_coordinates_runs_promptly(
             self, p, field, operator, digest, capsys):
-        # the slot series stop at the operator's exponents along each
-        # coordinate and at the field's powers: the spread fields alone
-        # would give 17^4 and 9^8 beta
+        # the slot series stop at the field's powers and below some slot key
+        # of the operator: the spread fields alone would give 17^4 and 9^8
+        # beta, and so would a box over the exponents of the sums
         argv = ["lie", "operator", "--p", str(p), "--q", "0",
                 "--field", field, "--operator", operator]
         start = time.perf_counter()
@@ -535,7 +540,7 @@ class TestFieldPartsReuse:
         projective._casimir(sig, "elementary", "affine")
         fields = projective._realized_basis(sig, "elementary")
         assert calls.count("_field_parts") >= len(fields)
-        assert all(x._parts.cap == x._parts.powers for x in fields)
+        assert all(x._parts.cap == (x._parts.powers,) for x in fields)
         del calls[:]
         argv = ["check", "equivariance", "--p", "2", "--q", "1", "--degree-max", "2",
                 "--samples", "2", "--delta", "1/7"]

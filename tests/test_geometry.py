@@ -676,6 +676,39 @@ def test_slot_series_walks_only_the_coordinates_of_the_field(monkeypatch):
     assert len(set(calls.values())) == 1 and calls[Signature(2, 2)] > 0
 
 
+def test_slot_series_walk_only_below_the_keys_of_the_operator(monkeypatch):
+    """A field spread over four coordinates, with a sum of operators along
+    one coordinate each, or with those operators one after another, takes
+    one ``partial`` per beta at or below some slot key of the operators, as
+    the Leibniz sums did, and not one per beta in the box of their
+    exponents (4^4 - 1 of them)."""
+    sig = Signature(4, 0)
+    y = [SuperPolynomial.coordinate(sig, i) for i in range(1, 5)]
+    spread = prod(c**3 for c in y)
+    keys = [(tuple(3 * (j == i) for j in range(4)), 0) for i in range(4)]
+    ops = [DiffOperator(sig, Fraction(1, 3), Fraction(1, 2), {key: 1}) for key in keys]
+    total = DiffOperator(sig, Fraction(1, 3), Fraction(1, 2), {key: 1 for key in keys})
+    calls = []
+    partial = SuperPolynomial.partial
+
+    def counting(self, i):
+        calls.append(i)
+        return partial(self, i)
+
+    monkeypatch.setattr(SuperPolynomial, "partial", counting)
+    xf = SuperVectorField(sig, [spread, 0, 0, 0])
+    want = lie_operator_by_composition(xf, total)
+    calls.clear()
+    assert lie_operator(xf, total) == want
+    # the lift's 4, then 4 * 3 beta for each of the series of W and div X
+    assert len(calls) == 4 + 2 * 12
+    xf = SuperVectorField(sig, [spread, 0, 0, 0])
+    calls.clear()
+    assert sum((lie_operator(xf, d) for d in ops[1:]), lie_operator(xf, ops[0])) == want
+    # the cap grows by one key per operator: 3, 6, 9, then 12 beta
+    assert len(calls) == 4 + 2 * (3 + 6 + 9 + 12)
+
+
 # ---------------------------------------------------------------------------
 # operator application
 #
@@ -1177,9 +1210,16 @@ def test_field_parts_built_once(monkeypatch):
     assert len(receivers) == sig.n
     assert all(f.signature == geometry._doubled(sig) for f in receivers)
     del built[:], receivers[:], derived[:]
+    derivation = _ops.derivation
+
+    def no_derivation(*args):
+        raise AssertionError("the kernel form of the lift was built again")
+
+    monkeypatch.setattr(_ops, "derivation", no_derivation)
     assert lie_symbol(xf, s2) == wants[1]
     assert built == [] and receivers == []
     assert derived  # the coefficients were still transported
+    monkeypatch.setattr(_ops, "derivation", derivation)
 
     twin = SuperVectorField(sig, xf.components)
     d = DiffOperator(sig, Fraction(1, 3), Fraction(1, 2), {

@@ -745,10 +745,10 @@ def reached_passes(p, terms, forms):
     forms, merged position by position, that have first-order rows or a
     multiplier and that the terms reach, a subtree under b being reached
     when d_b of the terms is not zero."""
-    passes = int(any(w or rows for _, (w, rows, _) in forms))
+    passes = int(any(node.multiplier or node.rows for _, node in forms))
     deeper = {}
-    for c, (_, _, subtrees) in forms:
-        for i, sub in subtrees:
+    for c, node in forms:
+        for i, sub in node.deeper:
             deeper.setdefault(i, []).append((c, sub))
     for i, subs in deeper.items():
         if i < p:
