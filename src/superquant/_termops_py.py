@@ -3,18 +3,25 @@
 A term map is ``{(even_exponents, odd_mask): coefficient}`` where
 ``even_exponents`` is a tuple of non-negative ints (one per even coordinate)
 and ``odd_mask`` is a bitmask over the odd generators (bit i-1 <-> index i).
-Coefficients are exact rationals; zero coefficients are never stored.
+The values are the int numerators of a map over one denominator that the
+caller keeps (``supercore``); zero values are never stored.  Each routine
+uses only ``+``, ``*``, unary ``-`` and truth on the values, so it gives
+the same map, divided back, on numerators D*M as on the rational map M.
+The output of a product or a derivation is over the product of the inputs'
+denominators, a sum over the one its inputs share, and a derivative, a
+sign change, an int multiple or a divergence over its input's.
 
-Two routines serve long sums.  ``add_into`` adds or subtracts a term map in
-a dict that the caller owns and has not yet handed out, so a sum of many
-pieces is built in place instead of copying the accumulator at every step.
+Two routines serve long sums.  ``add_into`` adds an int multiple of a term
+map to a dict that the caller owns and has not yet handed out, so a sum of
+many pieces, each brought to the sum's denominator by its multiple, is built
+in place instead of copying the accumulator at every step.
 ``derive_terms`` applies a derivation with a multiplier, sum_i C_i d_i A +
 W A, in one pass over the terms of A with every product written into one
 output dict: a vector field on a polynomial, and the first-order action of
 a field on a symbol or an operator term map.  The derivation comes in the
-form that ``derivation`` builds once per field, its coefficients 1 and -1
-marked, so that such a coefficient, like an exponent 1 brought down by an
-even derivative, costs no rational product.  ``divergence_terms`` contracts
+form that ``derivation`` builds once per field; its rows and W share one
+denominator, and an int ``scale`` on the derivation lets a kept form serve a
+sum whose denominator is a multiple of its own.  ``divergence_terms`` contracts
 each coordinate derivative of a symbol's term map with the derivative along
 its frame vector, sum_j +-d/de_j d/dy^j, in one pass over the terms.
 
@@ -65,13 +72,16 @@ def mul_terms(A, B):
     return out
 
 
-def add_into(acc, B, sign=1):
-    """Add B, or subtract it when ``sign`` is -1, to the term map ``acc`` in
-    place; ``acc`` must be a dict that the caller owns and has not handed
+def add_into(acc, B, factor=1):
+    """Add ``factor`` times B, an int (-1 subtracts), to the term map ``acc``
+    in place; ``acc`` must be a dict that the caller owns and has not handed
     out."""
-    pairs = B.items() if sign > 0 else ((key, -v) for key, v in B.items())
+    if factor != 1:
+        if not factor:
+            return acc
+        B = {key: factor * v for key, v in B.items()}
     get = acc.get
-    for key, v in pairs:
+    for key, v in B.items():
         prev = get(key)
         if prev is None:
             acc[key] = v
@@ -122,12 +132,8 @@ def partial_odd_terms(A, bit):
 
 
 def _rows(C):
-    """The terms of C as ``(exponents or None when all zero, mask, coeff,
-    unit)``, unit being the coefficient when it is 1 or -1 and 0 otherwise."""
-    return [
-        (e if any(e) else None, m, c, 1 if c == 1 else -1 if c == -1 else 0)
-        for (e, m), c in C.items()
-    ]
+    """The terms of C as ``(exponents or None when all zero, mask, coeff)``."""
+    return [(e if any(e) else None, m, c) for (e, m), c in C.items()]
 
 
 def derivation(p, comps):
@@ -149,11 +155,11 @@ def derivation(p, comps):
     return evens, odds
 
 
-def derive_terms(A, D, W=None):
-    """sum_i C_i * d_i A + W * A for D = ``derivation(p, [(i, C_i), ...])``,
-    in one pass over the terms of A with every product written into one
-    output dict; ``W``, when given, multiplies A from the left.  Equal to
-    sum_i mul_terms(C_i, partial_*_terms(A, i)) + mul_terms(W, A).
+def derive_terms(A, D, W=None, scale=1):
+    """scale * sum_i C_i * d_i A + W * A for D = ``derivation(p, [(i, C_i),
+    ...])``, in one pass over the terms of A with every product written into
+    one output dict; ``W``, when given, multiplies A from the left.  Equal to
+    scale * sum_i mul_terms(C_i, partial_*_terms(A, i)) + mul_terms(W, A).
     """
     evens, odds = D
     wrows = _rows(W) if W else None
@@ -162,28 +168,26 @@ def derive_terms(A, D, W=None):
     for (e, m), c in A.items():
         # the derivatives of this term, each with the rows that multiply it
         pieces = []
+        sc = c if scale == 1 else c * scale
         for ix, rows in evens:
             a = e[ix]
             if a:
                 de = e[:ix] + (a - 1,) + e[ix + 1 :]
-                pieces.append((rows, de, m, c if a == 1 else c * a))
+                pieces.append((rows, de, m, sc if a == 1 else sc * a))
         for bit, rows in odds:
             if m & bit:
-                pieces.append((rows, e, m ^ bit, -c if odd_below(m, bit) & 1 else c))
+                pieces.append((rows, e, m ^ bit, -sc if odd_below(m, bit) & 1 else sc))
         if wrows:
             pieces.append((wrows, e, m, c))
         for rows, de, dm, dc in pieces:
-            for ce, cm, cc, unit in rows:
+            for ce, cm, cc in rows:
                 if cm & dm:
                     continue
                 key = (de if ce is None else tuple(map(add, ce, de)), cm | dm)
-                s = odd_merge_sign(cm, dm) if cm and dm else 1
-                if unit:
-                    v = dc if unit == s else -dc
+                if cm and dm and odd_merge_sign(cm, dm) < 0:
+                    out[key] = get(key, 0) - cc * dc
                 else:
-                    v = cc * dc if s > 0 else -(cc * dc)
-                prev = get(key)
-                out[key] = v if prev is None else prev + v
+                    out[key] = get(key, 0) + cc * dc
     for key in [key for key, v in out.items() if not v]:
         del out[key]
     return out

@@ -24,7 +24,10 @@ Reading is one regular-expression scan into ``(kind, value, pos)`` tokens and
 one recursive-descent pass.  Each product folds into one running monomial:
 exponents, odd mask, and an integer numerator and denominator, a literal or a
 one-term group multiplying them in place.  Only a group of several terms goes
-through the kernel's product.
+through the kernel's product.  Every value read is a term map of int
+numerators with its denominator, and a sum brings its terms to the least
+common multiple of theirs, so the text's rationals become ints as they are
+read.
 
 JSON encoding: ``{signature, weights, kind, terms: [{key, coeff}]}`` with one
 entry per fully expanded monomial.  Keys are explicit multi-index strings such
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ExprError
 from .geometry import (
@@ -131,7 +135,19 @@ def _lex(text: str) -> list[tuple]:
 # ``geometry``: coordinate exponents, then slot exponents; coordinate odds in
 # mask bits 0..q-1 below slot odds in bits q..2q-1.  So ascending bit order
 # is the printed order, and an odd factor folded into a product flips its
-# sign once per mask bit above its own (the kernel's merge sign).
+# sign once per mask bit above its own (the kernel's merge sign).  A value
+# is a pair (int numerators, denominator), the denominator not yet reduced
+# against the numerators; ``parse`` reduces the result once.
+
+
+def _monomial(exps, mask, num, den) -> tuple:
+    """The value of one monomial, its coefficient num/den in lowest terms."""
+    if not num:
+        return {}, 1
+    if den != 1:
+        g = gcd(num, den)
+        num, den = num // g, den // g
+    return {(tuple(exps), mask): num}, den
 
 
 class _Parser:
@@ -150,29 +166,37 @@ class _Parser:
             raise ExprError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
         return tok
 
-    def parse(self) -> dict:
+    def parse(self) -> tuple:
         value = self.parse_expr()
         kind, _, pos = self.tokens[self.i]
         if kind != "END":
             raise ExprError(f"unexpected trailing {kind!r}", pos)
         return value
 
-    def parse_expr(self) -> dict:
+    def parse_expr(self) -> tuple:
         tokens = self.tokens
         sign = 1
         if tokens[self.i][0] == "-":
             self.i += 1
             sign = -1
         total: dict = {}
+        den = 1
         while True:
-            _ops.add_into(total, self.parse_term(), sign)
+            terms, tden = self.parse_term()
+            if terms:
+                common = lcm(den, tden)
+                if common != den:
+                    for key in total:
+                        total[key] *= common // den
+                    den = common
+                _ops.add_into(total, terms, sign * (den // tden))
             op = tokens[self.i][0]
             if op != "+" and op != "-":
-                return total
+                return total, den
             self.i += 1
             sign = 1 if op == "+" else -1
 
-    def parse_term(self) -> dict:
+    def parse_term(self) -> tuple:
         """One product: atoms, literals and one-term groups fold into one
         monomial; a group of several terms meets the kernel, in written order."""
         tokens = self.tokens
@@ -209,16 +233,19 @@ class _Parser:
                         raise ExprError("zero denominator", den_pos)
                     den *= d
             elif kind == "(":
-                group = self.parse_group()
+                group, gden = self.parse_group()
                 if len(group) == 1:
                     ((gexps, gmask), c), = group.items()
                     exps = [a + b for a, b in zip(exps, gexps)]
-                    num *= _ops.odd_merge_sign(mask, gmask) * c.numerator
-                    den *= c.denominator
+                    num *= _ops.odd_merge_sign(mask, gmask) * c
+                    den *= gden
                     mask |= gmask
                 else:
                     value = self._times(value, exps, mask, num, den)
-                    value = group if value is None else _ops.mul_terms(value, group)
+                    if value is None:
+                        value = group, gden
+                    else:
+                        value = _ops.mul_terms(value[0], group), value[1] * gden
                     exps, mask, num, den = [0] * width, 0, 1, 1
             else:
                 raise ExprError(f"unexpected token {kind!r}", pos)
@@ -226,10 +253,10 @@ class _Parser:
                 break
             self.i += 1
         if value is None:
-            return {(tuple(exps), mask): Fraction(num, den)} if num else {}
+            return _monomial(exps, mask, num, den)
         return self._times(value, exps, mask, num, den)
 
-    def parse_group(self) -> dict:
+    def parse_group(self) -> tuple:
         """The expression of a group whose '(' is read, with its ')'; at most
         ``MAX_NESTING`` groups are open at once."""
         if self.depth == MAX_NESTING:
@@ -245,8 +272,10 @@ class _Parser:
         """``value`` (None for 1) times the running monomial, unless that is 1."""
         if num == den and not mask and not any(exps):
             return value
-        mono = {(tuple(exps), mask): Fraction(num, den)} if num else {}
-        return mono if value is None else _ops.mul_terms(value, mono)
+        mono, mden = _monomial(exps, mask, num, den)
+        if value is None:
+            return mono, mden
+        return _ops.mul_terms(value[0], mono), value[1] * mden
 
     def _atom(self, cls: str, idx: int, pos: int) -> int:
         """The exponent position of an even atom, the mask bit of an odd one."""
@@ -278,19 +307,21 @@ def parse(kind: str, text: str, signature: Signature, *, weight=0, lam=0, mu=Non
         raise ExprError(f"expected expression text, got {type(text).__name__}")
     tokens = _lex(text)
     try:
-        value = _Parser(tokens, kind, signature).parse()
+        value, den = _Parser(tokens, kind, signature).parse()
     except RecursionError:  # a caller deeper than MAX_NESTING allows for
         raise ExprError("expression nested too deeply", 0) from None
-    poly = SuperPolynomial._raw(_doubled(signature), value)
+    poly = SuperPolynomial._over(_doubled(signature), value, den)
     return _build(kind, signature, poly, weight, lam, lam if mu is None else mu)
 
 
 # ---------------------------------------------------------------------------
 # Rows: the one printed form of every kind.  A row ``(xe, tmask, se, smask,
-# coeff)`` is one monomial: coordinate exponents and odd mask, then the slot
-# exponents and odd mask (zero for polynomials).  Fields, symbols and
-# operators are read through ``geometry._split`` and every kind is built
-# through one term map, made by ``geometry._join`` from decoded rows.
+# num, den)`` is one monomial: coordinate exponents and odd mask, then the
+# slot exponents and odd mask (zero for polynomials), and its coefficient in
+# lowest terms, read off the numerator and the map's denominator.  Fields,
+# symbols and operators are read through ``geometry._split``, and every kind
+# is built through one term map, made by ``geometry._join`` from decoded
+# rows.
 
 
 def _slot_sort_key(item):
@@ -307,7 +338,8 @@ def _rows(v):
     """``(kind, slot letter, weights, rows)`` of a value, rows in printed order."""
     if isinstance(v, SuperPolynomial):
         head = (KIND_POLY, None, {})
-        slots = [(((0,) * v.signature.p, 0), v)]
+        den = v._den
+        slots = [(((0,) * v.signature.p, 0), v._terms)]
     else:
         order = _slot_sort_key
         if isinstance(v, SuperVectorField):
@@ -320,12 +352,13 @@ def _rows(v):
             head = (KIND_OPERATOR, "d", {"lambda": v.lam, "mu": v.mu})
         else:
             raise TypeError(f"cannot format {type(v).__name__}")
+        den = v._poly._den
         slots = sorted(_split(v.signature, v._poly).items(), key=order)
-    rows = [
-        (xe, tmask, se, smask, c)
-        for (se, smask), poly in slots
-        for (xe, tmask), c in sorted(poly.items(), key=_poly_sort_key)
-    ]
+    rows = []
+    for (se, smask), terms in slots:
+        for (xe, tmask), c in sorted(terms.items(), key=_poly_sort_key):
+            g = gcd(c, den)
+            rows.append((xe, tmask, se, smask, c // g, den // g))
     return (*head, rows)
 
 
@@ -347,7 +380,7 @@ def _build(kind: str, sig: Signature, poly: SuperPolynomial, weight, lam, mu):
         return SuperVectorField._raw(sig, poly)
     # a polynomial's terms all have the zero slot key
     terms = _split(sig, poly)
-    return SuperPolynomial._raw(sig, terms.popitem()[1] if terms else {})
+    return SuperPolynomial._raw(sig, terms.popitem()[1] if terms else {}, poly._den)
 
 
 # ---------------------------------------------------------------------------
@@ -376,20 +409,20 @@ def format_value(v) -> str:
     it back."""
     _kind, slot, _weights, rows = _rows(v)
     pieces = []
-    for xe, tmask, se, smask, c in rows:
-        mag = abs(c)
-        number = str(mag) if mag.denominator == 1 else f"({mag})"
+    for xe, tmask, se, smask, num, den in rows:
+        mag = abs(num)
+        number = str(mag) if den == 1 else f"({mag}/{den})"
         atoms = "*".join(_atoms(xe, tmask, se, smask, slot))
         if not atoms:
             body = number
-        elif mag == 1:
+        elif mag == den == 1:
             body = atoms
         else:
             body = f"{number}*{atoms}"
         if pieces:
-            pieces.append(("- " if c < 0 else "+ ") + body)
+            pieces.append(("- " if num < 0 else "+ ") + body)
         else:
-            pieces.append(("-" if c < 0 else "") + body)
+            pieces.append(("-" if num < 0 else "") + body)
     return " ".join(pieces) if pieces else "0"
 
 
@@ -419,8 +452,11 @@ def value_to_json(v) -> dict:
         "weights": {name: str(w) for name, w in weights.items()},
         "kind": kind,
         "terms": [
-            {"key": _key_string(xe, tmask, se, smask, slot), "coeff": str(c)}
-            for xe, tmask, se, smask, c in rows
+            {
+                "key": _key_string(xe, tmask, se, smask, slot),
+                "coeff": str(num) if den == 1 else f"{num}/{den}",
+            }
+            for xe, tmask, se, smask, num, den in rows
         ],
     }
 

@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Iterable, NamedTuple, Sequence
 
 from .supercore import (
@@ -76,6 +76,7 @@ from .supercore import (
     _check_same_signature,
     _monomial_key,
     _ops,
+    _rescaled,
     as_fraction,
     iter_monomials,
 )
@@ -108,35 +109,42 @@ def _unit(sig: Signature, i: int) -> tuple:
     return (0,) * sig.p, 1 << (i - sig.p - 1)
 
 
-def _lift(sig: Signature, f, slot=None) -> SuperPolynomial:
-    """The term map of a superfunction f (or of its terms) times the slot
-    monomial of the slot key ``slot``, by default none; no sign arises."""
+def _lift(sig: Signature, terms: dict, slot=None) -> dict:
+    """The terms of a superfunction times the slot monomial of the slot key
+    ``slot``, by default none, over the doubled variables; no sign arises
+    and the numerators stay over their denominator."""
     se, smask = slot or ((0,) * sig.p, 0)
     smask <<= sig.q
-    return SuperPolynomial._raw(
-        _doubled(sig), {(e + se, m | smask): c for (e, m), c in f.items()}
-    )
+    return {(e + se, m | smask): c for (e, m), c in terms.items()}
 
 
-def _unlift(sig: Signature, terms: dict) -> SuperPolynomial:
-    """The superfunction of the terms of a term map with no slot atom."""
+def _lifted(sig: Signature, f: SuperPolynomial, slot=None) -> SuperPolynomial:
+    """The term map of a superfunction f times the slot monomial of the slot
+    key ``slot``, by default none."""
+    return SuperPolynomial._raw(_doubled(sig), _lift(sig, f._terms, slot), f._den)
+
+
+def _unlift(sig: Signature, terms: dict, den: int) -> SuperPolynomial:
+    """The superfunction of the terms, over ``den``, of a term map with no
+    slot atom."""
     p = sig.p
-    return SuperPolynomial._raw(sig, {(e[:p], m): c for (e, m), c in terms.items()})
+    return SuperPolynomial._over(sig, {(e[:p], m): c for (e, m), c in terms.items()}, den)
 
 
 def _slot_monomial(sig: Signature, key, coeff: int = 1) -> SuperPolynomial:
     se, smask = key
     return SuperPolynomial._raw(
-        _doubled(sig), {((0,) * sig.p + se, smask << sig.q): Fraction(coeff)}
+        _doubled(sig), {((0,) * sig.p + se, smask << sig.q): coeff}
     )
 
 
 def _split(sig: Signature, poly: SuperPolynomial) -> dict:
-    """A term map grouped by slot key: ``{(se, smask): {(xe, tmask): coeff}}``."""
+    """A term map grouped by slot key: ``{(se, smask): {(xe, tmask): c}}``,
+    every numerator c over the denominator of ``poly``."""
     p, q = sig.p, sig.q
     low = (1 << q) - 1
     slots: dict = {}
-    for (e, m), c in poly.items():
+    for (e, m), c in poly._terms.items():
         slots.setdefault((e[p:], m >> q), {})[(e[:p], m & low)] = c
     return slots
 
@@ -153,25 +161,40 @@ def _join(sig: Signature, rows) -> SuperPolynomial:
 
 def _nested(sig: Signature, terms) -> SuperPolynomial:
     """The term map of ``{slot key: coefficient}``; a coefficient is a
-    superfunction or a rational."""
-    rows = []
+    superfunction or a rational.  The numerators are brought to the least
+    common multiple of the coefficients' denominators; keys that name the
+    same slot monomial add up."""
+    polys = []
     for key, poly in terms.items():
-        se, smask = _canonical_key(sig, key)
+        slot = _canonical_key(sig, key)
         if not isinstance(poly, SuperPolynomial):
             poly = SuperPolynomial.scalar(sig, poly)
         elif poly.signature != sig:
             raise ValueError("coefficient signature mismatch")
-        rows += [(xe, tmask, se, smask, c) for (xe, tmask), c in poly.items()]
-    return _join(sig, rows)
+        polys.append((slot, poly))
+    den = lcm(*(poly._den for _slot, poly in polys))
+    out: dict = {}
+    for slot, poly in polys:
+        _ops.add_into(out, _lift(sig, poly._terms, slot), den // poly._den)
+    return SuperPolynomial._over(_doubled(sig), out, den)
+
+
+def _slot_degree_terms(sig: Signature, terms: dict) -> dict:
+    """Terms over the doubled variables split by slot degree, ``{degree:
+    terms}``, the numerators over their one denominator."""
+    p, q = sig.p, sig.q
+    by_degree: dict = {}
+    for (e, m), c in terms.items():
+        by_degree.setdefault(sum(e[p:]) + (m >> q).bit_count(), {})[(e, m)] = c
+    return by_degree
 
 
 def _slot_degrees(sig: Signature, poly: SuperPolynomial) -> dict:
     """A term map split by slot degree: ``{degree: term map}``."""
-    p, q = sig.p, sig.q
-    by_degree: dict = {}
-    for (e, m), c in poly.items():
-        by_degree.setdefault(sum(e[p:]) + (m >> q).bit_count(), {})[(e, m)] = c
-    return {k: SuperPolynomial._raw(poly.signature, t) for k, t in by_degree.items()}
+    return {
+        k: SuperPolynomial._over(poly.signature, t, poly._den)
+        for k, t in _slot_degree_terms(sig, poly._terms).items()
+    }
 
 
 def _key_degree(key) -> int:
@@ -235,9 +258,9 @@ class _TermMap:
     def items(self):
         """``(slot key, coefficient)`` pairs: each slot monomial
         ``(even_exponents, odd_mask)`` with its superfunction coefficient."""
-        sig = self.signature
+        sig, den = self.signature, self._poly._den
         return [
-            (key, SuperPolynomial._raw(sig, terms))
+            (key, SuperPolynomial._over(sig, terms, den))
             for key, terms in _split(sig, self._poly).items()
         ]
 
@@ -247,7 +270,7 @@ class _TermMap:
     def coefficient(self, evens: Iterable[int], odds: Iterable[int]) -> SuperPolynomial:
         key = _monomial_key(self.signature, evens, odds)
         terms = _split(self.signature, self._poly).get(key, {})
-        return SuperPolynomial._raw(self.signature, terms)
+        return SuperPolynomial._over(self.signature, terms, self._poly._den)
 
     def _compatible(self, other) -> None:
         _check_same_signature(self, other)
@@ -299,11 +322,12 @@ class _TermMap:
 
 def _coordinate_rows(x: "SuperVectorField") -> list:
     """The coordinate derivation sum_i X^i d/dy^i as pairs (0-based position
-    among the doubled variables, coefficient over them)."""
+    among the doubled variables, terms of X^i over them), the numerators
+    over the denominator of the field's map, one pair per nonzero X^i."""
     sig = x.signature
     return [
-        (_coord(sig, i) - 1, _lift(sig, comp))
-        for i, comp in enumerate(x.components, start=1)
+        (_coord(sig, _component(sig, key)) - 1, _lift(sig, terms))
+        for key, terms in _split(sig, x._poly).items()
     ]
 
 
@@ -350,7 +374,7 @@ class SuperVectorField(_TermMap, _Graded):
         sig = self.signature
         comps = [SuperPolynomial.zero(sig)] * sig.n
         for key, terms in _split(sig, self._poly).items():
-            comps[_component(sig, key) - 1] = SuperPolynomial._raw(sig, terms)
+            comps[_component(sig, key) - 1] = SuperPolynomial._over(sig, terms, self._poly._den)
         return tuple(comps)
 
     def _lie_parts(self) -> "_FieldParts":
@@ -363,10 +387,11 @@ class SuperVectorField(_TermMap, _Graded):
 
     def _derivation(self) -> tuple:
         """The kernel's form of the coordinate derivation sum_i X^i d/dy^i
-        over the doubled variables, built on first use."""
+        over the doubled variables, over the denominator of the field's
+        map; built on first use."""
         form = self._form
         if form is None:
-            rows = [(i, c._terms) for i, c in _coordinate_rows(self)]
+            rows = _coordinate_rows(self)
             form = self._form = _ops.derivation(2 * self.signature.p, rows)
         return form
 
@@ -382,7 +407,7 @@ class SuperVectorField(_TermMap, _Graded):
         term map with d read as e, one ``divergence_terms`` pass."""
         sig, poly = self.signature, self._poly
         terms = _ops.divergence_terms(poly._terms, sig.p, sig.q)
-        return SuperPolynomial._raw(poly.signature, terms)
+        return SuperPolynomial._over(poly.signature, terms, poly._den)
 
     @classmethod
     def zero(cls, signature: Signature) -> "SuperVectorField":
@@ -401,16 +426,19 @@ class SuperVectorField(_TermMap, _Graded):
 
     def _derive(self, f: SuperPolynomial, w: SuperPolynomial | None = None):
         """X(f) + w f, w over the doubled variables: one kernel pass over the
-        lift of f."""
+        lift of f, X and w brought to one denominator."""
         _check_same_signature(self, f)
-        sig = self.signature
-        terms = _ops.derive_terms(
-            _lift(sig, f)._terms, self._derivation(), w._terms if w else None
-        )
-        return _unlift(sig, terms)
+        sig, dx = self.signature, self._poly._den
+        den, scale, wterms = dx, 1, None
+        if w:
+            den = lcm(dx, w._den)
+            scale, wterms = den // dx, _rescaled(w._terms, den // w._den)
+        terms = _ops.derive_terms(_lift(sig, f._terms), self._derivation(), wterms, scale)
+        return _unlift(sig, terms, f._den * den)
 
     def divergence(self) -> SuperPolynomial:
-        return _unlift(self.signature, self._div()._terms)
+        div = self._div()
+        return _unlift(self.signature, div._terms, div._den)
 
     def __repr__(self):
         return f"SuperVectorField({self.signature}, {list(self.components)!r})"
@@ -431,18 +459,19 @@ def bracket(x: SuperVectorField, y: SuperVectorField) -> SuperVectorField:
 
     with X_1, Y_1 the odd parts, and X(Y) = sum_i X(Y^i) d_i the coordinate
     derivation of X on the term map of Y.  These are three kernel passes
-    into one dict, or the first two when X or Y has no odd part; each
-    field's kernel form and odd part are built once and kept with it.
+    into one dict, or the first two when X or Y has no odd part, over the
+    product of the two fields' denominators; each field's kernel form and
+    odd part are built once and kept with it.
     """
     _check_same_signature(x, y)
+    den = x._poly._den * y._poly._den
     acc = _ops.derive_terms(y._poly._terms, x._derivation())
     _ops.add_into(acc, _ops.derive_terms(x._poly._terms, y._derivation()), -1)
     xo, yo = x._odd_part(), y._odd_part()
     if xo._poly and yo._poly:
         odd = _ops.derive_terms(xo._poly._terms, yo._derivation())
-        _ops.add_into(acc, odd)
-        _ops.add_into(acc, odd)
-    return x._with(SuperPolynomial._raw(x._poly.signature, acc))
+        _ops.add_into(acc, odd, 2 * (den // (xo._poly._den * yo._poly._den)))
+    return x._with(SuperPolynomial._over(x._poly.signature, acc, den))
 
 
 def lie_density(x: SuperVectorField, lam: Rational, f: SuperPolynomial) -> SuperPolynomial:
@@ -513,7 +542,7 @@ class SymbolField(_TermMap):
     def scale_poly(self, f: SuperPolynomial) -> "SymbolField":
         """Left multiplication of the coefficients by a superfunction."""
         _check_same_signature(self, f)
-        return self._with(_lift(self.signature, f) * self._poly)
+        return self._with(_lifted(self.signature, f) * self._poly)
 
     def vee(self, v: Sequence[Rational]) -> "SymbolField":
         """Symmetric product with a homogeneous frame vector (column)."""
@@ -638,7 +667,7 @@ def _coordinate_degree(sig: Signature, m: SuperPolynomial) -> int:
     """The largest coordinate degree of the terms of a term map; -1 for zero."""
     p, low = sig.p, (1 << sig.q) - 1
     return max(
-        (sum(e[:p]) + (mask & low).bit_count() for (e, mask), _ in m.items()),
+        (sum(e[:p]) + (mask & low).bit_count() for (e, mask) in m._terms),
         default=-1,
     )
 
@@ -646,8 +675,9 @@ def _coordinate_degree(sig: Signature, m: SuperPolynomial) -> int:
 class _Node:
     """A node of the nested form of an operator (``_apply_form``): the
     multiplier or None, the first-order rows (0-based position i, f_i), and
-    the subtrees (b, node).  The kernel's derivation of the rows is built on
-    first use, by ``derivation``."""
+    the subtrees (b, node), every term map the int numerators over the
+    denominator of the operator.  The kernel's derivation of the rows is
+    built on first use, by ``derivation``."""
 
     __slots__ = ("multiplier", "rows", "deeper", "_derivation")
 
@@ -688,22 +718,24 @@ def _apply_form(p: int, terms: dict) -> _Node:
 
 
 def _combination(pairs) -> dict:
-    """The terms of sum_c c T over the pairs (c, terms T): T itself when it
-    is the only one and c is 1, else a new dict."""
+    """The terms of sum_c c T over the pairs (int c, terms T): T itself when
+    it is the only one and c is 1, else a new dict."""
     if len(pairs) == 1 and pairs[0][0] == 1:
         return pairs[0][1]
     out: dict = {}
     for c, t in pairs:
-        _ops.add_into(out, t if c == 1 else _ops.scale_terms(t, c))
+        _ops.add_into(out, t, c)
     return out
 
 
 def _apply_forms(p: int, terms: dict, forms) -> dict:
-    """The terms of sum_c c P(terms) over the pairs (c, nested form of P):
-    one ``derive_terms`` pass with the multipliers and first-order rows,
-    summed at the c (the node's own derivation where one node at c = 1 has
-    rows), and none where both are empty; then the subtrees under each b,
-    with their c, on d_b of the terms.  The dict is the caller's own."""
+    """The terms of sum_c c P(terms) over the pairs (int c, nested form of
+    P): one ``derive_terms`` pass with the multipliers and first-order rows,
+    summed at the c (the node's own derivation, scaled by its c, where one
+    node has rows), and none where both are empty; then the subtrees under
+    each b, with their c, on d_b of the terms.  The numerators are over the
+    product of the denominators of the terms and of the forms' sum; the dict
+    is the caller's own."""
     weights, with_rows, deeper = [], [], {}
     for c, node in forms:
         if node.multiplier:
@@ -713,8 +745,10 @@ def _apply_forms(p: int, terms: dict, forms) -> dict:
         for i, sub in node.deeper:
             deeper.setdefault(i, []).append((c, sub))
     multiplier = _combination(weights)
-    if len(with_rows) == 1 and with_rows[0][0] == 1:
-        derivation = with_rows[0][1].derivation(p)
+    scale = 1
+    if len(with_rows) == 1:
+        scale, node = with_rows[0]
+        derivation = node.derivation(p)
     else:
         rows = {}
         for c, node in with_rows:
@@ -723,7 +757,7 @@ def _apply_forms(p: int, terms: dict, forms) -> dict:
         derivation = _ops.derivation(p, [(i, _combination(r)) for i, r in rows.items()])
     out = {}
     if multiplier or any(derivation):
-        out = _ops.derive_terms(terms, derivation, multiplier or None)
+        out = _ops.derive_terms(terms, derivation, multiplier or None, scale)
     for i, subs in deeper.items():
         if i < p:
             derived = _ops.partial_even_terms(terms, i)
@@ -734,13 +768,19 @@ def _apply_forms(p: int, terms: dict, forms) -> dict:
     return out
 
 
-def _apply_parts(poly: SuperPolynomial, pairs) -> dict:
-    """The terms of sum_c c P(poly) over the pairs (c, operator P) over the
+def _apply_parts(poly: SuperPolynomial, pairs) -> SuperPolynomial:
+    """sum_c c P(poly) over the pairs (rational c, operator P) over the
     signature of the term map ``poly``: their nested forms run together by
-    ``_apply_forms``, the zero ones left out.  The dict is the caller's
-    own."""
-    forms = [(c, op._nested_form()) for c, op in pairs if c and op._poly]
-    return _apply_forms(poly.signature.p, poly._terms, forms)
+    ``_apply_forms``, the zero ones left out, each c over the denominator of
+    its P brought to their least common multiple as an int."""
+    weights = [
+        (c.numerator, c.denominator * op._poly._den, op)
+        for c, op in pairs if c and op._poly
+    ]
+    den = lcm(*(d for _n, d, _op in weights))
+    forms = [(n * (den // d), op._nested_form()) for n, d, op in weights]
+    terms = _apply_forms(poly.signature.p, poly._terms, forms)
+    return SuperPolynomial._over(poly.signature, terms, poly._den * den)
 
 
 def _compose_terms(sig: Signature, form: _Node, q: dict) -> dict:
@@ -748,16 +788,17 @@ def _compose_terms(sig: Signature, form: _Node, q: dict) -> dict:
     d_b o Q is d/dy^b Q + xi_b * Q over the doubled variables, xi_b the slot
     atom of d_b, so a node is one ``derive_terms`` pass over q, its rows on
     the coordinates and its terms of order at most one the multiplier, and
-    each subtree runs on d_b o Q.  The dict is the caller's own."""
+    each subtree runs on d_b o Q.  The numerators are over the product of
+    the denominators of P and Q; the dict is the caller's own."""
     p = sig.p
-    first = dict(_lift(sig, form.multiplier)._terms) if form.multiplier else {}
+    first = _lift(sig, form.multiplier) if form.multiplier else {}
     coordinates = []
     for i, f in form.rows:
-        first.update(_lift(sig, f, _unit(sig, i + 1))._terms)
-        coordinates.append((i + p * (i >= p), _lift(sig, f)._terms))
+        first.update(_lift(sig, f, _unit(sig, i + 1)))
+        coordinates.append((i + p * (i >= p), _lift(sig, f)))
     out = _ops.derive_terms(q, _ops.derivation(2 * p, coordinates), first)
     for i, sub in form.deeper:
-        d_b = _Node(None, [(i, {((0,) * p, 0): Fraction(1)})], ())  # d_b alone
+        d_b = _Node(None, [(i, {((0,) * p, 0): 1})], ())  # d_b alone
         _ops.add_into(out, _compose_terms(sig, sub, _compose_terms(sig, d_b, q)))
     return out
 
@@ -810,7 +851,7 @@ class DiffOperator(_TermMap, _Graded):
         """Evaluate on a superfunction: the nested form, built once, run by
         ``_apply_forms``; no product of term maps is taken."""
         _check_same_signature(self, f)
-        return SuperPolynomial._raw(self.signature, _apply_parts(f, [(1, self)]))
+        return _apply_parts(f, [(1, self)])
 
     # -- composition -------------------------------------------------------
 
@@ -825,10 +866,10 @@ class DiffOperator(_TermMap, _Graded):
             raise ValueError(
                 f"weight mismatch in composition: {self.lam} vs {other.mu}"
             )
-        sig = self.signature
+        sig, den = self.signature, self._poly._den * other._poly._den
         out = _compose_terms(sig, self._nested_form(), other._poly._terms)
         return DiffOperator._raw(
-            sig, other.lam, self.mu, SuperPolynomial._raw(_doubled(sig), out)
+            sig, other.lam, self.mu, SuperPolynomial._over(_doubled(sig), out, den)
         )
 
     def __repr__(self):
@@ -901,21 +942,22 @@ def lie_operator(x: SuperVectorField, d: DiffOperator) -> DiffOperator:
     poly = d._poly
     lift, higher, phi, b = _operator_lie_parts(x, poly)
     pairs = [(1, lift), (1, higher), (d.mu - d.lam, phi), (d.lam, b)]
-    terms = _apply_parts(poly, pairs)
-    return d._with(SuperPolynomial._raw(poly.signature, terms))
+    return d._with(_apply_parts(poly, pairs))
 
 
 def _slot_operator(sig2: Signature, coeffs: dict) -> DiffOperator:
     """The operator of weights 0 over the doubled signature ``sig2`` with
-    the coefficients ``{slot key: coefficient}``, built unchecked."""
+    the coefficients ``{slot key: coefficient}``, built unchecked over the
+    least common multiple of their denominators."""
     q = sig2.q
+    den = lcm(*(coeff._den for coeff in coeffs.values()))
     terms = {
-        (e + se, m | smask << q): c
+        (e + se, m | smask << q): c * (den // coeff._den)
         for (se, smask), coeff in coeffs.items()
-        for (e, m), c in coeff.items()
+        for (e, m), c in coeff._terms.items()
     }
     zero, sig4 = Fraction(0), _doubled(sig2)
-    return DiffOperator._raw(sig2, zero, zero, SuperPolynomial._raw(sig4, terms))
+    return DiffOperator._raw(sig2, zero, zero, SuperPolynomial._raw(sig4, terms, den))
 
 
 def _covers(key: tuple, beta: tuple) -> bool:
@@ -924,8 +966,8 @@ def _covers(key: tuple, beta: tuple) -> bool:
     return all(map(int.__ge__, key[0], beta[0])) and not beta[1] & ~key[1]
 
 
-def _slot_series(sig: Signature, m: SuperPolynomial, cap, lowest=1, top=None):
-    """The terms lowest <= |beta| <= top of the slot series of a term map m
+def _slot_series(sig: Signature, m: SuperPolynomial, cap, lowest=1):
+    """The terms |beta| >= lowest of the slot series of a term map m
     over the doubled variables of ``sig``,
 
         sum_beta s_beta (d_y^beta m) / beta! d_xi^beta,
@@ -955,8 +997,6 @@ def _slot_series(sig: Signature, m: SuperPolynomial, cap, lowest=1, top=None):
             term = dm.parity_twist() if k & 1 else -dm
             key = (0,) * p + evens, mask << q
             out[key] = term if sign == den == 1 else Fraction(sign, den) * term
-        if top is not None and order >= top:
-            continue
         for i in range(last, 0, -1):
             if i > p:
                 bit = 1 << (i - p - 1)
@@ -1001,14 +1041,27 @@ class _FieldParts(NamedTuple):
 
 def _field_parts(x: SuperVectorField) -> _FieldParts:
     """The powers, the lift and phi of a field; built once per field, by
-    ``SuperVectorField._lie_parts``."""
+    ``SuperVectorField._lie_parts``.  The terms |beta| = 1 of the slot series
+    of W are -(d_y^i W) d_xi^i for an even y^i and tau(d_y^i W) d_xi^i for an
+    odd one, one partial derivative per coordinate of nonzero power."""
     sig, w = x.signature, x._poly
-    sig2, p, low = _doubled(sig), sig.p, (1 << sig.q) - 1
+    sig2, p, q, low = _doubled(sig), sig.p, sig.q, (1 << sig.q) - 1
     powers = (0,) * p, 0
     for e, m in w._terms:
         powers = tuple(map(max, powers[0], e[:p])), powers[1] | m & low
-    lift = {_unit(sig2, i + 1): c for i, c in _coordinate_rows(x)}
-    lift.update(_slot_series(sig, w, [powers], top=1))
+    den = w._den
+    lift = {
+        _unit(sig2, i + 1): SuperPolynomial._over(sig2, terms, den)
+        for i, terms in _coordinate_rows(x)
+    }
+    for i in range(1, sig.n + 1):
+        se, smask = _unit(sig, i)
+        power = powers[1] & smask if i > p else powers[0][i - 1]
+        if power:
+            derived = w.partial(_coord(sig, i))
+            if derived:
+                key = (0,) * p + se, smask << q
+                lift[key] = derived.parity_twist() if i > p else -derived
     phi = _slot_operator(sig2, {((0,) * sig2.p, 0): x._div()})
     return _FieldParts(powers, _slot_operator(sig2, lift), phi)
 
@@ -1034,7 +1087,8 @@ def _operator_lie_parts(x: SuperVectorField, poly: SuperPolynomial | None = None
             keys = set(parts.cap).union(new)
             cap = tuple(k for k in keys if not any(c != k and _covers(c, k) for c in keys))
             sig2 = _doubled(sig)
-            div = SuperPolynomial._raw(sig2, parts.phi._nested_form().multiplier or {})
+            multiplier = parts.phi._nested_form().multiplier or {}
+            div = SuperPolynomial._raw(sig2, multiplier, parts.phi._poly._den)
             higher = _slot_operator(sig2, _slot_series(sig, x._poly, cap, lowest=2))
             b = _slot_operator(sig2, _slot_series(sig, div, cap))
             x._parts = parts = parts._replace(cap=cap, higher=higher, b=b)
@@ -1055,8 +1109,7 @@ def lie_symbol(x: SuperVectorField, s: SymbolField) -> SymbolField:
     if x.signature != s.signature:
         raise ValueError("signature mismatch")
     parts = x._lie_parts()
-    terms = _apply_parts(s._poly, [(1, parts.lift), (s.weight, parts.phi)])
-    return s._with(SuperPolynomial._raw(s._poly.signature, terms))
+    return s._with(_apply_parts(s._poly, [(1, parts.lift), (s.weight, parts.phi)]))
 
 
 def interior(h: Sequence[Rational], s: SymbolField) -> SymbolField:
@@ -1082,10 +1135,10 @@ def symbol_divergence(s: SymbolField) -> SymbolField:
     """Divergence of a symbol: sum_j +-d/de_j d/dy^j, each coordinate
     derivative contracted with its dual frame covector, with the sign - for
     odd y^j; one pass of the kernel's ``divergence_terms``."""
-    sig = s.signature
-    out = _ops.divergence_terms(s._poly._terms, sig.p, sig.q)
+    sig, poly = s.signature, s._poly
+    out = _ops.divergence_terms(poly._terms, sig.p, sig.q)
     return SymbolField._raw(
-        sig, s.weight, max(s.degree - 1, 0), SuperPolynomial._raw(s._poly.signature, out)
+        sig, s.weight, max(s.degree - 1, 0), SuperPolynomial._over(poly.signature, out, poly._den)
     )
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Sequence
 
@@ -94,12 +95,11 @@ def _mat(rows) -> tuple:
     return tuple(tuple(as_fraction(v) for v in row) for row in rows)
 
 
-def _mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_scale(c, a):
-    return tuple(tuple(c * x for x in row) for row in a)
+def _int_matrix(m) -> tuple:
+    """A rational matrix as ``(rows, den)``: rows of int numerators over the
+    least common denominator of its entries."""
+    den = lcm(*(v.denominator for row in m for v in row))
+    return tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in m), den
 
 
 def _full_parity(signature: Signature, a: int) -> int:
@@ -107,8 +107,9 @@ def _full_parity(signature: Signature, a: int) -> int:
     return 0 if a <= signature.p else 1
 
 
-def _supertrace_full(m, signature: Signature) -> Fraction:
-    total = Fraction(0)
+def _supertrace_full(m, signature: Signature):
+    """The supertrace of a full matrix, in the type of its entries."""
+    total = 0
     for a in range(len(m)):
         if _full_parity(signature, a):
             total -= m[a][a]
@@ -134,30 +135,33 @@ def _supertrace_product(a, b, signature: Signature) -> Fraction:
     return total
 
 
-def _super_commutator(m1, m2, signature: Signature):
+def _super_commutator(a: tuple, b: tuple, signature: Signature) -> tuple:
     """Bracket of raw full matrices in one signed pass:
-    [a, b]_rc = sum_k a_rk b_kc - (-1)^{(pi_r + pi_k)(pi_k + pi_c)} b_rk a_kc."""
-    size = len(m1)
-    par = [_full_parity(signature, a) for a in range(size)]
-    out = [[Fraction(0)] * size for _ in range(size)]
+    [a, b]_rc = sum_k a_rk b_kc - (-1)^{(pi_r + pi_k)(pi_k + pi_c)} b_rk a_kc,
+    over int numerators: each matrix as ``(rows, den)``, and the bracket in
+    the same form over the product of their denominators."""
+    (ma, da), (mb, db) = a, b
+    size = len(ma)
+    par = [_full_parity(signature, i) for i in range(size)]
+    out = [[0] * size for _ in range(size)]
     for r in range(size):
         acc = out[r]
         for k in range(size):
-            a_rk = m1[r][k]
+            a_rk = ma[r][k]
             if a_rk:
-                for c, b_kc in enumerate(m2[k]):
+                for c, b_kc in enumerate(mb[k]):
                     if b_kc:
                         acc[c] += a_rk * b_kc
-            b_rk = m2[r][k]
+            b_rk = mb[r][k]
             if b_rk:
                 odd_rk = par[r] ^ par[k]
-                for c, a_kc in enumerate(m1[k]):
+                for c, a_kc in enumerate(ma[k]):
                     if a_kc:
                         if odd_rk and par[k] ^ par[c]:
                             acc[c] += b_rk * a_kc
                         else:
                             acc[c] -= b_rk * a_kc
-    return tuple(tuple(row) for row in out)
+    return tuple(map(tuple, out)), da * db
 
 
 def _entries(m) -> list:
@@ -199,25 +203,34 @@ def _invert(rows: list) -> list:
 # elements
 
 
-def _representative(signature: Signature, m: tuple) -> tuple:
-    """The canonical representative of m modulo the identity: supertraceless
-    for ``sl``, zero corner entry for ``psl``.  The multiple of the identity
-    is subtracted on the diagonal only."""
+def _representative(signature: Signature, rows: tuple, den: int) -> tuple:
+    """The canonical representative of the int matrix ``rows`` over ``den``
+    modulo the identity, in the same form: supertraceless for ``sl``, zero
+    corner entry for ``psl``.  The multiple of the identity is subtracted on
+    the diagonal only; for ``sl`` it is the supertrace over p + 1 - q, so
+    the rows move to that multiple of ``den`` first."""
     if _is_psl(signature):
-        c = m[0][0]
+        c, scale = rows[0][0], 1
     else:
-        s = _supertrace_full(m, signature)
-        c = s / (signature.p + 1 - signature.q) if s else 0
+        c, scale = _supertrace_full(rows, signature), signature.p + 1 - signature.q
+        if scale < 0:
+            c, scale = -c, -scale
     if not c:
-        return m
-    return tuple(row[:r] + (row[r] - c,) + row[r + 1 :] for r, row in enumerate(m))
+        return rows, den
+    if scale != 1:
+        rows, den = tuple(tuple(v * scale for v in row) for row in rows), den * scale
+    return tuple(row[:r] + (row[r] - c,) + row[r + 1 :] for r, row in enumerate(rows)), den
 
 
 class PglElement:
     """An element of the projective superalgebra, stored as a canonical
-    representative: supertraceless for ``sl``, zero corner entry for ``psl``."""
+    representative: supertraceless for ``sl``, zero corner entry for ``psl``.
+    ``_ints`` holds the matrix as ``(rows, den)``, int numerators over a
+    positive denominator that shares no factor with all of them, which the
+    bracket, the realization and equality read; ``matrix`` gives its entries
+    as ``Fraction`` rows, made on first use."""
 
-    __slots__ = ("signature", "matrix")
+    __slots__ = ("signature", "_ints", "_matrix")
 
     def __init__(self, signature: Signature, matrix, algebra: str | None = None):
         normalize_algebra(signature, algebra)
@@ -225,34 +238,60 @@ class PglElement:
         m = _mat(matrix)
         if len(m) != size or any(len(row) != size for row in m):
             raise ValueError(f"expected a {size}x{size} matrix for {signature}")
-        self.signature = signature
-        self.matrix = _representative(signature, m)
+        self._set(signature, *_int_matrix(m))
 
     @classmethod
-    def _raw(cls, signature: Signature, matrix: tuple) -> "PglElement":
-        # a square tuple of Fraction rows of the right size, as the bracket
-        # and the arithmetic make them: only the representative is chosen
+    def _raw(cls, signature: Signature, rows: tuple, den: int) -> "PglElement":
+        # a square tuple of int rows of the right size over ``den`` >= 1, as
+        # the bracket and the arithmetic make them: only the representative
+        # is chosen
         self = cls.__new__(cls)
-        self.signature = signature
-        self.matrix = _representative(signature, matrix)
+        self._set(signature, rows, den)
         return self
+
+    def _set(self, signature: Signature, rows: tuple, den: int) -> None:
+        # reduced like a term map, so equal elements have equal ``_ints``
+        rows, den = _representative(signature, rows, den)
+        g = gcd(den, *(v for row in rows for v in row))
+        if g != 1:
+            rows, den = tuple(tuple(v // g for v in row) for row in rows), den // g
+        self.signature = signature
+        self._ints = rows, den
+        self._matrix = None
+
+    @property
+    def matrix(self) -> tuple:
+        if self._matrix is None:
+            rows, den = self._ints
+            zero = Fraction(0)
+            self._matrix = tuple(
+                tuple(Fraction(v, den) if v else zero for v in row) for row in rows
+            )
+        return self._matrix
 
     @property
     def algebra(self) -> str:
         return default_algebra(self.signature)
 
     def supertrace(self) -> Fraction:
-        return _supertrace_full(self.matrix, self.signature)
+        rows, den = self._ints
+        return Fraction(_supertrace_full(rows, self.signature), den)
 
     def is_zero(self) -> bool:
-        return all(not v for row in self.matrix for v in row)
+        return not any(map(any, self._ints[0]))
 
     def __add__(self, other):
         if not isinstance(other, PglElement):
             return NotImplemented
         if self.signature != other.signature:
             raise ValueError("signature mismatch")
-        return PglElement._raw(self.signature, _mat_add(self.matrix, other.matrix))
+        (ma, da), (mb, db) = self._ints, other._ints
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        rows = tuple(
+            tuple(fa * x + fb * y for x, y in zip(ra, rb)) for ra, rb in zip(ma, mb)
+        )
+        return PglElement._raw(self.signature, rows, den)
 
     def __sub__(self, other):
         if not isinstance(other, PglElement):
@@ -260,13 +299,14 @@ class PglElement:
         return self + (-other)
 
     def __neg__(self):
-        return PglElement._raw(self.signature, _mat_scale(Fraction(-1), self.matrix))
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return PglElement._raw(
-                self.signature, _mat_scale(as_fraction(other), self.matrix)
-            )
+            rows, den = self._ints
+            c = other.numerator
+            rows = tuple(tuple(c * v for v in row) for row in rows)
+            return PglElement._raw(self.signature, rows, den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -274,10 +314,10 @@ class PglElement:
     def __eq__(self, other):
         if not isinstance(other, PglElement):
             return NotImplemented
-        return self.signature == other.signature and self.matrix == other.matrix
+        return self.signature == other.signature and self._ints == other._ints
 
     def __hash__(self):
-        return hash((self.signature, self.matrix))
+        return hash((self.signature, self._ints))
 
     def __repr__(self):
         return f"PglElement({self.signature}, {self.matrix!r}, {self.algebra!r})"
@@ -347,7 +387,7 @@ def pgl_bracket(a: PglElement, b: PglElement) -> PglElement:
     if a.signature != b.signature:
         raise ValueError("signature mismatch")
     sig = a.signature
-    return PglElement._raw(sig, _super_commutator(a.matrix, b.matrix, sig))
+    return PglElement._raw(sig, *_super_commutator(a._ints, b._ints, sig))
 
 
 # ---------------------------------------------------------------------------
@@ -497,26 +537,29 @@ def realize(h) -> SuperVectorField:
 
     Constants act by negated coordinate derivatives, linear blocks by negated
     signed linear fields, and quadratic directions by a coordinate function
-    times the Euler field.  An element's matrix is read directly: h_- is
-    column 0, h_+ is row 0 and h_0 the block below and right of the corner,
-    less the corner entry on its diagonal.  The field is one term dict over
-    the doubled variables; component i adds -h_-^i, then -(+-) h_0^ij y^j
+    times the Euler field.  An element's matrix is read directly, as int
+    numerators over its denominator: h_- is column 0, h_+ is row 0 and h_0
+    the block below and right of the corner, less the corner entry on its
+    diagonal.  The field is one term dict over the doubled variables, over
+    that denominator; component i adds -h_-^i, then -(+-) h_0^ij y^j
     (sign - when y^j is odd and y^i even), then f y^i with
     f = sum_j (-1)^{parity(y^j)} h_+^j y^j, each times d_i.
     """
     if isinstance(h, SuperVectorField):
         return h
     if isinstance(h, PglElement):
-        m = h.matrix
-        corner = m[0][0]
-        h_minus = [row[0] for row in m[1:]]
-        h_zero = [row[1:] for row in m[1:]]
-        h_plus = m[0][1:]
+        m, den = h._ints
     elif isinstance(h, GradedElement):
-        corner = 0
-        h_minus, h_zero, h_plus = h.h_minus, h.h_zero, h.h_plus
+        # the graded data as a matrix with a zero corner
+        m, den = _int_matrix(
+            [(0, *h.h_plus)] + [(v, *row) for v, row in zip(h.h_minus, h.h_zero)]
+        )
     else:
         raise TypeError(f"cannot realize {type(h).__name__}")
+    corner = m[0][0]
+    h_minus = [row[0] for row in m[1:]]
+    h_zero = [row[1:] for row in m[1:]]
+    h_plus = m[0][1:]
     sig = h.signature
     parity = [0] + [sig.parity(j) for j in range(1, sig.n + 1)]
     f = [(j, -v if parity[j] else v) for j, v in enumerate(h_plus, start=1) if v]
@@ -536,7 +579,7 @@ def realize(h) -> SuperVectorField:
             key, sign = quadratic[j]
             if sign:
                 terms[key] = c if sign > 0 else -c
-    return SuperVectorField._raw(sig, SuperPolynomial._raw(_doubled(sig), terms))
+    return SuperVectorField._raw(sig, SuperPolynomial._over(_doubled(sig), terms, den))
 
 
 # ---------------------------------------------------------------------------
@@ -634,10 +677,9 @@ def _build_dual_basis_pair(signature: Signature, scheme: str) -> DualBasisPair:
             acc = gathered[j]
             for r, k, v in entries:
                 acc[r, k] = acc.get((r, k), 0) + c * v
-    zero = Fraction(0)
     dual = tuple(
-        PglElement._raw(signature, tuple(
-            tuple(acc.get((r, k), zero) for k in range(size)) for r in range(size)
+        PglElement._raw(signature, *_int_matrix(
+            [[acc.get((r, k), 0) for k in range(size)] for r in range(size)]
         ))
         for acc in gathered
     )
@@ -689,15 +731,19 @@ def _casimir(signature: Signature, scheme: str, rep: str) -> tuple:
         for (dy, ly), op_y in zip(powers, parts(y)):
             for (dx, lx), op_x in ops_x:
                 if op_y._poly and op_x._poly:
-                    acc = sums.setdefault((dy + dx, ly + lx), {})
-                    _ops.add_into(acc, op_y.compose(op_x)._poly._terms)
+                    composed = op_y.compose(op_x)._poly
+                    sums.setdefault((dy + dx, ly + lx), []).append(composed)
     sig2, zero = _doubled(signature), Fraction(0)
-    sig4 = _doubled(sig2)
-    return tuple(
-        (i, j, DiffOperator._raw(sig2, zero, zero, SuperPolynomial._raw(sig4, terms)))
-        for (i, j), terms in sorted(sums.items())
-        if terms
-    )
+    out = []
+    for (i, j), polys in sorted(sums.items()):
+        den = lcm(*(poly._den for poly in polys))
+        acc = {}
+        for poly in polys:
+            _ops.add_into(acc, poly._terms, den // poly._den)
+        if acc:
+            poly = SuperPolynomial._over(_doubled(sig2), acc, den)
+            out.append((i, j, DiffOperator._raw(sig2, zero, zero, poly)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -789,9 +835,7 @@ def casimir_apply(
     if rep not in (REP_SYMBOL, REP_AFFINE):
         raise ValueError(f"unknown representation {rep!r}")
     pairs = [(s.weight**i * lam**j, op) for i, j, op in _casimir(sig, scheme, rep)]
-    poly = s._poly
-    terms = _apply_parts(poly, pairs)
-    return MixedSymbol._raw(sig, s.weight, SuperPolynomial._raw(poly.signature, terms))
+    return MixedSymbol._raw(sig, s.weight, _apply_parts(s._poly, pairs))
 
 
 def casimir_eigenvalue(k: int, delta: Rational, signature: Signature) -> Fraction:
@@ -816,8 +860,10 @@ def psl_casimir_eigenvalue(k: int) -> Fraction:
     return Fraction(2 * k * (k - 1))
 
 
+@functools.cache
 def critical_values_for_degree(signature: Signature, k: int) -> frozenset:
-    """The critical weights of degree k, which ``quantize`` refuses."""
+    """The critical weights of degree k, which ``quantize`` refuses; kept
+    per signature and degree, as ``quantize`` asks for every part."""
     if _is_psl(signature):
         raise DomainError("critical values are defined for q != p+1")
     pq = signature.p - signature.q
@@ -872,18 +918,18 @@ def ensure_noncritical(signature: Signature, k: int, delta: Rational) -> None:
 
 def _coefficients(
     k: int, r: int, lam: Fraction, d: Fraction, signature: Signature
-) -> list[Fraction]:
-    """C_{k,0..r}, where C_{k,r} = prod_{j=1..r} ((m+1) lam + k - j) /
-    (j (m + 2k - j - (m+1) d)) at superdimension m = p - q, as the running
-    product C_{k,j} = C_{k,j-1} ((m+1) lam + k - j) / (j (m + 2k - j - (m+1) d));
-    at m = -1 both weights drop out.  With lam = a/b and d = c/e the step
-    factor is ((m+1) a + (k-j) b) e / (b j ((m+2k-j) e - (m+1) c)), so the
-    product runs in integers, one Fraction per entry."""
+) -> tuple[list[int], int]:
+    """C_{k,0..r} as int numerators over one positive common denominator,
+    where C_{k,r} = prod_{j=1..r} ((m+1) lam + k - j) /
+    (j (m + 2k - j - (m+1) d)) at superdimension m = p - q; at m = -1 both
+    weights drop out.  With lam = a/b and d = c/e the step factor is
+    N_j / D_j = ((m+1) a + (k-j) b) e / (b j ((m+2k-j) e - (m+1) c)), so over
+    D_1 ... D_r the numerator of C_{k,j} is N_1 ... N_j D_{j+1} ... D_r, and
+    no ``Fraction`` is made."""
     pq = signature.p - signature.q
     a, b = lam.numerator, lam.denominator
     c, e = d.numerator, d.denominator
-    coeff = Fraction(1)
-    out = [coeff]
+    nums, dens = [1], []
     for j in range(1, r + 1):
         factor = (pq + 2 * k - j) * e - (pq + 1) * c
         if factor == 0:
@@ -893,10 +939,16 @@ def _coefficients(
                 value=d,
                 pairs=[(k, k - j)],
             )
-        coeff = Fraction(coeff.numerator * ((pq + 1) * a + (k - j) * b) * e,
-                         coeff.denominator * b * j * factor)
-        out.append(coeff)
-    return out
+        nums.append(nums[-1] * ((pq + 1) * a + (k - j) * b) * e)
+        dens.append(b * j * factor)
+    den = 1
+    for j in range(r, 0, -1):
+        nums[j] *= den
+        den *= dens[j - 1]
+    nums[0] = den
+    if den < 0:
+        return [-n for n in nums], -den
+    return nums, den
 
 
 def quantization_coefficient(
@@ -908,7 +960,8 @@ def quantization_coefficient(
         raise DomainError("the coefficient formula requires q != p+1")
     if not 0 <= r <= k:
         raise ValueError(f"step r={r} out of range 0..{k}")
-    return _coefficients(k, r, as_fraction(lam), as_fraction(delta), signature)[r]
+    nums, den = _coefficients(k, r, as_fraction(lam), as_fraction(delta), signature)
+    return Fraction(nums[r], den)
 
 
 def psl_quantization_coefficient(k: int, r: int) -> Fraction:
@@ -921,4 +974,5 @@ def psl_quantization_coefficient(k: int, r: int) -> Fraction:
             "degree-1 coefficients are not determined in the q = p+1 variant"
         )
     # the coefficients see the signature only through p - q = -1
-    return _coefficients(k, r, Fraction(0), Fraction(0), Signature(0, 1))[r]
+    nums, den = _coefficients(k, r, Fraction(0), Fraction(0), Signature(0, 1))
+    return Fraction(nums[r], den)

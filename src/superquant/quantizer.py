@@ -9,22 +9,25 @@ Q_t(S) = affine(S) + t affine(div S).  The inverse symbol map peels an
 operator top order first.
 
 The series is built in one private dict: each divergence is one pass of the
-kernel's ``divergence_terms``, and the passes stop at the last nonzero
-coefficient.  The coefficients C_{k,0..k} are one running product
+kernel's ``divergence_terms`` on the symbol's int numerators, and the passes
+stop at the last nonzero coefficient.  The coefficients C_{k,0..k} are one
+running product in ints over a common denominator
 (``projective._coefficients``), computed afresh for each quantized part.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError
 from .geometry import (
     DiffOperator,
     MixedSymbol,
     SymbolField,
-    _slot_degrees,
+    _slot_degree_terms,
     affine_quantize,
 )
 from .projective import (
@@ -73,7 +76,7 @@ class QuantizationConfig:
             )
         object.__setattr__(self, "variant", variant)
 
-    @property
+    @functools.cached_property
     def mu(self) -> Fraction:
         return self.lam + self.delta
 
@@ -105,42 +108,46 @@ def _sum_over_degrees(
         ops.append(quantize_part(part, cfg))
     if len(ops) == 1:
         return ops[0]
+    den = lcm(*(op._poly._den for op in ops))
     total: dict = {}
     for op in ops:
-        _ops.add_into(total, op._poly._terms)
-    return DiffOperator._raw(
-        cfg.signature, cfg.lam, cfg.mu, SuperPolynomial._raw(s._poly.signature, total)
-    )
+        _ops.add_into(total, op._poly._terms, den // op._poly._den)
+    poly = SuperPolynomial._over(s._poly.signature, total, den)
+    return DiffOperator._raw(cfg.signature, cfg.lam, cfg.mu, poly)
 
 
-def _series_coefficients(cfg: QuantizationConfig, k: int) -> list[Fraction]:
+def _series_coefficients(cfg: QuantizationConfig, k: int) -> tuple[list[int], int]:
     """C_{k,0..r} of the degree-k divergence series up to its last nonzero
-    coefficient; the caller has passed ``ensure_noncritical`` for the degree.
-    Every entry is nonzero: once a running-product step is zero, so is every
-    later one, and the trailing zeros are dropped."""
+    coefficient, as int numerators over one common denominator; the caller
+    has passed ``ensure_noncritical`` for the degree.  Every entry is
+    nonzero: once a running-product step is zero, so is every later one,
+    and the trailing zeros are dropped."""
     if k == 1 and _is_psl(cfg.signature):
         # C_{1,1} is 0/0 at p - q = -1; the family parameter takes its place
-        table = [Fraction(1), cfg.t]
+        t = cfg.t
+        nums, den = [t.denominator, t.numerator], t.denominator
     else:
-        table = _coefficients(k, k, cfg.lam, cfg.delta, cfg.signature)
-    while not table[-1]:
-        table.pop()
-    return table
+        nums, den = _coefficients(k, k, cfg.lam, cfg.delta, cfg.signature)
+    while not nums[-1]:
+        nums.pop()
+    return nums, den
 
 
 def _divergence_series(s: SymbolField, cfg: QuantizationConfig) -> DiffOperator:
     """Q(S) = sum_r C_{k,r} affine(div^r S) for a degree-k symbol: one
-    ``divergence_terms`` pass per step, every step added into one private
-    dict, and no pass after the last nonzero coefficient."""
+    ``divergence_terms`` pass per step over the numerators of S, each step
+    added at the numerator of its C_{k,r} into one private dict, and no pass
+    after the last nonzero coefficient."""
     sig = cfg.signature
+    nums, den = _series_coefficients(cfg, s.degree)
     terms = s._poly._terms
     total: dict = {}
-    for r, c in enumerate(_series_coefficients(cfg, s.degree)):
+    for r, c in enumerate(nums):
         if r:
             terms = _ops.divergence_terms(terms, sig.p, sig.q)
         # affine(div^r S) is the term map of div^r S relabeled
-        _ops.add_into(total, terms if c == 1 else _ops.scale_terms(terms, c))
-    poly = SuperPolynomial._raw(s._poly.signature, total)
+        _ops.add_into(total, terms, c)
+    poly = SuperPolynomial._over(s._poly.signature, total, s._poly._den * den)
     return DiffOperator._raw(sig, cfg.lam, cfg.mu, poly)
 
 
@@ -206,21 +213,29 @@ def symbol_map(d: DiffOperator, cfg: QuantizationConfig) -> MixedSymbol:
             f"operator weights ({d.lam}, {d.mu}) do not match config "
             f"({cfg.lam}, {cfg.mu})"
         )
-    doubled = d._poly.signature
-    # the remainder and the peeled symbol, in private dicts; the remainder
-    # split by slot degree, so each principal symbol is one lookup
-    rest = {k: p._terms for k, p in _slot_degrees(d.signature, d._poly).items()}
+    sig, doubled = d.signature, d._poly.signature
+    # the remainder and the peeled symbol, in private dicts of numerators
+    # over one denominator; the remainder split by slot degree, so each
+    # principal symbol is one lookup
+    den = d._poly._den
+    rest = _slot_degree_terms(sig, d._poly._terms)
     peeled: dict = {}
     for k in range(max(rest, default=0), -1, -1):
         top = rest.get(k)
         if not top:
             continue
         peeled.update(top)
-        sk = SymbolField._raw(
-            cfg.signature, cfg.delta, k, SuperPolynomial._raw(doubled, dict(top))
-        )
-        for j, piece in _slot_degrees(d.signature, quantize(sk, cfg)._poly).items():
-            _ops.add_into(rest.setdefault(j, {}), piece._terms, -1)
+        part = SuperPolynomial._over(doubled, dict(top), den)
+        q = quantize(SymbolField._raw(sig, cfg.delta, k, part), cfg)._poly
+        common = lcm(den, q._den)
+        if common != den:
+            # the remainder and the peeled symbol move to the common denominator
+            for terms in (peeled, *rest.values()):
+                for key in terms:
+                    terms[key] *= common // den
+            den = common
+        for j, piece in _slot_degree_terms(sig, q._terms).items():
+            _ops.add_into(rest.setdefault(j, {}), piece, -(den // q._den))
     if any(rest.values()):
         raise DomainError("peeling failed to terminate at zero")
-    return MixedSymbol._raw(cfg.signature, cfg.delta, SuperPolynomial._raw(doubled, peeled))
+    return MixedSymbol._raw(cfg.signature, cfg.delta, SuperPolynomial._over(doubled, peeled, den))

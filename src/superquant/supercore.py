@@ -3,15 +3,21 @@
 Coordinates are unified as y^1..y^{p+q}: the first p are even (commuting)
 and the remaining q are odd (anticommuting, squaring to zero).  Every
 polynomial is kept in canonical form: a term map from monomial keys
-``(even_exponents, odd_mask)`` to nonzero rational coefficients, with odd
-factors implicitly in ascending index order.  All arithmetic is exact over
-``fractions.Fraction``; derivatives along odd coordinates act from the left.
+``(even_exponents, odd_mask)`` to nonzero integer numerators over one
+positive denominator, with odd factors implicitly in ascending index order;
+derivatives along odd coordinates act from the left.  The form is reduced:
+the denominator and the numerators have no common factor, and the zero
+polynomial is the empty map over 1.  So equal polynomials have equal term
+maps and denominators, and the kernel multiplies and adds plain ints.
+Rationals cross the interface as ``fractions.Fraction``: the constructor
+takes them, and ``items()``, ``coefficient()`` and ``repr`` give them back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from . import _termops_py as _ops
@@ -92,13 +98,33 @@ def _check_same_signature(a, b) -> None:
         raise ValueError(f"signature mismatch: {a.signature} vs {b.signature}")
 
 
-class SuperPolynomial:
-    """A polynomial superfunction in canonical form over a fixed signature."""
+def _from_fractions(terms: dict) -> tuple:
+    """Nonzero rational values as int numerators over the least common
+    denominator, which leaves the map reduced."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    if den == 1:
+        return {key: c.numerator for key, c in terms.items()}, 1
+    return {key: c.numerator * (den // c.denominator) for key, c in terms.items()}, den
 
-    __slots__ = ("signature", "_terms")
+
+def _rescaled(terms: dict, factor: int) -> dict:
+    """The numerators times ``factor``: a map moved to a multiple of its
+    denominator."""
+    if factor == 1:
+        return terms
+    return {key: factor * v for key, v in terms.items()}
+
+
+class SuperPolynomial:
+    """A polynomial superfunction in canonical form over a fixed signature:
+    ``_terms`` maps monomial keys to nonzero int numerators over the
+    denominator ``_den``, reduced (see the module docstring)."""
+
+    __slots__ = ("signature", "_terms", "_den")
 
     def __init__(self, signature: Signature, terms=None):
         self.signature = signature
+        self._den = 1
         if terms is None:
             self._terms = {}
             return
@@ -117,15 +143,32 @@ class SuperPolynomial:
                     canon[k] = acc
                 else:
                     del canon[k]
-        self._terms = canon
+        self._terms, self._den = _from_fractions(canon)
 
     @classmethod
-    def _raw(cls, signature: Signature, terms: dict) -> "SuperPolynomial":
-        # kernel outputs are already canonical; skip re-validation
+    def _raw(cls, signature: Signature, terms: dict, den: int = 1) -> "SuperPolynomial":
+        # kernel outputs already reduced over ``den``; skip re-validation
         self = cls.__new__(cls)
         self.signature = signature
         self._terms = terms
+        self._den = den
         return self
+
+    @classmethod
+    def _over(cls, signature: Signature, terms: dict, den: int) -> "SuperPolynomial":
+        """The polynomial of the nonzero int numerators ``terms`` over
+        ``den`` >= 1, reduced here: the common factor of the denominator and
+        every numerator divided out, the empty map over 1.  One ``gcd`` per
+        map, none over 1."""
+        if den != 1:
+            if not terms:
+                den = 1
+            else:
+                g = gcd(den, *terms.values())
+                if g != 1:
+                    terms = {key: v // g for key, v in terms.items()}
+                    den //= g
+        return cls._raw(signature, terms, den)
 
     # -- constructors ------------------------------------------------------
 
@@ -138,7 +181,7 @@ class SuperPolynomial:
         c = as_fraction(value)
         if not c:
             return cls.zero(signature)
-        return cls._raw(signature, {((0,) * signature.p, 0): c})
+        return cls._raw(signature, {((0,) * signature.p, 0): c.numerator}, c.denominator)
 
     @classmethod
     def one(cls, signature: Signature) -> "SuperPolynomial":
@@ -149,9 +192,9 @@ class SuperPolynomial:
         """The coordinate function y^i (1-based unified index)."""
         if signature.parity(i) == 0:
             evens = tuple(1 if k == i - 1 else 0 for k in range(signature.p))
-            return cls._raw(signature, {(evens, 0): Fraction(1)})
+            return cls._raw(signature, {(evens, 0): 1})
         bit = 1 << (i - signature.p - 1)
-        return cls._raw(signature, {((0,) * signature.p, bit): Fraction(1)})
+        return cls._raw(signature, {((0,) * signature.p, bit): 1})
 
     @classmethod
     def monomial(
@@ -175,7 +218,9 @@ class SuperPolynomial:
     # -- inspection --------------------------------------------------------
 
     def items(self):
-        return self._terms.items()
+        """``(key, coefficient)`` pairs, each coefficient a ``Fraction``."""
+        den = self._den
+        return {key: Fraction(v, den) for key, v in self._terms.items()}.items()
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -184,7 +229,8 @@ class SuperPolynomial:
         return bool(self._terms)
 
     def coefficient(self, evens: Iterable[int], odds: Iterable[int]) -> Fraction:
-        return self._terms.get(_monomial_key(self.signature, evens, odds), Fraction(0))
+        v = self._terms.get(_monomial_key(self.signature, evens, odds), 0)
+        return Fraction(v, self._den)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -204,6 +250,7 @@ class SuperPolynomial:
         return self._raw(
             self.signature,
             {key: -c if key[1].bit_count() & 1 else c for key, c in self._terms.items()},
+            self._den,
         )
 
     def graded_parts(self) -> tuple["SuperPolynomial", "SuperPolynomial"]:
@@ -211,14 +258,24 @@ class SuperPolynomial:
         ev, od = {}, {}
         for key, c in self._terms.items():
             (od if key[1].bit_count() & 1 else ev)[key] = c
-        return self._raw(self.signature, ev), self._raw(self.signature, od)
+        return self._over(self.signature, ev, self._den), self._over(self.signature, od, self._den)
 
     # -- arithmetic --------------------------------------------------------
 
+    def _sum(self, other: "SuperPolynomial", combine) -> "SuperPolynomial":
+        """``combine`` (the kernel's sum or difference) of the two maps
+        brought to the least common multiple of their denominators."""
+        _check_same_signature(self, other)
+        a, b = self._den, other._den
+        if a == b:
+            return self._over(self.signature, combine(self._terms, other._terms), a)
+        den = lcm(a, b)
+        terms = combine(_rescaled(self._terms, den // a), _rescaled(other._terms, den // b))
+        return self._over(self.signature, terms, den)
+
     def __add__(self, other):
         if isinstance(other, SuperPolynomial):
-            _check_same_signature(self, other)
-            return self._raw(self.signature, _ops.add_terms(self._terms, other._terms))
+            return self._sum(other, _ops.add_terms)
         if isinstance(other, (int, Fraction)):
             return self + SuperPolynomial.scalar(self.signature, other)
         return NotImplemented
@@ -227,8 +284,7 @@ class SuperPolynomial:
 
     def __sub__(self, other):
         if isinstance(other, SuperPolynomial):
-            _check_same_signature(self, other)
-            return self._raw(self.signature, _ops.sub_terms(self._terms, other._terms))
+            return self._sum(other, _ops.sub_terms)
         if isinstance(other, (int, Fraction)):
             return self - SuperPolynomial.scalar(self.signature, other)
         return NotImplemented
@@ -237,18 +293,18 @@ class SuperPolynomial:
         return (-self) + other
 
     def __neg__(self):
-        return self._raw(self.signature, _ops.neg_terms(self._terms))
+        return self._raw(self.signature, _ops.neg_terms(self._terms), self._den)
 
     def __mul__(self, other):
         if isinstance(other, SuperPolynomial):
             _check_same_signature(self, other)
-            return self._raw(self.signature, _ops.mul_terms(self._terms, other._terms))
+            terms = _ops.mul_terms(self._terms, other._terms)
+            return self._over(self.signature, terms, self._den * other._den)
         if isinstance(other, (int, Fraction)):
             if other == 1:
                 return self  # polynomials are never mutated in place
-            return self._raw(
-                self.signature, _ops.scale_terms(self._terms, as_fraction(other))
-            )
+            terms = _ops.scale_terms(self._terms, other.numerator)
+            return self._over(self.signature, terms, self._den * other.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -275,13 +331,17 @@ class SuperPolynomial:
             terms = _ops.partial_even_terms(self._terms, i - 1)
         else:
             terms = _ops.partial_odd_terms(self._terms, 1 << (i - self.signature.p - 1))
-        return self._raw(self.signature, terms)
+        return self._over(self.signature, terms, self._den)
 
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, SuperPolynomial):
-            return self.signature == other.signature and self._terms == other._terms
+            return (
+                self.signature == other.signature
+                and self._den == other._den
+                and self._terms == other._terms
+            )
         if isinstance(other, (int, Fraction)):
             return self == SuperPolynomial.scalar(self.signature, other)
         return NotImplemented
@@ -289,7 +349,7 @@ class SuperPolynomial:
     __hash__ = None  # mutable-ish container semantics; not hashable
 
     def __repr__(self):
-        return f"SuperPolynomial({self.signature}, {self._terms!r})"
+        return f"SuperPolynomial({self.signature}, {dict(self.items())!r})"
 
     def __str__(self):
         from . import expr
@@ -322,4 +382,4 @@ def iter_monomials(signature: Signature, max_degree: int) -> Iterator[SuperPolyn
         if odd_deg > max_degree:
             continue
         for evens in even_tuples(max_degree - odd_deg):
-            yield SuperPolynomial._raw(signature, {(evens, mask): Fraction(1)})
+            yield SuperPolynomial._raw(signature, {(evens, mask): 1})

@@ -161,8 +161,7 @@ def _degree_keys(sig: Signature, degree: int):
 
 
 def _project_parity(f: SuperPolynomial, parity: int) -> SuperPolynomial:
-    terms = {k: c for k, c in f.items() if k[1].bit_count() & 1 == parity}
-    return SuperPolynomial(f.signature, terms)
+    return f.graded_parts()[parity]
 
 
 def _parity_monomial(sig: Signature, parity: int, rng: random.Random):

@@ -1,8 +1,9 @@
 """The expression reader as it was before products were folded into one
 monomial: a character-by-character lexer of ``_Token`` objects and a parser
-that multiplies every factor through the kernel.  Kept verbatim as the
-oracle of the differential tests in ``test_expr.py``; ``parse_reference``
-takes the arguments of ``superquant.expr.parse``."""
+that multiplies every factor through the kernel, over ``Fraction`` values
+that the ``SuperPolynomial`` constructor turns into numerators at the end.
+Kept as the oracle of the differential tests in ``test_expr.py``;
+``parse_reference`` takes the arguments of ``superquant.expr.parse``."""
 
 from __future__ import annotations
 
@@ -217,6 +218,7 @@ def parse_reference(
         value = _Parser(tokens, kind, signature).parse()
     except RecursionError:
         raise ExprError("expression nested too deeply", 0) from None
-    # the parser's monomial maps are term maps over the doubled signature
-    poly = SuperPolynomial._raw(_doubled(signature), value)
+    # the parser's monomial maps are term maps over the doubled signature,
+    # with Fraction values, which the constructor turns into numerators
+    poly = SuperPolynomial(_doubled(signature), value)
     return _build(kind, signature, poly, weight, lam, lam if mu is None else mu)

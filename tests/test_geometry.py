@@ -484,8 +484,8 @@ def test_lie_operator_matches_composition(case):
 # ``push_through_reference`` is the per-factor normal ordering that the
 # Leibniz routine replaced, kept verbatim as an oracle, and
 # ``compose_reference`` composes with it.  ``Leibniz`` is that routine,
-# which ``lie_operator`` ran before its slot series, kept verbatim as the
-# oracle of ``apply_reference``.
+# which ``lie_operator`` ran before its slot series, kept as the oracle of
+# ``apply_reference``, its sums taken by ``SuperPolynomial`` addition.
 
 
 class Leibniz:
@@ -537,10 +537,10 @@ class Leibniz:
         """d^alpha o M normal-ordered, less the terms with |beta| < ``lowest``."""
         sig = self.sig
         se, smask = alpha
-        out: dict = {}
+        out = SuperPolynomial.zero(geometry._doubled(sig))
         top = min(self.degree, sum(se) + smask.bit_count())
         if lowest > top:
-            return SuperPolynomial._raw(geometry._doubled(sig), out)
+            return out
         ranges = [range(min(a, r, top) + 1) for a, r in zip(se, self._powers)]
         for be in product(*ranges):
             even_order = sum(be)
@@ -558,8 +558,8 @@ class Leibniz:
                 if rmask or any(rest):
                     sign = _ops.odd_merge_sign(rmask, bmask)
                     dm = geometry._slot_monomial(sig, (rest, rmask), sign * binom) * dm
-                _ops.add_into(out, dm._terms)
-        return SuperPolynomial._raw(geometry._doubled(sig), out)
+                out = out + dm
+        return out
 
 
 def submasks(mask: int):
@@ -595,9 +595,9 @@ def compose_reference(a: DiffOperator, b: DiffOperator) -> DiffOperator:
     """a o b, each slot key of a pushed through b by ``push_through_reference``."""
     sig = a.signature
     out = SuperPolynomial.zero(geometry._doubled(sig))
-    for alpha, f in geometry._split(sig, a._poly).items():
+    for alpha, f in a.items():
         pushed = push_through_reference(sig, alpha, b._poly)
-        out = out + geometry._lift(sig, f) * pushed
+        out = out + geometry._lifted(sig, f) * pushed
     return DiffOperator._raw(sig, b.lam, a.mu, out)
 
 
@@ -723,13 +723,13 @@ def apply_reference(self, f):
     coordinate derivative d^a f of ``Leibniz``."""
     _check_same_signature(self, f)
     sig = self.signature
-    derivs = Leibniz(sig, geometry._lift(sig, f))
-    out: dict = {}
-    for alpha, coeff in geometry._split(sig, self._poly).items():
+    derivs = Leibniz(sig, geometry._lifted(sig, f))
+    out = SuperPolynomial.zero(geometry._doubled(sig))
+    for alpha, coeff in self.items():
         g = derivs.derivative(alpha)
         if g:
-            _ops.add_into(out, (geometry._lift(sig, coeff) * g)._terms)
-    return geometry._unlift(sig, out)
+            out = out + geometry._lifted(sig, coeff) * g
+    return geometry._unlift(sig, out._terms, out._den)
 
 
 APPLY_SIGNATURES = [
@@ -1292,16 +1292,16 @@ def lift_reference(x):
             for j in range(1, n + 1):
                 dcomp = xp.components[j - 1].partial(i)
                 if dcomp:
-                    lift[geometry._slot(sig, i) - 1] += geometry._lift(
+                    lift[geometry._slot(sig, i) - 1] += geometry._lifted(
                         sig, sfac * dcomp, geometry._unit(sig, j))
     for i, comp in enumerate(x.components, start=1):
-        lift[geometry._coord(sig, i) - 1] = geometry._lift(sig, comp)
+        lift[geometry._coord(sig, i) - 1] = geometry._lifted(sig, comp)
     return SuperVectorField(dsig, lift)
 
 
 def first_order_reference(x, weight, poly):
     out = field_apply_reference(lift_reference(x), poly)
-    div = geometry._lift(x.signature, x.divergence())
+    div = geometry._lifted(x.signature, x.divergence())
     if weight and div:
         out = out + (weight * div) * poly
     return out

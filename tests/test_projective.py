@@ -15,6 +15,7 @@ import functools
 import random
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,7 @@ from superquant.projective import (
     GradedElement,
     PglElement,
     _casimir_fields,
+    _int_matrix,
     _super_commutator,
     _supertrace_full,
     affine_defect,
@@ -375,9 +377,12 @@ def elements_and_graded(draw):
 
 
 def assert_canonical(field):
-    for comp in field.components:
-        assert comp._terms == SuperPolynomial(comp.signature, comp._terms)._terms
-        assert all(type(c) is Fraction and c for c in comp._terms.values())
+    # the map is stored reduced: nonzero int numerators over a denominator
+    # coprime to them, as the constructor makes it from the rational values
+    for poly in (field._poly, *field.components):
+        assert poly == SuperPolynomial(poly.signature, dict(poly.items()))
+        assert all(type(c) is int and c for c in poly._terms.values())
+        assert poly._den >= 1 and gcd(poly._den, *poly._terms.values()) == 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -395,15 +400,26 @@ def test_realize_matches_graded_reference(case):
     assert realize(pgl_bracket(x, y)) == realize_reference(pgl_bracket(x, y))
 
 
+def commutator(m1, m2, sig):
+    """``_super_commutator`` of two rational matrices, as a ``Fraction`` matrix."""
+    rows, den = _super_commutator(_int_matrix(m1), _int_matrix(m2), sig)
+    assert all(type(v) is int for row in rows for v in row)
+    return tuple(tuple(Fraction(v, den) for v in row) for row in rows)
+
+
 @settings(max_examples=200, deadline=None)
 @given(elements_and_graded())
 def test_pgl_bracket_matches_validating_constructor(case):
     sig, _m, x, y, _g = case
-    raw = _super_commutator(x.matrix, y.matrix, sig)
+    raw = commutator(x.matrix, y.matrix, sig)
     got = pgl_bracket(x, y)
     want = PglElement(sig, raw, x.algebra)
     assert got == want and got.algebra == want.algebra == x.algebra
     assert got.matrix == representative_reference(sig, raw, x.algebra)
+    # stored reduced, as the constructor stores it from the rational matrix
+    rows, den = got._ints
+    assert (rows, den) == want._ints
+    assert den >= 1 and gcd(den, *(v for row in rows for v in row)) == 1
     assert all(type(v) is Fraction for row in got.matrix for v in row)
     if x.algebra == ALGEBRA_SL:
         assert got.supertrace() == 0
@@ -426,7 +442,7 @@ def test_killing_closed_form_vs_adjoint_supertrace():
             for a in range(size):
                 for b in range(size):
                     e = elementary_full(sig, a, b)
-                    image = _super_commutator(ma, _super_commutator(mb, e, sig), sig)
+                    image = commutator(ma, commutator(mb, e, sig), sig)
                     par = (0 if a <= sig.p else 1) ^ (0 if b <= sig.p else 1)
                     total += -image[a][b] if par else image[a][b]
             assert total == killing_form(PglElement(sig, ma), PglElement(sig, mb))
@@ -689,15 +705,16 @@ def test_casimir_basis_independence():
 def casimir_reference(s, lam, algebra=None, scheme="elementary"):
     """The symbol-action Casimir as the sum over the basis pairs of two
     symbol Lie derivatives, the loop that ``casimir_apply(rep="L")`` ran
-    before it became one operator; kept verbatim as the oracle."""
+    before it became one operator; kept as the oracle, its sum taken by
+    ``SuperPolynomial`` addition."""
     sig = s.signature
     normalize_algebra(sig, algebra)
     lam = as_fraction(lam)
     fields = _casimir_fields(sig, scheme)
-    acc = {}
+    acc = SuperPolynomial.zero(s._poly.signature)
     for xu, xud in fields:
-        _ops.add_into(acc, lie_symbol(xud, lie_symbol(xu, s))._poly._terms)
-    return s._with(SuperPolynomial._raw(s._poly.signature, acc)).as_mixed()
+        acc = acc + lie_symbol(xud, lie_symbol(xu, s))._poly
+    return s._with(acc).as_mixed()
 
 
 CASIMIR_ORACLE_SIGNATURES = [
@@ -840,15 +857,16 @@ def test_check_casimir_sees_every_second_order_row(monkeypatch, capsys):
 def casimir_affine_reference(s, lam, algebra=None, scheme="elementary"):
     """The quantized-action Casimir as the sum over the basis pairs of two
     operator Lie derivatives, the loop that ``casimir_apply(rep="affine")``
-    ran before it became one operator; kept verbatim as the oracle."""
+    ran before it became one operator; kept as the oracle, its sum taken by
+    ``SuperPolynomial`` addition."""
     sig = s.signature
     normalize_algebra(sig, algebra)
     lam = as_fraction(lam)
     op = affine_quantize(s, lam)
-    acc = {}
+    acc = SuperPolynomial.zero(op._poly.signature)
     for xu, xud in _casimir_fields(sig, scheme):
-        _ops.add_into(acc, lie_operator(xud, lie_operator(xu, op))._poly._terms)
-    return affine_symbol(op._with(SuperPolynomial._raw(op._poly.signature, acc)))
+        acc = acc + lie_operator(xud, lie_operator(xu, op))._poly
+    return affine_symbol(op._with(acc))
 
 
 AFFINE_LAMBDAS = [Fraction(0), Fraction(1, 3), Fraction(-2, 5)]
@@ -909,7 +927,7 @@ def test_check_relcas_sees_every_term_of_the_affine_casimir(monkeypatch, capsys)
             negated = dict(op._poly._terms)
             negated[key] = -negated[key]
             mutated = parts[:n] + ((i, j, op._with(SuperPolynomial._raw(
-                op._poly.signature, negated))),) + parts[n + 1:]
+                op._poly.signature, negated, op._poly._den))),) + parts[n + 1:]
             monkeypatch.setattr(
                 projective, "_casimir",
                 lambda sig, scheme, rep: mutated if rep == "affine" else casimir(

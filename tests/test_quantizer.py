@@ -35,6 +35,7 @@ from superquant.quantizer import (
     VARIANT_PSL,
     VARIANT_SL,
     QuantizationConfig,
+    _series_coefficients,
     default_variant,
     quantize,
     quantize_psl,
@@ -434,20 +435,35 @@ class TestMixedInput:
 
 
 def test_quantize_never_scales_by_one(monkeypatch):
-    """C_{k,0} = 1 (and a family parameter t = 1) add the coefficient-wise
-    image as it is: the term kernel never scales by 1."""
-    factors = []
-    scale_terms = supercore._ops.scale_terms
+    """Each divergence step is added once, at the int numerator of its
+    C_{k,r} over their common denominator, and the term kernel makes no
+    scaled copy: where that denominator is 1, as for the family parameter
+    t = 1, C_{k,0} = 1 adds the coefficient-wise image as it is."""
+    factors, scaled = [], []
+    add_into, scale_terms = supercore._ops.add_into, supercore._ops.scale_terms
 
-    def spy(terms, c):
-        factors.append(c)
+    def spy_add(acc, terms, factor=1):
+        factors.append(factor)
+        return add_into(acc, terms, factor)
+
+    def spy_scale(terms, c):
+        scaled.append(c)
         return scale_terms(terms, c)
 
-    monkeypatch.setattr(supercore._ops, "scale_terms", spy)
+    monkeypatch.setattr(supercore._ops, "add_into", spy_add)
+    monkeypatch.setattr(supercore._ops, "scale_terms", spy_scale)
     rng = random.Random(89)
+    seen = []
     for cfg in (cfg_sl(S21, Fraction(1, 3), Fraction(1, 5)),
                 cfg_psl(S12, Fraction(1, 3), Fraction(1, 5), t=1)):
         for k in (1, 2, 3):
-            quantize(rand_symbol(cfg.signature, cfg.delta, k, rng), cfg)
-    assert factors, "the series should scale some terms"
-    assert 1 not in factors
+            s = rand_symbol(cfg.signature, cfg.delta, k, rng)
+            factors.clear()
+            quantize(s, cfg)
+            nums, den = _series_coefficients(cfg, k)
+            assert factors == nums
+            assert Fraction(nums[0], den) == 1
+            seen.append(factors[:])
+    assert scaled == []
+    assert [1, 1] in seen  # t = 1 at degree 1 of the q = p+1 variant
+    assert any(f[0] != 1 for f in seen)  # C_{k,0} = 1 at a denominator above 1

@@ -7,12 +7,13 @@ no code with the bitmask kernels, so agreement is meaningful.
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superquant import Signature, SuperPolynomial, iter_monomials
+from superquant import Signature, SuperPolynomial, SuperVectorField, iter_monomials, lie_density
 from superquant.supercore import _ops
 
 S11 = Signature(1, 1)
@@ -385,3 +386,200 @@ def test_add_into_sums_in_place():
     assert _ops.add_into(acc, piece, -1) is acc
     assert acc == (3 * th(S11, 1))._terms  # the x terms cancelled and left
     assert piece == before
+
+
+# ---------------------------------------------------------------------------
+# the stored form: nonzero int numerators over one reduced denominator,
+# checked against plain ``Fraction`` term maps computed apart from the kernel
+
+WIDE_RATIONALS = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=12)
+)
+
+
+@st.composite
+def wide_polys(draw, sig):
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        key = (tuple(draw(st.integers(0, 2)) for _ in range(sig.p)),
+               draw(st.integers(0, (1 << sig.q) - 1)))
+        terms[key] = terms.get(key, 0) + draw(WIDE_RATIONALS)
+    return SuperPolynomial(sig, terms)
+
+
+def mask_of(word):
+    return sum(1 << (t - 1) for t in word)
+
+
+def ref_sum(a, b, sign=1):
+    out = dict(a)
+    for key, v in b.items():
+        out[key] = out.get(key, 0) + sign * v
+    return {key: v for key, v in out.items() if v}
+
+
+def ref_mul(a, b):
+    out = {}
+    for (ea, ma), ca in a.items():
+        for (eb, mb), cb in b.items():
+            canon = word_canon(mask_word(ma) + mask_word(mb))
+            if canon is not None:
+                key = (tuple(i + j for i, j in zip(ea, eb)), mask_of(canon[1]))
+                out[key] = out.get(key, 0) + canon[0] * ca * cb
+    return {key: v for key, v in out.items() if v}
+
+
+def ref_partial(a, sig, i):
+    out = {}
+    for (e, m), c in a.items():
+        if i <= sig.p:
+            if e[i - 1]:
+                out[(e[: i - 1] + (e[i - 1] - 1,) + e[i:], m)] = c * e[i - 1]
+        else:
+            res = word_left_derivative(mask_word(m), i - sig.p)
+            if res is not None:
+                out[(e, mask_of(res[1]))] = res[0] * c
+    return out
+
+
+def ref_apply(comps, f, sig):
+    """sum_i X^i d_i f."""
+    out = {}
+    for i, comp in enumerate(comps, start=1):
+        out = ref_sum(out, ref_mul(comp, ref_partial(f, sig, i)))
+    return out
+
+
+def ref_divergence(comps, sig):
+    """sum_i (-1)^{parity(y^i) parity(X^i)} d_i X^i, term by term."""
+    out = {}
+    for i, comp in enumerate(comps, start=1):
+        for key, c in comp.items():
+            sign = -1 if sig.parity(i) and key[1].bit_count() & 1 else 1
+            out = ref_sum(out, ref_partial({key: c}, sig, i), sign)
+    return out
+
+
+def assert_stored(poly, ref):
+    """``poly`` is stored reduced, and reads back as the ``Fraction`` map ref."""
+    terms, den = poly._terms, poly._den
+    assert type(den) is int and den >= 1
+    assert all(type(v) is int and v for v in terms.values())
+    assert gcd(den, *terms.values()) == 1
+    assert terms or den == 1
+    items = dict(poly.items())
+    assert all(type(c) is Fraction for c in items.values())
+    assert items == ref
+    for (e, m), c in ref.items():
+        got = poly.coefficient(e, mask_word(m))
+        assert type(got) is Fraction and got == c
+    absent = type(poly.coefficient((0,) * poly.signature.p, ()))
+    assert absent is Fraction
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_results_are_stored_reduced_and_read_back_exactly(data):
+    sig = data.draw(st.sampled_from(KERNEL_SIGS), label="sig")
+    f, g = data.draw(wide_polys(sig)), data.draw(wide_polys(sig))
+    c = data.draw(WIDE_RATIONALS, label="c")
+    i = data.draw(st.integers(1, sig.n), label="i")
+    comps = [data.draw(wide_polys(sig)) for _ in range(sig.n)]
+    rf, rg = dict(f.items()), dict(g.items())
+    rcomps = [dict(comp.items()) for comp in comps]
+    scaled = {key: c * v for key, v in rf.items() if c}
+    for poly in (f, g, *comps):
+        assert_stored(poly, dict(poly.items()))
+    assert_stored(f + g, ref_sum(rf, rg))
+    assert_stored(f - g, ref_sum(rf, rg, -1))
+    assert_stored(-f, {key: -v for key, v in rf.items()})
+    assert_stored(f * g, ref_mul(rf, rg))
+    assert_stored(c * f, scaled)
+    assert_stored(f * c, scaled)
+    assert_stored(f + c, ref_sum(rf, {((0,) * sig.p, 0): c} if c else {}))
+    assert_stored(f.partial(i), ref_partial(rf, sig, i))
+    for part, parity in zip(f.graded_parts(), (0, 1)):
+        assert_stored(part, {k: v for k, v in rf.items() if k[1].bit_count() & 1 == parity})
+    # the derive and divergence kernels, through a vector field
+    xf = SuperVectorField(sig, comps)
+    div = ref_divergence(rcomps, sig)
+    assert_stored(xf.apply(f), ref_apply(rcomps, rf, sig))
+    assert_stored(xf.divergence(), div)
+    lam = data.draw(WIDE_RATIONALS, label="lam")
+    want = ref_sum(ref_apply(rcomps, rf, sig), ref_mul({k: lam * v for k, v in div.items()}, rf))
+    assert_stored(lie_density(xf, lam, f), want)
+
+
+# ---------------------------------------------------------------------------
+# every kernel routine is one code path for any exact value type: run on
+# the numerators D*M of a rational map M and divided back, it gives the
+# routine's result on M itself
+
+DOUBLED_SIGS = [Signature(2 * s.p, 2 * s.q) for s in (S11, Signature(2, 1), S12)]
+
+
+@st.composite
+def fraction_maps(draw, sig):
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        key = (tuple(draw(st.integers(0, 2)) for _ in range(sig.p)),
+               draw(st.integers(0, (1 << sig.q) - 1)))
+        value = terms.get(key, Fraction(0)) + draw(UNITS_OR_RATIONALS)
+        terms[key] = value
+    return {key: v for key, v in terms.items() if v}
+
+
+def numerators(m, den):
+    """The map m as int numerators over ``den``, a multiple of its denominators."""
+    out = {key: v * den for key, v in m.items()}
+    assert all(v.denominator == 1 for v in out.values())
+    return {key: int(v) for key, v in out.items()}
+
+
+def divided(terms, den):
+    assert all(type(v) is int for v in terms.values())
+    return {key: Fraction(v, den) for key, v in terms.items()}
+
+
+def common_denominator(*maps, extra=1):
+    return extra * lcm(*(v.denominator for m in maps for v in m.values()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_on_numerators_matches_the_kernel_on_fractions(data):
+    sig = data.draw(st.sampled_from(KERNEL_SIGS + DOUBLED_SIGS), label="sig")
+    a, b = data.draw(fraction_maps(sig)), data.draw(fraction_maps(sig))
+    extra = data.draw(st.integers(1, 3), label="extra")  # not always reduced
+    da, db = common_denominator(a, extra=extra), common_denominator(b)
+    na, nb = numerators(a, da), numerators(b, db)
+    assert divided(_ops.mul_terms(na, nb), da * db) == _ops.mul_terms(a, b)
+    d = common_denominator(a, b, extra=extra)
+    for routine in (_ops.add_terms, _ops.sub_terms):
+        got = routine(numerators(a, d), numerators(b, d))
+        assert divided(got, d) == routine(a, b)
+    factor = data.draw(st.integers(-3, 3), label="factor")
+    acc = numerators(a, d)
+    assert divided(_ops.add_into(acc, numerators(b, d), factor), d) == _ops.add_into(
+        dict(a), b, factor)
+    assert all(acc.values())  # a zero factor adds nothing, not zero entries
+    assert divided(_ops.neg_terms(na), da) == _ops.neg_terms(a)
+    assert divided(_ops.scale_terms(na, factor), da) == _ops.scale_terms(a, factor)
+    for ix in range(sig.p):
+        assert divided(_ops.partial_even_terms(na, ix), da) == _ops.partial_even_terms(a, ix)
+    for t in range(sig.q):
+        bit = 1 << t
+        assert divided(_ops.partial_odd_terms(na, bit), da) == _ops.partial_odd_terms(a, bit)
+    # a derivation and its multiplier share one denominator
+    rows = [(i, data.draw(fraction_maps(sig))) for i in range(sig.n)]
+    w = data.draw(st.one_of(st.none(), fraction_maps(sig)), label="w")
+    dc = common_denominator(*(r for _, r in rows), *([w] if w else []), extra=extra)
+    scale = data.draw(st.integers(1, 4), label="scale")
+    form = _ops.derivation(sig.p, [(i, numerators(r, dc)) for i, r in rows])
+    got = _ops.derive_terms(na, form, numerators(w, dc) if w else None, scale)
+    want = _ops.derive_terms(a, _ops.derivation(sig.p, rows), w, scale)
+    assert divided(got, da * dc) == want
+    if sig.p % 2 == 0 and sig.q % 2 == 0:
+        half = Signature(sig.p // 2, sig.q // 2)
+        got = _ops.divergence_terms(na, half.p, half.q)
+        assert divided(got, da) == _ops.divergence_terms(a, half.p, half.q)
