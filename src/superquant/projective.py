@@ -95,78 +95,49 @@ def _mat(rows) -> tuple:
     return tuple(tuple(as_fraction(v) for v in row) for row in rows)
 
 
-def _int_matrix(m) -> tuple:
-    """A rational matrix as ``(rows, den)``: rows of int numerators over the
-    least common denominator of its entries."""
-    den = lcm(*(v.denominator for row in m for v in row))
-    return tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in m), den
+def _over_den(rows: dict) -> tuple:
+    """Rational entries ``{row: {column: value}}`` as ``(rows, den)``: int
+    numerators in the same layout over their least common denominator."""
+    den = lcm(*(v.denominator for row in rows.values() for v in row.values()))
+    return {
+        r: {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+        for r, row in rows.items()
+    }, den
 
 
-def _full_parity(signature: Signature, a: int) -> int:
-    """Parity of full-matrix index a in 0..p+q (index 0 is even)."""
-    return 0 if a <= signature.p else 1
+def _supertrace(rows: dict, signature: Signature) -> int:
+    """The supertrace of a matrix stored as ``{row: {column: value}}``; index
+    a of 0..p+q is odd when a > p (the corner, index 0, is even)."""
+    p = signature.p
+    return sum(-v if r > p else v for r, row in rows.items() if (v := row.get(r)))
 
 
-def _supertrace_full(m, signature: Signature):
-    """The supertrace of a full matrix, in the type of its entries."""
-    total = 0
-    for a in range(len(m)):
-        if _full_parity(signature, a):
-            total -= m[a][a]
-        else:
-            total += m[a][a]
-    return total
-
-
-def _supertrace_product(a, b, signature: Signature) -> Fraction:
-    """str(ab) = sum_{r,k} (-1)^{pi_r} a_rk b_kr without forming ab; basis
-    matrices are sparse, so zero entries are skipped on both sides."""
-    total = Fraction(0)
-    for r, row in enumerate(a):
-        odd = _full_parity(signature, r)
-        for k, a_rk in enumerate(row):
-            if a_rk:
-                b_kr = b[k][r]
-                if b_kr:
-                    if odd:
-                        total -= a_rk * b_kr
-                    else:
-                        total += a_rk * b_kr
-    return total
-
-
-def _super_commutator(a: tuple, b: tuple, signature: Signature) -> tuple:
-    """Bracket of raw full matrices in one signed pass:
+def _super_commutator(a: dict, b: dict, signature: Signature) -> dict:
+    """Bracket of raw matrices in one signed pass:
     [a, b]_rc = sum_k a_rk b_kc - (-1)^{(pi_r + pi_k)(pi_k + pi_c)} b_rk a_kc,
-    over int numerators: each matrix as ``(rows, den)``, and the bracket in
-    the same form over the product of their denominators."""
-    (ma, da), (mb, db) = a, b
-    size = len(ma)
-    par = [_full_parity(signature, i) for i in range(size)]
-    out = [[0] * size for _ in range(size)]
-    for r in range(size):
-        acc = out[r]
-        for k in range(size):
-            a_rk = ma[r][k]
-            if a_rk:
-                for c, b_kc in enumerate(mb[k]):
-                    if b_kc:
-                        acc[c] += a_rk * b_kc
-            b_rk = mb[r][k]
-            if b_rk:
-                odd_rk = par[r] ^ par[k]
-                for c, a_kc in enumerate(ma[k]):
-                    if a_kc:
-                        if odd_rk and par[k] ^ par[c]:
-                            acc[c] += b_rk * a_kc
-                        else:
-                            acc[c] -= b_rk * a_kc
-    return tuple(map(tuple, out)), da * db
-
-
-def _entries(m) -> list:
-    """The nonzero entries ``(row, column, value)`` of a matrix."""
-    return [(r, c, v) for r, row in enumerate(m) for c, v in enumerate(row) if v]
+    each matrix given by its nonzero int numerators as ``{row: {column:
+    value}}``.  Only products of two stored entries are formed, and the
+    bracket comes back in the same layout over the product of the two
+    denominators; entries that cancel are left as zeros."""
+    p = signature.p
+    out = {}
+    for r, row in a.items():
+        acc = out[r] = {}
+        for k, a_rk in row.items():
+            for c, b_kc in b.get(k, {}).items():
+                acc[c] = acc.get(c, 0) + a_rk * b_kc
+    for r, row in b.items():
+        acc = out.setdefault(r, {})
+        odd_r = r > p
+        for k, b_rk in row.items():
+            odd_k = k > p
+            flip = odd_r != odd_k
+            for c, a_kc in a.get(k, {}).items():
+                if flip and odd_k != (c > p):
+                    acc[c] = acc.get(c, 0) + b_rk * a_kc
+                else:
+                    acc[c] = acc.get(c, 0) - b_rk * a_kc
+    return out
 
 
 def _invert(rows: list) -> list:
@@ -203,34 +174,40 @@ def _invert(rows: list) -> list:
 # elements
 
 
-def _representative(signature: Signature, rows: tuple, den: int) -> tuple:
+def _representative(signature: Signature, rows: dict, den: int) -> tuple:
     """The canonical representative of the int matrix ``rows`` over ``den``
     modulo the identity, in the same form: supertraceless for ``sl``, zero
     corner entry for ``psl``.  The multiple of the identity is subtracted on
-    the diagonal only; for ``sl`` it is the supertrace over p + 1 - q, so
-    the rows move to that multiple of ``den`` first."""
+    the diagonal only, in place; for ``sl`` it is the supertrace over
+    p + 1 - q, so the entries move to that multiple of ``den`` first."""
     if _is_psl(signature):
-        c, scale = rows[0][0], 1
+        c, scale = rows.get(0, {}).get(0, 0), 1
     else:
-        c, scale = _supertrace_full(rows, signature), signature.p + 1 - signature.q
+        c, scale = _supertrace(rows, signature), signature.p + 1 - signature.q
         if scale < 0:
             c, scale = -c, -scale
     if not c:
         return rows, den
     if scale != 1:
-        rows, den = tuple(tuple(v * scale for v in row) for row in rows), den * scale
-    return tuple(row[:r] + (row[r] - c,) + row[r + 1 :] for r, row in enumerate(rows)), den
+        rows = {r: {k: v * scale for k, v in row.items()} for r, row in rows.items()}
+        den *= scale
+    for r in range(1 + signature.n):
+        row = rows.setdefault(r, {})
+        row[r] = row.get(r, 0) - c
+    return rows, den
 
 
 class PglElement:
     """An element of the projective superalgebra, stored as a canonical
     representative: supertraceless for ``sl``, zero corner entry for ``psl``.
-    ``_ints`` holds the matrix as ``(rows, den)``, int numerators over a
-    positive denominator that shares no factor with all of them, which the
-    bracket, the realization and equality read; ``matrix`` gives its entries
-    as ``Fraction`` rows, made on first use."""
+    Only the nonzero entries are kept: ``_rows`` maps a row index to the
+    ``{column: numerator}`` dict of its nonzero int numerators, with no
+    empty row, over the positive denominator ``_den``, which shares no
+    factor with all of them.  The bracket, the arithmetic, the realization,
+    the invariant forms and equality read these; ``matrix`` gives the
+    entries as dense ``Fraction`` rows, made on first use."""
 
-    __slots__ = ("signature", "_ints", "_matrix")
+    __slots__ = ("signature", "_rows", "_den", "_matrix")
 
     def __init__(self, signature: Signature, matrix, algebra: str | None = None):
         normalize_algebra(signature, algebra)
@@ -238,35 +215,44 @@ class PglElement:
         m = _mat(matrix)
         if len(m) != size or any(len(row) != size for row in m):
             raise ValueError(f"expected a {size}x{size} matrix for {signature}")
-        self._set(signature, *_int_matrix(m))
+        self._set(signature, *_over_den({r: dict(enumerate(row)) for r, row in enumerate(m)}))
 
     @classmethod
-    def _raw(cls, signature: Signature, rows: tuple, den: int) -> "PglElement":
-        # a square tuple of int rows of the right size over ``den`` >= 1, as
-        # the bracket and the arithmetic make them: only the representative
-        # is chosen
+    def _raw(cls, signature: Signature, rows: dict, den: int) -> "PglElement":
+        # int numerators ``{row: {column: value}}`` with indices in range
+        # over ``den`` >= 1, as the bracket and the arithmetic make them,
+        # zeros allowed: only the representative is chosen
         self = cls.__new__(cls)
         self._set(signature, rows, den)
         return self
 
-    def _set(self, signature: Signature, rows: tuple, den: int) -> None:
-        # reduced like a term map, so equal elements have equal ``_ints``
+    def _set(self, signature: Signature, rows: dict, den: int) -> None:
+        # ``rows`` is the caller's own and may be changed; it is stored
+        # reduced like a term map, with no zero and no empty row, so equal
+        # elements have equal ``_rows`` and ``_den``
         rows, den = _representative(signature, rows, den)
-        g = gcd(den, *(v for row in rows for v in row))
+        g, kept = den, {}
+        for r, row in rows.items():
+            row = {c: v for c, v in row.items() if v}
+            if row:
+                kept[r] = row
+                g = gcd(g, *row.values())
         if g != 1:
-            rows, den = tuple(tuple(v // g for v in row) for row in rows), den // g
+            kept = {r: {c: v // g for c, v in row.items()} for r, row in kept.items()}
+            den //= g
         self.signature = signature
-        self._ints = rows, den
+        self._rows, self._den = kept, den
         self._matrix = None
 
     @property
     def matrix(self) -> tuple:
         if self._matrix is None:
-            rows, den = self._ints
-            zero = Fraction(0)
-            self._matrix = tuple(
-                tuple(Fraction(v, den) if v else zero for v in row) for row in rows
-            )
+            size, den, zero = 1 + self.signature.n, self._den, Fraction(0)
+            dense = [[zero] * size for _ in range(size)]
+            for r, row in self._rows.items():
+                for c, v in row.items():
+                    dense[r][c] = Fraction(v, den)
+            self._matrix = tuple(map(tuple, dense))
         return self._matrix
 
     @property
@@ -274,23 +260,24 @@ class PglElement:
         return default_algebra(self.signature)
 
     def supertrace(self) -> Fraction:
-        rows, den = self._ints
-        return Fraction(_supertrace_full(rows, self.signature), den)
+        return Fraction(_supertrace(self._rows, self.signature), self._den)
 
     def is_zero(self) -> bool:
-        return not any(map(any, self._ints[0]))
+        return not self._rows
 
     def __add__(self, other):
         if not isinstance(other, PglElement):
             return NotImplemented
         if self.signature != other.signature:
             raise ValueError("signature mismatch")
-        (ma, da), (mb, db) = self._ints, other._ints
+        da, db = self._den, other._den
         den = lcm(da, db)
         fa, fb = den // da, den // db
-        rows = tuple(
-            tuple(fa * x + fb * y for x, y in zip(ra, rb)) for ra, rb in zip(ma, mb)
-        )
+        rows = {r: {c: fa * v for c, v in row.items()} for r, row in self._rows.items()}
+        for r, row in other._rows.items():
+            acc = rows.setdefault(r, {})
+            for c, v in row.items():
+                acc[c] = acc.get(c, 0) + fb * v
         return PglElement._raw(self.signature, rows, den)
 
     def __sub__(self, other):
@@ -303,10 +290,9 @@ class PglElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            rows, den = self._ints
             c = other.numerator
-            rows = tuple(tuple(c * v for v in row) for row in rows)
-            return PglElement._raw(self.signature, rows, den * other.denominator)
+            rows = {r: {k: c * v for k, v in row.items()} for r, row in self._rows.items()}
+            return PglElement._raw(self.signature, rows, self._den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -314,10 +300,17 @@ class PglElement:
     def __eq__(self, other):
         if not isinstance(other, PglElement):
             return NotImplemented
-        return self.signature == other.signature and self._ints == other._ints
+        return (
+            self.signature == other.signature
+            and self._den == other._den
+            and self._rows == other._rows
+        )
 
     def __hash__(self):
-        return hash((self.signature, self._ints))
+        entries = frozenset(
+            (r, c, v) for r, row in self._rows.items() for c, v in row.items()
+        )
+        return hash((self.signature, self._den, entries))
 
     def __repr__(self):
         return f"PglElement({self.signature}, {self.matrix!r}, {self.algebra!r})"
@@ -387,7 +380,8 @@ def pgl_bracket(a: PglElement, b: PglElement) -> PglElement:
     if a.signature != b.signature:
         raise ValueError("signature mismatch")
     sig = a.signature
-    return PglElement._raw(sig, *_super_commutator(a._ints, b._ints, sig))
+    rows = _super_commutator(a._rows, b._rows, sig)
+    return PglElement._raw(sig, rows, a._den * b._den)
 
 
 # ---------------------------------------------------------------------------
@@ -537,44 +531,42 @@ def realize(h) -> SuperVectorField:
 
     Constants act by negated coordinate derivatives, linear blocks by negated
     signed linear fields, and quadratic directions by a coordinate function
-    times the Euler field.  An element's matrix is read directly, as int
-    numerators over its denominator: h_- is column 0, h_+ is row 0 and h_0
-    the block below and right of the corner, less the corner entry on its
-    diagonal.  The field is one term dict over the doubled variables, over
-    that denominator; component i adds -h_-^i, then -(+-) h_0^ij y^j
-    (sign - when y^j is odd and y^i even), then f y^i with
-    f = sum_j (-1)^{parity(y^j)} h_+^j y^j, each times d_i.
+    times the Euler field.  An element's stored entries are read directly,
+    int numerators over its denominator: h_- is column 0, h_+ is row 0 and
+    h_0 the block below and right of the corner, less the corner entry on
+    its diagonal.  The field is one term dict over the doubled variables,
+    over that denominator; component i adds -h_-^i, then -(+-) h_0^ij y^j
+    (sign - when y^j is odd and y^i even) for each stored h_0^ij, then f y^i
+    with f = sum_j (-1)^{parity(y^j)} h_+^j y^j, each times d_i.
     """
     if isinstance(h, SuperVectorField):
         return h
     if isinstance(h, PglElement):
-        m, den = h._ints
+        rows, den = h._rows, h._den
     elif isinstance(h, GradedElement):
-        # the graded data as a matrix with a zero corner
-        m, den = _int_matrix(
-            [(0, *h.h_plus)] + [(v, *row) for v, row in zip(h.h_minus, h.h_zero)]
-        )
+        # the graded data as the entries of a matrix with a zero corner
+        entries = {0: dict(enumerate(h.h_plus, start=1))}
+        for i, (v, row) in enumerate(zip(h.h_minus, h.h_zero), start=1):
+            entries[i] = {0: v, **dict(enumerate(row, start=1))}
+        rows, den = _over_den(entries)
     else:
         raise TypeError(f"cannot realize {type(h).__name__}")
-    corner = m[0][0]
-    h_minus = [row[0] for row in m[1:]]
-    h_zero = [row[1:] for row in m[1:]]
-    h_plus = m[0][1:]
     sig = h.signature
-    parity = [0] + [sig.parity(j) for j in range(1, sig.n + 1)]
-    f = [(j, -v if parity[j] else v) for j, v in enumerate(h_plus, start=1) if v]
+    p = sig.p
+    top = rows.get(0, {})
+    corner = top.get(0, 0)
+    f = [(j, -v if j > p else v) for j, v in top.items() if j and v]
     terms = {}
     for i, (linear, quadratic) in enumerate(_realization_keys(sig), start=1):
-        v = h_minus[i - 1]
-        if v:
-            terms[linear[0]] = -v
-        row = h_zero[i - 1]
-        for j in range(1, sig.n + 1):
-            a = row[j - 1]
-            if i == j and corner:
-                a -= corner
-            if a:
-                terms[linear[j]] = a if parity[j] and not parity[i] else -a
+        row = rows.get(i, {})
+        odd_i = i > p
+        # column 0 (h_-) is even, so it takes the sign of an even y^j
+        for j, a in row.items():
+            if a and j != i:
+                terms[linear[j]] = a if j > p and not odd_i else -a
+        diagonal = row.get(i, 0) - corner
+        if diagonal:
+            terms[linear[i]] = -diagonal
         for j, c in f:
             key, sign = quadratic[j]
             if sign:
@@ -594,7 +586,7 @@ def killing_form(a: PglElement, b: PglElement) -> Fraction:
         raise ValueError("signature mismatch")
     if _is_psl(sig):
         raise DomainError("the Killing form degenerates when q = p+1")
-    return 2 * (sig.p + 1 - sig.q) * _supertrace_product(a.matrix, b.matrix, sig)
+    return _form_rows(sig, (a,), (b,))[0].get(0, Fraction(0))
 
 
 def kaplansky_form(a: PglElement, b: PglElement) -> Fraction:
@@ -609,7 +601,7 @@ def kaplansky_form(a: PglElement, b: PglElement) -> Fraction:
         raise DomainError(
             "the form requires supertraceless representatives on both sides"
         )
-    return _supertrace_product(a.matrix, b.matrix, sig)
+    return _form_rows(sig, (a,), (b,))[0].get(0, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -632,29 +624,36 @@ def _form_rows(signature: Signature, left, right) -> list:
     ``{j: value}`` dict of the nonzero values, over the nonzero entries:
     str(ab) = sum_{r,k} (-1)^{pi_r} a_rk b_kr, times 2(p+1-q) for the
     Killing form; at q = p+1 the supertrace itself, the Kaplansky form on
-    supertraceless elements."""
+    supertraceless elements.  The sums run over the int numerators, and
+    each value is made a ``Fraction`` once."""
     scale = 1 if _is_psl(signature) else 2 * (signature.p + 1 - signature.q)
+    p = signature.p
     # each b_kr of the right side, filed under the position (r, k) of its a_rk
     transposed = {}
     for j, b in enumerate(right):
-        for k, r, v in _entries(b.matrix):
-            transposed.setdefault((r, k), []).append((j, scale * v))
+        for k, row in b._rows.items():
+            for r, v in row.items():
+                transposed.setdefault((r, k), []).append((j, v))
     rows = []
     for a in left:
         row = {}
-        for r, k, v in _entries(a.matrix):
-            if _full_parity(signature, r):
-                v = -v
-            for j, w in transposed.get((r, k), ()):
-                row[j] = row.get(j, 0) + v * w
-        rows.append({j: v for j, v in row.items() if v})
+        for r, entries in a._rows.items():
+            odd = r > p
+            for k, v in entries.items():
+                if odd:
+                    v = -v
+                for j, w in transposed.get((r, k), ()):
+                    row[j] = row.get(j, 0) + v * w
+        rows.append({
+            j: Fraction(scale * v, a._den * right[j]._den) for j, v in row.items() if v
+        })
     return rows
 
 
 @functools.cache
 def _graded_basis(signature: Signature, scheme: str) -> tuple:
-    """``graded_basis`` once per signature and scheme: the dual bases and
-    the realized fields share it."""
+    """``graded_basis`` once per signature and scheme: the dual bases, the
+    realized fields and the verifier's generators share it."""
     return tuple(graded_basis(signature, scheme=scheme))
 
 
@@ -667,22 +666,18 @@ def _build_dual_basis_pair(signature: Signature, scheme: str) -> DualBasisPair:
     psl = _is_psl(signature)
     if psl and any(h.supertrace() for h in basis):
         raise DomainError("the Kaplansky form needs a supertraceless basis")
-    size = 1 + signature.n
     inverse = _invert(_form_rows(signature, basis, basis))
     # dual j is sum_k inverse[k][j] basis[k], gathered entry by entry
     gathered = [{} for _ in basis]
     for h, inverse_row in zip(basis, inverse):
-        entries = _entries(h.matrix)
         for j, c in inverse_row.items():
+            c /= h._den
             acc = gathered[j]
-            for r, k, v in entries:
-                acc[r, k] = acc.get((r, k), 0) + c * v
-    dual = tuple(
-        PglElement._raw(signature, *_int_matrix(
-            [[acc.get((r, k), 0) for k in range(size)] for r in range(size)]
-        ))
-        for acc in gathered
-    )
+            for r, row in h._rows.items():
+                out = acc.setdefault(r, {})
+                for k, v in row.items():
+                    out[k] = out.get(k, 0) + c * v
+    dual = tuple(PglElement._raw(signature, *_over_den(acc)) for acc in gathered)
     for i, row in enumerate(_form_rows(signature, basis, dual)):
         if row != {i: 1}:
             raise DomainError("dual basis verification failed")

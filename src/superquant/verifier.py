@@ -5,8 +5,9 @@ returns a CheckReport whose failure list carries fully printed symbolic
 values.  Exact arithmetic makes every failure decisive, so sample budgets
 govern coverage rather than statistical confidence.  Checks are pure
 functions of their parameters and seed, and may safely run concurrently.
-The realized generators are kept per signature by ``functools.cache``; they
-reuse the graded basis fields of ``projective._realized_basis``.
+The generators and their realized fields are kept per signature by
+``functools.cache``; they reuse the graded basis of
+``projective._graded_basis`` and its fields, ``projective._realized_basis``.
 """
 
 from __future__ import annotations
@@ -20,16 +21,14 @@ from .errors import DomainError
 from .expr import format_operator, format_symbol, format_value
 from .geometry import SymbolField, bracket, lie_operator, lie_symbol
 from .projective import (
+    _graded_basis,
     _is_psl,
     _realized_basis,
-    basis_e,
-    basis_eps,
     casimir_apply,
     casimir_defect,
     casimir_eigenvalue,
     default_algebra,
     euler_element,
-    g0_basis,
     normalize_algebra,
     pgl_bracket,
     psl_casimir_eigenvalue,
@@ -261,17 +260,27 @@ def symbol_samples(
 
 
 def equivariance_generators(sig: Signature, algebra: str | None = None):
-    """Labeled finite generator set whose equivariance implies the full algebra."""
+    """Labeled finite generator set whose equivariance implies the full
+    algebra, as a new list on every call (callers may extend it) of the
+    elements kept per signature."""
     normalize_algebra(sig, algebra)
-    out = []
-    for r, h in enumerate(basis_e(sig), start=1):
-        out.append((f"e{r}", h))
-    for idx, h in enumerate(g0_basis(sig)):
-        out.append((f"g0[{idx}]", h))
-    for r, h in enumerate(basis_eps(sig), start=1):
-        out.append((f"eps{r}", h))
+    return list(_generators(sig))
+
+
+@functools.cache
+def _generators(sig: Signature) -> tuple:
+    """The labeled elements of ``equivariance_generators``: the elementary
+    graded basis that the dual bases and the realized fields share
+    (constants e1.., the linear part g0[..], quadratic directions eps1..),
+    and the Euler element at q = p+1."""
+    basis = _graded_basis(sig, "elementary")
+    n = sig.n
+    labels = [f"e{r}" for r in range(1, n + 1)]
+    labels += [f"g0[{idx}]" for idx in range(len(basis) - 2 * n)]
+    labels += [f"eps{r}" for r in range(1, n + 1)]
+    out = tuple(zip(labels, basis, strict=True))
     if _is_psl(sig):
-        out.append(("euler", euler_element(sig)))
+        out += (("euler", euler_element(sig)),)
     return out
 
 

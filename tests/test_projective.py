@@ -7,7 +7,9 @@ eigenvalues measured by application against the closed formula; the
 symbol-action Casimir operator against the sum of Lie derivatives over the
 basis pairs (``casimir_reference``), and the quantized-action Casimir
 operator against the sum of operator Lie derivatives
-(``casimir_affine_reference``); and dual bases checked against the
+(``casimir_affine_reference``); the bracket and the arithmetic of the
+stored nonzero entries against dense matrices (``super_commutator_reference``
+and ``representative_reference``); and dual bases checked against the
 closed-form pairings.
 """
 
@@ -15,7 +17,7 @@ import functools
 import random
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -42,9 +44,8 @@ from superquant.projective import (
     GradedElement,
     PglElement,
     _casimir_fields,
-    _int_matrix,
+    _mat,
     _super_commutator,
-    _supertrace_full,
     affine_defect,
     affine_defect_closed_form,
     basis_e,
@@ -128,6 +129,64 @@ def elementary_full(sig, r, c):
         tuple(Fraction(1 if (i, j) == (r, c) else 0) for j in range(size))
         for i in range(size)
     )
+
+
+# ``_full_parity``, ``_int_matrix``, ``_supertrace_full`` and
+# ``super_commutator_reference`` are the dense helpers of ``projective`` and
+# its ``_super_commutator`` from when an element kept dense int rows,
+# verbatim but for the name of the last: the oracle of the sparse forms.
+
+
+def _full_parity(signature: Signature, a: int) -> int:
+    """Parity of full-matrix index a in 0..p+q (index 0 is even)."""
+    return 0 if a <= signature.p else 1
+
+
+def _supertrace_full(m, signature: Signature):
+    """The supertrace of a full matrix, in the type of its entries."""
+    total = 0
+    for a in range(len(m)):
+        if _full_parity(signature, a):
+            total -= m[a][a]
+        else:
+            total += m[a][a]
+    return total
+
+
+def _int_matrix(m) -> tuple:
+    """A rational matrix as ``(rows, den)``: rows of int numerators over the
+    least common denominator of its entries."""
+    den = lcm(*(v.denominator for row in m for v in row))
+    return tuple(tuple(v.numerator * (den // v.denominator) for v in row) for row in m), den
+
+
+def super_commutator_reference(a: tuple, b: tuple, signature: Signature) -> tuple:
+    """Bracket of raw full matrices in one signed pass:
+    [a, b]_rc = sum_k a_rk b_kc - (-1)^{(pi_r + pi_k)(pi_k + pi_c)} b_rk a_kc,
+    over int numerators: each matrix as ``(rows, den)``, and the bracket in
+    the same form over the product of their denominators."""
+    (ma, da), (mb, db) = a, b
+    size = len(ma)
+    par = [_full_parity(signature, i) for i in range(size)]
+    out = [[0] * size for _ in range(size)]
+    for r in range(size):
+        acc = out[r]
+        for k in range(size):
+            a_rk = ma[r][k]
+            if a_rk:
+                for c, b_kc in enumerate(mb[k]):
+                    if b_kc:
+                        acc[c] += a_rk * b_kc
+            b_rk = mb[r][k]
+            if b_rk:
+                odd_rk = par[r] ^ par[k]
+                for c, a_kc in enumerate(ma[k]):
+                    if a_kc:
+                        if odd_rk and par[k] ^ par[c]:
+                            acc[c] += b_rk * a_kc
+                        else:
+                            acc[c] -= b_rk * a_kc
+    return tuple(map(tuple, out)), da * db
 
 
 def rand_traceless(rng, sig):
@@ -400,11 +459,49 @@ def test_realize_matches_graded_reference(case):
     assert realize(pgl_bracket(x, y)) == realize_reference(pgl_bracket(x, y))
 
 
-def commutator(m1, m2, sig):
-    """``_super_commutator`` of two rational matrices, as a ``Fraction`` matrix."""
-    rows, den = _super_commutator(_int_matrix(m1), _int_matrix(m2), sig)
+def commutator_reference(m1, m2, sig):
+    """The dense oracle bracket of two rational matrices, as a ``Fraction``
+    matrix."""
+    rows, den = super_commutator_reference(_int_matrix(m1), _int_matrix(m2), sig)
     assert all(type(v) is int for row in rows for v in row)
     return tuple(tuple(Fraction(v, den) for v in row) for row in rows)
+
+
+def nonzero_entries(rows):
+    return {r: {c: v for c, v in enumerate(row) if v} for r, row in enumerate(rows) if any(row)}
+
+
+def commutator(m1, m2, sig):
+    """``_super_commutator`` of two rational matrices, each given to it as
+    its nonzero int numerators, as a ``Fraction`` matrix; it must equal the
+    dense oracle."""
+    size = len(m1)
+    (a, da), (b, db) = _int_matrix(m1), _int_matrix(m2)
+    rows = _super_commutator(nonzero_entries(a), nonzero_entries(b), sig)
+    assert all(type(v) is int for row in rows.values() for v in row.values())
+    got = tuple(
+        tuple(Fraction(rows.get(r, {}).get(c, 0), da * db) for c in range(size))
+        for r in range(size)
+    )
+    assert got == commutator_reference(m1, m2, sig)
+    return got
+
+
+def assert_stored_canonical(x):
+    """An element stores its representative's nonzero int numerators, no
+    zero and no empty row, over a positive denominator coprime to them."""
+    rows, den = x._rows, x._den
+    size = 1 + x.signature.n
+    values = [v for row in rows.values() for v in row.values()]
+    assert type(den) is int and den >= 1 and gcd(den, *values) == 1
+    assert all(type(v) is int and v for v in values)
+    assert all(row and 0 <= r < size and all(0 <= c < size for c in row)
+               for r, row in rows.items())
+    if x.algebra == ALGEBRA_SL:
+        assert x.supertrace() == 0
+    else:
+        assert 0 not in rows.get(0, {})
+    assert x.is_zero() == (not rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -417,14 +514,46 @@ def test_pgl_bracket_matches_validating_constructor(case):
     assert got == want and got.algebra == want.algebra == x.algebra
     assert got.matrix == representative_reference(sig, raw, x.algebra)
     # stored reduced, as the constructor stores it from the rational matrix
-    rows, den = got._ints
-    assert (rows, den) == want._ints
-    assert den >= 1 and gcd(den, *(v for row in rows for v in row)) == 1
+    assert (got._rows, got._den) == (want._rows, want._den)
+    assert_stored_canonical(got)
     assert all(type(v) is Fraction for row in got.matrix for v in row)
-    if x.algebra == ALGEBRA_SL:
-        assert got.supertrace() == 0
-    else:
-        assert got.matrix[0][0] == 0
+
+
+SCALARS = st.sampled_from([0, 1, -1, 3, Fraction(-3, 2), Fraction(2, 9)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements_and_graded(), SCALARS)
+def test_sparse_arithmetic_matches_dense_oracle(case, c):
+    sig, m, x, y, _g = case
+    algebra = x.algebra
+
+    def oracle(raw):
+        return representative_reference(sig, _mat(raw), algebra)
+
+    dense_sum = tuple(
+        tuple(u + v for u, v in zip(ra, rb)) for ra, rb in zip(x.matrix, y.matrix)
+    )
+    dense_diff = tuple(
+        tuple(u - v for u, v in zip(ra, rb)) for ra, rb in zip(x.matrix, y.matrix)
+    )
+    cases = [
+        (PglElement(sig, m), oracle(m)),
+        (pgl_bracket(x, y), oracle(commutator_reference(x.matrix, y.matrix, sig))),
+        (x + y, oracle(dense_sum)),
+        (x - y, oracle(dense_diff)),
+        (c * x, oracle(_mat_scale(c, x.matrix))),
+        (x * c, oracle(_mat_scale(c, x.matrix))),
+    ]
+    for got, want in cases:
+        assert_stored_canonical(got)
+        assert got.matrix == want
+        assert got == PglElement(sig, want)
+        field = realize(got)
+        assert field == realize_reference(got)
+        assert_canonical(field)
+    if c == 0:
+        assert (c * x).is_zero() and (c * x)._den == 1
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,30 @@ class TestGenerators:
             assert labels(algebra) == labels(None)
 
 
+    def test_generators_built_once_per_signature(self, monkeypatch, fresh_cache):
+        # ``check_homomorphism`` appends the Euler element to the list it
+        # gets, which must not reach the generators kept per signature
+        fresh_cache("_generators", verifier)
+        fresh_cache("_graded_basis", projective, verifier)
+        built = []
+        g0_basis = projective.g0_basis
+
+        def counting_g0_basis(sig, algebra=None):
+            built.append(sig)
+            return g0_basis(sig, algebra)
+
+        monkeypatch.setattr(projective, "g0_basis", counting_g0_basis)
+        for sig in (S21, S12):
+            count = len(equivariance_generators(sig))
+            first = check_homomorphism(sig)
+            again = check_homomorphism(sig)
+            assert first.passed and again.passed
+            assert again.samples_run == first.samples_run
+            assert len(equivariance_generators(sig)) == count
+            assert equivariance_generators(sig) is not equivariance_generators(sig)
+        assert built == [S21, S12]
+
+
 class TestEquivariance:
     def test_primary_oracle_passes(self):
         cfg = QuantizationConfig(S21, Fraction(1, 3), Fraction(1, 5), VARIANT_SL)
