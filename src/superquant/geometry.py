@@ -39,11 +39,12 @@ and the slot series of the map W = sum_i X^i d_i and of div X, the terms
 is the lift plus the series of W from |beta| = 2, plus (mu - lam) div X,
 plus lam times the series of div X.  Along an affine field the series are
 empty, so there the two actions agree and the affine correspondence
-intertwines them.  The field's coordinate derivation sum_i X^i d/dy^i is
-the part of the lift that acts on the coordinates;
-``SuperVectorField.apply`` and ``lie_density`` are that derivation on a
-lifted function, and ``bracket`` is it on the maps of two fields.  An
-operator is applied, and composed, in one nested form of the kernel's
+intertwines them.  A field is a symbol of degree one and weight 0, and a
+density of weight lam one of degree 0, so the same action serves them:
+``bracket`` is the lift of X on the map of Y, and ``lie_density`` is
+lift + lam div X on the lifted function (``SuperVectorField.apply`` at
+lam = 0).
+An operator is applied, and composed, in one nested form of the kernel's
 ``derive_terms`` passes (``_apply_form``), and the Casimirs compose the
 same parts.
 
@@ -52,13 +53,11 @@ an operator of odd parity passes a function coefficient g at the cost of
 (-1)^{parity(g)}; the divergence of X = sum X^i d/dy^i is
 sum_i (-1)^{parity(y^i) parity(X^i)} dX^i/dy^i.
 
-Values are never mutated in place.  A vector field relies on this: what
-``lie_symbol`` and ``lie_operator`` need of it alone (its parts), and what
-``apply`` and ``bracket`` need (its coordinate derivation and its odd part),
-is computed on first use and kept with the field, as an operator keeps the
-nested form ``apply`` runs.  A long sum is built in a private dict with the
-kernel's ``add_into`` and wrapped once at the end, so no value that a caller
-can see is ever changed.
+Values are never mutated in place.  A vector field relies on this: the
+parts of its Lie derivatives are computed on first use and kept with the
+field, as an operator keeps the nested form ``apply`` runs.  A long sum is
+built in a private dict with the kernel's ``add_into`` and wrapped once at
+the end, so no value that a caller can see is ever changed.
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ from .supercore import (
     _check_same_signature,
     _monomial_key,
     _ops,
-    _rescaled,
     as_fraction,
     iter_monomials,
 )
@@ -320,17 +318,6 @@ class _TermMap:
 # vector fields
 
 
-def _coordinate_rows(x: "SuperVectorField") -> list:
-    """The coordinate derivation sum_i X^i d/dy^i as pairs (0-based position
-    among the doubled variables, terms of X^i over them), the numerators
-    over the denominator of the field's map, one pair per nonzero X^i."""
-    sig = x.signature
-    return [
-        (_coord(sig, _component(sig, key)) - 1, _lift(sig, terms))
-        for key, terms in _split(sig, x._poly).items()
-    ]
-
-
 def _component(sig: Signature, key) -> int:
     """The index i (1-based) of the derivative d_i whose slot key, of
     degree one, is ``key``."""
@@ -343,13 +330,11 @@ class SuperVectorField(_TermMap, _Graded):
 
     The term map is sum_i X^i d_i, of degree one in the derivatives d, and
     ``components`` reads the X^i off it.  A field must not be mutated: the
-    parts of its Lie derivatives are built once, on first use, and kept in
-    ``_parts``, and so are its coordinate derivation in the kernel's form,
-    which ``apply`` and ``bracket`` use, in ``_form``, and its odd graded
-    part, which ``bracket`` uses, in ``_odd``.
+    parts of its Lie derivatives, which every action along it runs, are
+    built once, on first use, and kept in ``_parts``.
     """
 
-    __slots__ = _cached = ("_parts", "_form", "_odd")
+    __slots__ = _cached = ("_parts",)
     _fields = _weights = ()
 
     def __init__(self, signature: Signature, components: Sequence):
@@ -366,7 +351,7 @@ class SuperVectorField(_TermMap, _Graded):
             )
         units = [_unit(signature, i) for i in range(1, signature.n + 1)]
         self._poly = _nested(signature, dict(zip(units, comps)))
-        self._parts = self._form = self._odd = None
+        self._parts = None
 
     @property
     def components(self) -> tuple:
@@ -384,23 +369,6 @@ class SuperVectorField(_TermMap, _Graded):
         if parts is None:
             parts = self._parts = _field_parts(self)
         return parts
-
-    def _derivation(self) -> tuple:
-        """The kernel's form of the coordinate derivation sum_i X^i d/dy^i
-        over the doubled variables, over the denominator of the field's
-        map; built on first use."""
-        form = self._form
-        if form is None:
-            rows = _coordinate_rows(self)
-            form = self._form = _ops.derivation(2 * self.signature.p, rows)
-        return form
-
-    def _odd_part(self) -> "SuperVectorField":
-        """The odd graded part of the field, zero if it has none; split on
-        first use."""
-        if self._odd is None:
-            self._odd = self._with(self._poly.graded_parts()[1])
-        return self._odd
 
     def _div(self) -> SuperPolynomial:
         """div X over the doubled variables: ``symbol_divergence`` of the
@@ -422,19 +390,8 @@ class SuperVectorField(_TermMap, _Graded):
         )
 
     def apply(self, f: SuperPolynomial) -> SuperPolynomial:
-        return self._derive(f)
-
-    def _derive(self, f: SuperPolynomial, w: SuperPolynomial | None = None):
-        """X(f) + w f, w over the doubled variables: one kernel pass over the
-        lift of f, X and w brought to one denominator."""
-        _check_same_signature(self, f)
-        sig, dx = self.signature, self._poly._den
-        den, scale, wterms = dx, 1, None
-        if w:
-            den = lcm(dx, w._den)
-            scale, wterms = den // dx, _rescaled(w._terms, den // w._den)
-        terms = _ops.derive_terms(_lift(sig, f._terms), self._derivation(), wterms, scale)
-        return _unlift(sig, terms, f._den * den)
+        """X(f): ``lie_density`` at weight 0."""
+        return lie_density(self, 0, f)
 
     def divergence(self) -> SuperPolynomial:
         div = self._div()
@@ -450,33 +407,23 @@ class SuperVectorField(_TermMap, _Graded):
 
 
 def bracket(x: SuperVectorField, y: SuperVectorField) -> SuperVectorField:
-    """Super commutator of vector fields.
+    """Super commutator of vector fields: the Lie derivative of Y along X.
 
-    Over the graded parts, [X, Y] = sum X_chi Y_eta - (-1)^{chi eta} Y_eta
-    X_chi: only two odd parts anticommute, so
-
-        [X, Y] = X(Y) - Y(X) + 2 Y_1(X_1),
-
-    with X_1, Y_1 the odd parts, and X(Y) = sum_i X(Y^i) d_i the coordinate
-    derivation of X on the term map of Y.  These are three kernel passes
-    into one dict, or the first two when X or Y has no odd part, over the
-    product of the two fields' denominators; each field's kernel form and
-    odd part are built once and kept with it.
+    Y is a symbol of degree one and weight 0, so [X, Y] = L_X Y is the lift
+    of X run on the term map of Y, one kernel pass with the kept parts of X.
     """
     _check_same_signature(x, y)
-    den = x._poly._den * y._poly._den
-    acc = _ops.derive_terms(y._poly._terms, x._derivation())
-    _ops.add_into(acc, _ops.derive_terms(x._poly._terms, y._derivation()), -1)
-    xo, yo = x._odd_part(), y._odd_part()
-    if xo._poly and yo._poly:
-        odd = _ops.derive_terms(xo._poly._terms, yo._derivation())
-        _ops.add_into(acc, odd, 2 * (den // (xo._poly._den * yo._poly._den)))
-    return x._with(SuperPolynomial._over(x._poly.signature, acc, den))
+    return y._with(_apply_parts(y._poly, [(1, x._lie_parts().lift)]))
 
 
 def lie_density(x: SuperVectorField, lam: Rational, f: SuperPolynomial) -> SuperPolynomial:
-    """Lie derivative of a density of weight lam along x."""
-    return x._derive(f, as_fraction(lam) * x._div())
+    """Lie derivative X(f) + lam div(X) f of a density of weight lam along
+    x: ``lie_symbol`` at degree 0, the lift and phi of x on the lifted f."""
+    _check_same_signature(x, f)
+    sig, parts = x.signature, x._lie_parts()
+    pairs = [(1, parts.lift), (as_fraction(lam), parts.phi)]
+    out = _apply_parts(_lifted(sig, f), pairs)
+    return _unlift(sig, out._terms, out._den)
 
 
 # ---------------------------------------------------------------------------
@@ -1050,9 +997,12 @@ def _field_parts(x: SuperVectorField) -> _FieldParts:
     for e, m in w._terms:
         powers = tuple(map(max, powers[0], e[:p])), powers[1] | m & low
     den = w._den
+    # the coordinate derivation: X^i at the derivative d/dy^i
     lift = {
-        _unit(sig2, i + 1): SuperPolynomial._over(sig2, terms, den)
-        for i, terms in _coordinate_rows(x)
+        _unit(sig2, _coord(sig, _component(sig, key))): SuperPolynomial._over(
+            sig2, _lift(sig, terms), den
+        )
+        for key, terms in _split(sig, w).items()
     }
     for i in range(1, sig.n + 1):
         se, smask = _unit(sig, i)

@@ -17,12 +17,13 @@ it to the full projective algebra).
 Per-signature constants are built on first use and kept by ``functools.cache``
 for the life of the process: the graded basis, its dual basis (Gram matrix,
 inverse and duals over nonzero entries only), the basis realized as vector
-fields, which the Casimir, the lowering map and the verifier share, the
-realized duals, and the Casimir of each representation (``_casimir``):
+fields, the one field set, which the Casimir, the lowering map and the
+verifier share, and the Casimir of each representation (``_casimir``):
 operators over the doubled variables, one per weight power, composed from
-the per-field parts of the symbol or the operator Lie derivative, which
-``casimir_apply`` runs in one nested application.  Cached values are never
-mutated, so threads share them.
+the per-field parts of the symbol or the operator Lie derivative, a dual's
+parts summed from those of the basis fields, which ``casimir_apply`` runs
+in one nested application.  Cached values are never mutated, so threads
+share them.
 """
 
 from __future__ import annotations
@@ -537,21 +538,16 @@ def realize(h) -> SuperVectorField:
     its diagonal.  The field is one term dict over the doubled variables,
     over that denominator; component i adds -h_-^i, then -(+-) h_0^ij y^j
     (sign - when y^j is odd and y^i even) for each stored h_0^ij, then f y^i
-    with f = sum_j (-1)^{parity(y^j)} h_+^j y^j, each times d_i.
+    with f = sum_j (-1)^{parity(y^j)} h_+^j y^j, each times d_i.  Graded
+    data is realized through its element (``GradedElement.to_pgl``).
     """
     if isinstance(h, SuperVectorField):
         return h
-    if isinstance(h, PglElement):
-        rows, den = h._rows, h._den
-    elif isinstance(h, GradedElement):
-        # the graded data as the entries of a matrix with a zero corner
-        entries = {0: dict(enumerate(h.h_plus, start=1))}
-        for i, (v, row) in enumerate(zip(h.h_minus, h.h_zero), start=1):
-            entries[i] = {0: v, **dict(enumerate(row, start=1))}
-        rows, den = _over_den(entries)
-    else:
+    if isinstance(h, GradedElement):
+        h = h.to_pgl()
+    elif not isinstance(h, PglElement):
         raise TypeError(f"cannot realize {type(h).__name__}")
-    sig = h.signature
+    rows, den, sig = h._rows, h._den, h.signature
     p = sig.p
     top = rows.get(0, {})
     corner = top.get(0, 0)
@@ -658,57 +654,67 @@ def _graded_basis(signature: Signature, scheme: str) -> tuple:
 
 
 @functools.cache
-def _build_dual_basis_pair(signature: Signature, scheme: str) -> DualBasisPair:
-    """The duals of ``_graded_basis`` from the inverse Gram matrix, every
-    step over nonzero entries only, and the pairing of every basis element
-    with every dual checked against the identity."""
+def _dual_columns(signature: Signature, scheme: str) -> tuple:
+    """The duals of ``_graded_basis`` as coefficients over it, from the
+    inverse Gram matrix over nonzero entries only: entry j is ``{k: c_kj}``,
+    the dual j being sum_k c_kj basis[k].  ``_build_dual_basis_pair``
+    builds and checks the duals from them, and ``_casimir`` reads them
+    after that check."""
     basis = _graded_basis(signature, scheme)
-    psl = _is_psl(signature)
-    if psl and any(h.supertrace() for h in basis):
+    if _is_psl(signature) and any(h.supertrace() for h in basis):
         raise DomainError("the Kaplansky form needs a supertraceless basis")
-    inverse = _invert(_form_rows(signature, basis, basis))
-    # dual j is sum_k inverse[k][j] basis[k], gathered entry by entry
-    gathered = [{} for _ in basis]
-    for h, inverse_row in zip(basis, inverse):
-        for j, c in inverse_row.items():
+    columns = [{} for _ in basis]
+    for k, row in enumerate(_invert(_form_rows(signature, basis, basis))):
+        for j, c in row.items():
+            columns[j][k] = c
+    return tuple(columns)
+
+
+@functools.cache
+def _build_dual_basis_pair(signature: Signature, scheme: str) -> DualBasisPair:
+    """The duals of ``_dual_columns``, each gathered entry by entry, and the
+    pairing of every basis element with every dual checked against the
+    identity."""
+    basis = _graded_basis(signature, scheme)
+    dual = []
+    for column in _dual_columns(signature, scheme):
+        acc = {}
+        for k, c in column.items():
+            h = basis[k]
             c /= h._den
-            acc = gathered[j]
             for r, row in h._rows.items():
                 out = acc.setdefault(r, {})
-                for k, v in row.items():
-                    out[k] = out.get(k, 0) + c * v
-    dual = tuple(PglElement._raw(signature, *_over_den(acc)) for acc in gathered)
+                for col, v in row.items():
+                    out[col] = out.get(col, 0) + c * v
+        dual.append(PglElement._raw(signature, *_over_den(acc)))
     for i, row in enumerate(_form_rows(signature, basis, dual)):
         if row != {i: 1}:
             raise DomainError("dual basis verification failed")
-    return DualBasisPair(basis, dual, "Kaplansky" if psl else "Killing")
+    form = "Kaplansky" if _is_psl(signature) else "Killing"
+    return DualBasisPair(basis, tuple(dual), form)
 
 
 @functools.cache
 def _realized_basis(signature: Signature, scheme: str) -> tuple:
     """``graded_basis`` as vector fields, e_i first and eps_i last; callers
-    pass ``scheme`` positionally, so each basis has one cache entry."""
+    pass ``scheme`` positionally, so each basis has one cache entry.  No
+    other field set is kept: the Casimir reads the duals as sums of these."""
     return tuple(map(realize, _graded_basis(signature, scheme)))
 
 
 @functools.cache
-def _casimir_fields(signature: Signature, scheme: str) -> tuple:
-    """The (basis, dual) pairs of ``dual_basis_pair`` as vector fields: the
-    realized basis with the realized duals."""
-    pair = _build_dual_basis_pair(signature, scheme)
-    return tuple(zip(_realized_basis(signature, scheme), map(realize, pair.dual)))
-
-
-@functools.cache
 def _casimir(signature: Signature, scheme: str, rep: str) -> tuple:
-    """The Casimir sum L_Y L_X over the pairs (X, Y) of ``_casimir_fields``
-    as ``(i, j, C_ij)`` for the nonzero operators C_ij over the doubled
+    """The Casimir sum L_Y L_X over the basis fields X and their duals Y as
+    ``(i, j, C_ij)`` for the nonzero operators C_ij over the doubled
     variables with sum delta^i lam^j C_ij = sum L_Y L_X, each a sum of
     ``compose`` products of the parts that each field keeps
     (``geometry._FieldParts``): on a symbol of weight delta (``rep="L"``)
     L_X = lift(X) + delta Phi_X, on an operator of weights lam and
     lam + delta (``rep="affine"``) L_X = A_X + delta Phi_X + lam B_X, A_X
-    as the lift and the rest.
+    as the lift and the rest.  The parts are linear in the field, so those
+    of the dual Y = sum_k c_k X_k, with the c_k of ``_dual_columns`` once
+    its duals pass their check, are sum_k c_k times those of X_k, and no
+    dual is realized.
     ``check relcas`` compares the two through ``casimir_defect``, which
     reads neither.
     """
@@ -720,10 +726,14 @@ def _casimir(signature: Signature, scheme: str, rep: str) -> tuple:
         powers = ((0, 0), (1, 0))  # of (delta, lam)
     else:
         parts, powers = _operator_lie_parts, ((0, 0), (0, 0), (1, 0), (0, 1))
+    _build_dual_basis_pair(signature, scheme)  # raises if the duals fail
+    basis_parts = [parts(x) for x in _realized_basis(signature, scheme)]
     sums = {}
-    for x, y in _casimir_fields(signature, scheme):
-        ops_x = list(zip(powers, parts(x)))
-        for (dy, ly), op_y in zip(powers, parts(y)):
+    for own, column in zip(basis_parts, _dual_columns(signature, scheme)):
+        ops_x = list(zip(powers, own))
+        for n, (dy, ly) in enumerate(powers):
+            terms = (c * basis_parts[k][n] for k, c in column.items())
+            op_y = functools.reduce(add, terms)  # L_Y = sum_k c_k L_{X_k}
             for (dx, lx), op_x in ops_x:
                 if op_y._poly and op_x._poly:
                     composed = op_y.compose(op_x)._poly

@@ -395,7 +395,11 @@ def _pgl_text(h) -> str:
 
 def check_homomorphism(sig: Signature) -> CheckReport:
     """Certify realize on all graded basis brackets, grading, and the
-    Euler-class identity for the weighted dual pairs."""
+    Euler-class identity for the weighted dual pairs.
+
+    realize(pgl_bracket(a, b)) is compared with the bracket of the fields
+    of a and b, the kept ``_realized_generators``, whose parts each bracket
+    runs; only the sl Euler element, not among them, is realized here."""
     psl = _is_psl(sig)
     report = CheckReport(
         check_name="check_homomorphism",
@@ -405,9 +409,10 @@ def check_homomorphism(sig: Signature) -> CheckReport:
     # constants e1.., the linear part g0[..], quadratic directions eps1..,
     # and last the Euler class
     elems = equivariance_generators(sig)
+    realized = [x for _label, x in _realized_generators(sig)]
     if not psl:
         elems.append(("euler", euler_element(sig)))
-    realized = [realize(h) for _label, h in elems]
+        realized.append(realize(elems[-1][1]))
     for i, (la, a) in enumerate(elems):
         for j, (lb, b) in enumerate(elems):
             lhs = realize(pgl_bracket(a, b))

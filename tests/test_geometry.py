@@ -1446,7 +1446,6 @@ def test_bracket_of_inhomogeneous_fields_matches_reference(case):
     for field in (xf, yf):
         parts = dict(field.graded_parts())
         assert sorted(parts) == [0, 1]
-        assert field._odd_part() == parts[1]
     assert bracket(xf, yf) == bracket_reference(xf, yf)
     assert bracket(yf, xf) == bracket_reference(yf, xf)
     assert bracket(xf, xf) == bracket_reference(xf, xf)
@@ -1454,26 +1453,29 @@ def test_bracket_of_inhomogeneous_fields_matches_reference(case):
 
 @pytest.mark.parametrize("sig", [S22, Signature(2, 3)], ids=str)
 def test_bracket_and_divergence_pass_over_the_whole_map(sig, kernel_calls):
-    """A bracket is three ``derive_terms`` passes in all, not three per
-    component, and a divergence one ``divergence_terms`` pass."""
+    """Once the parts of X are built, a bracket is one ``derive_terms``
+    pass over the whole map of Y, not one per component, also where both
+    fields have an odd part; a divergence is one ``divergence_terms`` pass."""
     rng = random.Random(f"whole map {sig}")
     odd = SuperVectorField(sig, [0] * sig.p + [1] + [0] * (sig.q - 1))  # d/dt_1
     xf, yf = rand_field(rng, sig) + odd, rand_field(rng, sig) + odd
     want = bracket_reference(xf, yf)
-    assert not (xf._odd_part().is_zero() or yf._odd_part().is_zero())
+    assert all(1 in dict(f.graded_parts()) for f in (xf, yf))
+    xf._lie_parts()
     kernel_calls.clear()
     assert bracket(xf, yf) == want
-    assert kernel_calls == Counter(derive_terms=3)
+    assert kernel_calls == Counter(derive_terms=1)
     kernel_calls.clear()
     xf.divergence()
     assert kernel_calls == Counter(divergence_terms=1)
 
 
-def test_check_homomorphism_sees_a_wrong_realization(monkeypatch, capsys):
+def test_check_homomorphism_sees_a_wrong_realization(monkeypatch, capsys, fresh_cache):
     """The comparison is not vacuous: with the sign of one quadratic term of
-    each realized field flipped, ``check homomorphism`` fails at an sl and
-    at a psl signature."""
-    from superquant import cli, verifier
+    each realized field flipped, also in the kept fields that the right side
+    reads (realized again with fresh caches), ``check homomorphism`` fails
+    at an sl and at a psl signature."""
+    from superquant import cli, projective, verifier
 
     honest = verifier.realize
 
@@ -1493,18 +1495,22 @@ def test_check_homomorphism_sees_a_wrong_realization(monkeypatch, capsys):
         argv = ["check", "homomorphism", "--p", str(p), "--q", str(q)]
         assert cli.main(argv + ["--format", "json"]) == 0
         capsys.readouterr()
-        monkeypatch.setattr(verifier, "realize", flipped)
+        fresh_cache("_realized_basis", projective, verifier)
+        fresh_cache("_realized_generators", verifier)
+        for module in (projective, verifier):
+            monkeypatch.setattr(module, "realize", flipped)
         assert cli.main(argv + ["--format", "json"]) == 3
         report = json.loads(capsys.readouterr().out)
         assert not report["passed"] and report["failures"]
         assert all(f["input"].startswith("bracket pair") for f in report["failures"])
-        monkeypatch.setattr(verifier, "realize", honest)
+        for module in (projective, verifier):
+            monkeypatch.setattr(module, "realize", honest)
 
 
 def test_values_are_never_mutated():
     """The private accumulators never reach a value a caller holds: every
-    input, and the field's cached action data, is unchanged by two runs of
-    each construction, and the two runs agree."""
+    input, and the parts that each field keeps with their nested forms, is
+    unchanged by two runs of each construction, and the two runs agree."""
     sig = S21
     rng = random.Random("no mutation")
     xf, yf = rand_field(rng, sig, 2), rand_field(rng, sig, 2)
@@ -1512,30 +1518,41 @@ def test_values_are_never_mutated():
     s = rand_symbol(rng, sig, Fraction(1, 5), 2)
     cfg = QuantizationConfig(sig, Fraction(1, 3), Fraction(1, 5))
     d = quantize(s, cfg)
-    geometry._operator_lie_parts(xf)  # every part, so no run grows them
-    xf.apply(f)  # builds the field's kernel form too
-    bracket(xf, yf)  # and both fields' odd parts with their kernel forms
-    assert not (xf._odd_part().is_zero() or yf._odd_part().is_zero())
+    assert all(1 in dict(x.graded_parts()) for x in (xf, yf))
     polys_in = [f, s._poly, d._poly, xf._poly, yf._poly]
     before = [deepcopy(p._terms) for p in polys_in]
 
-    def cache_of(field):
-        return field._form, field._odd, field._odd._form
-
-    cached = deepcopy((xf._parts, cache_of(xf), cache_of(yf)))
-    runs = [
-        [
+    def run():
+        return [
             xf.apply(f),
+            lie_density(xf, Fraction(2, 7), f),
             lie_symbol(xf, s),
             lie_operator(xf, d),
             quantize(s, cfg),
             bracket(xf, yf),
+            bracket(yf, xf),
         ]
-        for _ in range(2)
-    ]
+
+    geometry._operator_lie_parts(xf)  # every part, so no run grows them
+    first = run()  # builds the parts of yf and every nested form they run
+
+    def node_of(node):
+        if node is None:
+            return None
+        return (node.multiplier, node.rows, node._derivation,
+                [(i, node_of(sub)) for i, sub in node.deeper])
+
+    def cache_of(field):
+        return [
+            (op._poly._terms, op._poly._den, node_of(op._form))
+            for op in field._parts if isinstance(op, DiffOperator)
+        ]
+
+    cached = deepcopy((xf._parts, cache_of(xf), cache_of(yf)))
+    runs = [run() for _ in range(2)]
     assert [p._terms for p in polys_in] == before
     assert (xf._parts, cache_of(xf), cache_of(yf)) == cached
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == first
 
 
 # ---------------------------------------------------------------------------

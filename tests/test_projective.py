@@ -43,7 +43,6 @@ from superquant.projective import (
     ALGEBRA_SL,
     GradedElement,
     PglElement,
-    _casimir_fields,
     _mat,
     _super_commutator,
     affine_defect,
@@ -639,12 +638,14 @@ def test_failed_dual_basis_check_raises_domain_error(monkeypatch, fresh_cache):
         ]
 
     monkeypatch.setattr(projective, "_form_rows", shifted)
+    fresh_cache("_dual_columns", projective)
     fresh_cache("_build_dual_basis_pair", projective)
     with pytest.raises(DomainError, match="dual basis verification failed"):
         dual_basis_pair(S21)
 
 
 def test_psl_dual_basis_takes_one_supertrace_per_element(monkeypatch, fresh_cache):
+    fresh_cache("_dual_columns", projective)
     fresh_cache("_build_dual_basis_pair", projective)
     calls = []
     supertrace = PglElement.supertrace
@@ -662,6 +663,7 @@ def test_psl_dual_basis_takes_one_supertrace_per_element(monkeypatch, fresh_cach
 
 
 def test_psl_dual_basis_refuses_a_basis_with_supertrace(monkeypatch, fresh_cache):
+    fresh_cache("_dual_columns", projective)
     fresh_cache("_build_dual_basis_pair", projective)
     fresh_cache("_graded_basis", projective)
     graded = projective.graded_basis
@@ -674,14 +676,15 @@ def test_psl_dual_basis_refuses_a_basis_with_supertrace(monkeypatch, fresh_cache
 
 
 def test_casimir_fields_realized_once_per_signature(monkeypatch, fresh_cache):
-    fresh_cache("_casimir_fields", projective)
+    """Both Casimirs realize each basis element once per signature and no
+    dual: a dual's parts are summed from those of the basis fields."""
     fresh_cache("_casimir", projective)
     fresh_cache("_realized_basis", projective)
     realized = []
     real_realize = projective.realize
 
     def counting_realize(h):
-        realized.append(h.signature)
+        realized.append(h)
         return real_realize(h)
 
     monkeypatch.setattr(projective, "realize", counting_realize)
@@ -690,17 +693,43 @@ def test_casimir_fields_realized_once_per_signature(monkeypatch, fresh_cache):
     s = rand_symbol(rng, S11, delta, 2)
     first = casimir_apply(s, lam, rep="affine")
     assert not first.is_zero()
-    size = len(dual_basis_pair(S11).basis)
-    assert realized == [S11] * (2 * size)
+    pair = dual_basis_pair(S11)
+    # the very basis elements, so no dual, equal to one of them or not
+    assert len(realized) == len(pair.basis)
+    assert all(h is g for h, g in zip(realized, pair.basis))
     assert casimir_apply(s, lam, rep="affine") == first
     assert casimir_apply(s, lam) == (casimir_eigenvalue(2, delta, S11) * s).as_mixed()
-    assert len(realized) == 2 * size
+    assert len(realized) == len(pair.basis)
 
     s21 = rand_symbol(rng, S21, delta, 2)
     got = casimir_apply(s21, lam)
     assert not got.is_zero()
-    assert realized[2 * size:] == [S21] * (2 * len(dual_basis_pair(S21).basis))
+    assert casimir_apply(s21, lam, rep="affine") == casimir_affine_reference(s21, lam)
+    pair21 = dual_basis_pair(S21)
+    assert len(realized) == len(pair.basis) + len(pair21.basis)
+    assert all(h is g for h, g in zip(realized[len(pair.basis):], pair21.basis))
     assert got == (casimir_eigenvalue(2, delta, S21) * s21).as_mixed()
+
+
+def test_casimir_is_built_from_checked_duals_only(monkeypatch, fresh_cache):
+    """The coefficients of the duals reach the Casimir only through the
+    dual basis check: with a form that is not bilinear, both
+    representations fail it."""
+    form_rows = projective._form_rows
+
+    def shifted(sig, left, right):
+        return [
+            {j: v for j in range(len(right)) if (v := row.get(j, 0) + 1)}
+            for row in form_rows(sig, left, right)
+        ]
+
+    monkeypatch.setattr(projective, "_form_rows", shifted)
+    for name in ("_dual_columns", "_build_dual_basis_pair", "_casimir"):
+        fresh_cache(name, projective)
+    s = rand_symbol(random.Random(62), S21, Fraction(1, 5), 1)
+    for rep in ("L", "affine"):
+        with pytest.raises(DomainError, match="dual basis verification failed"):
+            casimir_apply(s, Fraction(1, 3), rep=rep)
 
 
 # ---------------------------------------------------------------------------
@@ -831,6 +860,14 @@ def test_casimir_basis_independence():
 # the symbol-action Casimir, composed from the lift and div X of each field
 
 
+@functools.cache
+def realized_basis_pairs(sig, scheme):
+    """The (basis, dual) pairs of ``dual_basis_pair``, both realized here,
+    so the oracles below share no field with ``_casimir``."""
+    pair = dual_basis_pair(sig, scheme=scheme)
+    return [(realize(h), realize(g)) for h, g in zip(pair.basis, pair.dual)]
+
+
 def casimir_reference(s, lam, algebra=None, scheme="elementary"):
     """The symbol-action Casimir as the sum over the basis pairs of two
     symbol Lie derivatives, the loop that ``casimir_apply(rep="L")`` ran
@@ -839,7 +876,7 @@ def casimir_reference(s, lam, algebra=None, scheme="elementary"):
     sig = s.signature
     normalize_algebra(sig, algebra)
     lam = as_fraction(lam)
-    fields = _casimir_fields(sig, scheme)
+    fields = realized_basis_pairs(sig, scheme)
     acc = SuperPolynomial.zero(s._poly.signature)
     for xu, xud in fields:
         acc = acc + lie_symbol(xud, lie_symbol(xu, s))._poly
@@ -993,7 +1030,7 @@ def casimir_affine_reference(s, lam, algebra=None, scheme="elementary"):
     lam = as_fraction(lam)
     op = affine_quantize(s, lam)
     acc = SuperPolynomial.zero(op._poly.signature)
-    for xu, xud in _casimir_fields(sig, scheme):
+    for xu, xud in realized_basis_pairs(sig, scheme):
         acc = acc + lie_operator(xud, lie_operator(xu, op))._poly
     return affine_symbol(op._with(acc))
 
@@ -1154,6 +1191,7 @@ def test_lowering_map_builds_no_dual_basis(monkeypatch, fresh_cache):
         raise AssertionError("the lowering map built a dual basis")
 
     monkeypatch.setattr(projective, "_build_dual_basis_pair", no_dual_basis)
+    monkeypatch.setattr(projective, "_dual_columns", no_dual_basis)
     assert casimir_defect(s, lam) == before
 
 
