@@ -18,12 +18,14 @@ Per-signature constants are built on first use and kept by ``functools.cache``
 for the life of the process: the graded basis, its dual basis (Gram matrix,
 inverse and duals over nonzero entries only), the basis realized as vector
 fields, the one field set, which the Casimir, the lowering map and the
-verifier share, and the Casimir of each representation (``_casimir``):
+verifier share, the Casimir of each representation (``_casimir``):
 operators over the doubled variables, one per weight power, composed from
 the per-field parts of the symbol or the operator Lie derivative, a dual's
 parts summed from those of the basis fields, which ``casimir_apply`` runs
-in one nested application.  Cached values are never mutated, so threads
-share them.
+in one nested application, and the degree-lowering map (``_lowering_map``),
+two operators composed the same way from the parts of the constant and the
+quadratic basis fields, which ``casimir_defect`` runs.  Cached values are
+never mutated, so threads share them.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ from .geometry import (
     interior,
     _apply_parts,
     _doubled,
+    _key_degree,
     _operator_lie_parts,
+    _split,
     _unit,
     lie_operator,
     lie_symbol,
@@ -715,8 +719,8 @@ def _casimir(signature: Signature, scheme: str, rep: str) -> tuple:
     of the dual Y = sum_k c_k X_k, with the c_k of ``_dual_columns`` once
     its duals pass their check, are sum_k c_k times those of X_k, and no
     dual is realized.
-    ``check relcas`` compares the two through ``casimir_defect``, which
-    reads neither.
+    ``check relcas`` compares the two through the lowering map
+    (``_lowering_map``), which reads neither and no dual basis.
     """
     if rep == REP_SYMBOL:
         def parts(x):
@@ -738,17 +742,68 @@ def _casimir(signature: Signature, scheme: str, rep: str) -> tuple:
                 if op_y._poly and op_x._poly:
                     composed = op_y.compose(op_x)._poly
                     sums.setdefault((dy + dx, ly + lx), []).append(composed)
-    sig2, zero = _doubled(signature), Fraction(0)
     out = []
     for (i, j), polys in sorted(sums.items()):
-        den = lcm(*(poly._den for poly in polys))
-        acc = {}
-        for poly in polys:
-            _ops.add_into(acc, poly._terms, den // poly._den)
-        if acc:
-            poly = SuperPolynomial._over(_doubled(sig2), acc, den)
-            out.append((i, j, DiffOperator._raw(sig2, zero, zero, poly)))
+        op = _operator_sum(signature, polys)
+        if op._poly:
+            out.append((i, j, op))
     return tuple(out)
+
+
+def _operator_sum(signature: Signature, polys) -> DiffOperator:
+    """The operator of weights 0 over the doubled variables of ``signature``
+    whose term map is the sum of ``polys``, the numerators brought to the
+    least common multiple of their denominators."""
+    den = lcm(*(poly._den for poly in polys))
+    acc = {}
+    for poly in polys:
+        _ops.add_into(acc, poly._terms, den // poly._den)
+    sig2, zero = _doubled(signature), Fraction(0)
+    return DiffOperator._raw(sig2, zero, zero, SuperPolynomial._over(_doubled(sig2), acc, den))
+
+
+@functools.cache
+def _lowering_map(signature: Signature) -> tuple:
+    """The degree-lowering map as two operators (D0, D1) over the doubled
+    variables, ``casimir_defect(S, lam)`` being (D0 + lam D1) on the term
+    map of S, for q != p+1.
+
+    On a symbol T of weight delta quantized affinely at lam, the operator
+    action of a field X is A + delta Phi + lam B and the symbol action
+    lift + delta Phi (``geometry._FieldParts``), so ``affine_defect(X, T)``
+    is (A - lift + lam B)(T), whatever delta.  A constant field has no
+    divergence, so L_{e_i} is the lift of e_i, and the sum that defines
+    ``casimir_defect`` is D0 = sum_i s_i/(m+1) (A - lift)_{eps_i} o lift_{e_i}
+    and D1 the same with B_{eps_i}, at m = p - q, s_i = -1 for odd y^i.
+    Only the parts of the realized e_i and eps_i are read, neither
+    ``_casimir`` nor a dual basis.  Every term must lower the slot degree by
+    exactly one, checked here once for every symbol.
+    """
+    fields = _realized_basis(signature, "elementary")
+    n, scale = signature.n, Fraction(1, signature.p - signature.q + 1)
+    sums = ([], [])
+    for i, x_e, x_eps in zip(range(1, n + 1), fields[:n], fields[-n:]):
+        lift = x_e._lie_parts().lift
+        _, higher, _, b = _operator_lie_parts(x_eps)
+        c = -scale if signature.parity(i) else scale
+        for polys, op in zip(sums, (higher, b)):
+            if op._poly:
+                polys.append((c * op.compose(lift))._poly)
+    ops = tuple(_operator_sum(signature, polys) for polys in sums)
+    p, q = signature.p, signature.q
+
+    def slot_degree(key):  # of a key over the doubled variables
+        return _key_degree((key[0][p:], key[1] >> q))
+
+    # a term f d^a moves the slot degree by that of f less that of d^a
+    for op in ops:
+        for a, coeffs in _split(_doubled(signature), op._poly).items():
+            if any(slot_degree(f) != slot_degree(a) - 1 for f in coeffs):
+                raise DomainError(
+                    f"the lowering map at {signature} has a term that does "
+                    "not lower the degree by one"
+                )
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -799,19 +854,16 @@ def affine_defect_closed_form(h, s: SymbolField, lam: Rational) -> SymbolField:
 def casimir_defect(s: SymbolField, lam: Rational) -> SymbolField:
     """The degree-lowering part of the quantized Casimir action: the sum of
     2 affine_defect(dual of e_i, L_{e_i} S), the dual being +-eps_i / (2(m+1))
-    at m = p - q (- for odd y^i).  The defect is linear in the field, so the
-    realized eps_i serve, scaled, and no dual basis is built."""
+    at m = p - q (- for odd y^i).  It is linear in the weight lam, so it runs
+    as the operators D0 + lam D1 of ``_lowering_map``, kept per signature, in
+    one nested application (``geometry._apply_parts``); no Lie derivative is
+    taken per call."""
     sig = s.signature
     if _is_psl(sig):
         raise DomainError("the lowering map requires q != p+1")
-    lam = as_fraction(lam)
-    fields = _realized_basis(sig, "elementary")
-    n, scale = sig.n, Fraction(1, sig.p - sig.q + 1)
-    total = SymbolField.zero(sig, s.weight, max(s.degree - 1, 0))
-    for i, x_e, x_eps in zip(range(1, n + 1), fields[:n], fields[-n:]):
-        defect = affine_defect(x_eps, lie_symbol(x_e, s), lam)
-        total = total + (-scale if sig.parity(i) else scale) * defect
-    return total
+    pairs = zip((1, as_fraction(lam)), _lowering_map(sig))
+    poly = _apply_parts(s._poly, pairs)
+    return SymbolField._raw(sig, s.weight, max(s.degree - 1, 0), poly)
 
 
 # ---------------------------------------------------------------------------

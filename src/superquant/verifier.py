@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .expr import format_operator, format_symbol, format_value
-from .geometry import SymbolField, bracket, lie_operator, lie_symbol
+from .geometry import SymbolField, _doubled, _lift, bracket, lie_operator, lie_symbol
 from .projective import (
     _graded_basis,
     _is_psl,
@@ -36,7 +36,7 @@ from .projective import (
     scaled_eps,
 )
 from .quantizer import QuantizationConfig, quantize
-from .supercore import Signature, SuperPolynomial, as_fraction
+from .supercore import Signature, SuperPolynomial, _ops, as_fraction
 
 DEFAULT_SAMPLES = 25
 
@@ -125,22 +125,31 @@ class CheckReport:
 # Sample generation
 
 
-def random_polynomial(
-    sig: Signature, rng: random.Random, max_degree: int = 3
-) -> SuperPolynomial:
-    """Random superfunction with even degree <= max_degree."""
-    f = SuperPolynomial.zero(sig)
+def _random_terms(sig: Signature, rng: random.Random, max_degree: int) -> dict:
+    """The terms of ``random_polynomial`` as int numerators over 6, the
+    common denominator of its coefficients, in the order its sum keeps."""
+    terms = {}
     for _ in range(rng.randint(1, 3)):
         mask = rng.randrange(1 << sig.q) if sig.q else 0
         evens = [0] * sig.p
         for _ in range(rng.randint(0, max_degree)):
             if sig.p:
                 evens[rng.randrange(sig.p)] += 1
-        c = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
-        if not c:
-            c = Fraction(1)
-        f = f + SuperPolynomial(sig, {(tuple(evens), mask): c})
-    return f
+        a, b = rng.randint(-4, 4), rng.choice([1, 2, 3])
+        key = tuple(evens), mask
+        total = terms.get(key, 0) + (a * (6 // b) or 6)  # a/b, or 1 for 0
+        if total:
+            terms[key] = total
+        else:
+            del terms[key]
+    return terms
+
+
+def random_polynomial(
+    sig: Signature, rng: random.Random, max_degree: int = 3
+) -> SuperPolynomial:
+    """Random superfunction with even degree <= max_degree."""
+    return SuperPolynomial._over(sig, _random_terms(sig, rng, max_degree), 6)
 
 
 def _degree_keys(sig: Signature, degree: int):
@@ -159,11 +168,9 @@ def _degree_keys(sig: Signature, degree: int):
     return keys
 
 
-def _project_parity(f: SuperPolynomial, parity: int) -> SuperPolynomial:
-    return f.graded_parts()[parity]
-
-
 def _parity_monomial(sig: Signature, parity: int, rng: random.Random):
+    """The key of a random monomial of the parity, None at parity 1 with no
+    odd coordinate."""
     if parity and not sig.q:
         return None
     evens = [0] * sig.p
@@ -171,7 +178,37 @@ def _parity_monomial(sig: Signature, parity: int, rng: random.Random):
         if sig.p:
             evens[rng.randrange(sig.p)] += 1
     mask = (1 << rng.randrange(sig.q)) if parity else 0
-    return SuperPolynomial(sig, {(tuple(evens), mask): Fraction(1)})
+    return tuple(evens), mask
+
+
+def _symbol_terms(sig, keys, rng, max_coeff_degree, parity) -> dict:
+    """The term map of ``random_symbol`` over the frame monomials ``keys``
+    as int numerators over 6: a random coefficient at each chosen key, its
+    terms of the wrong parity dropped and a monomial drawn in their place
+    where none is left, and one at the first key where no key has one."""
+    out = {}
+    one = (0,) * sig.p, 0
+    chosen = [key for key in keys if rng.random() < 0.7] or [rng.choice(keys)]
+    for key in chosen:
+        terms = _random_terms(sig, rng, max_coeff_degree)
+        if parity is not None:
+            coeff_parity = parity ^ (key[1].bit_count() & 1)
+            terms = {k: c for k, c in terms.items() if k[1].bit_count() & 1 == coeff_parity}
+            if not terms:
+                mono = _parity_monomial(sig, coeff_parity, rng)
+                if mono is None:
+                    continue
+                terms = {mono: 6}
+        elif not terms:
+            terms = {one: 6}
+        out.update(_lift(sig, terms, key))
+    if not out:
+        key = keys[0]
+        mono = None
+        if parity is not None:
+            mono = _parity_monomial(sig, parity ^ (key[1].bit_count() & 1), rng)
+        out = _lift(sig, {mono or one: 6}, key)
+    return out
 
 
 def random_symbol(
@@ -189,31 +226,12 @@ def random_symbol(
     total parity (coefficient plus frame) equals ``parity``.
     """
     weight = as_fraction(weight)
-    terms = {}
     keys = _degree_keys(sig, degree)
     if not keys:
         raise DomainError(f"no degree-{degree} symbol exists at signature {sig}")
-    chosen = [key for key in keys if rng.random() < 0.7] or [rng.choice(keys)]
-    for key in chosen:
-        poly = random_polynomial(sig, rng, max_coeff_degree)
-        if parity is not None:
-            coeff_parity = parity ^ (key[1].bit_count() & 1)
-            poly = _project_parity(poly, coeff_parity)
-            if poly.is_zero():
-                fallback = _parity_monomial(sig, coeff_parity, rng)
-                if fallback is None:
-                    continue
-                poly = fallback
-        elif poly.is_zero():
-            poly = SuperPolynomial.one(sig)
-        terms[key] = poly
-    if not terms:
-        key = keys[0]
-        fallback = None
-        if parity is not None:
-            fallback = _parity_monomial(sig, parity ^ (key[1].bit_count() & 1), rng)
-        terms[key] = fallback or SuperPolynomial.one(sig)
-    return SymbolField(sig, weight, degree, terms)
+    terms = _symbol_terms(sig, keys, rng, max_coeff_degree, parity)
+    poly = SuperPolynomial._over(_doubled(sig), terms, 6)
+    return SymbolField._raw(sig, weight, degree, poly)
 
 
 def symbol_samples(
@@ -228,27 +246,28 @@ def symbol_samples(
     For q <= 3 the first samples each force one odd-coordinate subset into a
     coefficient, so the whole Grassmann lattice is exercised across a run.
     A degree with no frame monomial (above q when p = 0) has no samples.
+    Each sample is drawn as ``random_symbol`` draws it, straight into int
+    numerators over one denominator.
     """
     samples = []
     keys = _degree_keys(sig, degree)
     if not keys:
         return samples
+    weight, sig2 = as_fraction(weight), _doubled(sig)
     forced = list(range(1 << sig.q)) if sig.q <= 3 else []
     for i in range(count):
         if i < len(forced):
             fmask = forced[i]
             key = keys[i % len(keys)]
             parity = (fmask.bit_count() & 1) ^ (key[1].bit_count() & 1)
-            s = random_symbol(sig, weight, degree, rng, parity=parity)
+            terms = _symbol_terms(sig, keys, rng, 3, parity)
             evens = tuple(rng.randint(0, 1) for _ in range(sig.p))
-            # 1/7 cannot cancel against random_polynomial coefficients
-            extra = SymbolField(
-                sig,
-                weight,
-                degree,
-                {key: SuperPolynomial(sig, {(evens, fmask): Fraction(1, 7)})},
-            )
-            samples.append(s + extra)
+            # plus 1/7 at the forced subset, over 42: it cannot cancel
+            # against the coefficients over 6
+            terms = {k: 7 * c for k, c in terms.items()}
+            _ops.add_into(terms, _lift(sig, {(evens, fmask): 6}, key))
+            poly = SuperPolynomial._over(sig2, terms, 42)
+            samples.append(SymbolField._raw(sig, weight, degree, poly))
         else:
             parity = (i & 1) if sig.q else 0
             samples.append(random_symbol(sig, weight, degree, rng, parity=parity))
@@ -457,7 +476,10 @@ def check_relcas(
     seed: int = 0,
 ) -> CheckReport:
     """Certify that the quantized-action Casimir splits as the symbol-action
-    Casimir plus the degree-lowering map."""
+    Casimir plus the degree-lowering map.  The three are built apart, each
+    kept per signature: the two Casimirs from the basis fields and the
+    checked dual basis, the lowering map from the constant and quadratic
+    basis fields alone, so a fault in one shows as a failed identity."""
     if _is_psl(sig):
         raise DomainError("the splitting requires q != p+1")
     lam = as_fraction(lam)

@@ -5,9 +5,10 @@ of composed adjoint maps over the full elementary-matrix basis; the defect
 map computed from its definition against its closed form; Casimir
 eigenvalues measured by application against the closed formula; the
 symbol-action Casimir operator against the sum of Lie derivatives over the
-basis pairs (``casimir_reference``), and the quantized-action Casimir
+basis pairs (``casimir_reference``), the quantized-action Casimir
 operator against the sum of operator Lie derivatives
-(``casimir_affine_reference``); the bracket and the arithmetic of the
+(``casimir_affine_reference``), and the lowering map against the sum of
+defects over the quadratic directions (``casimir_defect_reference``); the bracket and the arithmetic of the
 stored nonzero entries against dense matrices (``super_commutator_reference``
 and ``representative_reference``); and dual bases checked against the
 closed-form pairings.
@@ -1127,6 +1128,7 @@ def test_lowering_fields_realized_once_per_signature(monkeypatch, fresh_cache):
     want = casimir_apply(other, lam, rep="affine") - casimir_apply(other, lam)
     assert not want.is_zero()
     fresh_cache("_realized_basis", projective)
+    fresh_cache("_lowering_map", projective)
     realized = []
     real_realize = projective.realize
 
@@ -1186,6 +1188,7 @@ def test_lowering_map_builds_no_dual_basis(monkeypatch, fresh_cache):
     before = casimir_defect(s, lam)
     assert not before.is_zero()
     fresh_cache("_realized_basis", projective)
+    fresh_cache("_lowering_map", projective)
 
     def no_dual_basis(*args):
         raise AssertionError("the lowering map built a dual basis")
@@ -1193,6 +1196,120 @@ def test_lowering_map_builds_no_dual_basis(monkeypatch, fresh_cache):
     monkeypatch.setattr(projective, "_build_dual_basis_pair", no_dual_basis)
     monkeypatch.setattr(projective, "_dual_columns", no_dual_basis)
     assert casimir_defect(s, lam) == before
+
+
+def casimir_defect_reference(s, lam):
+    """The lowering map as the sum over i of the defects of the realized
+    eps_i on L_{e_i} S, the loop that ``casimir_defect`` ran before it
+    became two kept operators; kept as the oracle."""
+    sig = s.signature
+    if projective._is_psl(sig):
+        raise DomainError("the lowering map requires q != p+1")
+    lam = as_fraction(lam)
+    fields = projective._realized_basis(sig, "elementary")
+    n, scale = sig.n, Fraction(1, sig.p - sig.q + 1)
+    total = SymbolField.zero(sig, s.weight, max(s.degree - 1, 0))
+    for i, x_e, x_eps in zip(range(1, n + 1), fields[:n], fields[-n:]):
+        defect = affine_defect(x_eps, lie_symbol(x_e, s), lam)
+        total = total + (-scale if sig.parity(i) else scale) * defect
+    return total
+
+
+# every signature with p + q <= 5 but those with q = p+1
+LOWERING_SIGNATURES = [
+    Signature(p, n - p)
+    for n in range(1, 6) for p in range(n, -1, -1) if n - p != p + 1
+]
+LOWERING_LAMBDAS = [Fraction(0), Fraction(1, 3), Fraction(-1, 2), Fraction(7, 5)]
+LOWERING_DELTAS = [Fraction(0), Fraction(2, 7), Fraction(-1, 3)]
+
+
+@pytest.mark.parametrize("sig", LOWERING_SIGNATURES, ids=str)
+def test_lowering_map_matches_the_defect_loop(sig):
+    rng = random.Random(f"lowering oracle {sig}")
+    cases = 0
+    for delta in LOWERING_DELTAS:
+        for k in range(4):
+            for s in symbol_samples(sig, delta, k, 2, rng):
+                for lam in LOWERING_LAMBDAS:
+                    want = casimir_defect_reference(s, lam)
+                    got = casimir_defect(s, lam)
+                    assert got == want
+                    assert (got.degree, got.weight) == (want.degree, want.weight)
+                    cases += 1
+    degrees = len([k for k in range(4) if sig.p or k <= sig.q])
+    assert cases == 2 * len(LOWERING_DELTAS) * degrees * len(LOWERING_LAMBDAS)
+
+
+@pytest.mark.parametrize(
+    "sig", [S10, Signature(2, 0), Signature(0, 2), S21, Signature(3, 2)], ids=str
+)
+def test_lowering_map_takes_no_lie_derivative(sig, monkeypatch, fresh_cache, kernel_calls):
+    """Neither the build nor a call takes a Lie derivative or a defect, and a
+    call is one ``derive_terms`` pass per node of D0 and D1, merged, that the
+    symbol reaches: at most n(n+3)/2, one per pair of slot atoms in D0 and
+    one per slot atom in D1."""
+    def no_lie_derivative(*args, **kwargs):
+        raise AssertionError("the lowering map took a Lie derivative")
+
+    for module, name in ((projective, "lie_operator"), (projective, "lie_symbol"),
+                         (projective, "affine_defect"), (geometry, "lie_operator"),
+                         (geometry, "lie_symbol")):
+        monkeypatch.setattr(module, name, no_lie_derivative)
+    fresh_cache("_lowering_map", projective)
+    rng = random.Random(f"lowering passes {sig}")
+    most = 0
+    for lam in (Fraction(0), Fraction(1, 3)):
+        for k in range(4):
+            for s in symbol_samples(sig, Fraction(1, 5), k, 2, rng):
+                want = casimir_defect(s, lam)
+                ops = projective._lowering_map(sig)
+                forms = [(c, op._nested_form()) for c, op in zip((1, lam), ops) if c and op._poly]
+                passes = reached_passes(2 * sig.p, s._poly._terms, forms)
+                kernel_calls.clear()
+                assert casimir_defect(s, lam) == want
+                assert kernel_calls["derive_terms"] == passes <= sig.n * (sig.n + 3) // 2
+                most = max(most, passes)
+    assert projective._lowering_map.cache_info().misses == 1
+    assert most > 0
+
+
+def test_lowering_map_refuses_a_term_that_keeps_the_degree(monkeypatch, fresh_cache):
+    # a multiplier added to A - lift of every eps_i composes with the lift
+    # of e_i into first-order terms that keep the slot degree
+    lie_parts = projective._operator_lie_parts
+
+    def with_a_multiplier(x):
+        lift, higher, phi, b = lie_parts(x)
+        one = geometry.DiffOperator.multiplication(
+            SuperPolynomial.one(higher.signature), 0, 0)
+        return lift, higher + one, phi, b
+
+    fresh_cache("_lowering_map", projective)
+    monkeypatch.setattr(projective, "_operator_lie_parts", with_a_multiplier)
+    with pytest.raises(DomainError, match="does not lower the degree by one"):
+        projective._lowering_map(S21)
+    monkeypatch.setattr(projective, "_operator_lie_parts", lie_parts)
+    rng = random.Random(79)
+    s = rand_symbol(rng, S21, Fraction(1, 5), 2)
+    assert casimir_defect(s, 0) == casimir_defect_reference(s, 0)
+
+
+def test_check_relcas_sees_every_term_of_the_lowering_map(monkeypatch, capsys):
+    assert cli_main(RELCAS_ARGV) == 0
+    ops = projective._lowering_map(S21)
+    negations = 0
+    for n, op in enumerate(ops):
+        for key in op._poly._terms:
+            negated = dict(op._poly._terms)
+            negated[key] = -negated[key]
+            mutated = ops[:n] + (op._with(SuperPolynomial._raw(
+                op._poly.signature, negated, op._poly._den)),) + ops[n + 1:]
+            monkeypatch.setattr(projective, "_lowering_map", lambda sig: mutated)
+            assert cli_main(RELCAS_ARGV) == 3, (n, key)
+            negations += 1
+    assert negations == 11
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

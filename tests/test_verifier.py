@@ -12,7 +12,9 @@ from superquant import (
     CriticalValueError,
     DomainError,
     Signature,
+    SuperPolynomial,
     SuperVectorField,
+    SymbolField,
     affine_quantize,
     casimir_apply,
     casimir_defect,
@@ -23,13 +25,16 @@ from superquant.quantizer import (
     VARIANT_SL,
     QuantizationConfig,
 )
+from superquant.supercore import as_fraction
 from superquant.verifier import (
     CheckReport,
+    _degree_keys,
     check_casimir,
     check_equivariance,
     check_homomorphism,
     check_relcas,
     equivariance_generators,
+    random_polynomial,
     random_symbol,
     symbol_samples,
 )
@@ -40,7 +45,161 @@ S12 = Signature(1, 2)
 S10 = Signature(1, 0)
 
 
+# The sample generators as they were before they drew into int numerators,
+# kept verbatim (but for their names) as oracles: every draw builds validated
+# ``SuperPolynomial`` and ``SymbolField`` values and sums them.
+
+
+def random_polynomial_reference(
+    sig: Signature, rng: random.Random, max_degree: int = 3
+) -> SuperPolynomial:
+    """Random superfunction with even degree <= max_degree."""
+    f = SuperPolynomial.zero(sig)
+    for _ in range(rng.randint(1, 3)):
+        mask = rng.randrange(1 << sig.q) if sig.q else 0
+        evens = [0] * sig.p
+        for _ in range(rng.randint(0, max_degree)):
+            if sig.p:
+                evens[rng.randrange(sig.p)] += 1
+        c = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+        if not c:
+            c = Fraction(1)
+        f = f + SuperPolynomial(sig, {(tuple(evens), mask): c})
+    return f
+
+
+def project_parity_reference(f: SuperPolynomial, parity: int) -> SuperPolynomial:
+    return f.graded_parts()[parity]
+
+
+def parity_monomial_reference(sig: Signature, parity: int, rng: random.Random):
+    if parity and not sig.q:
+        return None
+    evens = [0] * sig.p
+    for _ in range(rng.randint(0, 3)):
+        if sig.p:
+            evens[rng.randrange(sig.p)] += 1
+    mask = (1 << rng.randrange(sig.q)) if parity else 0
+    return SuperPolynomial(sig, {(tuple(evens), mask): Fraction(1)})
+
+
+def random_symbol_reference(
+    sig: Signature,
+    weight,
+    degree: int,
+    rng: random.Random,
+    *,
+    max_coeff_degree: int = 3,
+    parity: int | None = None,
+) -> SymbolField:
+    """Random degree-``degree`` symbol with coefficient degree <= 3.
+
+    With ``parity`` set, the symbol is parity-homogeneous: every term's
+    total parity (coefficient plus frame) equals ``parity``.
+    """
+    weight = as_fraction(weight)
+    terms = {}
+    keys = _degree_keys(sig, degree)
+    if not keys:
+        raise DomainError(f"no degree-{degree} symbol exists at signature {sig}")
+    chosen = [key for key in keys if rng.random() < 0.7] or [rng.choice(keys)]
+    for key in chosen:
+        poly = random_polynomial_reference(sig, rng, max_coeff_degree)
+        if parity is not None:
+            coeff_parity = parity ^ (key[1].bit_count() & 1)
+            poly = project_parity_reference(poly, coeff_parity)
+            if poly.is_zero():
+                fallback = parity_monomial_reference(sig, coeff_parity, rng)
+                if fallback is None:
+                    continue
+                poly = fallback
+        elif poly.is_zero():
+            poly = SuperPolynomial.one(sig)
+        terms[key] = poly
+    if not terms:
+        key = keys[0]
+        fallback = None
+        if parity is not None:
+            fallback = parity_monomial_reference(sig, parity ^ (key[1].bit_count() & 1), rng)
+        terms[key] = fallback or SuperPolynomial.one(sig)
+    return SymbolField(sig, weight, degree, terms)
+
+
+def symbol_samples_reference(
+    sig: Signature,
+    weight,
+    degree: int,
+    count: int,
+    rng: random.Random,
+) -> list[SymbolField]:
+    """Deterministic stream of parity-homogeneous symbols.
+
+    For q <= 3 the first samples each force one odd-coordinate subset into a
+    coefficient, so the whole Grassmann lattice is exercised across a run.
+    A degree with no frame monomial (above q when p = 0) has no samples.
+    """
+    samples = []
+    keys = _degree_keys(sig, degree)
+    if not keys:
+        return samples
+    forced = list(range(1 << sig.q)) if sig.q <= 3 else []
+    for i in range(count):
+        if i < len(forced):
+            fmask = forced[i]
+            key = keys[i % len(keys)]
+            parity = (fmask.bit_count() & 1) ^ (key[1].bit_count() & 1)
+            s = random_symbol_reference(sig, weight, degree, rng, parity=parity)
+            evens = tuple(rng.randint(0, 1) for _ in range(sig.p))
+            # 1/7 cannot cancel against random_polynomial coefficients
+            extra = SymbolField(
+                sig,
+                weight,
+                degree,
+                {key: SuperPolynomial(sig, {(evens, fmask): Fraction(1, 7)})},
+            )
+            samples.append(s + extra)
+        else:
+            parity = (i & 1) if sig.q else 0
+            samples.append(random_symbol_reference(sig, weight, degree, rng, parity=parity))
+    return samples
+
+
+def same_map(a, b) -> bool:
+    """Equal values stored alike: the same terms in the same order over the
+    same denominator."""
+    return list(a._terms.items()) == list(b._terms.items()) and a._den == b._den
+
+
+SAMPLE_SIGNATURES = [Signature(p, q) for p, q in (
+    (1, 0), (0, 1), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (0, 4), (2, 3))]
+
+
 class TestSampling:
+    @pytest.mark.parametrize("sig", SAMPLE_SIGNATURES, ids=str)
+    def test_draws_match_the_validating_reference(self, sig):
+        # the same values, stored alike, from the same draws: the generator
+        # is left in the same state
+        weight = Fraction(2, 7)
+        for seed in range(25):
+            new, old = random.Random(seed), random.Random(seed)
+            for degree in range(4):
+                assert same_map(random_polynomial(sig, new, degree),
+                                random_polynomial_reference(sig, old, degree))
+                if not _degree_keys(sig, degree):
+                    continue
+                for parity in (None, 0, 1):
+                    got = random_symbol(sig, weight, degree, new, parity=parity)
+                    want = random_symbol_reference(sig, weight, degree, old, parity=parity)
+                    assert got == want and same_map(got._poly, want._poly)
+                    assert (got.weight, got.degree) == (want.weight, want.degree)
+                got = symbol_samples(sig, 0, degree, 10, new)
+                want = symbol_samples_reference(sig, 0, degree, 10, old)
+                assert len(got) == len(want) == 10
+                for a, b in zip(got, want):
+                    assert a == b and same_map(a._poly, b._poly)
+                    assert (a.weight, a.degree) == (b.weight, b.degree)
+            assert new.random() == old.random()
+
     def test_symbols_are_parity_homogeneous(self):
         rng = random.Random(3)
         for sig in (S11, S21, S12):
@@ -311,6 +470,7 @@ class TestRealizeOnce:
         # share one realization of each graded basis element, the lowering
         # map builds no dual basis, and no dual is realized
         fresh_cache("_casimir", projective)
+        fresh_cache("_lowering_map", projective)
         fresh_cache("_build_dual_basis_pair", projective)
         fresh_cache("_realized_basis", projective, verifier)
         fresh_cache("_realized_generators", verifier)
