@@ -55,9 +55,10 @@ sum_i (-1)^{parity(y^i) parity(X^i)} dX^i/dy^i.
 
 Values are never mutated in place.  A vector field relies on this: the
 parts of its Lie derivatives are computed on first use and kept with the
-field, as an operator keeps the nested form ``apply`` runs.  A long sum is
-built in a private dict with the kernel's ``add_into`` and wrapped once at
-the end, so no value that a caller can see is ever changed.
+field, as an operator keeps the nested form ``apply`` runs.  A sum of term
+maps is one ``supercore._linear`` call, built in a private dict with the
+kernel's ``add_into`` and wrapped once at the end, so no value that a caller
+can see is ever changed.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ from .supercore import (
     SuperPolynomial,
     _canonical_key,
     _check_same_signature,
+    _linear,
     _monomial_key,
     _ops,
     as_fraction,
@@ -159,22 +161,17 @@ def _join(sig: Signature, rows) -> SuperPolynomial:
 
 def _nested(sig: Signature, terms) -> SuperPolynomial:
     """The term map of ``{slot key: coefficient}``; a coefficient is a
-    superfunction or a rational.  The numerators are brought to the least
-    common multiple of the coefficients' denominators; keys that name the
-    same slot monomial add up."""
-    polys = []
+    superfunction or a rational.  Keys that name the same slot monomial add
+    up, in one ``_linear`` sum."""
+    pairs = []
     for key, poly in terms.items():
         slot = _canonical_key(sig, key)
         if not isinstance(poly, SuperPolynomial):
             poly = SuperPolynomial.scalar(sig, poly)
         elif poly.signature != sig:
             raise ValueError("coefficient signature mismatch")
-        polys.append((slot, poly))
-    den = lcm(*(poly._den for _slot, poly in polys))
-    out: dict = {}
-    for slot, poly in polys:
-        _ops.add_into(out, _lift(sig, poly._terms, slot), den // poly._den)
-    return SuperPolynomial._over(_doubled(sig), out, den)
+        pairs.append((1, _lifted(sig, poly, slot)))
+    return _linear(_doubled(sig), pairs)
 
 
 def _slot_degree_terms(sig: Signature, terms: dict) -> dict:
@@ -499,10 +496,8 @@ class SymbolField(_TermMap):
             raise ValueError(f"expected {sig.n} vector components")
         if any(vec[: sig.p]) and any(vec[sig.p :]):
             raise ValueError("frame vector must be parity homogeneous")
-        frame = SuperPolynomial.zero(_doubled(sig))
-        for i, c in enumerate(vec, start=1):
-            if c:
-                frame = frame + c * _slot_monomial(sig, _unit(sig, i))
+        pairs = [(c, _slot_monomial(sig, _unit(sig, i))) for i, c in enumerate(vec, start=1)]
+        frame = _linear(_doubled(sig), pairs)
         return SymbolField._raw(sig, self.weight, self.degree + 1, frame * self._poly)
 
     def as_mixed(self) -> "MixedSymbol":
@@ -536,7 +531,7 @@ class MixedSymbol(_TermMap):
     def __init__(self, signature: Signature, weight: Rational, parts=None):
         self.signature = signature
         self.weight = as_fraction(weight)
-        poly = SuperPolynomial.zero(_doubled(signature))
+        polys = []
         for k, field in (parts or {}).items():
             if field.is_zero():
                 continue
@@ -544,8 +539,8 @@ class MixedSymbol(_TermMap):
                 raise ValueError("inconsistent part in mixed symbol")
             if field.degree != k:
                 raise ValueError("part stored under wrong degree")
-            poly = poly + field._poly
-        self._poly = poly
+            polys.append((1, field._poly))
+        self._poly = _linear(_doubled(signature), polys)
 
     @classmethod
     def from_fields(
@@ -894,17 +889,9 @@ def lie_operator(x: SuperVectorField, d: DiffOperator) -> DiffOperator:
 
 def _slot_operator(sig2: Signature, coeffs: dict) -> DiffOperator:
     """The operator of weights 0 over the doubled signature ``sig2`` with
-    the coefficients ``{slot key: coefficient}``, built unchecked over the
-    least common multiple of their denominators."""
-    q = sig2.q
-    den = lcm(*(coeff._den for coeff in coeffs.values()))
-    terms = {
-        (e + se, m | smask << q): c * (den // coeff._den)
-        for (se, smask), coeff in coeffs.items()
-        for (e, m), c in coeff._terms.items()
-    }
-    zero, sig4 = Fraction(0), _doubled(sig2)
-    return DiffOperator._raw(sig2, zero, zero, SuperPolynomial._raw(sig4, terms, den))
+    the coefficients ``{slot key: coefficient}`` (``_nested``)."""
+    zero = Fraction(0)
+    return DiffOperator._raw(sig2, zero, zero, _nested(sig2, coeffs))
 
 
 def _covers(key: tuple, beta: tuple) -> bool:
@@ -1074,11 +1061,8 @@ def interior(h: Sequence[Rational], s: SymbolField) -> SymbolField:
         raise ValueError(f"expected {sig.n} covector components")
     if any(row[: sig.p]) and any(row[sig.p :]):
         raise ValueError("covector must be parity homogeneous")
-    out = SuperPolynomial.zero(_doubled(sig))
-    for i, c in enumerate(row, start=1):
-        if c:
-            out = out + c * s._poly.partial(_slot(sig, i))
-    return SymbolField._raw(sig, s.weight, max(s.degree - 1, 0), out)
+    pairs = [(c, s._poly.partial(_slot(sig, i))) for i, c in enumerate(row, start=1) if c]
+    return SymbolField._raw(sig, s.weight, max(s.degree - 1, 0), _linear(_doubled(sig), pairs))
 
 
 def symbol_divergence(s: SymbolField) -> SymbolField:

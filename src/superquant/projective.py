@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Sequence
 
 from .errors import CriticalValueError, DomainError
 from .geometry import (
@@ -55,7 +54,7 @@ from .geometry import (
     lie_operator,
     lie_symbol,
 )
-from .supercore import Rational, Signature, SuperPolynomial, _ops, as_fraction
+from .supercore import Rational, Signature, SuperPolynomial, _linear, _ops, as_fraction
 
 ALGEBRA_SL = "sl"
 ALGEBRA_PSL = "psl"
@@ -393,28 +392,22 @@ def pgl_bracket(a: PglElement, b: PglElement) -> PglElement:
 # graded basis elements
 
 
-def _elementary_full(signature: Signature, r: int, c: int, value=1) -> tuple:
-    size = 1 + signature.n
-    return tuple(
-        tuple(as_fraction(value) if (i, j) == (r, c) else Fraction(0) for j in range(size))
-        for i in range(size)
-    )
+def _elements(signature: Signature, entries, algebra: str | None = None) -> list[PglElement]:
+    """The elements with the nonzero int entries ``{row: {column: value}}``
+    of the full matrix, index 0 the corner, each a new dict: built straight
+    through ``PglElement._raw``, which takes the representative."""
+    normalize_algebra(signature, algebra)
+    return [PglElement._raw(signature, rows, 1) for rows in entries]
 
 
 def basis_e(signature: Signature, algebra: str | None = None) -> list[PglElement]:
     """Constant directions: the matrix placing 1 in column 0, row i."""
-    return [
-        PglElement(signature, _elementary_full(signature, i, 0), algebra)
-        for i in range(1, signature.n + 1)
-    ]
+    return _elements(signature, ({i: {0: 1}} for i in range(1, signature.n + 1)), algebra)
 
 
 def basis_eps(signature: Signature, algebra: str | None = None) -> list[PglElement]:
     """Quadratic directions: the matrix placing 1 in row 0, column i."""
-    return [
-        PglElement(signature, _elementary_full(signature, 0, i), algebra)
-        for i in range(1, signature.n + 1)
-    ]
+    return _elements(signature, ({0: {i: 1}} for i in range(1, signature.n + 1)), algebra)
 
 
 def scaled_eps(signature: Signature, i: int) -> PglElement:
@@ -422,8 +415,9 @@ def scaled_eps(signature: Signature, i: int) -> PglElement:
     if _is_psl(signature):
         raise DomainError("scaled quadratic directions require q != p+1")
     sign = -1 if signature.parity(i) else 1
+    # Fraction takes the sign out of 2(p - q + 1), negative when q > p + 1
     scale = Fraction(sign, 2 * (signature.p - signature.q + 1))
-    return PglElement(signature, _elementary_full(signature, 0, i, scale))
+    return PglElement._raw(signature, {0: {i: scale.numerator}}, scale.denominator)
 
 
 def g0_element(signature: Signature, block, algebra: str | None = None) -> PglElement:
@@ -431,49 +425,32 @@ def g0_element(signature: Signature, block, algebra: str | None = None) -> PglEl
 
 
 def euler_element(signature: Signature, algebra: str | None = None) -> PglElement:
+    """The class of minus the identity block."""
     n = signature.n
-    block = [[-1 if i == j else 0 for j in range(n)] for i in range(n)]
-    return g0_element(signature, block, algebra)
+    return _elements(signature, [{i: {i: -1} for i in range(1, n + 1)}], algebra)[0]
 
 
-def _block_elementary(n: int, i: int, j: int, value=1):
-    return [[value if (r, c) == (i - 1, j - 1) else 0 for c in range(n)] for r in range(n)]
-
-
-def _off_diagonal_and_difference_blocks(signature: Signature) -> list:
-    """Off-diagonal elementary blocks, then supertraceless differences of
-    neighbouring diagonal entries."""
+def _off_diagonal_and_differences(signature: Signature) -> list:
+    """The entries of the off-diagonal elementary blocks, then of the
+    supertraceless differences of neighbouring diagonal entries."""
     n = signature.n
-    blocks = [
-        _block_elementary(n, i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j
-    ]
+    out = [{i: {j: 1}} for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     for i in range(1, n):
         si = -1 if signature.parity(i) else 1
         sj = -1 if signature.parity(i + 1) else 1
-        block = [[0] * n for _ in range(n)]
-        block[i - 1][i - 1] = si
-        block[i][i] = -sj
-        blocks.append(block)
-    return blocks
+        out.append({i: {i: si}, i + 1: {i + 1: -sj}})
+    return out
 
 
 def g0_basis(signature: Signature, algebra: str | None = None) -> list[PglElement]:
     """Basis of the linear part: all elementary blocks for ``sl``; for
     ``psl`` the off-diagonal blocks plus supertraceless diagonal differences."""
-    normalize_algebra(signature, algebra)
     n = signature.n
     if _is_psl(signature):
-        blocks = _off_diagonal_and_difference_blocks(signature)
+        entries = _off_diagonal_and_differences(signature)
     else:
-        blocks = [
-            _block_elementary(n, i, j)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-        ]
-    return [g0_element(signature, block) for block in blocks]
+        entries = [{i: {j: 1}} for i in range(1, n + 1) for j in range(1, n + 1)]
+    return _elements(signature, entries, algebra)
 
 
 def g0_basis_euler_split(signature: Signature) -> list[PglElement]:
@@ -483,10 +460,8 @@ def g0_basis_euler_split(signature: Signature) -> list[PglElement]:
         raise DomainError("the euler-split basis is an sl-variant basis")
     if signature.p == signature.q:
         raise DomainError("the euler-split basis requires p != q")
-    n = signature.n
-    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    blocks = _off_diagonal_and_difference_blocks(signature) + [ident]
-    return [g0_element(signature, block) for block in blocks]
+    ident = {i: {i: 1} for i in range(1, signature.n + 1)}
+    return _elements(signature, _off_diagonal_and_differences(signature) + [ident])
 
 
 def graded_basis(
@@ -734,32 +709,26 @@ def _casimir(signature: Signature, scheme: str, rep: str) -> tuple:
     basis_parts = [parts(x) for x in _realized_basis(signature, scheme)]
     sums = {}
     for own, column in zip(basis_parts, _dual_columns(signature, scheme)):
-        ops_x = list(zip(powers, own))
         for n, (dy, ly) in enumerate(powers):
-            terms = (c * basis_parts[k][n] for k, c in column.items())
-            op_y = functools.reduce(add, terms)  # L_Y = sum_k c_k L_{X_k}
-            for (dx, lx), op_x in ops_x:
+            # L_Y = sum_k c_k L_{X_k}
+            op_y = _operator_sum(signature, [(c, basis_parts[k][n]) for k, c in column.items()])
+            for (dx, lx), op_x in zip(powers, own):
                 if op_y._poly and op_x._poly:
-                    composed = op_y.compose(op_x)._poly
-                    sums.setdefault((dy + dx, ly + lx), []).append(composed)
+                    sums.setdefault((dy + dx, ly + lx), []).append((1, op_y.compose(op_x)))
     out = []
-    for (i, j), polys in sorted(sums.items()):
-        op = _operator_sum(signature, polys)
+    for (i, j), pairs in sorted(sums.items()):
+        op = _operator_sum(signature, pairs)
         if op._poly:
             out.append((i, j, op))
     return tuple(out)
 
 
-def _operator_sum(signature: Signature, polys) -> DiffOperator:
+def _operator_sum(signature: Signature, pairs) -> DiffOperator:
     """The operator of weights 0 over the doubled variables of ``signature``
-    whose term map is the sum of ``polys``, the numerators brought to the
-    least common multiple of their denominators."""
-    den = lcm(*(poly._den for poly in polys))
-    acc = {}
-    for poly in polys:
-        _ops.add_into(acc, poly._terms, den // poly._den)
+    sum c P over the pairs (rational c, operator P), one ``_linear`` sum."""
     sig2, zero = _doubled(signature), Fraction(0)
-    return DiffOperator._raw(sig2, zero, zero, SuperPolynomial._over(_doubled(sig2), acc, den))
+    poly = _linear(_doubled(sig2), [(c, op._poly) for c, op in pairs])
+    return DiffOperator._raw(sig2, zero, zero, poly)
 
 
 @functools.cache
@@ -786,10 +755,10 @@ def _lowering_map(signature: Signature) -> tuple:
         lift = x_e._lie_parts().lift
         _, higher, _, b = _operator_lie_parts(x_eps)
         c = -scale if signature.parity(i) else scale
-        for polys, op in zip(sums, (higher, b)):
+        for pairs, op in zip(sums, (higher, b)):
             if op._poly:
-                polys.append((c * op.compose(lift))._poly)
-    ops = tuple(_operator_sum(signature, polys) for polys in sums)
+                pairs.append((c, op.compose(lift)))
+    ops = tuple(_operator_sum(signature, pairs) for pairs in sums)
     p, q = signature.p, signature.q
 
     def slot_degree(key):  # of a key over the doubled variables
@@ -1015,6 +984,8 @@ def quantization_coefficient(
     quantization."""
     if _is_psl(signature):
         raise DomainError("the coefficient formula requires q != p+1")
+    if k < 0:
+        raise ValueError("degree must be non-negative")
     if not 0 <= r <= k:
         raise ValueError(f"step r={r} out of range 0..{k}")
     nums, den = _coefficients(k, r, as_fraction(lam), as_fraction(delta), signature)
@@ -1024,6 +995,8 @@ def quantization_coefficient(
 def psl_quantization_coefficient(k: int, r: int) -> Fraction:
     """Divergence coefficients in the q = p+1 variant; degree 1 is excluded
     (there the one-parameter family replaces a fixed coefficient)."""
+    if k < 0:
+        raise ValueError("degree must be non-negative")
     if not 0 <= r <= k:
         raise ValueError(f"step r={r} out of range 0..{k}")
     if k == 1 and r:

@@ -37,7 +37,7 @@ from .projective import (
     casimir_eigenvalue,
     ensure_noncritical,
 )
-from .supercore import Signature, SuperPolynomial, _ops, as_fraction
+from .supercore import Signature, SuperPolynomial, _linear, _ops, as_fraction
 
 VARIANT_SL = "generic-sl"
 VARIANT_PSL = "psl-family"
@@ -95,8 +95,8 @@ def _check_symbol(s: SymbolField | MixedSymbol, cfg: QuantizationConfig) -> None
 def _sum_over_degrees(
     s: SymbolField | MixedSymbol, cfg: QuantizationConfig, quantize_part
 ) -> DiffOperator:
-    """Apply ``quantize_part`` to each homogeneous part of ``s`` and add up,
-    in one private dict; one part is returned as it is.
+    """Apply ``quantize_part`` to each homogeneous part of ``s`` and add up
+    in one ``_linear`` sum; one part is returned as it is.
 
     The generic variant is obstructed at critical weights; criticality is
     checked per present degree only.
@@ -108,11 +108,7 @@ def _sum_over_degrees(
         ops.append(quantize_part(part, cfg))
     if len(ops) == 1:
         return ops[0]
-    den = lcm(*(op._poly._den for op in ops))
-    total: dict = {}
-    for op in ops:
-        _ops.add_into(total, op._poly._terms, den // op._poly._den)
-    poly = SuperPolynomial._over(s._poly.signature, total, den)
+    poly = _linear(s._poly.signature, [(1, op._poly) for op in ops])
     return DiffOperator._raw(cfg.signature, cfg.lam, cfg.mu, poly)
 
 

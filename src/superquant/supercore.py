@@ -357,29 +357,35 @@ class SuperPolynomial:
         return expr.format_poly(self)
 
 
+def _linear(signature: Signature, pairs) -> SuperPolynomial:
+    """sum c M over the pairs (rational c, ``SuperPolynomial`` M) as a
+    polynomial over ``signature``: each c M an int multiple of the
+    numerators of M at the least common multiple of the denominators, added
+    into one private dict by the kernel's ``add_into`` and reduced once.
+    Zero coefficients and zero maps are left out."""
+    weights = [(c.numerator, c.denominator * m._den, m._terms) for c, m in pairs if c and m._terms]
+    if not weights:
+        return SuperPolynomial._raw(signature, {})
+    den = lcm(*(d for _n, d, _terms in weights))
+    out: dict = {}
+    for n, d, terms in weights:
+        _ops.add_into(out, terms, n * (den // d))
+    return SuperPolynomial._over(signature, out, den)
+
+
+def _degree_keys(signature: Signature, degree: int) -> list:
+    """The keys of the monomials of total degree ``degree``: the even
+    exponents in lexicographic order, each with its odd masks ascending."""
+    evens = [()]
+    for _ in range(signature.p):
+        evens = [e + (a,) for e in evens for a in range(degree - sum(e) + 1)]
+    masks = range(1 << signature.q)
+    return [(e, m) for e in evens for m in masks if m.bit_count() == degree - sum(e)]
+
+
 def iter_monomials(signature: Signature, max_degree: int) -> Iterator[SuperPolynomial]:
-    """All monomials of total degree <= max_degree, in a deterministic order."""
-    p, q = signature.p, signature.q
-
-    def even_tuples(total_max: int):
-        if p == 0:
-            yield ()
-            return
-
-        def rec(pos: int, left: int):
-            if pos == p - 1:
-                for e in range(left + 1):
-                    yield (e,)
-                return
-            for e in range(left + 1):
-                for rest in rec(pos + 1, left - e):
-                    yield (e,) + rest
-
-        yield from rec(0, total_max)
-
-    for mask in range(1 << q):
-        odd_deg = mask.bit_count()
-        if odd_deg > max_degree:
-            continue
-        for evens in even_tuples(max_degree - odd_deg):
-            yield SuperPolynomial._raw(signature, {(evens, mask): 1})
+    """All monomials of total degree <= max_degree, in a deterministic order:
+    by degree, then as ``_degree_keys`` lists them."""
+    for degree in range(max_degree + 1):
+        for key in _degree_keys(signature, degree):
+            yield SuperPolynomial._raw(signature, {key: 1})

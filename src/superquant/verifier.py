@@ -5,6 +5,11 @@ returns a CheckReport whose failure list carries fully printed symbolic
 values.  Exact arithmetic makes every failure decisive, so sample budgets
 govern coverage rather than statistical confidence.  Checks are pure
 functions of their parameters and seed, and may safely run concurrently.
+The three sampled checks (equivariance, Casimir, relative Casimir) share one
+driver, ``_sampled_check``: it seeds the RNG, draws ``symbol_samples`` degree
+by degree, counts each identity a check yields for a sample as
+``(label, expected, got)``, and prints the values only for a failure.
+``check_homomorphism`` runs over the graded basis instead, with no samples.
 The generators and their realized fields are kept per signature by
 ``functools.cache``; they reuse the graded basis of
 ``projective._graded_basis`` and its fields, ``projective._realized_basis``.
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
-from .expr import format_operator, format_symbol, format_value
+from .expr import format_symbol, format_value
 from .geometry import SymbolField, _doubled, _lift, bracket, lie_operator, lie_symbol
 from .projective import (
     _graded_basis,
@@ -36,7 +41,7 @@ from .projective import (
     scaled_eps,
 )
 from .quantizer import QuantizationConfig, quantize
-from .supercore import Signature, SuperPolynomial, _ops, as_fraction
+from .supercore import Signature, SuperPolynomial, _degree_keys, _ops, as_fraction
 
 DEFAULT_SAMPLES = 25
 
@@ -150,22 +155,6 @@ def random_polynomial(
 ) -> SuperPolynomial:
     """Random superfunction with even degree <= max_degree."""
     return SuperPolynomial._over(sig, _random_terms(sig, rng, max_degree), 6)
-
-
-def _degree_keys(sig: Signature, degree: int):
-    keys = []
-
-    def rec(i, remaining, evens):
-        if i == sig.p:
-            for mask in range(1 << sig.q):
-                if mask.bit_count() == remaining:
-                    keys.append((tuple(evens), mask))
-            return
-        for e in range(remaining + 1):
-            rec(i + 1, remaining - e, evens + [e])
-
-    rec(0, degree, [])
-    return keys
 
 
 def _parity_monomial(sig: Signature, parity: int, rng: random.Random):
@@ -318,6 +307,26 @@ def _realized_generators(sig: Signature) -> tuple:
 # Checks
 
 
+def _sampled_check(
+    name: str, sig: Signature, parameters: dict, seed: int, k_max: int,
+    sample_count: int, weight, identities,
+) -> CheckReport:
+    """The report of ``name``: for each degree k <= ``k_max``, the
+    ``symbol_samples`` of weight ``weight`` drawn from one RNG seeded with
+    ``seed``, and for each sample S every ``(label, expected, got)`` of
+    ``identities(k, S)`` counted; a failure is recorded with S printed, the
+    text built only then."""
+    rng = random.Random(seed)
+    report = CheckReport(name, sig, parameters, seed=seed)
+    for k in range(k_max + 1):
+        for s in symbol_samples(sig, weight, k, sample_count, rng):
+            for label, expected, got in identities(k, s):
+                report.samples_run += 1
+                if expected != got:
+                    report.record(f"{label}, S = {format_symbol(s)}", expected, got)
+    return report
+
+
 def check_equivariance(
     cfg: QuantizationConfig,
     degree_max: int = 2,
@@ -333,37 +342,24 @@ def check_equivariance(
     broken map) to demonstrate that failures are detected.
     """
     qmap = quantizer or quantize
-    rng = random.Random(seed)
-    report = CheckReport(
-        check_name="check_equivariance",
-        signature=cfg.signature,
-        parameters={
-            "lambda": str(cfg.lam),
-            "delta": str(cfg.delta),
-            "t": str(cfg.t),
-            "variant": cfg.variant,
-            "degree_max": str(degree_max),
-        },
-        seed=seed,
-    )
     realized = _realized_generators(cfg.signature)
-    for degree in range(degree_max + 1):
-        samples = symbol_samples(
-            cfg.signature, cfg.delta, degree, sample_count, rng
-        )
-        for s in samples:
-            q = qmap(s, cfg)
-            for label, x in realized:
-                lhs = lie_operator(x, q)
-                rhs = qmap(lie_symbol(x, s).as_mixed(), cfg)
-                report.samples_run += 1
-                if lhs != rhs:
-                    report.record(
-                        f"generator {label}, S = {format_symbol(s)}",
-                        format_operator(lhs),
-                        format_operator(rhs),
-                    )
-    return report
+
+    def identities(_k, s):
+        q = qmap(s, cfg)
+        for label, x in realized:
+            yield f"generator {label}", lie_operator(x, q), qmap(lie_symbol(x, s).as_mixed(), cfg)
+
+    parameters = {
+        "lambda": str(cfg.lam),
+        "delta": str(cfg.delta),
+        "t": str(cfg.t),
+        "variant": cfg.variant,
+        "degree_max": str(degree_max),
+    }
+    return _sampled_check(
+        "check_equivariance", cfg.signature, parameters, seed, degree_max,
+        sample_count, cfg.delta, identities,
+    )
 
 
 def check_casimir(
@@ -378,34 +374,23 @@ def check_casimir(
     """Certify that the Casimir acts as the expected scalar on each degree."""
     lam = as_fraction(lam)
     delta = as_fraction(delta)
-    rng = random.Random(seed)
-    report = CheckReport(
-        check_name="check_casimir",
-        signature=sig,
-        parameters={
-            "algebra": normalize_algebra(sig, algebra),
-            "lambda": str(lam),
-            "delta": str(delta),
-            "k_max": str(k_max),
-        },
-        seed=seed,
+    parameters = {
+        "algebra": normalize_algebra(sig, algebra),
+        "lambda": str(lam),
+        "delta": str(delta),
+        "k_max": str(k_max),
+    }
+    if _is_psl(sig):
+        eigenvalues = [psl_casimir_eigenvalue(k) for k in range(k_max + 1)]
+    else:
+        eigenvalues = [casimir_eigenvalue(k, delta, sig) for k in range(k_max + 1)]
+
+    def identities(k, s):
+        yield f"degree {k}", (eigenvalues[k] * s).as_mixed(), casimir_apply(s, lam, rep="L")
+
+    return _sampled_check(
+        "check_casimir", sig, parameters, seed, k_max, sample_count, delta, identities
     )
-    for k in range(k_max + 1):
-        if _is_psl(sig):
-            eig = psl_casimir_eigenvalue(k)
-        else:
-            eig = casimir_eigenvalue(k, delta, sig)
-        for s in symbol_samples(sig, delta, k, sample_count, rng):
-            acted = casimir_apply(s, lam, rep="L")
-            expected = (eig * s).as_mixed()
-            report.samples_run += 1
-            if acted != expected:
-                report.record(
-                    f"degree {k}, S = {format_symbol(s)}",
-                    format_symbol(expected),
-                    format_symbol(acted),
-                )
-    return report
 
 
 def _pgl_text(h) -> str:
@@ -484,26 +469,13 @@ def check_relcas(
         raise DomainError("the splitting requires q != p+1")
     lam = as_fraction(lam)
     delta = as_fraction(delta)
-    rng = random.Random(seed)
-    report = CheckReport(
-        check_name="check_relcas",
-        signature=sig,
-        parameters={
-            "lambda": str(lam),
-            "delta": str(delta),
-            "k_max": str(k_max),
-        },
-        seed=seed,
+
+    def identities(k, s):
+        lhs = casimir_apply(s, lam, rep="affine")
+        rhs = casimir_apply(s, lam, rep="L") + casimir_defect(s, lam).as_mixed()
+        yield f"degree {k}", rhs, lhs
+
+    parameters = {"lambda": str(lam), "delta": str(delta), "k_max": str(k_max)}
+    return _sampled_check(
+        "check_relcas", sig, parameters, seed, k_max, sample_count, delta, identities
     )
-    for k in range(k_max + 1):
-        for s in symbol_samples(sig, delta, k, sample_count, rng):
-            lhs = casimir_apply(s, lam, rep="affine")
-            rhs = casimir_apply(s, lam, rep="L") + casimir_defect(s, lam).as_mixed()
-            report.samples_run += 1
-            if lhs != rhs:
-                report.record(
-                    f"degree {k}, S = {format_symbol(s)}",
-                    format_symbol(rhs),
-                    format_symbol(lhs),
-                )
-    return report

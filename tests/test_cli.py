@@ -218,6 +218,14 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "expression error: unexpected token '-' (at position 1)\n")
 
+    @pytest.mark.parametrize("sig", [["--p", "1", "--q", "0"], ["--p", "0", "--q", "1"]],
+                             ids=["sl", "psl"])
+    @pytest.mark.parametrize("r", ["0", "1"])
+    def test_negative_coeff_degree_is_one(self, capsys, sig, r):
+        # the degree is rejected before the step is checked against it
+        assert main(["coeff", *sig, "--k", "-1", "--r", r]) == 1
+        assert capsys.readouterr() == ("", "error: degree must be non-negative\n")
+
     def test_missing_signature_is_one(self, capsys):
         assert main(["critical", "--kmax", "2"]) == 1
         capsys.readouterr()

@@ -61,6 +61,8 @@ from superquant.projective import (
     ensure_noncritical,
     euler_element,
     g0_basis,
+    g0_basis_euler_split,
+    g0_element,
     graded_basis,
     kaplansky_form,
     killing_form,
@@ -554,6 +556,103 @@ def test_sparse_arithmetic_matches_dense_oracle(case, c):
         assert_canonical(field)
     if c == 0:
         assert (c * x).is_zero() and (c * x)._den == 1
+
+
+# The dense builders of the graded basis, kept verbatim as the oracle of the
+# sparse ones: each element a full ``Fraction`` matrix through the validating
+# constructor, or a dense linear block through ``g0_element``.
+
+
+def _elementary_full(signature, r, c, value=1):
+    size = 1 + signature.n
+    return tuple(
+        tuple(as_fraction(value) if (i, j) == (r, c) else Fraction(0) for j in range(size))
+        for i in range(size)
+    )
+
+
+def _block_elementary(n, i, j, value=1):
+    return [[value if (r, c) == (i - 1, j - 1) else 0 for c in range(n)] for r in range(n)]
+
+
+def _off_diagonal_and_difference_blocks(signature):
+    n = signature.n
+    blocks = [
+        _block_elementary(n, i, j)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if i != j
+    ]
+    for i in range(1, n):
+        si = -1 if signature.parity(i) else 1
+        sj = -1 if signature.parity(i + 1) else 1
+        block = [[0] * n for _ in range(n)]
+        block[i - 1][i - 1] = si
+        block[i][i] = -sj
+        blocks.append(block)
+    return blocks
+
+
+def dense_basis_reference(sig):
+    """Every basis element of the sparse builders at ``sig``, by name, as the
+    dense builders made it."""
+    n = sig.n
+    out = {
+        "basis_e": [PglElement(sig, _elementary_full(sig, i, 0)) for i in range(1, n + 1)],
+        "basis_eps": [PglElement(sig, _elementary_full(sig, 0, i)) for i in range(1, n + 1)],
+        "euler_element": [
+            g0_element(sig, [[-1 if i == j else 0 for j in range(n)] for i in range(n)])
+        ],
+    }
+    if projective._is_psl(sig):
+        blocks = _off_diagonal_and_difference_blocks(sig)
+    else:
+        blocks = [_block_elementary(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    out["g0_basis"] = [g0_element(sig, block) for block in blocks]
+    if not projective._is_psl(sig):
+        out["scaled_eps"] = [
+            PglElement(sig, _elementary_full(
+                sig, 0, i, Fraction(-1 if sig.parity(i) else 1, 2 * (sig.p - sig.q + 1))
+            ))
+            for i in range(1, n + 1)
+        ]
+        if sig.p != sig.q:
+            ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+            blocks = _off_diagonal_and_difference_blocks(sig) + [ident]
+            out["g0_basis_euler_split"] = [g0_element(sig, block) for block in blocks]
+    return out
+
+
+SMALL_SIGNATURES = [Signature(p, n - p) for n in range(1, 7) for p in range(n + 1)]
+
+
+@pytest.mark.parametrize("sig", SMALL_SIGNATURES, ids=str)
+def test_sparse_basis_matches_dense_builders(sig):
+    # every p + q <= 6, among them p = 0 and q > p + 1, where 2(p - q + 1) < 0
+    sparse = {
+        "basis_e": basis_e(sig),
+        "basis_eps": basis_eps(sig),
+        "euler_element": [euler_element(sig)],
+        "g0_basis": g0_basis(sig),
+    }
+    if not projective._is_psl(sig):
+        sparse["scaled_eps"] = [scaled_eps(sig, i) for i in range(1, sig.n + 1)]
+        if sig.p != sig.q:
+            sparse["g0_basis_euler_split"] = g0_basis_euler_split(sig)
+    dense = dense_basis_reference(sig)
+    assert sparse.keys() == dense.keys()
+    for name, elements in sparse.items():
+        assert len(elements) == len(dense[name]), name
+        for got, want in zip(elements, dense[name]):
+            assert (got._rows, got._den, got.matrix) == (want._rows, want._den, want.matrix), name
+            assert_stored_canonical(got)
+
+
+def test_sparse_basis_checks_the_algebra():
+    for build in (basis_e, basis_eps, euler_element, g0_basis):
+        with pytest.raises(DomainError):
+            build(S12, "sl")
+        assert build(S12, "pgl") == build(S12)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ words and canonicalizes by bubble sort, counting transpositions.  It shares
 no code with the bitmask kernels, so agreement is meaningful.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superquant import Signature, SuperPolynomial, SuperVectorField, iter_monomials, lie_density
-from superquant.supercore import _ops
+from superquant.supercore import _degree_keys, _linear, _ops
 
 S11 = Signature(1, 1)
 S12 = Signature(1, 2)
@@ -583,3 +584,68 @@ def test_kernel_on_numerators_matches_the_kernel_on_fractions(data):
         half = Signature(sig.p // 2, sig.q // 2)
         got = _ops.divergence_terms(na, half.p, half.q)
         assert divided(got, da) == _ops.divergence_terms(a, half.p, half.q)
+
+
+# ---------------------------------------------------------------------------
+# the one sum of term maps, and the one monomial-key enumerator
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_linear_equals_the_fold_of_sums_and_multiples(data):
+    sig = data.draw(st.sampled_from(KERNEL_SIGS), label="sig")
+    coeffs = st.one_of(st.just(0), WIDE_RATIONALS)
+    maps = st.one_of(st.just(SuperPolynomial.zero(sig)), wide_polys(sig))
+    pairs = data.draw(st.lists(st.tuples(coeffs, maps), max_size=5), label="pairs")
+    want = SuperPolynomial.zero(sig)
+    for c, m in pairs:
+        want = want + c * m
+    got = _linear(sig, pairs)
+    assert got == want
+    assert_stored(got, dict(want.items()))
+
+
+def test_linear_of_nothing_is_the_zero_map_over_one():
+    for pairs in ([], [(0, x(S11, 1))], [(Fraction(1, 2), SuperPolynomial.zero(S11))]):
+        got = _linear(S11, pairs)
+        assert (got._terms, got._den) == ({}, 1)
+    # parts that cancel leave the zero map over 1, not over their denominator
+    half = Fraction(1, 2) * x(S11, 1)
+    got = _linear(S11, [(1, half), (Fraction(-1, 4), 2 * x(S11, 1))])
+    assert (got._terms, got._den) == ({}, 1)
+    # a common factor of the parts is divided out once
+    got = _linear(S11, [(Fraction(1, 6), x(S11, 1)), (Fraction(1, 3), x(S11, 1))])
+    assert (got._terms, got._den) == ({((1,), 0): 1}, 2)
+
+
+def brute_force_monomial_keys(sig, max_degree):
+    """Every key whose exponents and odd count add up to at most max_degree,
+    from the full box of even exponents and odd masks."""
+    return {
+        (evens, mask)
+        for evens in itertools.product(range(max_degree + 1), repeat=sig.p)
+        for mask in range(1 << sig.q)
+        if sum(evens) + mask.bit_count() <= max_degree
+    }
+
+
+@pytest.mark.parametrize("sig", [Signature(0, 3), Signature(2, 0), S22, Signature(3, 1)],
+                         ids=str)
+@pytest.mark.parametrize("max_degree", [-1, 0, 1, 2, 4])
+def test_iter_monomials_yields_each_monomial_once(sig, max_degree):
+    keys = []
+    for mono in iter_monomials(sig, max_degree):
+        (key, value), = mono._terms.items()
+        assert (value, mono._den) == (1, 1)
+        keys.append(key)
+    assert len(keys) == len(set(keys))
+    assert set(keys) == brute_force_monomial_keys(sig, max_degree)
+
+
+def test_degree_keys_list_lexicographic_evens_then_ascending_masks():
+    # the order the verifier's samples are drawn over
+    assert _degree_keys(Signature(2, 2), 2) == [
+        ((0, 0), 3), ((0, 1), 1), ((0, 1), 2), ((0, 2), 0),
+        ((1, 0), 1), ((1, 0), 2), ((1, 1), 0), ((2, 0), 0),
+    ]
+    assert _degree_keys(Signature(0, 2), 3) == []

@@ -418,6 +418,82 @@ class TestReports:
         text = report.summary_text()
         assert "FAIL" in text
 
+    def test_passing_checks_print_nothing(self, monkeypatch):
+        # a failure's text is built in the failure branch only
+        calls = []
+        for name in ("format_symbol", "format_value"):
+            original = getattr(verifier, name)
+            monkeypatch.setattr(
+                verifier, name, lambda v, f=original: calls.append(v) or f(v)
+            )
+        cfg = QuantizationConfig(S21, Fraction(1, 3), Fraction(1, 5), VARIANT_SL)
+        reports = [
+            check_equivariance(cfg, degree_max=2, sample_count=2, seed=1),
+            check_relcas(S21, Fraction(1, 2), Fraction(1, 5), k_max=2, sample_count=2, seed=1),
+            check_casimir(S21, delta=Fraction(1, 5), k_max=2, sample_count=2, seed=1),
+        ]
+        assert all(r.passed and r.samples_run for r in reports)
+        assert calls == []
+
+    def test_failure_texts_are_unchanged(self, monkeypatch):
+        # the texts each sampled check printed before the checks shared one
+        # driver, for one seed: the coefficient-wise map, a doubled lowering
+        # map and an eigenvalue off by one
+        cfg = QuantizationConfig(S11, 1, 0, VARIANT_SL)
+        report = check_equivariance(
+            cfg, degree_max=2, sample_count=1, seed=3,
+            quantizer=lambda s, c: affine_quantize(s, c.lam),
+        )
+        s1 = ("(1/7)*et1 - (1/2)*x1*et1 + x1^2*et1 - 2*x1*t1*ex1"
+              " + (1/3)*x1^2*t1*ex1")
+        s2 = "(1/7)*x1*ex1*et1 - 2*x1^2*ex1*et1"
+        assert report.samples_run == 24
+        assert report.failures == [
+            {"input": f"generator eps1, S = {s1}",
+             "expected": "-(1/7)*x1*dt1 + x1^3*dt1 + (1/3)*x1^3*t1*dx1"
+                         " + 2*x1*t1 - (1/3)*x1^2*t1",
+             "got": "-(1/7)*x1*dt1 + x1^3*dt1 + (1/3)*x1^3*t1*dx1"},
+            {"input": f"generator eps2, S = {s1}",
+             "expected": "(1/2)*x1*t1*dt1 - 2*x1^2*t1*dt1 - (1/7)*x1*dx1"
+                         " + (1/2)*x1^2*dx1 - x1^3*dx1 - (1/7) + (1/2)*x1 - x1^2",
+             "got": "(1/2)*x1*t1*dt1 - 2*x1^2*t1*dt1 - (1/7)*x1*dx1"
+                    " + (1/2)*x1^2*dx1 - x1^3*dx1"},
+            {"input": f"generator eps1, S = {s2}",
+             "expected": "-(2/7)*x1^2*dx1*dt1 + 2*x1^3*dx1*dt1 - (2/7)*x1*dt1"
+                         " + 4*x1^2*dt1",
+             "got": "-(2/7)*x1^2*dx1*dt1 + 2*x1^3*dx1*dt1"},
+            {"input": f"generator eps2, S = {s2}",
+             "expected": "2*x1^2*t1*dx1*dt1 - (1/7)*x1^2*dx1^2 + 2*x1^3*dx1^2"
+                         " - (2/7)*x1*dx1 + 4*x1^2*dx1",
+             "got": "2*x1^2*t1*dx1*dt1 - (1/7)*x1^2*dx1^2 + 2*x1^3*dx1^2"},
+        ]
+        defect = verifier.casimir_defect
+        monkeypatch.setattr(verifier, "casimir_defect", lambda s, lam: 2 * defect(s, lam))
+        report = check_relcas(S11, 0, Fraction(1, 3), k_max=2, sample_count=1, seed=3)
+        assert report.samples_run == 3
+        assert report.failures == [
+            {"input": f"degree 2, S = {s2}",
+             "expected": "(10/21)*x1*ex1*et1 - (20/3)*x1^2*ex1*et1 + (2/7)*et1"
+                         " - 8*x1*et1",
+             "got": "(10/21)*x1*ex1*et1 - (20/3)*x1^2*ex1*et1 + (1/7)*et1"
+                    " - 4*x1*et1"},
+        ]
+        eigenvalue = verifier.casimir_eigenvalue
+        monkeypatch.setattr(
+            verifier, "casimir_eigenvalue", lambda k, d, sig: eigenvalue(k, d, sig) + 1
+        )
+        report = check_casimir(S11, delta=Fraction(1, 3), k_max=1, sample_count=1, seed=3)
+        assert report.samples_run == 2
+        assert report.failures == [
+            {"input": "degree 0, S = (1/7) - 2*x1^2",
+             "expected": "(1/7) - 2*x1^2", "got": "0"},
+            {"input": f"degree 1, S = {s1}",
+             "expected": "(5/21)*et1 - (5/6)*x1*et1 + (5/3)*x1^2*et1"
+                         " - (10/3)*x1*t1*ex1 + (5/9)*x1^2*t1*ex1",
+             "got": "(2/21)*et1 - (1/3)*x1*et1 + (2/3)*x1^2*et1"
+                    " - (4/3)*x1*t1*ex1 + (2/9)*x1^2*t1*ex1"},
+        ]
+
 
 class TestRealizeOnce:
     def test_generators_realized_once_per_signature(self, monkeypatch, fresh_cache):
